@@ -16,7 +16,9 @@ lint:
 	./scripts/check.sh -lint
 
 # The race-enabled gate used before merging; see scripts/check.sh.
-# It ends with the chaos gate, so `make check` covers both.
+# It also runs the benchmark harness's smoke test (benchmark/ is its
+# own module, which `go test ./...` here does not see) and ends with
+# the chaos gate, so `make check` covers all three.
 check:
 	./scripts/check.sh
 

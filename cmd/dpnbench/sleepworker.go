@@ -6,7 +6,6 @@ import (
 
 	"dpn/internal/core"
 	"dpn/internal/meta"
-	"dpn/internal/token"
 )
 
 // sleepTask and slowWorker emulate heterogeneous CPU speeds for the
@@ -47,7 +46,7 @@ type slowWorker struct {
 
 func (w *slowWorker) Step(env *core.Env) error {
 	var t meta.Task
-	if err := token.NewReader(w.In).ReadObject(&t); err != nil {
+	if err := w.In.Tokens().ReadObject(&t); err != nil {
 		return err
 	}
 	st, ok := t.(*sleepTask)
@@ -58,7 +57,7 @@ func (w *slowWorker) Step(env *core.Env) error {
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(w.Out).WriteObject(&r)
+	return w.Out.Tokens().WriteObject(&r)
 }
 
 func init() {

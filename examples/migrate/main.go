@@ -22,7 +22,6 @@ import (
 
 	"dpn/internal/core"
 	"dpn/internal/server"
-	"dpn/internal/token"
 	"dpn/internal/wire"
 )
 
@@ -38,7 +37,7 @@ func (s *Source) Step(env *core.Env) error {
 	time.Sleep(200 * time.Microsecond)
 	v := s.Next
 	s.Next++
-	return token.NewWriter(s.Out).WriteInt64(v)
+	return s.Out.Tokens().WriteInt64(v)
 }
 
 // Relay copies elements and counts them; Count is exported, so it
@@ -52,11 +51,11 @@ type Relay struct {
 
 // Step implements core.Stepper.
 func (r *Relay) Step(env *core.Env) error {
-	v, err := token.NewReader(r.In).ReadInt64()
+	v, err := r.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	if err := token.NewWriter(r.Out).WriteInt64(v); err != nil {
+	if err := r.Out.Tokens().WriteInt64(v); err != nil {
 		return err
 	}
 	r.Count++
@@ -71,7 +70,7 @@ type Sink struct {
 
 // Step implements core.Stepper.
 func (s *Sink) Step(env *core.Env) error {
-	v, err := token.NewReader(s.In).ReadInt64()
+	v, err := s.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,6 @@ import (
 	"log"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // producer writes the integers 1..N to its output channel.
@@ -34,7 +33,7 @@ func (p *producer) Step(env *core.Env) error {
 		return io.EOF
 	}
 	p.i++
-	return token.NewWriter(p.Out).WriteInt64(p.i)
+	return p.Out.Tokens().WriteInt64(p.i)
 }
 
 // worker squares every element.
@@ -44,11 +43,11 @@ type worker struct {
 }
 
 func (w *worker) Step(env *core.Env) error {
-	v, err := token.NewReader(w.In).ReadInt64()
+	v, err := w.In.Tokens().ReadInt64()
 	if err != nil {
 		return err // io.EOF after the producer finishes: normal stop
 	}
-	return token.NewWriter(w.Out).WriteInt64(v * v)
+	return w.Out.Tokens().WriteInt64(v * v)
 }
 
 // consumer prints what it receives.
@@ -57,7 +56,7 @@ type consumer struct {
 }
 
 func (c *consumer) Step(env *core.Env) error {
-	v, err := token.NewReader(c.In).ReadInt64()
+	v, err := c.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}

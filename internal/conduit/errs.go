@@ -44,6 +44,10 @@ var (
 	// ErrLinkDeadline reports an outage that outlasted the link's
 	// resilience window; the link degraded into a cascading close.
 	ErrLinkDeadline = netio.ErrLinkDeadline
+	// ErrTruncated reports an inbound stream whose connection ended
+	// before the sender's final frame with no resilience to resume it:
+	// the reader saw a prefix of the stream, not its end.
+	ErrTruncated = netio.ErrTruncated
 	// ErrTokenInUse reports a rendezvous token registered twice on one
 	// broker.
 	ErrTokenInUse = netio.ErrTokenInUse

@@ -16,9 +16,15 @@ import (
 type Channel struct {
 	name string
 	cd   *conduit.Conduit
-	w    *WritePort
-	r    *ReadPort
 	net  *Network
+
+	// The two port handles and their initial states live inside the
+	// channel: one allocation instead of five, which is what pays for
+	// the codec pointer each state carries.
+	w  WritePort
+	r  ReadPort
+	ws wstate
+	rs rstate
 
 	// tokensIn/tokensOut count typed elements (not bytes) moving through
 	// the channel; package token bumps them through the ports'
@@ -38,16 +44,9 @@ func NewChannel(name string, capacity int) *Channel {
 func newChannel(n *Network, name string, capacity int) *Channel {
 	cd := conduit.New(name, capacity)
 	ch := &Channel{name: name, cd: cd, net: n}
-	ch.w = &WritePort{s: &wstate{
-		name: name + ".w",
-		sw:   cd.Entry(),
-		ch:   ch,
-	}}
-	ch.r = &ReadPort{s: &rstate{
-		name: name + ".r",
-		seq:  cd.Exit(),
-		ch:   ch,
-	}}
+	ch.ws = wstate{name: name, sw: cd.Entry(), ch: ch}
+	ch.rs = rstate{name: name, seq: cd.Exit(), ch: ch}
+	ch.w.s, ch.r.s = &ch.ws, &ch.rs
 	if n != nil {
 		cd.Instrument(n.Obs(), n)
 		ch.tokensIn, ch.tokensOut = conduit.TokenCounters(n.Obs(), name)
@@ -60,10 +59,10 @@ func newChannel(n *Network, name string, capacity int) *Channel {
 func (c *Channel) Name() string { return c.name }
 
 // Writer returns the producing end of the channel.
-func (c *Channel) Writer() *WritePort { return c.w }
+func (c *Channel) Writer() *WritePort { return &c.w }
 
 // Reader returns the consuming end of the channel.
-func (c *Channel) Reader() *ReadPort { return c.r }
+func (c *Channel) Reader() *ReadPort { return &c.r }
 
 // Pipe exposes the underlying bounded buffer for capacity management and
 // introspection (deadlock detection, migration).
@@ -72,6 +71,14 @@ func (c *Channel) Pipe() *stream.Pipe { return c.cd.Buffer() }
 // Conduit exposes the channel's full data plane — buffer plus transport
 // binding surface — for the migration machinery (package wire).
 func (c *Channel) Conduit() *conduit.Conduit { return c.cd }
+
+// finished reports whether the channel's buffer can never deliver
+// another byte: its consuming end is closed, or its producing end is
+// closed and nothing is left in it.
+func (c *Channel) finished() bool {
+	p := c.cd.Buffer()
+	return p.ReadClosed() || p.WriteClosed() && p.Len() == 0
+}
 
 // Network returns the network the channel is registered with, or nil.
 func (c *Channel) Network() *Network { return c.net }

@@ -632,3 +632,26 @@ func TestForeignPorts(t *testing.T) {
 		t.Fatalf("got %q, %v", got, err)
 	}
 }
+
+// TestNetworkForgetsFinishedChannels guards a long-lived network (a
+// compute server's) against keeping every channel it ever carried: a
+// channel that can deliver no more data drops out of the registry.
+func TestNetworkForgetsFinishedChannels(t *testing.T) {
+	n := NewNetwork()
+	open := n.NewChannel("stays", 8)
+	for i := 0; i < 1000; i++ {
+		ch := n.NewChannel("job", 8)
+		ch.Writer().Close()
+		ch.Reader().Close()
+	}
+	chans := n.Channels()
+	if len(chans) > 200 {
+		t.Fatalf("network still lists %d channels after 1000 finished ones", len(chans))
+	}
+	for _, ch := range chans {
+		if ch == open {
+			return
+		}
+	}
+	t.Fatal("the channel still open was dropped from the registry")
+}

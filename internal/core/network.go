@@ -57,8 +57,8 @@ func (p *Proc) Done() <-chan struct{} { return p.done }
 // time (self-modifying graphs, §3.3).
 type Network struct {
 	mu       sync.Mutex
-	procs    map[*Proc]struct{}
 	channels []*Channel
+	sweepAt  int // registerChannel drops finished channels at this length
 	errs     []error
 
 	wg         sync.WaitGroup
@@ -99,7 +99,6 @@ func WithObs(s *obs.Scope) Option {
 // NewNetwork creates an empty execution context.
 func NewNetwork(opts ...Option) *Network {
 	n := &Network{
-		procs:      make(map[*Proc]struct{}),
 		defaultCap: stream.DefaultCapacity,
 		scope:      obs.NewScope(),
 	}
@@ -136,12 +135,28 @@ func (n *Network) NewChannel(name string, capacity int) *Channel {
 
 func (n *Network) registerChannel(c *Channel) {
 	n.mu.Lock()
+	if len(n.channels) >= n.sweepAt {
+		// A long-lived network — a compute server's — would otherwise
+		// keep every channel it ever carried, buffer and instruments
+		// included. Sweeping when the list has doubled keeps
+		// registration amortised O(1).
+		live := n.channels[:0]
+		for _, ch := range n.channels {
+			if !ch.finished() {
+				live = append(live, ch)
+			}
+		}
+		clear(n.channels[len(live):])
+		n.channels = live
+		n.sweepAt = max(2*len(live), 64)
+	}
 	n.channels = append(n.channels, c)
 	n.mu.Unlock()
 	n.generation.Add(1)
 }
 
-// Channels returns a snapshot of the registered channels.
+// Channels returns a snapshot of the registered channels. Channels
+// that can carry no more data drop out of it over time.
 func (n *Network) Channels() []*Channel {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -161,9 +176,6 @@ func (n *Network) Spawn(p any) *Proc {
 			proc.park = newParkState()
 		}
 	}
-	n.mu.Lock()
-	n.procs[proc] = struct{}{}
-	n.mu.Unlock()
 	n.wg.Add(1)
 	n.gLive.Add(1)
 	n.cSpawned.Inc()

@@ -12,6 +12,7 @@ import (
 
 	"dpn/internal/conduit"
 	"dpn/internal/stream"
+	"dpn/internal/token"
 )
 
 // ErrDetached is returned by operations on a port whose transport has
@@ -23,10 +24,44 @@ var ErrDetached = conduit.ErrDetached
 // rstate is the shared state behind one or more *ReadPort handles. Ports
 // are a single pointer to their state so that gob decoding can rebind a
 // freshly allocated port to reconstructed state without copying locks.
+//
+// The state is also the byte source the port's token codec reads (it
+// implements io.Reader plus the Buffered/NoteToken hooks package token
+// looks for), so the codec belongs to the binding, not to a handle:
+// every operation that rebinds a port — Detach, SpliceOut,
+// InsertUpstream, gob decode, migration — installs fresh state and the
+// old codec goes with the old state.
 type rstate struct {
-	name string
+	name string // the channel's name when ch is set, the port's otherwise
 	seq  *stream.SequenceReader
-	ch   *Channel // nil when the port is not attached to a local channel
+	ch   *Channel      // nil when the port is not attached to a local channel
+	tok  *token.Reader // built by Tokens on first use; scratch only
+}
+
+func (s *rstate) Read(b []byte) (int, error) {
+	if s.seq == nil {
+		return 0, ErrDetached
+	}
+	return s.seq.Read(b)
+}
+
+func (s *rstate) Buffered() int {
+	if s.seq == nil {
+		return 0
+	}
+	return s.seq.Buffered()
+}
+
+func (s *rstate) NoteToken() {
+	if s.ch != nil {
+		s.ch.tokensOut.Inc()
+	}
+}
+
+func (s *rstate) NoteTokens(k int) {
+	if s.ch != nil {
+		s.ch.tokensOut.Add(int64(k))
+	}
 }
 
 // ReadPort is the consuming end of a channel. It corresponds to the
@@ -41,10 +76,28 @@ type ReadPort struct {
 // semantics. It returns io.EOF after the producing side has closed and
 // all data has drained.
 func (p *ReadPort) Read(b []byte) (int, error) {
-	if p.s == nil || p.s.seq == nil {
+	if p.s == nil {
 		return 0, ErrDetached
 	}
-	return p.s.seq.Read(b)
+	return p.s.Read(b)
+}
+
+// Tokens returns the port's typed-element decoder — the
+// DataInputStream a Java process wraps around its channel stream once
+// and keeps (§3.1). There is exactly one per binding, built on first
+// use and dropped when the port is rebound, so a Step calls Tokens
+// every time it reads instead of caching the result. The decoder holds
+// no element bytes between calls: typed reads may be mixed freely with
+// raw Read of whole elements, and the stream can be cut at any element
+// boundary (Detach, migration) without consulting it.
+func (p *ReadPort) Tokens() *token.Reader {
+	if p.s == nil {
+		p.s = &rstate{name: "<detached>"}
+	}
+	if p.s.tok == nil {
+		p.s.tok = token.NewReader(p.s)
+	}
+	return p.s.tok
 }
 
 // Close closes the consuming end. The producing process observes
@@ -68,8 +121,11 @@ func (p *ReadPort) Channel() *Channel {
 
 // Name returns the diagnostic port name.
 func (p *ReadPort) Name() string {
-	if p.s == nil {
+	switch {
+	case p.s == nil:
 		return "<detached>"
+	case p.s.ch != nil:
+		return p.s.name + ".r"
 	}
 	return p.s.name
 }
@@ -83,7 +139,7 @@ func (p *ReadPort) Detach() io.ReadCloser {
 		return nil
 	}
 	seq := p.s.seq
-	p.s = &rstate{name: p.s.name + "<detached>"}
+	p.s = &rstate{name: p.Name() + "<detached>"}
 	return seq
 }
 
@@ -112,35 +168,69 @@ func (p *ReadPort) RetargetSource(src io.ReadCloser) error {
 // blocking (0 when the transport cannot tell). Batch decoders in
 // package token use it to size non-blocking drains.
 func (p *ReadPort) Buffered() int {
-	if p.s == nil || p.s.seq == nil {
+	if p.s == nil {
 		return 0
 	}
-	return p.s.seq.Buffered()
+	return p.s.Buffered()
 }
 
 // NoteToken records one typed element consumed through this port; it
 // feeds the dpn_conduit_tokens_total counter. Package token calls it
 // after each successfully decoded element.
 func (p *ReadPort) NoteToken() {
-	if p.s != nil && p.s.ch != nil {
-		p.s.ch.tokensOut.Inc()
+	if p.s != nil {
+		p.s.NoteToken()
 	}
 }
 
 // NoteTokens records k consumed elements in one counter operation.
 func (p *ReadPort) NoteTokens(k int) {
-	if p.s != nil && p.s.ch != nil {
-		p.s.ch.tokensOut.Add(int64(k))
+	if p.s != nil {
+		p.s.NoteTokens(k)
 	}
 }
 
 func (p *ReadPort) String() string { return fmt.Sprintf("ReadPort(%s)", p.Name()) }
 
-// wstate is the shared state behind a *WritePort handle.
+// wstate is the shared state behind a *WritePort handle and, like
+// rstate, the sink its token codec writes.
 type wstate struct {
-	name string
+	name string // the channel's name when ch is set, the port's otherwise
 	sw   *stream.SwitchWriter
 	ch   *Channel
+	tok  *token.Writer // built by Tokens on first use; scratch only
+}
+
+func (s *wstate) Write(b []byte) (int, error) {
+	if s.sw == nil {
+		return 0, ErrDetached
+	}
+	return s.sw.Write(b)
+}
+
+func (s *wstate) WriteVec(bufs ...[]byte) (int, error) {
+	if s.sw == nil {
+		return 0, ErrDetached
+	}
+	return s.sw.WriteVec(bufs...)
+}
+
+func (s *wstate) HintShape(shape uint32) {
+	if s.sw != nil {
+		s.sw.HintShape(shape)
+	}
+}
+
+func (s *wstate) NoteToken() {
+	if s.ch != nil {
+		s.ch.tokensIn.Inc()
+	}
+}
+
+func (s *wstate) NoteTokens(k int) {
+	if s.ch != nil {
+		s.ch.tokensIn.Add(int64(k))
+	}
 }
 
 // WritePort is the producing end of a channel, corresponding to the
@@ -153,20 +243,34 @@ type WritePort struct {
 // Write appends b to the channel, blocking while the buffer is full.
 // After the consuming end closes, Write fails with stream.ErrReadClosed.
 func (p *WritePort) Write(b []byte) (int, error) {
-	if p.s == nil || p.s.sw == nil {
+	if p.s == nil {
 		return 0, ErrDetached
 	}
-	return p.s.sw.Write(b)
+	return p.s.Write(b)
+}
+
+// Tokens returns the port's typed-element encoder, the counterpart of
+// ReadPort.Tokens: one per binding, built on first use, dropped when
+// the port is rebound. Every element is in the channel before its
+// Write call returns; the encoder never writes behind.
+func (p *WritePort) Tokens() *token.Writer {
+	if p.s == nil {
+		p.s = &wstate{name: "<detached>"}
+	}
+	if p.s.tok == nil {
+		p.s.tok = token.NewWriter(p.s)
+	}
+	return p.s.tok
 }
 
 // WriteVec appends a multi-part element to the channel as one
 // operation (see stream.SwitchWriter.WriteVec): one lock round trip,
 // at most one consumer wakeup, and no torn element on any transport.
 func (p *WritePort) WriteVec(bufs ...[]byte) (int, error) {
-	if p.s == nil || p.s.sw == nil {
+	if p.s == nil {
 		return 0, ErrDetached
 	}
-	return p.s.sw.WriteVec(bufs...)
+	return p.s.WriteVec(bufs...)
 }
 
 // Close closes the producing end. The consumer drains buffered data and
@@ -188,8 +292,11 @@ func (p *WritePort) Channel() *Channel {
 
 // Name returns the diagnostic port name.
 func (p *WritePort) Name() string {
-	if p.s == nil {
+	switch {
+	case p.s == nil:
 		return "<detached>"
+	case p.s.ch != nil:
+		return p.s.name + ".w"
 	}
 	return p.s.name
 }
@@ -201,7 +308,7 @@ func (p *WritePort) Detach() io.WriteCloser {
 		return nil
 	}
 	sw := p.s.sw
-	p.s = &wstate{name: p.s.name + "<detached>"}
+	p.s = &wstate{name: p.Name() + "<detached>"}
 	return sw
 }
 
@@ -218,23 +325,23 @@ func (p *WritePort) RetargetSink(w io.WriteCloser) (io.WriteCloser, error) {
 // may use it to pick a compression trial. Detached ports drop the hint
 // — it carries no correctness weight.
 func (p *WritePort) HintShape(s uint32) {
-	if p.s != nil && p.s.sw != nil {
-		p.s.sw.HintShape(s)
+	if p.s != nil {
+		p.s.HintShape(s)
 	}
 }
 
 // NoteToken records one typed element produced through this port; it
 // feeds the dpn_conduit_tokens_total counter.
 func (p *WritePort) NoteToken() {
-	if p.s != nil && p.s.ch != nil {
-		p.s.ch.tokensIn.Inc()
+	if p.s != nil {
+		p.s.NoteToken()
 	}
 }
 
 // NoteTokens records k produced elements in one counter operation.
 func (p *WritePort) NoteTokens(k int) {
-	if p.s != nil && p.s.ch != nil {
-		p.s.ch.tokensIn.Add(int64(k))
+	if p.s != nil {
+		p.s.NoteTokens(k)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // The paper lists re-distributing processes *after execution has
@@ -52,7 +53,10 @@ type parkState struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	requested bool
+	// requested is atomic so the step loop can test it without the
+	// mutex: with one element per Step, the step boundary is per-token
+	// cost. It is only ever written under mu.
+	requested atomic.Bool
 	parked    bool
 	action    parkAction
 	finished  bool
@@ -68,14 +72,17 @@ func newParkState() *parkState {
 // if the process has been ejected and must unwind without closing its
 // ports.
 func (ps *parkState) checkpoint() (ejected bool) {
-	if ps == nil {
+	if ps == nil || !ps.requested.Load() {
 		return false
 	}
+	return ps.park()
+}
+
+// park is checkpoint's slow path: a suspension has been requested (only
+// this goroutine ever clears the request, so it still stands).
+func (ps *parkState) park() (ejected bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if !ps.requested {
-		return false
-	}
 	ps.parked = true
 	ps.cond.Broadcast()
 	for ps.action == actNone {
@@ -83,7 +90,7 @@ func (ps *parkState) checkpoint() (ejected bool) {
 	}
 	act := ps.action
 	ps.action = actNone
-	ps.requested = false
+	ps.requested.Store(false)
 	ps.parked = false
 	ps.cond.Broadcast()
 	return act == actEject
@@ -110,7 +117,7 @@ func (p *Proc) Suspend() error {
 	if ps.finished {
 		return ErrFinished
 	}
-	ps.requested = true
+	ps.requested.Store(true)
 	ps.cond.Broadcast()
 	for !ps.parked && !ps.finished {
 		ps.cond.Wait()

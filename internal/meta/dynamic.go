@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // Direct distributes task blocks to workers on demand (Figure 17): for
@@ -23,11 +22,11 @@ type Direct struct {
 
 // Step implements core.Stepper.
 func (d *Direct) Step(env *core.Env) error {
-	idx, err := token.NewReader(d.Index).ReadInt64()
+	idx, err := d.Index.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	b, err := token.NewReader(d.In).ReadBlock()
+	b, err := d.In.Tokens().ReadBlock()
 	if err != nil {
 		return err
 	}
@@ -41,7 +40,7 @@ func (d *Direct) Step(env *core.Env) error {
 		// was actually computed.
 		return io.EOF
 	}
-	return token.NewWriter(d.Outs[idx]).WriteBlock(b)
+	return d.Outs[idx].Tokens().WriteBlock(b)
 }
 
 // Turnstile forwards result blocks from its inputs in the order they
@@ -80,7 +79,7 @@ func (t *Turnstile) Run(env *core.Env) error {
 	for i, in := range t.Ins {
 		go func(i int64, in *core.ReadPort) {
 			defer wg.Done()
-			r := token.NewReader(in)
+			r := in.Tokens()
 			for {
 				b, err := r.ReadBlock()
 				if err != nil {
@@ -100,7 +99,7 @@ func (t *Turnstile) Run(env *core.Env) error {
 	}()
 	defer close(stop)
 
-	pairW := token.NewWriter(t.Out)
+	pairW := t.Out.Tokens()
 	idxOpen := t.OutIndex != nil
 	for a := range arrivals {
 		if err := pairW.WriteInt64(a.idx); err != nil {
@@ -110,7 +109,7 @@ func (t *Turnstile) Run(env *core.Env) error {
 			return err
 		}
 		if idxOpen {
-			if err := token.NewWriter(t.OutIndex).WriteInt64(a.idx); err != nil {
+			if err := t.OutIndex.Tokens().WriteInt64(a.idx); err != nil {
 				// Distribution path is gone (end of work); results keep
 				// flowing to the Select.
 				t.OutIndex.Close()
@@ -147,8 +146,8 @@ func (s *Select) Run(env *core.Env) error {
 		need = append(need, int64(i))
 	}
 	pending := make(map[int64][][]byte)
-	pairR := token.NewReader(s.In)
-	outW := token.NewWriter(s.Out)
+	pairR := s.In.Tokens()
+	outW := s.Out.Tokens()
 	for len(need) > 0 {
 		w := need[0]
 		if q := pending[w]; len(q) > 0 {

@@ -252,7 +252,7 @@ func (p *Pool) AddLane(tag string, start func(in *core.ReadPort, out *core.Write
 	// accounting bounds the feed backlog to MaxInFlight, so manager
 	// sends onto feed never block.
 	go func() {
-		w := token.NewWriter(taskCh.Writer())
+		w := taskCh.Writer().Tokens()
 		for b := range ln.feed {
 			if err := w.WriteBlock(b); err != nil {
 				// Lane transport gone (worker died / peer lost): report as
@@ -271,7 +271,7 @@ func (p *Pool) AddLane(tag string, start func(in *core.ReadPort, out *core.Write
 	// Collector: the elastic-turnstile input for this lane.
 	go func() {
 		defer resultCh.Reader().Close()
-		r := token.NewReader(resultCh.Reader())
+		r := resultCh.Reader().Tokens()
 		for {
 			b, err := r.ReadBlock()
 			select {
@@ -666,7 +666,7 @@ func (p *Pool) Run(env *core.Env) error {
 	tasks := make(chan []byte)
 	go func() {
 		defer close(tasks)
-		r := token.NewReader(p.In)
+		r := p.In.Tokens()
 		for {
 			b, err := r.ReadBlock()
 			if err != nil {
@@ -696,7 +696,7 @@ func (p *Pool) Run(env *core.Env) error {
 		defer tick.Stop()
 	}
 
-	outW := token.NewWriter(p.Out)
+	outW := p.Out.Tokens()
 	st := p.state
 	var idleSince time.Time
 	for {

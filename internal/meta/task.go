@@ -17,7 +17,6 @@ import (
 
 	"dpn/internal/core"
 	"dpn/internal/obs"
-	"dpn/internal/token"
 )
 
 // Task is the paper's active-object interface: Run performs this stage's
@@ -42,12 +41,12 @@ type Terminal interface {
 // types must be registered with encoding/gob by the application.
 
 func writeTask(w *core.WritePort, t Task) error {
-	return token.NewWriter(w).WriteObject(&t)
+	return w.Tokens().WriteObject(&t)
 }
 
 func readTask(r *core.ReadPort) (Task, error) {
 	var t Task
-	if err := token.NewReader(r).ReadObject(&t); err != nil {
+	if err := r.Tokens().ReadObject(&t); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -86,6 +86,15 @@ var ErrWrongDirection = errors.New("netio: operation requires the other link dir
 // set in internal/conduit/errs.go.
 var ErrNotConnected = errors.New("netio: link not connected")
 
+// ErrTruncated is the terminal error of an inbound link whose
+// connection ended before the sender's final frame (EOF or REDIRECT)
+// and that has no resilience to resume with: the local reader is still
+// closed so the graph terminates (§3.4), but the stream it drained is
+// a prefix of what the sender wrote, never to be mistaken for a clean
+// end. Part of the consolidated sentinel set in
+// internal/conduit/errs.go.
+var ErrTruncated = errors.New("netio: stream ended before the sender's final frame")
+
 // errLinkFailed terminates a legacy (non-resilient) session that died
 // without a more specific cause; defined once so the terminal error of
 // that path is errors.Is-comparable instead of freshly minted.
@@ -476,6 +485,14 @@ func (h *Handle) Move(addr, token string) error {
 	}
 	if err := h.in.sendMoving(addr, token); err != nil {
 		return err
+	}
+	// Until MOVING reaches it the writer host keeps sending, and this
+	// side's session has to deliver all of that before it gets to the
+	// FENCE awaited below. The local reader is suspended for the move,
+	// so nothing drains dst: a full buffer here used to park the session
+	// for good, and Move with it.
+	if u, ok := h.in.dst.(interface{ Unbound() }); ok {
+		u.Unbound()
 	}
 	return h.Wait()
 }
@@ -1199,7 +1216,7 @@ func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-c
 			}
 		}
 		halfCloseWrite(conn)
-		drainCtrl(conn, ctrl)
+		o.drainCtrl(ctrl)
 		conn.Close()
 		o.h.finish(err)
 		return sessDone, nil
@@ -1275,12 +1292,32 @@ func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}, res *R
 	}
 }
 
-// drainCtrl waits briefly for the peer to finish with the connection
-// after the final frame, so buffered data is not reset.
-func drainCtrl(conn net.Conn, ctrl <-chan ctrlEvent) {
-	select {
-	case <-ctrl:
-	case <-time.After(5 * time.Second):
+// drainCap bounds how long a legacy sender holds its connection open
+// for a peer that has stopped consuming.
+const drainCap = 5 * time.Second
+
+// drainCtrl keeps a legacy connection open after the final frame until
+// the peer is done with it: its ACKs cover every byte sent, or it
+// closes its end, or drainCap passes. Returning any earlier — on the
+// first queued ACK, say — lets the remaining ACKs arrive at a closed
+// socket; the kernel answers those with a reset, and the reset
+// discards whatever the receiver had not yet read.
+func (o *outboundLink) drainCtrl(ctrl <-chan ctrlEvent) {
+	limit := time.NewTimer(drainCap)
+	defer limit.Stop()
+	for o.inFlight > 0 {
+		select {
+		case ev := <-ctrl:
+			if ev.err != nil {
+				return
+			}
+			if ev.f.kind == frameAck {
+				o.h.b.noteFrame(frameAck, false, 0)
+				o.inFlight -= ev.f.ack
+			}
+		case <-limit.C:
+			return
+		}
 	}
 }
 
@@ -1455,10 +1492,11 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 				}
 				return false, progressed
 			}
-			// Connection lost: close the data stream so the local reader
-			// terminates.
+			// Connection lost short of the sender's final frame: close the
+			// data stream so the local reader terminates, and say that what
+			// it drained is only a prefix.
 			i.dst.Close()
-			i.h.finish(nil)
+			i.h.finish(ErrTruncated)
 			return true, progressed
 		}
 		progressed = true

@@ -312,6 +312,66 @@ func TestMoveWithInFlightDataPreservesBytes(t *testing.T) {
 	}
 }
 
+// TestMoveWithFullReaderBuffer is the reader-move deadlock in
+// miniature: the reader on B is suspended for the move, so B's buffer
+// is full and stays full, the inbound session is parked writing into
+// it — and used to stay parked, never reaching the FENCE that Move
+// waits for. Move must return, and the bytes must split cleanly
+// between B's buffer and the new host.
+func TestMoveWithFullReaderBuffer(t *testing.T) {
+	a := newTestBroker(t)
+	b := newTestBroker(t)
+	c := newTestBroker(t)
+
+	srcA := stream.NewPipe(1 << 16)
+	dstB := stream.NewPipe(256) // nobody reads it: full after the first frame
+	tok1 := a.NewToken()
+	if _, err := a.ServeOutbound(tok1, srcA.ReadEnd(), 4096); err != nil {
+		t.Fatal(err)
+	}
+	hB, err := b.DialInbound(a.Addr(), tok1, dstB.WriteEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Far more than one frame plus the credit window, so the writer is
+	// still mid-stream when the move begins.
+	want := make([]byte, 1<<20)
+	for i := range want {
+		want[i] = byte(i * 13)
+	}
+	go func() {
+		srcA.Write(want)
+		srcA.CloseWrite()
+	}()
+	for !dstB.Full() { // the session is now (about to be) parked on a full buffer
+		time.Sleep(time.Millisecond)
+	}
+
+	tok2 := c.NewToken()
+	dstC := stream.NewPipe(1 << 16)
+	if _, err := c.ServeInbound(tok2, dstC.WriteEnd()); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(chan error, 1)
+	go func() { moved <- hB.Move(c.Addr(), tok2) }()
+	select {
+	case err := <-moved:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Move never returned: inbound session parked on the full buffer")
+	}
+	leftover := dstB.Drain()
+	late, err := io.ReadAll(dstC.ReadEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(leftover, late...); !bytes.Equal(got, want) {
+		t.Fatalf("stream damaged across the move: %d+%d bytes, want %d", len(leftover), len(late), len(want))
+	}
+}
+
 func TestBrokerNewTokenUnique(t *testing.T) {
 	a := newTestBroker(t)
 	seen := map[string]bool{}

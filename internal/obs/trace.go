@@ -119,12 +119,15 @@ type Event struct {
 // is lock-free: writers claim a slot with one atomic increment and
 // publish the event through an atomic pointer, so tracing may be left
 // wired into hot paths and enabled on demand; while disabled, Record is
-// a single atomic load.
+// a single atomic load. The ring itself is allocated by the first
+// Enable: every network owns a tracer, most never trace, and a ring of
+// DefaultTraceSize pointers is 128 KiB a network would otherwise pay
+// at creation.
 type Tracer struct {
 	enabled atomic.Bool
 	epoch   time.Time
-	mask    uint64
-	slots   []atomic.Pointer[Event]
+	size    int // ring capacity, a power of two
+	ring    atomic.Pointer[[]atomic.Pointer[Event]]
 	cursor  atomic.Uint64 // total events ever recorded
 	// counts survive ring eviction: the ring keeps only the newest
 	// events, but per-type totals stay exact for the whole run.
@@ -146,18 +149,19 @@ func NewTracer(size int) *Tracer {
 	for n < size {
 		n <<= 1
 	}
-	return &Tracer{
-		epoch: time.Now(),
-		mask:  uint64(n - 1),
-		slots: make([]atomic.Pointer[Event], n),
-	}
+	return &Tracer{epoch: time.Now(), size: n}
 }
 
 // Enable turns recording on.
 func (t *Tracer) Enable() {
-	if t != nil {
-		t.enabled.Store(true)
+	if t == nil {
+		return
 	}
+	if t.ring.Load() == nil {
+		slots := make([]atomic.Pointer[Event], t.size)
+		t.ring.CompareAndSwap(nil, &slots)
+	}
+	t.enabled.Store(true)
 }
 
 // Disable turns recording off; the ring contents remain readable.
@@ -188,8 +192,9 @@ func (t *Tracer) Record(typ EventType, name, detail string, arg int64) {
 	if int(typ) < len(t.counts) {
 		t.counts[typ].Add(1)
 	}
+	slots := *t.ring.Load()
 	idx := t.cursor.Add(1) - 1
-	t.slots[idx&t.mask].Store(ev)
+	slots[idx&uint64(len(slots)-1)].Store(ev)
 }
 
 // Count reports how many events of one type have ever been recorded,
@@ -214,18 +219,19 @@ func (t *Tracer) Total() uint64 {
 // writers the snapshot is approximate at the ring edges; slots claimed
 // but not yet published are skipped.
 func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
+	if t == nil || t.ring.Load() == nil {
+		return nil // never enabled: nothing was ever recorded
 	}
+	slots := *t.ring.Load()
 	total := t.cursor.Load()
-	n := uint64(len(t.slots))
+	n := uint64(len(slots))
 	start := uint64(0)
 	if total > n {
 		start = total - n
 	}
 	out := make([]Event, 0, total-start)
 	for i := start; i < total; i++ {
-		if ev := t.slots[i&t.mask].Load(); ev != nil {
+		if ev := slots[i&(n-1)].Load(); ev != nil {
 			out = append(out, *ev)
 		}
 	}

@@ -18,15 +18,15 @@ type Add struct {
 
 // Step implements core.Stepper.
 func (a *Add) Step(env *core.Env) error {
-	x, err := token.NewReader(a.InA).ReadInt64()
+	x, err := a.InA.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	y, err := token.NewReader(a.InB).ReadInt64()
+	y, err := a.InB.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(a.Out).WriteInt64(x + y)
+	return a.Out.Tokens().WriteInt64(x + y)
 }
 
 // Scale multiplies each int64 element by Factor — the multiplier of the
@@ -40,11 +40,11 @@ type Scale struct {
 
 // Step implements core.Stepper.
 func (s *Scale) Step(env *core.Env) error {
-	v, err := token.NewReader(s.In).ReadInt64()
+	v, err := s.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(s.Out).WriteInt64(v * s.Factor)
+	return s.Out.Tokens().WriteInt64(v * s.Factor)
 }
 
 // Divide reads one float64 from each input and writes InA/InB — the
@@ -58,15 +58,15 @@ type Divide struct {
 
 // Step implements core.Stepper.
 func (d *Divide) Step(env *core.Env) error {
-	x, err := token.NewReader(d.InA).ReadFloat64()
+	x, err := d.InA.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	y, err := token.NewReader(d.InB).ReadFloat64()
+	y, err := d.InB.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(d.Out).WriteFloat64(x / y)
+	return d.Out.Tokens().WriteFloat64(x / y)
 }
 
 // Average reads one float64 from each input and writes their mean
@@ -80,15 +80,15 @@ type Average struct {
 
 // Step implements core.Stepper.
 func (a *Average) Step(env *core.Env) error {
-	x, err := token.NewReader(a.InA).ReadFloat64()
+	x, err := a.InA.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	y, err := token.NewReader(a.InB).ReadFloat64()
+	y, err := a.InB.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(a.Out).WriteFloat64((x + y) / 2)
+	return a.Out.Tokens().WriteFloat64((x + y) / 2)
 }
 
 // Equal reads one float64 from each input and writes a bool element
@@ -106,11 +106,11 @@ type Equal struct {
 
 // Step implements core.Stepper.
 func (e *Equal) Step(env *core.Env) error {
-	x, err := token.NewReader(e.InA).ReadFloat64()
+	x, err := e.InA.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	y, err := token.NewReader(e.InB).ReadFloat64()
+	y, err := e.InB.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func (e *Equal) Step(env *core.Env) error {
 		}
 		eq = d <= e.Tolerance
 	}
-	return token.NewWriter(e.Out).WriteBool(eq)
+	return e.Out.Tokens().WriteBool(eq)
 }
 
 // Guard passes an element of Width bytes from In to Out when the
@@ -153,7 +153,7 @@ func (g *Guard) Step(env *core.Env) error {
 	if _, err := io.ReadFull(g.In, g.buf); err != nil {
 		return err
 	}
-	pass, err := token.NewReader(g.Control).ReadBool()
+	pass, err := g.Control.Tokens().ReadBool()
 	if err != nil {
 		return err
 	}

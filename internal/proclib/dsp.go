@@ -2,7 +2,6 @@ package proclib
 
 import (
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // The paper motivates process networks with signal processing
@@ -33,7 +32,7 @@ func (f *FIR) Step(env *core.Env) error {
 		f.history = make([]float64, len(f.Taps))
 		f.primed = true
 	}
-	x, err := token.NewReader(f.In).ReadFloat64()
+	x, err := f.In.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
@@ -51,7 +50,7 @@ func (f *FIR) Step(env *core.Env) error {
 	if f.pos == len(f.history) {
 		f.pos = 0
 	}
-	return token.NewWriter(f.Out).WriteFloat64(acc)
+	return f.Out.Tokens().WriteFloat64(acc)
 }
 
 // Delay outputs Initial values first and then echoes its input — the
@@ -70,7 +69,7 @@ type Delay struct {
 // OnStart implements core.Starter: the initial samples are produced
 // before any input is consumed.
 func (d *Delay) OnStart(env *core.Env) error {
-	w := token.NewWriter(d.Out)
+	w := d.Out.Tokens()
 	for _, v := range d.Initial {
 		if err := w.WriteFloat64(v); err != nil {
 			return err
@@ -82,11 +81,11 @@ func (d *Delay) OnStart(env *core.Env) error {
 
 // Step implements core.Stepper.
 func (d *Delay) Step(env *core.Env) error {
-	v, err := token.NewReader(d.In).ReadFloat64()
+	v, err := d.In.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	return token.NewWriter(d.Out).WriteFloat64(v)
+	return d.Out.Tokens().WriteFloat64(v)
 }
 
 // Decimate keeps one sample of every Factor input samples (the first
@@ -100,7 +99,7 @@ type Decimate struct {
 
 // Step implements core.Stepper.
 func (d *Decimate) Step(env *core.Env) error {
-	r := token.NewReader(d.In)
+	r := d.In.Tokens()
 	keep, err := r.ReadFloat64()
 	if err != nil {
 		return err
@@ -114,7 +113,7 @@ func (d *Decimate) Step(env *core.Env) error {
 			return err
 		}
 	}
-	return token.NewWriter(d.Out).WriteFloat64(keep)
+	return d.Out.Tokens().WriteFloat64(keep)
 }
 
 // Upsample emits each input sample followed by Factor−1 zeros,
@@ -129,11 +128,11 @@ type Upsample struct {
 
 // Step implements core.Stepper.
 func (u *Upsample) Step(env *core.Env) error {
-	v, err := token.NewReader(u.In).ReadFloat64()
+	v, err := u.In.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	w := token.NewWriter(u.Out)
+	w := u.Out.Tokens()
 	if err := w.WriteFloat64(v); err != nil {
 		return err
 	}

@@ -5,54 +5,55 @@ import (
 	"io"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // OrderedMerge merges N ascending int64 streams into one ascending
 // stream, eliminating duplicates — the Merge process of the Hamming
 // network (Figure 12). An input that reaches end of stream simply drops
 // out of the merge; the merge itself ends when every input has ended.
+//
+// Heads, Loaded and Done are elements already taken from the inputs and
+// not yet emitted; they are exported so they ship with a migrating
+// process instead of being lost with it.
 type OrderedMerge struct {
 	core.Iterative
 	Ins []*core.ReadPort
 	Out *core.WritePort
 
-	heads  []int64
-	loaded []bool
-	done   []bool
-	init   bool
+	Heads  []int64
+	Loaded []bool
+	Done   []bool
 }
 
 // Step implements core.Stepper. Each step emits one element.
 func (m *OrderedMerge) Step(env *core.Env) error {
-	if !m.init {
-		m.heads = make([]int64, len(m.Ins))
-		m.loaded = make([]bool, len(m.Ins))
-		m.done = make([]bool, len(m.Ins))
-		m.init = true
+	if len(m.Heads) != len(m.Ins) {
+		m.Heads = make([]int64, len(m.Ins))
+		m.Loaded = make([]bool, len(m.Ins))
+		m.Done = make([]bool, len(m.Ins))
 	}
 	// Fill every head slot.
 	for i := range m.Ins {
-		if m.loaded[i] || m.done[i] {
+		if m.Loaded[i] || m.Done[i] {
 			continue
 		}
-		v, err := token.NewReader(m.Ins[i]).ReadInt64()
+		v, err := m.Ins[i].Tokens().ReadInt64()
 		if err == io.EOF {
-			m.done[i] = true
+			m.Done[i] = true
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		m.heads[i] = v
-		m.loaded[i] = true
+		m.Heads[i] = v
+		m.Loaded[i] = true
 	}
 	// Find the minimum head.
 	var minV int64
 	found := false
 	for i := range m.Ins {
-		if m.loaded[i] && (!found || m.heads[i] < minV) {
-			minV = m.heads[i]
+		if m.Loaded[i] && (!found || m.Heads[i] < minV) {
+			minV = m.Heads[i]
 			found = true
 		}
 	}
@@ -61,11 +62,11 @@ func (m *OrderedMerge) Step(env *core.Env) error {
 	}
 	// Consume the minimum from every input that carries it (dedup).
 	for i := range m.Ins {
-		if m.loaded[i] && m.heads[i] == minV {
-			m.loaded[i] = false
+		if m.Loaded[i] && m.Heads[i] == minV {
+			m.Loaded[i] = false
 		}
 	}
-	return token.NewWriter(m.Out).WriteInt64(minV)
+	return m.Out.Tokens().WriteInt64(minV)
 }
 
 // ModSplit is the "mod" process of Figure 13: values divisible by N go
@@ -83,14 +84,14 @@ type ModSplit struct {
 
 // Step implements core.Stepper.
 func (m *ModSplit) Step(env *core.Env) error {
-	v, err := token.NewReader(m.In).ReadInt64()
+	v, err := m.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
 	if v%m.N == 0 {
-		return token.NewWriter(m.OutMultiple).WriteInt64(v)
+		return m.OutMultiple.Tokens().WriteInt64(v)
 	}
-	return token.NewWriter(m.OutOther).WriteInt64(v)
+	return m.OutOther.Tokens().WriteInt64(v)
 }
 
 // Scatter distributes length-prefixed blocks from In to its outputs in
@@ -128,7 +129,7 @@ func (s *Scatter) Step(env *core.Env) error {
 	if s.live == 0 {
 		return io.EOF
 	}
-	b, err := token.NewReader(s.In).ReadBlockBuf(s.buf)
+	b, err := s.In.Tokens().ReadBlockBuf(s.buf)
 	if err != nil {
 		// Torn block (io.ErrUnexpectedEOF) or end of input: either way
 		// no partial element was surfaced, so nothing is emitted and the
@@ -142,7 +143,7 @@ func (s *Scatter) Step(env *core.Env) error {
 		}
 		out := s.Outs[s.next]
 		s.next = (s.next + 1) % len(s.Outs)
-		err := token.NewWriter(out).WriteBlock(b)
+		err := out.Tokens().WriteBlock(b)
 		if err == nil {
 			return nil
 		}
@@ -202,10 +203,10 @@ func (g *Gather) Step(env *core.Env) error {
 			g.next = (g.next + 1) % len(g.Ins)
 		}
 		in := g.Ins[g.next]
-		b, err := token.NewReader(in).ReadBlock()
+		b, err := in.Tokens().ReadBlock()
 		if err == nil {
 			g.next = (g.next + 1) % len(g.Ins)
-			return token.NewWriter(g.Out).WriteBlock(b)
+			return g.Out.Tokens().WriteBlock(b)
 		}
 		if !errors.Is(err, io.EOF) {
 			return err // torn block or transport fault: not a clean close

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // Modulo filters multiples of P out of an int64 stream — the filter
@@ -20,14 +19,14 @@ type Modulo struct {
 
 // Step implements core.Stepper.
 func (m *Modulo) Step(env *core.Env) error {
-	v, err := token.NewReader(m.In).ReadInt64()
+	v, err := m.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
 	if v%m.P == 0 {
 		return nil
 	}
-	return token.NewWriter(m.Out).WriteInt64(v)
+	return m.Out.Tokens().WriteInt64(v)
 }
 
 // Sift is the iterative self-modifying sieve process of Figure 8: each
@@ -46,11 +45,11 @@ type Sift struct {
 
 // Step implements core.Stepper.
 func (s *Sift) Step(env *core.Env) error {
-	prime, err := token.NewReader(s.In).ReadInt64()
+	prime, err := s.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	if err := token.NewWriter(s.Out).WriteInt64(prime); err != nil {
+	if err := s.Out.Tokens().WriteInt64(prime); err != nil {
 		return err
 	}
 	s.In = core.InsertUpstream(env, s.In, fmt.Sprintf("mod%d", prime), s.ChannelCapacity,
@@ -77,11 +76,11 @@ type SiftRecursive struct {
 
 // Step implements core.Stepper.
 func (s *SiftRecursive) Step(env *core.Env) error {
-	prime, err := token.NewReader(s.In).ReadInt64()
+	prime, err := s.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
-	if err := token.NewWriter(s.Out).WriteInt64(prime); err != nil {
+	if err := s.Out.Tokens().WriteInt64(prime); err != nil {
 		return err
 	}
 	ch := env.NewChannel(fmt.Sprintf("sift%d", prime), s.ChannelCapacity)

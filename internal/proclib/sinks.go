@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // Print reads elements from In and prints one per line — the Print
@@ -34,7 +33,7 @@ func (p *Print) Step(env *core.Env) error {
 	if out == nil {
 		out = os.Stdout
 	}
-	r := token.NewReader(p.In)
+	r := p.In.Tokens()
 	var text string
 	switch p.Format {
 	case "", "int64":
@@ -79,7 +78,7 @@ type Collect struct {
 
 // Step implements core.Stepper.
 func (c *Collect) Step(env *core.Env) error {
-	v, err := token.NewReader(c.In).ReadInt64()
+	v, err := c.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
@@ -107,7 +106,7 @@ type CollectFloat struct {
 
 // Step implements core.Stepper.
 func (c *CollectFloat) Step(env *core.Env) error {
-	v, err := token.NewReader(c.In).ReadFloat64()
+	v, err := c.In.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
@@ -135,7 +134,7 @@ type Count struct {
 
 // Step implements core.Stepper.
 func (c *Count) Step(env *core.Env) error {
-	if _, err := token.NewReader(c.In).ReadInt64(); err != nil {
+	if _, err := c.In.Tokens().ReadInt64(); err != nil {
 		return err
 	}
 	c.mu.Lock()

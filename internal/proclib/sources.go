@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // Constant writes Value to Out once per step. The paper's Fibonacci
@@ -18,7 +17,7 @@ type Constant struct {
 
 // Step implements core.Stepper.
 func (c *Constant) Step(env *core.Env) error {
-	return token.NewWriter(c.Out).WriteInt64(c.Value)
+	return c.Out.Tokens().WriteInt64(c.Value)
 }
 
 // ConstantFloat writes Value (a float64) to Out once per step.
@@ -30,7 +29,7 @@ type ConstantFloat struct {
 
 // Step implements core.Stepper.
 func (c *ConstantFloat) Step(env *core.Env) error {
-	return token.NewWriter(c.Out).WriteFloat64(c.Value)
+	return c.Out.Tokens().WriteFloat64(c.Value)
 }
 
 // Sequence writes From, From+Stride, From+2·Stride, … to Out. With an
@@ -58,7 +57,7 @@ func (s *Sequence) Step(env *core.Env) error {
 	}
 	v := s.next
 	s.next += s.Stride
-	return token.NewWriter(s.Out).WriteInt64(v)
+	return s.Out.Tokens().WriteInt64(v)
 }
 
 // SliceSource writes the elements of Values to Out and then stops.
@@ -76,7 +75,7 @@ func (s *SliceSource) Step(env *core.Env) error {
 	}
 	v := s.Values[s.i]
 	s.i++
-	return token.NewWriter(s.Out).WriteInt64(v)
+	return s.Out.Tokens().WriteInt64(v)
 }
 
 // FloatSliceSource writes the elements of Values to Out and then stops.
@@ -94,5 +93,5 @@ func (s *FloatSliceSource) Step(env *core.Env) error {
 	}
 	v := s.Values[s.i]
 	s.i++
-	return token.NewWriter(s.Out).WriteFloat64(v)
+	return s.Out.Tokens().WriteFloat64(v)
 }

@@ -63,10 +63,16 @@ type Server struct {
 	node *wire.Node
 	ln   net.Listener
 
-	mu      sync.Mutex
-	closed  bool
-	conns   map[net.Conn]struct{}
-	spawned []any
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+
+	// keepSpawned makes "run" requests remember the process values they
+	// spawn, for in-process tests that read a remote result out of
+	// shared memory. A serving node leaves it off: it must not hold on
+	// to every process (and every channel buffer) it ever ran.
+	keepSpawned bool
+	spawned     []any
 }
 
 // New starts a compute server named name with an RPC listener on
@@ -105,8 +111,8 @@ func (s *Server) Node() *wire.Node { return s.node }
 // finished.
 func (s *Server) WaitIdle() error { return s.node.Net.Wait() }
 
-// spawnedBodies returns the process values spawned via "run" requests;
-// in-process tests use it to observe remote results.
+// spawnedBodies returns the process values spawned via "run" requests
+// since keepSpawned was set.
 func (s *Server) spawnedBodies() []any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,7 +229,9 @@ func (s *Server) handle(req *Request) *Response {
 		s.mu.Lock()
 		for i, p := range procs {
 			names[i] = p.Name()
-			s.spawned = append(s.spawned, p.Body())
+			if s.keepSpawned {
+				s.spawned = append(s.spawned, p.Body())
+			}
 		}
 		s.mu.Unlock()
 		return &Response{ProcNames: names}

@@ -22,6 +22,9 @@ func newTestServer(t *testing.T, name string) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	s.mu.Lock()
+	s.keepSpawned = true // findRemoteCollect reads results from the bodies
+	s.mu.Unlock()
 	return s
 }
 

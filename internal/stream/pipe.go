@@ -70,6 +70,7 @@ type Pipe struct {
 
 	readClosed  bool
 	writeClosed bool
+	unbounded   bool // see Unbound
 
 	blockedReaders int
 	blockedWriters int
@@ -219,6 +220,26 @@ func (p *Pipe) WakePending() bool {
 func (p *Pipe) Grow(newCap int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.growLocked(newCap)
+}
+
+// Unbound lifts the capacity bound for the rest of the pipe's life: a
+// write that finds the buffer full — including one already blocked —
+// grows it by what it needs instead of waiting. It is for the moment a
+// reader is being moved to another node: the reader is suspended, so
+// nothing drains the buffer, yet the link feeding it must deliver
+// everything still in flight before it can see the fence that ends the
+// move. What arrives is bounded by the sender's credit window and
+// leaves with the migration parcel.
+func (p *Pipe) Unbound() {
+	p.mu.Lock()
+	p.unbounded = true
+	p.canWrit.Broadcast()
+	p.mu.Unlock()
+}
+
+// growLocked is Grow with p.mu held.
+func (p *Pipe) growLocked(newCap int) int {
 	if newCap <= len(p.buf) {
 		return len(p.buf)
 	}
@@ -325,6 +346,10 @@ func (p *Pipe) writeOne(b []byte, pending *int) (int, error) {
 			return written, ErrReadClosed
 		}
 		for p.n == len(p.buf) {
+			if p.unbounded {
+				p.growLocked(p.n + len(b))
+				break
+			}
 			if *pending > 0 {
 				p.ins.noteWrite(*pending, p.n)
 				if p.observer != nil {
@@ -596,6 +621,7 @@ func (w writerEnd) Write(b []byte) (int, error)          { return w.p.Write(b) }
 func (w writerEnd) WriteVec(bufs ...[]byte) (int, error) { return w.p.WriteVec(bufs...) }
 func (w writerEnd) MarkTrace(id uint64)                  { w.p.MarkTrace(id) }
 func (w writerEnd) HintShape(s uint32)                   { w.p.HintShape(s) }
+func (w writerEnd) Unbound()                             { w.p.Unbound() }
 func (w writerEnd) Close() error                         { return w.p.CloseWrite() }
 
 // readerEnd adapts the pipe's read half to io.ReadCloser.

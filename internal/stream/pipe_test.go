@@ -440,3 +440,33 @@ func TestPipeEndsAdapters(t *testing.T) {
 		t.Fatal("ReadEnd.Close did not close read side")
 	}
 }
+
+// TestUnboundReleasesBlockedWriter: lifting the bound wakes a writer
+// already parked on a full buffer and lets every later write through,
+// growing the buffer by exactly what the writes need.
+func TestUnboundReleasesBlockedWriter(t *testing.T) {
+	p := NewPipe(8)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Write(make([]byte, 20)) // 8 fit, 12 wait
+		done <- err
+	}()
+	for p.BlockedWriters() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	p.Unbound()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked writer not released by Unbound")
+	}
+	if _, err := p.Write(make([]byte, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != 25 || p.Cap() != 25 {
+		t.Fatalf("after unbounded writes: len %d cap %d, want 25 and 25", p.Len(), p.Cap())
+	}
+}

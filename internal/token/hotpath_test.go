@@ -298,3 +298,47 @@ func TestReadBlockBufReuse(t *testing.T) {
 		t.Fatal("ReadBlockBuf reallocated despite sufficient capacity")
 	}
 }
+
+// TestStagingGrowsToFit pins the staging policy a long-lived codec
+// relies on: nothing is held until a call needs staging, the buffer is
+// sized by the calls actually made (at least doubling, so growth is
+// logarithmic), and it never exceeds stageMax.
+func TestStagingGrowsToFit(t *testing.T) {
+	var sink bytes.Buffer
+	w := NewWriter(&sink)
+	for i := 0; i < 100; i++ {
+		w.WriteInt64(int64(i))
+	}
+	if cap(w.stage) != 0 {
+		t.Fatalf("single-element writes left a %d-byte staging buffer", cap(w.stage))
+	}
+	w.WriteInt64s(make([]int64, 3))
+	if got := cap(w.stage); got != 24 {
+		t.Fatalf("first 3-element batch staged %d bytes, want 24", got)
+	}
+	w.WriteInt64s(make([]int64, 4)) // 32 B > 24 B: at least doubles
+	if got := cap(w.stage); got != 48 {
+		t.Fatalf("growth to fit 32 bytes gave %d, want 48 (doubling)", got)
+	}
+	w.WriteInt64s(make([]int64, 3*stageMax/8))
+	if got := cap(w.stage); got != stageMax {
+		t.Fatalf("a batch beyond stageMax left %d bytes staged, want %d", got, stageMax)
+	}
+
+	p := stream.NewPipe(1 << 12)
+	p.Write(sink.Bytes()[:1<<12])
+	r := NewReader(p.ReadEnd())
+	for i := 0; i < 10; i++ {
+		r.ReadInt64()
+	}
+	if cap(r.stage) != 0 {
+		t.Fatalf("single-element reads left a %d-byte staging buffer", cap(r.stage))
+	}
+	dst := make([]int64, 5)
+	if n, err := r.ReadInt64s(dst); n != 5 || err != nil {
+		t.Fatalf("batch read: %d, %v", n, err)
+	}
+	if got := cap(r.stage); got != 32 { // the first element bypasses staging
+		t.Fatalf("5-element batch read staged %d bytes, want 32", got)
+	}
+}

@@ -40,6 +40,25 @@ const MaxBlockSize = 1 << 26 // 64 MiB
 // block must not pin memory for the lifetime of the codec.
 const stageMax = 64 * 1024
 
+// growStage returns a buffer of exactly n bytes (n <= stageMax) backed
+// by stage when it is large enough. Otherwise it allocates one that at
+// least doubles stage's capacity, so a codec that lives as long as its
+// port settles on the largest batch it has seen after O(log) growths
+// and a codec that never batches never owns a buffer at all.
+func growStage(stage []byte, n int) []byte {
+	if cap(stage) >= n {
+		return stage[:n]
+	}
+	c := 2 * cap(stage)
+	if c < n {
+		c = n
+	}
+	if c > stageMax {
+		c = stageMax
+	}
+	return make([]byte, n, c)
+}
+
 // poolBufMax bounds the capacity of gob scratch buffers returned to the
 // shared pools; oversized one-off encodings are dropped instead of
 // pinned.
@@ -48,6 +67,13 @@ const poolBufMax = 1 << 20
 // Reader decodes typed elements from a byte stream. Every method blocks
 // until the full element has arrived, preserving Kahn blocking-read
 // semantics at element granularity.
+//
+// A Reader is meant to live as long as the stream it wraps (a channel
+// port keeps one; see core.ReadPort.Tokens). What it holds between
+// calls is scratch only: every byte a call takes from the source is
+// converted and returned before the call returns, so the source can be
+// cut, drained, or re-wrapped at any element boundary without asking
+// the Reader for anything.
 type Reader struct {
 	r       io.Reader
 	br      bufferedReader
@@ -120,10 +146,8 @@ func (d *Reader) stageBuf(n int) []byte {
 	if n > stageMax {
 		return make([]byte, n)
 	}
-	if cap(d.stage) < n {
-		d.stage = make([]byte, n, stageMax)
-	}
-	return d.stage[:n]
+	d.stage = growStage(d.stage, n)
+	return d.stage
 }
 
 // drainable reports how many further fixed-width elements of size w can
@@ -352,6 +376,11 @@ func corrupt(err error) error {
 // one underlying write: multi-part elements are staged into a reusable
 // buffer (or handed to the sink's vectored write), so a failure between
 // sink operations can never leave a torn element on a transport.
+//
+// Like Reader, a Writer lives as long as its sink and holds scratch
+// only: an element is in the sink before its Write call returns —
+// nothing is written behind, so a staging buffer never adds capacity
+// to a bounded channel.
 type Writer struct {
 	w       io.Writer
 	vw      vecWriter
@@ -416,10 +445,8 @@ func (e *Writer) stageBuf(n int) []byte {
 	if n > stageMax {
 		return make([]byte, n)
 	}
-	if cap(e.stage) < n {
-		e.stage = make([]byte, n, stageMax)
-	}
-	return e.stage[:n]
+	e.stage = growStage(e.stage, n)
+	return e.stage
 }
 
 // WriteInt64 writes one big-endian int64 element.

@@ -175,12 +175,15 @@ func TestChaosBatchedRelayMigration(t *testing.T) {
 // TestLiveMigrationBatchedFloatBacklog parks a float batch relay with a
 // backlog sitting in its input channel — part drained locally by
 // ReadFloat64s, the rest shipped — and checks every element crosses
-// exactly once.
+// exactly once. The backlog is four times what the two channels hold
+// and the sink takes one element per step, so the relay cannot have
+// drained it by the time Migrate asks it to park, however fast its
+// steps are: the writer is still blocked mid-write behind it.
 func TestLiveMigrationBatchedFloatBacklog(t *testing.T) {
 	a := newTestNode(t)
 	b := newTestNode(t)
 
-	const total = 500
+	const total = 1 << 15
 	in := a.Net.NewChannel("in", 1<<16)
 	out := a.Net.NewChannel("out", 1<<16)
 	relay := &floatBatchRelay{In: in.Reader(), Out: out.Writer()}
@@ -189,20 +192,24 @@ func TestLiveMigrationBatchedFloatBacklog(t *testing.T) {
 	h := a.Net.Spawn(relay)
 	a.Net.Spawn(sink)
 
-	w := token.NewWriter(in.Writer())
 	want := make([]float64, total)
 	for i := range want {
 		want[i] = float64(i) * 0.5
 	}
-	if err := w.WriteFloat64s(want); err != nil {
-		t.Fatal(err)
-	}
+	wrote := make(chan error, 1)
+	go func() {
+		err := token.NewWriter(in.Writer()).WriteFloat64s(want)
+		in.Writer().Close()
+		wrote <- err
+	}()
 	parcel, err := Migrate(a, b.Broker.Addr(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Writer().Close()
 	if _, err := SpawnImported(b, ship(t, parcel)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
 		t.Fatal(err)
 	}
 	waitNet(t, a.Net, "origin network")

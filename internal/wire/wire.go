@@ -291,8 +291,14 @@ func Export(n *Node, destAddr string, procs ...any) (*Parcel, error) {
 				Capacity: ch.Pipe().Cap(),
 				Buffered: ch.Pipe().Drain(),
 			}
-			s.reader.Detach()
-			s.writer.Detach()
+			// Both ends now live in the parcel; close the emptied local
+			// buffer so the network can let the channel go.
+			if src := s.reader.Detach(); src != nil {
+				src.Close()
+			}
+			if sink := s.writer.Detach(); sink != nil {
+				sink.Close()
+			}
 			parcel.Internal = append(parcel.Internal, cd)
 
 		case s.reader != nil:

@@ -9,7 +9,6 @@ import (
 
 	"dpn/internal/core"
 	"dpn/internal/proclib"
-	"dpn/internal/token"
 )
 
 // The graph-shape fuzzer: seed-replayable random DAG topologies —
@@ -115,7 +114,7 @@ func (s *FuzzSource) Step(env *core.Env) error {
 	}
 	v := fuzzVal(s.Seed, s.Idx, s.j)
 	s.j++
-	return token.NewWriter(s.Out).WriteInt64(v)
+	return s.Out.Tokens().WriteInt64(v)
 }
 
 // Interleave round-robins one element from each input into Out. With
@@ -130,12 +129,12 @@ type Interleave struct {
 
 // Step implements core.Stepper.
 func (il *Interleave) Step(env *core.Env) error {
-	v, err := token.NewReader(il.Ins[il.next]).ReadInt64()
+	v, err := il.Ins[il.next].Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
 	il.next = (il.next + 1) % len(il.Ins)
-	return token.NewWriter(il.Out).WriteInt64(v)
+	return il.Out.Tokens().WriteInt64(v)
 }
 
 func init() {

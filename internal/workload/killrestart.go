@@ -16,7 +16,6 @@ import (
 	"dpn/internal/faults"
 	"dpn/internal/netio"
 	"dpn/internal/stream"
-	"dpn/internal/token"
 )
 
 // KillRestart runs the scenario graph in a re-exec'd child process
@@ -78,7 +77,7 @@ type streamTail struct {
 
 // Step implements core.Stepper.
 func (s *streamTail) Step(env *core.Env) error {
-	v, err := token.NewReader(s.In).ReadInt64()
+	v, err := s.In.Tokens().ReadInt64()
 	if err != nil {
 		s.W.Close()
 		return err

@@ -7,7 +7,6 @@ import (
 
 	"dpn/internal/core"
 	"dpn/internal/proclib"
-	"dpn/internal/token"
 )
 
 // The sieve scenario is the reconfiguration stress: SiftRecursive
@@ -38,7 +37,7 @@ func (s *PacedSeq) Step(env *core.Env) error {
 	}
 	v := s.From + s.i
 	s.i++
-	return token.NewWriter(s.Out).WriteInt64(v)
+	return s.Out.Tokens().WriteInt64(v)
 }
 
 func init() {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // The streaming-analytics pipeline: generator → shard-by-key →
@@ -94,7 +93,7 @@ func (g *KeyedGen) Step(env *core.Env) error {
 	if rem := g.Records - g.i; batch > rem {
 		batch = rem
 	}
-	w := token.NewWriter(g.Out)
+	w := g.Out.Tokens()
 	if g.Float {
 		g.fbuf = g.fbuf[:0]
 		for j := int64(0); j < batch; j++ {
@@ -118,21 +117,29 @@ func (g *KeyedGen) Step(env *core.Env) error {
 	return nil
 }
 
+// readChunk bounds how many elements the batch processes below take
+// per Step: large enough that a full upstream batch moves in one pipe
+// operation, small enough to live inside the process struct.
+const readChunk = 384
+
 // ShardByKey reads the pair stream in batches, assigns each record its
 // global index, and routes (idx, key, valbits) triples to
 // Outs[key mod shards]. Reads drain only buffered bytes past the first
 // element, so a batch may split a pair — the odd element is carried to
 // the next step.
+//
+// Idx, Carry and Have are the process's position in the stream and ship
+// with it; buf and stage are scratch, empty at every step boundary.
 type ShardByKey struct {
 	In    *core.ReadPort
 	Outs  []*core.WritePort
 	Float bool
 
-	idx   int64
-	carry int64
-	have  bool
-	ibuf  []int64
-	fbuf  []float64
+	Idx   int64
+	Carry int64
+	Have  bool
+
+	buf   [readChunk]int64
 	stage [][]int64
 }
 
@@ -141,58 +148,35 @@ func (s *ShardByKey) Step(env *core.Env) error {
 	if s.stage == nil {
 		s.stage = make([][]int64, len(s.Outs))
 	}
-	const chunk = 256
-	var vals []int64
-	if s.Float {
-		if cap(s.fbuf) < chunk {
-			s.fbuf = make([]float64, chunk)
-		}
-		n, err := token.NewReader(s.In).ReadFloat64s(s.fbuf[:chunk])
-		if err != nil {
-			return err
-		}
-		if cap(s.ibuf) < n {
-			s.ibuf = make([]int64, n)
-		}
-		vals = s.ibuf[:n]
-		for i := 0; i < n; i++ {
-			// Keys decode exactly; values travel as raw IEEE-754 bits
-			// from here on so no precision is created or lost.
-			if i%2 == 0 && !s.have || i%2 == 1 && s.have {
-				vals[i] = int64(s.fbuf[i])
-			} else {
-				vals[i] = int64(math.Float64bits(s.fbuf[i]))
-			}
-		}
-	} else {
-		if cap(s.ibuf) < chunk {
-			s.ibuf = make([]int64, chunk)
-		}
-		n, err := token.NewReader(s.In).ReadInt64s(s.ibuf[:chunk])
-		if err != nil {
-			return err
-		}
-		vals = s.ibuf[:n]
+	// Float streams are read as raw IEEE-754 bits: values travel as
+	// bits from here on anyway, so no precision is created or lost, and
+	// only the key (a small integer, exact in float64) is decoded.
+	n, err := s.In.Tokens().ReadInt64s(s.buf[:])
+	if err != nil {
+		return err
 	}
-	for _, v := range vals {
-		if !s.have {
-			s.carry, s.have = v, true
+	for _, v := range s.buf[:n] {
+		if !s.Have {
+			s.Carry, s.Have = v, true
 			continue
 		}
-		key, val := s.carry, v
-		s.have = false
+		key, val := s.Carry, v
+		s.Have = false
+		if s.Float {
+			key = int64(math.Float64frombits(uint64(key)))
+		}
 		sh := int(key) % len(s.Outs)
-		s.stage[sh] = append(s.stage[sh], s.idx, key, val)
-		s.idx++
+		s.stage[sh] = append(s.stage[sh], s.Idx, key, val)
+		s.Idx++
 	}
 	for sh, st := range s.stage {
 		if len(st) == 0 {
 			continue
 		}
-		if err := token.NewWriter(s.Outs[sh]).WriteInt64s(st); err != nil {
+		if err := s.Outs[sh].Tokens().WriteInt64s(st); err != nil {
 			return err
 		}
-		s.stage[sh] = s.stage[sh][:0]
+		s.stage[sh] = st[:0]
 	}
 	return nil
 }
@@ -200,58 +184,57 @@ func (s *ShardByKey) Step(env *core.Env) error {
 // WindowReduce keeps per-key running sums and emits (closeIdx, key,
 // sum) when a key's tumbling window fills. At end of stream it flushes
 // the partial windows, ordered by key under the shared flushTag.
+//
+// The open windows (Sums, Fsums, Counts) and the elements of a triple
+// split across two reads (Carry, at most two) ship with the process;
+// buf and stage are scratch.
 type WindowReduce struct {
 	In     *core.ReadPort
 	Out    *core.WritePort
 	Window int64
 	Float  bool
 
-	sums   map[int64]int64
-	fsums  map[int64]float64
-	counts map[int64]int64
-	carry  []int64
-	buf    []int64
-	stage  []int64
+	Sums   map[int64]int64
+	Fsums  map[int64]float64
+	Counts map[int64]int64
+	Carry  []int64
+
+	buf   [readChunk]int64
+	stage []int64
 }
 
 // Step implements core.Stepper.
 func (r *WindowReduce) Step(env *core.Env) error {
-	if r.counts == nil {
-		r.counts = make(map[int64]int64)
-		r.sums = make(map[int64]int64)
-		r.fsums = make(map[int64]float64)
+	if r.Counts == nil {
+		r.Counts = make(map[int64]int64)
+		r.Sums = make(map[int64]int64)
+		r.Fsums = make(map[int64]float64)
 	}
-	const chunk = 384
-	if cap(r.buf) < chunk {
-		r.buf = make([]int64, chunk)
-	}
-	n, err := token.NewReader(r.In).ReadInt64s(r.buf[:chunk])
+	have := copy(r.buf[:], r.Carry)
+	n, err := r.In.Tokens().ReadInt64s(r.buf[have:])
 	if err != nil {
 		if err == io.EOF {
 			return r.flush()
 		}
 		return err
 	}
-	r.carry = append(r.carry, r.buf[:n]...)
+	vals := r.buf[:have+n]
 	r.stage = r.stage[:0]
-	for len(r.carry) >= 3 {
-		idx, key, val := r.carry[0], r.carry[1], r.carry[2]
-		r.carry = r.carry[3:]
-		r.counts[key]++
+	for ; len(vals) >= 3; vals = vals[3:] {
+		idx, key, val := vals[0], vals[1], vals[2]
+		r.Counts[key]++
 		if r.Float {
-			r.fsums[key] += math.Float64frombits(uint64(val))
+			r.Fsums[key] += math.Float64frombits(uint64(val))
 		} else {
-			r.sums[key] += val
+			r.Sums[key] += val
 		}
-		if r.counts[key] >= r.Window {
+		if r.Counts[key] >= r.Window {
 			r.stage = append(r.stage, idx, key, r.take(key))
 		}
 	}
-	if len(r.carry) == 0 {
-		r.carry = nil
-	}
+	r.Carry = append(r.Carry[:0], vals...)
 	if len(r.stage) > 0 {
-		return token.NewWriter(r.Out).WriteInt64s(r.stage)
+		return r.Out.Tokens().WriteInt64s(r.stage)
 	}
 	return nil
 }
@@ -260,20 +243,20 @@ func (r *WindowReduce) Step(env *core.Env) error {
 func (r *WindowReduce) take(key int64) int64 {
 	var enc int64
 	if r.Float {
-		enc = int64(math.Float64bits(r.fsums[key]))
-		delete(r.fsums, key)
+		enc = int64(math.Float64bits(r.Fsums[key]))
+		delete(r.Fsums, key)
 	} else {
-		enc = r.sums[key]
-		delete(r.sums, key)
+		enc = r.Sums[key]
+		delete(r.Sums, key)
 	}
-	delete(r.counts, key)
+	delete(r.Counts, key)
 	return enc
 }
 
 // flush emits every partial window sorted by key, then terminates.
 func (r *WindowReduce) flush() error {
-	keys := make([]int64, 0, len(r.counts))
-	for k, c := range r.counts {
+	keys := make([]int64, 0, len(r.Counts))
+	for k, c := range r.Counts {
 		if c > 0 {
 			keys = append(keys, k)
 		}
@@ -284,7 +267,7 @@ func (r *WindowReduce) flush() error {
 		out = append(out, flushTag, k, r.take(k))
 	}
 	if len(out) > 0 {
-		if err := token.NewWriter(r.Out).WriteInt64s(out); err != nil {
+		if err := r.Out.Tokens().WriteInt64s(out); err != nil {
 			return err
 		}
 	}
@@ -295,76 +278,102 @@ func (r *WindowReduce) flush() error {
 // head triple with the least (tag, key) among its inputs. Within each
 // input tags ascend, so the output is the globally sorted sequence —
 // one deterministic total order over the whole pipeline's emissions.
+//
+// Heads[i] queues the whole triples already taken from input i and not
+// yet emitted; Done[i] records that input i has ended. Both ship with
+// the process. A Step loads every empty queue (blocking, as Kahn
+// requires), then emits heads for as long as the least one is
+// decidable, i.e. until some live input's queue runs dry — in one
+// write. The order is that of a triple-at-a-time merge.
 type MergeByTag struct {
 	Ins []*core.ReadPort
 	Out *core.WritePort
 
-	heads   [][3]int64
-	ok      []bool
-	started bool
+	Heads [][]int64
+	Done  []bool
+
+	bufs  [][]int64 // Heads[i] windows bufs[i] between reloads
+	stage []int64
 }
 
 // Step implements core.Stepper.
 func (m *MergeByTag) Step(env *core.Env) error {
-	if !m.started {
-		m.heads = make([][3]int64, len(m.Ins))
-		m.ok = make([]bool, len(m.Ins))
-		for i := range m.Ins {
+	if len(m.Heads) != len(m.Ins) {
+		m.Heads = make([][]int64, len(m.Ins))
+		m.Done = make([]bool, len(m.Ins))
+	}
+	for i := range m.Ins {
+		if len(m.Heads[i]) == 0 && !m.Done[i] {
 			if err := m.reload(i); err != nil {
 				return err
 			}
 		}
-		m.started = true
 	}
-	best := -1
-	for i, ok := range m.ok {
-		if !ok {
-			continue
-		}
-		if best < 0 || less(m.heads[i], m.heads[best]) {
-			best = i
-		}
+	m.stage = m.stage[:0]
+	for best := m.least(); best >= 0; best = m.least() {
+		m.stage = append(m.stage, m.Heads[best][:3]...)
+		m.Heads[best] = m.Heads[best][3:]
 	}
-	if best < 0 {
-		return io.EOF
+	if len(m.stage) == 0 {
+		return io.EOF // every input ended and every queue is empty
 	}
-	h := m.heads[best]
-	if err := token.NewWriter(m.Out).WriteInt64s(h[:]); err != nil {
-		return err
-	}
-	return m.reload(best)
+	return m.Out.Tokens().WriteInt64s(m.stage)
 }
 
-func less(a, b [3]int64) bool {
+// least returns the input whose queued head is smallest, or -1 when
+// that is not decidable: a live input's queue is empty (it could still
+// deliver a smaller head) or every input is exhausted.
+func (m *MergeByTag) least() int {
+	best := -1
+	for i, h := range m.Heads {
+		switch {
+		case len(h) > 0:
+			if best < 0 || less(h, m.Heads[best]) {
+				best = i
+			}
+		case !m.Done[i]:
+			return -1
+		}
+	}
+	return best
+}
+
+func less(a, b []int64) bool {
 	if a[0] != b[0] {
 		return a[0] < b[0]
 	}
 	return a[1] < b[1]
 }
 
-// reload pulls the next head triple from input i; EOF retires it.
+// reload refills input i's empty queue with the whole triples that can
+// be had for one blocking read: the first element blocks, the rest are
+// whatever the channel already holds, and a triple the drain split is
+// completed. EOF at a triple boundary retires the input.
 func (m *MergeByTag) reload(i int) error {
-	rd := token.NewReader(m.Ins[i])
-	v, err := rd.ReadInt64()
+	if m.bufs == nil {
+		m.bufs = make([][]int64, len(m.Ins))
+	}
+	if m.bufs[i] == nil {
+		m.bufs[i] = make([]int64, readChunk)
+	}
+	buf, rd := m.bufs[i], m.Ins[i].Tokens()
+	n, err := rd.ReadInt64s(buf)
+	if err == io.EOF {
+		m.Done[i] = true
+		return nil
+	}
+	for err == nil && n%3 != 0 {
+		var k int
+		k, err = rd.ReadInt64s(buf[n : n+3-n%3])
+		n += k
+	}
 	if err != nil {
 		if err == io.EOF {
-			m.ok[i] = false
-			return nil
+			return fmt.Errorf("merge input %d: truncated triple: %w", i, io.ErrUnexpectedEOF)
 		}
 		return err
 	}
-	m.heads[i][0] = v
-	for j := 1; j < 3; j++ {
-		v, err := rd.ReadInt64()
-		if err != nil {
-			if err == io.EOF {
-				return fmt.Errorf("merge input %d: truncated triple: %w", i, io.ErrUnexpectedEOF)
-			}
-			return err
-		}
-		m.heads[i][j] = v
-	}
-	m.ok[i] = true
+	m.Heads[i] = buf[:n]
 	return nil
 }
 

@@ -24,7 +24,6 @@ import (
 	"dpn/internal/core"
 	"dpn/internal/faults"
 	"dpn/internal/netio"
-	"dpn/internal/token"
 	"dpn/internal/wire"
 )
 
@@ -83,7 +82,7 @@ type Collector struct {
 
 // Step implements core.Stepper.
 func (c *Collector) Step(env *core.Env) error {
-	v, err := token.NewReader(c.In).ReadInt64()
+	v, err := c.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,9 @@
 # suite under the race detector. The observability layer is updated
 # from every process goroutine, so -race is not optional here.
 #
-#   check.sh         vet + build + race-enabled test suite
+#   check.sh         vet + build + race-enabled test suite, the
+#                    benchmark harness's smoke test, then every gate
+#                    below except -bench and -obs
 #   check.sh -bench  allocation gate: re-runs the two hot-path
 #                    sentinel benchmarks (BenchmarkTokenWriteInt64,
 #                    BenchmarkLinkThroughput) with -benchmem and fails
@@ -49,9 +51,11 @@
 #                    machine that wrote it).
 #   check.sh -lint   static-analysis gate: go vet, staticcheck when the
 #                    binary is on PATH (skipped with a notice otherwise
-#                    — nothing is downloaded), and a style check that
+#                    — nothing is downloaded), a style check that
 #                    the conduit package's API surface never says
-#                    interface{} (spell it any).
+#                    interface{} (spell it any), and a check that no
+#                    process library builds its own token codec over a
+#                    port (ports own theirs: port.Tokens()).
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -223,6 +227,15 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: interface{} in internal/conduit (use any)"
 		fail=1
 	fi
+	# A channel end has exactly one codec, owned by the port
+	# (DESIGN.md, "Port codecs"). A process that wraps its port in a
+	# fresh token.NewReader/NewWriter pays an allocation per Step and
+	# forks the path the allocation gates measure.
+	if grep -rn --include='*.go' --exclude='*_test.go' -e 'token\.NewReader(' -e 'token\.NewWriter(' \
+		internal/proclib internal/workload internal/meta internal/graphs; then
+		echo "lint gate: token.NewReader/NewWriter in a process library (use port.Tokens())"
+		fail=1
+	fi
 	[ "$fail" -eq 0 ] && echo "lint gate: PASS" || echo "lint gate: FAIL"
 	exit "$fail"
 fi
@@ -362,6 +375,9 @@ fi
 set -x
 go build ./...
 go test -race ./...
+# The benchmark harness is its own module, invisible to ./... above;
+# its smoke test is what catches a break of the API its adapter uses.
+(cd benchmark && go test ./...)
 set +x
 ./scripts/check.sh -pool
 ./scripts/check.sh -codec
