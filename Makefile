@@ -1,4 +1,4 @@
-.PHONY: build test check chaos vet lint bench pool bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 obs scenarios codec wal mux
+.PHONY: build test check chaos vet lint bench pool bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 obs scenarios codec wal
 
 build:
 	go build ./...
@@ -10,7 +10,7 @@ vet:
 	go vet ./...
 
 # Static-analysis gate: vet + staticcheck (when installed) + the
-# conduit API style check; see scripts/check.sh -lint. Runs first in
+# conduit API style check + gofmt -l; see scripts/check.sh -lint. Runs first in
 # `make check`.
 lint:
 	./scripts/check.sh -lint
@@ -22,8 +22,9 @@ lint:
 check:
 	./scripts/check.sh
 
-# Chaos gate alone: repeated seeded fault-injection runs with a
-# seed-replay flaky classifier; see scripts/check.sh -chaos.
+# Chaos gate alone: repeated seeded fault-injection runs, the session
+# pool tests and the cascade-equivalence sweep across deployments, with
+# a seed-replay flaky classifier; see scripts/check.sh -chaos.
 chaos:
 	./scripts/check.sh -chaos
 
@@ -96,22 +97,6 @@ wal:
 # <= 2.5x; see EXPERIMENTS.md, "Crash-restart trajectory".
 bench-pr9:
 	./scripts/bench.sh -pr9
-
-# Session-multiplexing gate alone: the mux handshake/stream/credit unit
-# suite, the broker session-pool integration tests, the FD-bounded mux
-# rendezvous storm, and the cascade-equivalence sweep across transports
-# under -race with seed replay on failure; see scripts/check.sh -mux.
-# Part of `make check`.
-mux:
-	./scripts/check.sh -mux
-
-# Re-records the session-multiplexing trajectory (BENCH_pr10.json): mux
-# vs direct link throughput, sockets per peer pair, and handshake
-# amortization; fails unless the mux link stays within 1.15x of direct
-# TCP and a 16-channel fan-out rode exactly one session; see
-# EXPERIMENTS.md, "Session multiplexing trajectory".
-bench-pr10:
-	./scripts/bench.sh -pr10
 
 # Observability gate alone: the tracing/telemetry suites under -race
 # (including the multi-process metrics/dpntop/trace-merge smoke), then

@@ -272,11 +272,8 @@ func BenchmarkTokenObjectRoundTrip(b *testing.B) {
 // linkBench pumps b.N writes of size bytes through a loopback broker
 // link and waits for full delivery, so per-op cost includes framing,
 // flow control, and both pipe ends. Its allocs/op is gated by
-// scripts/check.sh -bench (buffer pooling on the link path). With mux
-// the same link tunnels as a virtual stream of a shared authenticated
-// session, adding the stream framing and per-stream credit layer —
-// the throughput-parity cost gated by scripts/bench.sh -pr10.
-func linkBench(b *testing.B, size int, mux bool) {
+// scripts/check.sh -bench (buffer pooling on the link path).
+func linkBench(b *testing.B, size int) {
 	a, err := wire.NewLocalNode("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -287,10 +284,6 @@ func linkBench(b *testing.B, size int, mux bool) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if mux {
-		a.Broker.EnableMux(nil)
-		c.Broker.EnableMux(nil)
-	}
 	src := stream.NewPipe(1 << 16)
 	dst := stream.NewPipe(1 << 16)
 	tok := a.Broker.NewToken()
@@ -331,21 +324,12 @@ func linkBench(b *testing.B, size int, mux bool) {
 
 // BenchmarkLinkThroughput measures bulk transfer over a loopback
 // network link in 32 KiB writes.
-func BenchmarkLinkThroughput(b *testing.B) { linkBench(b, 32*1024, false) }
+func BenchmarkLinkThroughput(b *testing.B) { linkBench(b, 32*1024) }
 
 // BenchmarkLinkSmallWrites measures the link under a stream of small
 // writes — the regime where per-frame overhead dominates and outbound
 // frame coalescing pays off.
-func BenchmarkLinkSmallWrites(b *testing.B) { linkBench(b, 256, false) }
-
-// BenchmarkLinkThroughputMux is the session-multiplexed twin of
-// BenchmarkLinkThroughput: the same bulk transfer tunneled as a mux
-// virtual stream. BENCH_pr10 gates its ratio to the direct link.
-func BenchmarkLinkThroughputMux(b *testing.B) { linkBench(b, 32*1024, true) }
-
-// BenchmarkLinkSmallWritesMux is the multiplexed twin of
-// BenchmarkLinkSmallWrites.
-func BenchmarkLinkSmallWritesMux(b *testing.B) { linkBench(b, 256, true) }
+func BenchmarkLinkSmallWrites(b *testing.B) { linkBench(b, 256) }
 
 // linkTokensBench pumps b.N int64 tokens through a TCP link via the
 // batch token APIs (WriteInt64s feeding the columnar compression trial

@@ -14,9 +14,6 @@
 //	dpnbench -pr9        the durable-conduit trajectory: WAL journaling
 //	                     overhead vs loopback plus SIGKILL recovery
 //	                     times (BENCH_pr9.json)
-//	dpnbench -pr10       the session-multiplexing trajectory: mux vs
-//	                     direct link throughput, sockets per peer pair,
-//	                     handshake amortization (BENCH_pr10.json)
 //	dpnbench -all        everything
 //
 // Tables 1–2 and the figures use the discrete-event cluster simulator
@@ -55,7 +52,6 @@ func main() {
 		pr4      = flag.Bool("pr4", false, "skewed-cluster elasticity experiment: static vs dynamic vs elastic with sleep-emulated workers")
 		scenar   = flag.Bool("scenarios", false, "workload scenario suite: verified streaming/sieve/fuzz runs plus the many-client soak (BENCH_pr7.json)")
 		pr9      = flag.Bool("pr9", false, "durable-conduit trajectory: WAL journaling overhead and SIGKILL recovery (BENCH_pr9.json)")
-		pr10     = flag.Bool("pr10", false, "session-multiplexing trajectory: mux vs direct link throughput, sockets per peer pair, handshake amortization (BENCH_pr10.json)")
 		soakG    = flag.Int("soakgraphs", 120, "with -scenarios: concurrent graphs in the soak")
 		soakS    = flag.Int("soakservers", 3, "with -scenarios: shared compute servers in the soak")
 		jsonOut  = flag.Bool("json", false, "with -pr4 or -scenarios, emit the report as JSON")
@@ -66,7 +62,7 @@ func main() {
 		batch    = flag.Int64("batch", 2048, "difference values per task (heavier than the paper's 32 so per-task compute dominates on modern hardware)")
 	)
 	flag.Parse()
-	if !(*table1 || *table2 || *fig19 || *fig20 || *overhead || *seqReal || *valSim || *pr4 || *scenar || *pr9 || *pr10 || *csv) {
+	if !(*table1 || *table2 || *fig19 || *fig20 || *overhead || *seqReal || *valSim || *pr4 || *scenar || *pr9 || *csv) {
 		*all = true
 	}
 	cfg := cluster.PaperConfig()
@@ -118,9 +114,6 @@ func main() {
 	}
 	if *all || *pr9 {
 		runPR9(*jsonOut)
-	}
-	if *all || *pr10 {
-		runPR10(*jsonOut)
 	}
 }
 

@@ -60,29 +60,16 @@ var chaosCfg struct {
 	faults    string
 	resilient bool
 	durable   string
-	mux       bool
 	muxKey    string
 }
 
-// applyMux switches a node's transport to session multiplexing: all
-// links toward a given peer share one authenticated connection. Must
-// run before the durable wrap so Durable journals mux-bound conduits.
-func applyMux(node *wire.Node) {
-	if !chaosCfg.mux {
-		return
-	}
-	var psk []byte
-	if chaosCfg.muxKey != "" {
-		psk = []byte(chaosCfg.muxKey)
-	}
-	node.SetTransport(conduit.NewMux(node.Broker, psk))
-	fmt.Fprintln(os.Stderr, "session multiplexing: one shared connection per peer pair")
-}
-
-// applyChaos wires the -faults / -resilient flags into a broker.
-// Resilience changes the wire protocol, so every node of a distributed
-// graph must run with the same -resilient setting.
+// applyChaos wires the -faults / -resilient / -muxkey flags into a
+// broker. Resilience changes the wire protocol, so every node of a
+// distributed graph must run with the same -resilient setting.
 func applyChaos(b *netio.Broker) {
+	if chaosCfg.muxKey != "" {
+		b.SetPSK([]byte(chaosCfg.muxKey))
+	}
 	if chaosCfg.faults != "" {
 		cfg, err := faults.Parse(chaosCfg.faults)
 		if err != nil {
@@ -102,8 +89,8 @@ func applyChaos(b *netio.Broker) {
 // network broker: faults are injected at the connection boundary, so a
 // fully in-process graph has nowhere to apply them.
 func warnChaosUnused() {
-	if chaosCfg.faults != "" || chaosCfg.resilient || chaosCfg.durable != "" || chaosCfg.mux {
-		fmt.Fprintln(os.Stderr, "dpnrun: -faults/-resilient/-durable/-mux ignored: this run has no network links")
+	if chaosCfg.faults != "" || chaosCfg.resilient || chaosCfg.durable != "" || chaosCfg.muxKey != "" {
+		fmt.Fprintln(os.Stderr, "dpnrun: -faults/-resilient/-durable/-muxkey ignored: this run has no network links")
 	}
 }
 
@@ -224,8 +211,7 @@ func main() {
 		faultsF  = flag.String("faults", "", "inject network faults on this node's broker, e.g. seed=7,drop=0.01,latency=2ms,partition=1s:500ms,mode=stall")
 		resil    = flag.Bool("resilient", false, "resilient links: retry/backoff, heartbeats, resumable reconnect (set on every node or none)")
 		durableF = flag.String("durable", "", "journal boundary channels to a WAL under this directory; with -resilient, a kill -9 replays instead of losing bytes")
-		muxF     = flag.Bool("mux", false, "multiplex all channel links to a peer over one shared authenticated session (set on every node or none)")
-		muxKeyF  = flag.String("muxkey", "", "with -mux: cluster pre-shared key for session peer authentication (empty accepts any peer)")
+		muxKeyF  = flag.String("muxkey", "", "cluster pre-shared key for session peer authentication (empty accepts any peer; set the same key on every node)")
 	)
 	flag.Parse()
 	obsCfg.metrics, obsCfg.stats = *metrics, *stats
@@ -233,7 +219,7 @@ func main() {
 	obsCfg.trace, obsCfg.sample = *traceOut, *sample
 	chaosCfg.faults, chaosCfg.resilient = *faultsF, *resil
 	chaosCfg.durable = *durableF
-	chaosCfg.mux, chaosCfg.muxKey = *muxF, *muxKeyF
+	chaosCfg.muxKey = *muxKeyF
 	if *graph != "factor" {
 		warnChaosUnused()
 	}
@@ -344,7 +330,6 @@ func runFactor(bits, workers int, static, elastic bool, serverList, registryAddr
 		}
 		defer node.Close()
 		applyChaos(node.Broker)
-		applyMux(node)
 		// Durable wraps whatever transport the node already has, so
 		// -faults composes: chaos faults under a journaled binding.
 		if chaosCfg.durable != "" {

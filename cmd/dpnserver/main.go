@@ -52,8 +52,7 @@ func main() {
 		mutexF     = flag.Int("mutexprofile", 0, "mutex profile sampling fraction passed to runtime.SetMutexProfileFraction (0 leaves profiling off)")
 		sample     = flag.Int("tracesample", 0, "carry a causal trace mark on every Nth outbound data frame and record span events (0 disables)")
 		durableF   = flag.String("durable", "", "journal boundary channels to a WAL under this directory; with -resilient, a kill -9 replays instead of losing bytes")
-		muxF       = flag.Bool("mux", false, "multiplex all channel links to a peer over one shared authenticated session (set on every node or none)")
-		muxKeyF    = flag.String("muxkey", "", "with -mux: cluster pre-shared key for session peer authentication (empty accepts any peer)")
+		muxKeyF    = flag.String("muxkey", "", "cluster pre-shared key for session peer authentication (empty accepts any peer; set the same key on every node)")
 	)
 	flag.Parse()
 
@@ -80,15 +79,8 @@ func main() {
 	if *resil {
 		s.Node().Broker.SetResilience(netio.DefaultResilience())
 	}
-	// Mux replaces the per-channel transport before the durable wrap,
-	// so journaled conduits ride the shared sessions too.
-	if *muxF {
-		var psk []byte
-		if *muxKeyF != "" {
-			psk = []byte(*muxKeyF)
-		}
-		s.Node().SetTransport(conduit.NewMux(s.Node().Broker, psk))
-		fmt.Println("session multiplexing: one shared connection per peer pair")
+	if *muxKeyF != "" {
+		s.Node().Broker.SetPSK([]byte(*muxKeyF))
 	}
 	// Durable wraps whatever transport the node already has (so
 	// -faults composes: chaos faults under a journaled binding).

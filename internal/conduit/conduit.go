@@ -8,8 +8,8 @@
 //     growth, and the §3.4 close cascade;
 //   - an optional Transport binding: when one end of the channel lives
 //     on another node, the conduit's entry or exit is bound to a Link
-//     that carries the bytes (tcp via the netio broker, chaos under
-//     fault injection, loopback for tests). The in-proc zero-copy case
+//     that carries the bytes (mux streams via the netio broker,
+//     loopback for tests). The in-proc zero-copy case
 //     is simply the unbound conduit — no Transport object exists, and
 //     reads and writes touch the buffer directly.
 //
@@ -18,9 +18,7 @@
 // and bind the endpoint to a new Link (BindSource/BindSink) — the
 // paper's decentralized redirection (§4.3) is a second rebind over the
 // same surface. Close-cascade, credit accounting, and the
-// dpn_conduit_* instrumentation are defined once at this layer; the
-// pre-conduit dpn_channel_* and dpn_link_* metric names remain visible
-// as exposition-time aliases.
+// dpn_conduit_* instrumentation are defined once at this layer.
 package conduit
 
 import (
@@ -80,8 +78,8 @@ func (c *Conduit) Exit() *stream.SequenceReader { return c.exit }
 func (c *Conduit) Buffered() int { return c.exit.Buffered() }
 
 // Instrument homes the conduit's metrics in the scope's registry: the
-// per-channel buffer instruments (dpn_conduit_bytes_total and friends,
-// with dpn_channel_* aliases) and the rebind counter. obsv may be nil.
+// per-channel buffer instruments (dpn_conduit_bytes_total and friends)
+// and the rebind counter. obsv may be nil.
 func (c *Conduit) Instrument(s *obs.Scope, obsv stream.Observer) {
 	if s == nil {
 		return

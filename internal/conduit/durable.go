@@ -59,26 +59,6 @@ type Durable struct {
 
 func (d Durable) String() string { return "durable(" + d.Inner.String() + ")" }
 
-// Addr delegates to the inner transport when it exposes a broker
-// address (TCP/Chaos do).
-func (d Durable) Addr() string {
-	if a, ok := d.Inner.(interface{ Addr() string }); ok {
-		return a.Addr()
-	}
-	return ""
-}
-
-// NewToken delegates to the inner transport. Note the caveat above:
-// broker tokens embed a process-local sequence and will not find the
-// journal again after a restart; kill-restart deployments use stable
-// caller-chosen tokens instead.
-func (d Durable) NewToken() string {
-	if a, ok := d.Inner.(interface{ NewToken() string }); ok {
-		return a.NewToken()
-	}
-	return ""
-}
-
 // journalDir maps an endpoint token to a filesystem-safe, stable
 // directory: a sanitized prefix for humans plus an fnv32 of the full
 // token for uniqueness.

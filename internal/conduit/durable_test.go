@@ -95,7 +95,7 @@ func TestDurableSenderRestartByteIdentical(t *testing.T) {
 	// Receiver: patient, serving the rendezvous on a stable token.
 	recvB := durBroker(t, patientRes())
 	dst := stream.NewPipe(64 << 10)
-	if _, err := (TCP{Broker: recvB}).BindInbound(Endpoint{Token: "dur-restart"}, dst.WriteEnd()); err != nil {
+	if _, err := (Mux{Broker: recvB}).BindInbound(Endpoint{Token: "dur-restart"}, dst.WriteEnd()); err != nil {
 		t.Fatal(err)
 	}
 	cw := &countingWriter{bw: &bytes.Buffer{}}
@@ -109,8 +109,9 @@ func TestDurableSenderRestartByteIdentical(t *testing.T) {
 	// partition can sever it deterministically.
 	sndB1 := durBroker(t, hastyRes())
 	inj := faults.New(faults.Config{Seed: 7})
+	sndB1.SetFaults(inj)
 	d1 := Durable{
-		Inner: NewChaos(sndB1, inj),
+		Inner: Mux{Broker: sndB1},
 		Dir:   dir,
 		Opt:   wal.Options{SegmentBytes: 16 << 10},
 		Obs:   scope,
@@ -144,7 +145,7 @@ func TestDurableSenderRestartByteIdentical(t *testing.T) {
 	// deterministic source re-producing the stream from zero.
 	sndB2 := durBroker(t, patientRes())
 	d2 := Durable{
-		Inner: TCP{Broker: sndB2},
+		Inner: Mux{Broker: sndB2},
 		Dir:   dir,
 		Opt:   wal.Options{SegmentBytes: 16 << 10},
 		Obs:   scope,
@@ -204,7 +205,7 @@ func TestDurableReceiverRestartReplaysJournal(t *testing.T) {
 	// cleanly before the receiver dies.
 	sndB := durBroker(t, patientRes())
 	src := stream.NewPipe(32 << 10)
-	l, err := (TCP{Broker: sndB}).BindOutbound(Endpoint{Token: "dur-recv"}, src.ReadEnd(), 32<<10)
+	l, err := (Mux{Broker: sndB}).BindOutbound(Endpoint{Token: "dur-recv"}, src.ReadEnd(), 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,8 @@ func TestDurableReceiverRestartReplaysJournal(t *testing.T) {
 	// Receiver incarnation 1: hasty, chaos-severable, durable.
 	recvB1 := durBroker(t, hastyRes())
 	inj := faults.New(faults.Config{Seed: 9})
-	d1 := Durable{Inner: NewChaos(recvB1, inj), Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
+	recvB1.SetFaults(inj)
+	d1 := Durable{Inner: Mux{Broker: recvB1}, Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
 	dst1 := stream.NewPipe(64 << 10)
 	l1, err := d1.BindInbound(Endpoint{Addr: sndB.Addr(), Token: "dur-recv"}, dst1.WriteEnd())
 	if err != nil {
@@ -265,7 +267,7 @@ func TestDurableReceiverRestartReplaysJournal(t *testing.T) {
 	// Receiver incarnation 2: same journal dir, fresh broker and pipe,
 	// fresh consumer reading from offset zero.
 	recvB2 := durBroker(t, patientRes())
-	d2 := Durable{Inner: TCP{Broker: recvB2}, Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
+	d2 := Durable{Inner: Mux{Broker: recvB2}, Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
 	dst2 := stream.NewPipe(64 << 10)
 	l2, err := d2.BindInbound(Endpoint{Addr: sndB.Addr(), Token: "dur-recv"}, dst2.WriteEnd())
 	if err != nil {
@@ -303,20 +305,9 @@ func TestJournalDirStableAndSanitized(t *testing.T) {
 	}
 }
 
-func TestDurableDelegatesAddrAndString(t *testing.T) {
-	b := durBroker(t, patientRes())
-	d := Durable{Inner: TCP{Broker: b}, Dir: t.TempDir()}
-	if d.String() != "durable(tcp)" {
+func TestDurableString(t *testing.T) {
+	d := Durable{Inner: Mux{Broker: durBroker(t, patientRes())}, Dir: t.TempDir()}
+	if d.String() != "durable(mux)" {
 		t.Fatalf("String() = %q", d.String())
-	}
-	if d.Addr() != b.Addr() {
-		t.Fatalf("Addr() = %q, want %q", d.Addr(), b.Addr())
-	}
-	if d.NewToken() == "" {
-		t.Fatal("NewToken() empty")
-	}
-	lb := Durable{Inner: NewLoopback(), Dir: t.TempDir()}
-	if lb.Addr() != "" || lb.NewToken() != "" {
-		t.Fatal("loopback inner should not fake an addr or token")
 	}
 }

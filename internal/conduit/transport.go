@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 
-	"dpn/internal/faults"
 	"dpn/internal/netio"
 )
 
@@ -49,7 +48,7 @@ type Link interface {
 }
 
 // Rearmer is implemented by links that can replace themselves with a
-// fresh Link mid-stream — today the tcp transport's redirect path,
+// fresh Link mid-stream — today the mux transport's redirect path,
 // where the reader host re-arms a new rendezvous for the writer's next
 // hop. Trackers install a hook so they always hold the live link of a
 // channel instead of a finished one; the hook must not block.
@@ -58,9 +57,9 @@ type Rearmer interface {
 }
 
 // Transport binds one end of a conduit to a peer. Implementations:
-// TCP (netio broker links), Chaos (TCP under fault injection), and
-// Loopback (in-process pump for tests). The in-proc zero-copy plane
-// needs no Transport at all — an unbound conduit's entry and exit
+// Mux (netio broker links, the network), Loopback (in-process pump for
+// tests), and the Durable wrapper around either. The in-proc zero-copy
+// plane needs no Transport at all — an unbound conduit's entry and exit
 // operate directly on the bounded buffer.
 type Transport interface {
 	fmt.Stringer
@@ -74,114 +73,75 @@ type Transport interface {
 	BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error)
 }
 
-// TCP is the production transport: framed broker-rendezvous links with
-// credit flow control and optional resilience (see netio).
-type TCP struct {
+// Mux is the network transport: every link between this node and a
+// given peer is a virtual stream of the one long-lived, authenticated
+// session the two brokers share, carrying framed links with credit flow
+// control and optional resilience (see netio). Fault injection is not a
+// transport: install it on the broker (netio.Broker.SetFaults) and
+// bindings run through exactly this code path with the failure surface
+// switched on.
+type Mux struct {
 	Broker *netio.Broker
 }
 
-func (t TCP) String() string { return "tcp" }
-
-// Addr returns the local broker address peers dial.
-func (t TCP) Addr() string { return t.Broker.Addr() }
-
-// NewToken mints a node-unique rendezvous token.
-func (t TCP) NewToken() string { return t.Broker.NewToken() }
-
-func (t TCP) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error) {
-	var h *netio.Handle
-	var err error
-	if ep.Serve() {
-		h, err = t.Broker.ServeOutbound(ep.Token, src, window)
-	} else {
-		h, err = t.Broker.DialOutbound(ep.Addr, ep.Token, src, window)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tcpLink{h}, nil
-}
-
-func (t TCP) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
-	var h *netio.Handle
-	var err error
-	if ep.Serve() {
-		h, err = t.Broker.ServeInbound(ep.Token, dst)
-	} else {
-		h, err = t.Broker.DialInbound(ep.Addr, ep.Token, dst)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tcpLink{h}, nil
-}
-
-// tcpLink adapts *netio.Handle to Link and Rearmer. It is a comparable
-// value type so trackers can compare stored links by identity.
-type tcpLink struct {
-	h *netio.Handle
-}
-
-func (l tcpLink) Wait() error                           { return l.h.Wait() }
-func (l tcpLink) Done() <-chan struct{}                 { return l.h.Done() }
-func (l tcpLink) PeerAddr() (string, error)             { return l.h.PeerAddr() }
-func (l tcpLink) Move(addr, token string) error         { return l.h.Move(addr, token) }
-func (l tcpLink) Redirect(token string) (string, error) { return l.h.Redirect(token) }
-func (l tcpLink) Outbound() bool                        { return l.h.Outbound() }
-
-// Handle exposes the underlying netio handle for callers that need the
-// raw transport surface.
-func (l tcpLink) Handle() *netio.Handle { return l.h }
-
-func (l tcpLink) OnRearm(fn func(Link)) {
-	l.h.SetRearmHook(func(nh *netio.Handle) { fn(tcpLink{nh}) })
-}
-
-// Mux is the TCP transport with session multiplexing enabled on the
-// broker: every link between this node and a given peer tunnels as a
-// virtual stream over one long-lived, authenticated connection instead
-// of a dedicated socket per channel. The link protocol — and with it
-// resilience, RESUME resync, block compression, and durable WAL
-// journaling — rides each stream unchanged, so Mux composes with
-// Durable and Chaos exactly as TCP does.
-type Mux struct {
-	TCP
-}
-
-// NewMux enables session multiplexing on b with the given cluster
-// pre-shared key (nil skips peer authentication) and returns the
-// transport. Enable mux on every broker of the graph: a mux dialer
-// needs a mux-aware acceptor, though a mux acceptor still admits
-// legacy per-channel dialers.
+// NewMux sets the cluster pre-shared key of b's session handshake (nil
+// skips peer authentication) and returns the transport over b.
 func NewMux(b *netio.Broker, psk []byte) Mux {
-	b.EnableMux(psk)
-	return Mux{TCP: TCP{Broker: b}}
+	b.SetPSK(psk)
+	return Mux{Broker: b}
 }
 
 func (m Mux) String() string { return "mux" }
 
-// Chaos is the TCP transport with a fault injector installed on the
-// broker: every future connection, inbound and outbound, runs under
-// injected dial errors, resets, partitions, and delays. It exists so
-// chaos suites bind conduits through exactly the code path production
-// uses, with the failure surface switched on.
-type Chaos struct {
-	TCP
-	Faults *faults.Injector
+func (m Mux) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error) {
+	var h *netio.Handle
+	var err error
+	if ep.Serve() {
+		h, err = m.Broker.ServeOutbound(ep.Token, src, window)
+	} else {
+		h, err = m.Broker.DialOutbound(ep.Addr, ep.Token, src, window)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return muxLink{h}, nil
 }
 
-// NewChaos installs inj on b and returns the transport.
-func NewChaos(b *netio.Broker, inj *faults.Injector) Chaos {
-	b.SetFaults(inj)
-	return Chaos{TCP: TCP{Broker: b}, Faults: inj}
+func (m Mux) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
+	var h *netio.Handle
+	var err error
+	if ep.Serve() {
+		h, err = m.Broker.ServeInbound(ep.Token, dst)
+	} else {
+		h, err = m.Broker.DialInbound(ep.Addr, ep.Token, dst)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return muxLink{h}, nil
 }
 
-func (c Chaos) String() string { return "chaos" }
+// muxLink adapts *netio.Handle to Link and Rearmer. It is a comparable
+// value type so trackers can compare stored links by identity.
+type muxLink struct {
+	h *netio.Handle
+}
+
+func (l muxLink) Wait() error                           { return l.h.Wait() }
+func (l muxLink) Done() <-chan struct{}                 { return l.h.Done() }
+func (l muxLink) PeerAddr() (string, error)             { return l.h.PeerAddr() }
+func (l muxLink) Move(addr, token string) error         { return l.h.Move(addr, token) }
+func (l muxLink) Redirect(token string) (string, error) { return l.h.Redirect(token) }
+func (l muxLink) Outbound() bool                        { return l.h.Outbound() }
+
+func (l muxLink) OnRearm(fn func(Link)) {
+	l.h.SetRearmHook(func(nh *netio.Handle) { fn(muxLink{nh}) })
+}
 
 // Loopback is an in-process transport for tests: the outbound and
 // inbound halves of a token rendezvous inside one process and a pump
 // goroutine moves bytes between them, applying the same close-cascade
-// rules as the tcp links (source EOF closes the sink; a poisoned sink
+// rules as the network links (source EOF closes the sink; a poisoned sink
 // closes the source). It has no credit protocol — the bounded buffers
 // at both ends provide the end-to-end bound naturally, because the
 // pump blocks whenever the destination buffer is full.
@@ -253,7 +213,7 @@ func (p *loopPipe) finish(err error) {
 	})
 }
 
-// pump moves bytes until either side closes, mirroring the tcp links'
+// pump moves bytes until either side closes, mirroring the network links'
 // cascade: source EOF propagates as a sink close (the remote reader
 // drains and sees EOF); a poisoned sink propagates as a source close
 // (upstream writers observe ErrReadClosed).

@@ -283,17 +283,6 @@ func (c *conn) Close() error {
 	return c.Conn.Close()
 }
 
-// CloseWrite half-closes the write side when the wrapped connection
-// supports it (TCP), so the transport's flush-then-close shutdown
-// still works through the fault wrapper.
-func (c *conn) CloseWrite() error {
-	type writeCloser interface{ CloseWrite() error }
-	if wc, ok := c.Conn.(writeCloser); ok {
-		return wc.CloseWrite()
-	}
-	return c.Conn.Close()
-}
-
 func (c *conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDeadline, c.writeDeadline = t, t

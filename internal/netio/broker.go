@@ -3,7 +3,6 @@ package netio
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,12 +40,14 @@ type waiter struct {
 	cancel func(error)
 }
 
-// Broker is a node's single network endpoint. All channel connections
-// of all distributed graphs hosted by the node arrive at the broker's
-// listener and are matched to waiting channel ends by rendezvous token
-// (the Go analog of the automatic connection establishment of §4.2:
-// where Java Object Serialization hooks create listening sockets per
-// stream, the broker multiplexes every rendezvous through one address).
+// Broker is a node's single network endpoint. Its listener accepts one
+// authenticated mux session per peer; every channel link of every
+// distributed graph hosted by the node is a virtual stream of such a
+// session, matched to its waiting channel end by rendezvous token (the
+// Go analog of the automatic connection establishment of §4.2: where
+// Java Object Serialization hooks create a listening socket per
+// stream, the broker carries every rendezvous through one address and
+// one socket per peer pair).
 type Broker struct {
 	ln   net.Listener
 	addr string
@@ -83,10 +84,10 @@ type Broker struct {
 	// (every inbound side always accepts both DATA kinds).
 	cmpOff atomic.Bool
 
-	// muxSt enables session multiplexing (nil = legacy one-conn-per-
-	// channel); the pool below keys live sessions by peer broker
-	// address. See muxpool.go.
-	muxSt           atomic.Pointer[muxState]
+	// psk is the cluster pre-shared key of the session handshake (nil =
+	// any peer speaking the protocol); the pool below keys live sessions
+	// by peer broker address. See muxpool.go.
+	psk             atomic.Pointer[[]byte]
 	muxMu           sync.Mutex
 	muxSess         map[string]*muxEntry
 	muxAll          map[*mux.Session]struct{}
@@ -142,9 +143,10 @@ func (b *Broker) injector() *faults.Injector {
 	return nil
 }
 
-// SetResilience enables fault-tolerant links (retry/backoff,
-// heartbeats, resumable reconnect) for every link created after the
-// call. Resilience changes the wire protocol, so every broker of a
+// SetResilience enables fault-tolerant links (retry/backoff, resumable
+// reconnect) for every link created after the call, and gives every
+// session established after it the configured heartbeat and miss
+// deadline. Resilience changes the wire protocol, so every broker of a
 // distributed graph must enable it — or none.
 func (b *Broker) SetResilience(r Resilience) {
 	b.res.Store(&r)
@@ -217,8 +219,8 @@ func (b *Broker) BytesOut() int64 { return b.ins.Load().bytesOut.Value() }
 // (dpn_conduit_link_retries_total).
 func (b *Broker) LinkRetries() int64 { return b.ins.Load().linkRetries.Value() }
 
-// HeartbeatMisses reports bounded reads that timed out waiting for the
-// peer (dpn_conduit_link_heartbeat_miss_total).
+// HeartbeatMisses reports sessions declared dead because the peer went
+// silent or stopped draining (dpn_conduit_link_heartbeat_miss_total).
 func (b *Broker) HeartbeatMisses() int64 { return b.ins.Load().heartbeatMiss.Value() }
 
 // PartitionHeals reports successful link reconnects after an outage
@@ -255,8 +257,8 @@ func (b *Broker) Close() error {
 			w.cancel(ErrBrokerClosed)
 		}
 	}
-	// Mux sessions are this broker's sockets toward its peers; closing
-	// them is what returns the per-pair FDs to the OS.
+	// Sessions are this broker's sockets toward its peers; closing them
+	// is what returns the per-pair FDs to the OS.
 	b.closeMuxSessions()
 	<-b.acceptDone
 	return err
@@ -273,35 +275,30 @@ func (b *Broker) acceptLoop() {
 	}
 }
 
-// handleConn routes one inbound connection. With mux enabled the first
-// byte dispatches: mux.Magic starts a session handshake, anything else
-// is the opening byte of a legacy per-channel HELLO, replayed ahead of
-// the conn so mixed fleets (mux and legacy dialers) coexist on one
-// listener.
+// handleConn runs the accept half of the session handshake on an
+// inbound connection — one that opens with anything but mux.Magic, or
+// with nothing within handshakeTimeout, is closed — then pools the
+// session under the peer's announced address, so outbound links reuse
+// it symmetrically, and serves its streams.
 func (b *Broker) handleConn(conn net.Conn) {
-	if b.MuxEnabled() {
-		conn.SetReadDeadline(time.Now().Add(handshakeTimeout()))
-		var first [1]byte
-		if _, err := io.ReadFull(conn, first[:]); err != nil {
-			conn.Close()
-			return
+	conn.SetDeadline(time.Now().Add(handshakeTimeout()))
+	sess, err := mux.Accept(conn, b.muxConfig())
+	if err != nil {
+		if errors.Is(err, mux.ErrAuthFailed) {
+			b.ins.Load().muxAuthFail.Inc()
 		}
-		if first[0] == mux.Magic {
-			b.handleMuxConn(conn)
-			return
-		}
-		conn = &prefixConn{Conn: conn, prefix: first[:]}
+		return
 	}
-	b.handleChannelConn(conn)
+	b.trackSession(sess, "accept")
+	b.adoptSession(sess)
+	b.serveMuxSession(sess)
 }
 
-// handleChannelConn reads the HELLO frame and delivers the connection
-// to the channel end waiting for its token, or parks it until that end
-// registers (a dial can win the race against the registration that a
-// redirect triggers on a third node). conn is a dedicated TCP
-// connection on the legacy path, a mux virtual stream otherwise — the
-// rendezvous protocol is identical.
-func (b *Broker) handleChannelConn(conn net.Conn) {
+// handleStream reads the HELLO frame that opens every inbound stream
+// and delivers the stream to the channel end waiting for its token, or
+// parks it until that end registers (a dial can win the race against
+// the registration that a redirect triggers on a third node).
+func (b *Broker) handleStream(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout()))
 	f, err := readFrame(conn)
 	if err != nil || f.kind != frameHello {
@@ -425,30 +422,17 @@ func (b *Broker) expectWithin(token string, d time.Duration) (net.Conn, string, 
 	}
 }
 
-// dial opens a connection to a peer broker and sends the HELLO frame.
-// With mux enabled the "connection" is a virtual stream over the
-// pooled per-peer session (the injector already wraps the session's
-// conn, so the stream is not wrapped again); otherwise it is a
-// dedicated TCP connection. The HELLO write is deadline-bounded so a
+// dial opens a virtual stream toward a peer broker over the pooled
+// per-peer session (whose conn the injector already wraps) and sends
+// the HELLO frame. The HELLO write is deadline-bounded so a
 // black-holed peer cannot block link setup indefinitely.
 func (b *Broker) dial(addr, token string) (net.Conn, error) {
-	inj := b.injector()
-	if err := inj.DialError(); err != nil {
+	if err := b.injector().DialError(); err != nil {
 		return nil, err
 	}
-	var conn net.Conn
-	if b.MuxEnabled() {
-		st, err := b.muxStream(addr)
-		if err != nil {
-			return nil, err
-		}
-		conn = st
-	} else {
-		raw, err := net.DialTimeout("tcp", addr, handshakeTimeout())
-		if err != nil {
-			return nil, err
-		}
-		conn = inj.Conn(raw)
+	conn, err := b.muxStream(addr)
+	if err != nil {
+		return nil, err
 	}
 	helloTimeout := handshakeTimeout()
 	if res := b.resilience(); res != nil && res.MissDeadline > 0 {
@@ -464,11 +448,12 @@ func (b *Broker) dial(addr, token string) (net.Conn, error) {
 	return conn, nil
 }
 
-// handshakeTimeoutNs bounds both sides of the HELLO exchange: the
-// accept path's read of the frame and the dial path's TCP connect and
-// write. Without it a silent or black-holed peer would pin a goroutine
-// (and its connection) forever. Atomic so tests can compress it while
-// brokers from earlier tests still hold live accept goroutines.
+// handshakeTimeoutNs bounds both sides of connection setup: the
+// accept path's session handshake and HELLO read, and the dial path's
+// TCP connect, session handshake and HELLO write. Without it a silent
+// or black-holed peer would pin a goroutine (and its connection)
+// forever. Atomic so tests can compress it while brokers from earlier
+// tests still hold live accept goroutines.
 var handshakeTimeoutNs atomic.Int64
 
 func init() { handshakeTimeoutNs.Store(int64(30 * time.Second)) }
@@ -484,16 +469,4 @@ var tokenSeq atomic.Int64
 // NewToken returns a node-unique rendezvous token.
 func (b *Broker) NewToken() string {
 	return fmt.Sprintf("%s/%d", b.addr, tokenSeq.Add(1))
-}
-
-// halfCloseWrite closes the write side of a TCP connection if
-// supported, flushing buffered data to the peer, and otherwise fully
-// closes it.
-func halfCloseWrite(conn net.Conn) {
-	type writeCloser interface{ CloseWrite() error }
-	if wc, ok := conn.(writeCloser); ok {
-		wc.CloseWrite()
-		return
-	}
-	conn.Close()
 }

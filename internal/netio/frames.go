@@ -2,7 +2,8 @@
 // process-network channels intact when program graphs are distributed
 // across machines (§4 of the paper). Each node runs one Broker with a
 // single TCP listener; every cross-node channel is carried by one
-// framed connection negotiated through rendezvous tokens. Links pump
+// framed virtual stream of the session its node shares with the peer
+// (package mux), negotiated through rendezvous tokens. Links pump
 // bytes between a node-local channel pipe and the connection, so
 // processes always operate on ordinary local ports regardless of where
 // their peers execute.
@@ -23,7 +24,7 @@ import (
 
 // Frame type bytes. DATA/EOF/REDIRECT travel in the data direction
 // (writer host → reader host); CLOSEREAD/MOVING travel in the control
-// direction (reader host → writer host). HELLO opens every connection.
+// direction (reader host → writer host). HELLO opens every stream.
 const (
 	frameHello     = 'H' // token, brokerAddr — connection rendezvous
 	frameData      = 'D' // payload — channel bytes
@@ -33,8 +34,7 @@ const (
 	frameMoving    = 'M' // addr, token — reader end moving; reconnect there
 	frameFence     = 'F' // data pauses here; resumes at the reader's new host
 	frameAck       = 'A' // count — receiver consumed payload bytes (flow control)
-	frameBeat      = 'B' // idle heartbeat (both directions, resilient links only)
-	frameResume    = 'S' // off — receiver's delivered offset; opens every resilient conn
+	frameResume    = 'S' // off — receiver's delivered offset, then the sender's confirmation; opens every resilient conn
 	frameBye       = 'Y' // reader confirms EOF/REDIRECT receipt (resilient links only)
 	frameTrace     = 'T' // id — causal trace mark for the next DATA frame (sampled, best-effort)
 	frameDataC     = 'Z' // payload — channel bytes, sealed as one compressed block (see token/blocks)
@@ -73,7 +73,7 @@ func encodeFrame(dst []byte, f frame) ([]byte, error) {
 			return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, len(f.payload), maxFramePayload)
 		}
 		return binary.BigEndian.AppendUint32(dst, uint32(len(f.payload))), nil
-	case frameEOF, frameCloseRead, frameFence, frameBeat, frameBye:
+	case frameEOF, frameCloseRead, frameFence, frameBye:
 		return dst, nil
 	case frameAck:
 		return binary.BigEndian.AppendUint32(dst, uint32(f.ack)), nil
@@ -151,7 +151,7 @@ func readFrameInto(r io.Reader, scratch []byte) (frame, error) {
 		if _, err := io.ReadFull(r, f.payload); err != nil {
 			return frame{}, unexpected(err)
 		}
-	case frameEOF, frameCloseRead, frameFence, frameBeat, frameBye:
+	case frameEOF, frameCloseRead, frameFence, frameBye:
 	case frameAck:
 		if _, err := io.ReadFull(r, scratch[1:5]); err != nil {
 			return frame{}, unexpected(err)

@@ -95,32 +95,34 @@ var ErrNotConnected = errors.New("netio: link not connected")
 // internal/conduit/errs.go.
 var ErrTruncated = errors.New("netio: stream ended before the sender's final frame")
 
-// errLinkFailed terminates a legacy (non-resilient) session that died
+// errLinkFailed terminates a non-resilient link whose connection died
 // without a more specific cause; defined once so the terminal error of
 // that path is errors.Is-comparable instead of freshly minted.
 var errLinkFailed = errors.New("netio: link failed")
 
 // Resilience configures fault tolerance for every link of a broker.
-// With resilience enabled, both link halves heartbeat each other while
-// idle, bound every network operation with MissDeadline, and treat a
-// dead connection as an outage to heal rather than the end of the
-// channel: the dialer side re-dials with jittered exponential backoff,
-// the serving side re-arms its rendezvous token, and a RESUME
-// handshake (the receiver announces its delivered byte offset, the
-// sender replays everything after it) resynchronizes the stream and
-// its credit window. An outage that outlasts LinkDeadline degrades
-// into the normal cascading close: the local channel end is poisoned
-// and the process network terminates cleanly instead of hanging.
+// With resilience enabled, the broker's sessions heartbeat the peer
+// every HeartbeatEvery and die after MissDeadline of silence (see
+// muxConfig), and a link treats the death of the session under it as
+// an outage to heal rather than the end of the channel: the dialer
+// side re-dials with jittered exponential backoff, the serving side
+// re-arms its rendezvous token, and a RESUME handshake (the receiver
+// announces its delivered byte offset, the sender replays everything
+// after it) resynchronizes the stream and its credit window. An outage
+// that outlasts LinkDeadline degrades into the normal cascading close:
+// the local channel end is poisoned and the process network terminates
+// cleanly instead of hanging.
 //
 // Resilience changes the wire protocol (RESUME opens every
 // connection), so it must be enabled on every broker of a distributed
 // graph or on none.
 type Resilience struct {
-	// HeartbeatEvery is the idle-heartbeat interval, sent in both
+	// HeartbeatEvery is the session's PING interval, sent in both
 	// directions so either side can detect a dead peer.
 	HeartbeatEvery time.Duration
-	// MissDeadline bounds every read and control write; a connection
-	// silent for this long is declared dead.
+	// MissDeadline is how long a session may stay silent, or a write
+	// may stall, before the peer is declared dead; it also bounds the
+	// RESUME handshake and every link control write.
 	MissDeadline time.Duration
 	// RetryBase is the first reconnect backoff; it doubles per attempt.
 	RetryBase time.Duration
@@ -894,10 +896,6 @@ func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (ctrlOutcome, net
 	case ev.err != nil:
 		conn.Close()
 		if o.res != nil {
-			var ne net.Error
-			if errors.As(ev.err, &ne) && ne.Timeout() {
-				o.h.b.noteLink("miss")
-			}
 			return ctrlFailed, nil
 		}
 		// Peer vanished: poison the local writer so the process network
@@ -918,8 +916,6 @@ func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (ctrlOutcome, net
 			}
 		}
 		return ctrlContinue, nil
-	case ev.f.kind == frameBeat:
-		return ctrlContinue, nil
 	case ev.f.kind == frameCloseRead:
 		// Remote reader closed: cascade the exception upstream.
 		conn.Close()
@@ -933,7 +929,6 @@ func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (ctrlOutcome, net
 		// parcel, so the stream offsets rebase to zero.
 		writeFrame(conn, frame{kind: frameFence})
 		o.h.b.noteFrame(frameFence, true, 0)
-		halfCloseWrite(conn)
 		conn.Close()
 		o.inFlight = 0
 		o.dropUnacked()
@@ -1016,9 +1011,10 @@ func (o *outboundLink) run(conn net.Conn) {
 }
 
 // resync performs the sender half of the RESUME handshake: the
-// receiver speaks first, announcing its delivered offset; retained
-// chunks past that offset are replayed and the credit window is
-// recomputed from the confirmed offset.
+// receiver speaks first, announcing its delivered offset; the sender
+// confirms the offset it resumes from (the receiver waits for that, see
+// inboundLink.session), retained chunks past it are replayed and the
+// credit window is recomputed from it.
 func (o *outboundLink) resync(conn net.Conn) bool {
 	conn.SetReadDeadline(time.Now().Add(o.res.MissDeadline))
 	f, err := readFrame(conn)
@@ -1054,6 +1050,10 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 	if o.ackSrc != nil {
 		o.ackSrc.Acked(off)
 	}
+	if err := o.writeLink(conn, frame{kind: frameResume, off: off}); err != nil {
+		return false
+	}
+	o.h.b.noteFrame(frameResume, true, 0)
 	for _, sc := range o.unacked {
 		if err := o.writeData(conn, sc.c); err != nil {
 			return false
@@ -1085,18 +1085,12 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 	ctrl := make(chan ctrlEvent, 16)
 	quit := make(chan struct{})
 	defer close(quit)
-	go readCtrl(conn, ctrl, quit, o.res)
-	var beat <-chan time.Time
-	if o.res != nil && o.res.HeartbeatEvery > 0 {
-		t := time.NewTicker(o.res.HeartbeatEvery)
-		defer t.Stop()
-		beat = t.C
-	}
+	go readCtrl(conn, ctrl, quit)
 	for {
 		// The terminal frame waits until every staged chunk (pending and
 		// the coalesce overflow slot) has been sent.
 		if o.finishing && o.pending.data == nil && o.next.data == nil {
-			res, next := o.finishStream(conn, ctrl, beat)
+			res, next := o.finishStream(conn, ctrl)
 			return res, next, progressed
 		}
 		if o.pending.data == nil {
@@ -1122,13 +1116,6 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 						return sessMoved, next, progressed
 					}
 					continue
-				case <-beat:
-					if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-						conn.Close()
-						return sessFailed, nil, progressed
-					}
-					o.h.b.noteFrame(frameBeat, true, 0)
-					continue
 				}
 			}
 		}
@@ -1138,22 +1125,13 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 			o.h.b.noteCreditStall()
 		}
 		for o.window > 0 && o.inFlight > 0 && o.inFlight+len(o.pending.data) > o.window {
-			select {
-			case ev := <-ctrl:
-				switch out, next := o.handleCtrl(ev, conn); out {
-				case ctrlStop:
-					return sessDone, nil, progressed
-				case ctrlFailed:
-					return sessFailed, nil, progressed
-				case ctrlMoved:
-					return sessMoved, next, progressed
-				}
-			case <-beat:
-				if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-					conn.Close()
-					return sessFailed, nil, progressed
-				}
-				o.h.b.noteFrame(frameBeat, true, 0)
+			switch out, next := o.handleCtrl(<-ctrl, conn); out {
+			case ctrlStop:
+				return sessDone, nil, progressed
+			case ctrlFailed:
+				return sessFailed, nil, progressed
+			case ctrlMoved:
+				return sessMoved, next, progressed
 			}
 		}
 		// A pending trace mark (set upstream on the pipe, or minted by
@@ -1205,7 +1183,7 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 // BYE confirmation, reconnecting and re-sending the terminal frame if
 // the connection dies first — a lost EOF is otherwise indistinguishable
 // from a lost peer.
-func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-chan time.Time) (sessResult, net.Conn) {
+func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent) (sessResult, net.Conn) {
 	if o.res == nil {
 		err := o.srcErr
 		if err == nil {
@@ -1215,14 +1193,13 @@ func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-c
 				o.h.b.noteFrame(final.kind, true, 0)
 			}
 		}
-		halfCloseWrite(conn)
-		o.drainCtrl(ctrl)
+		// Closing a stream delivers everything written before the close,
+		// so the link need not wait for the receiver's ACKs.
 		conn.Close()
 		o.h.finish(err)
 		return sessDone, nil
 	}
 	if o.srcErr != nil {
-		halfCloseWrite(conn)
 		conn.Close()
 		o.h.finish(o.srcErr)
 		return sessDone, nil
@@ -1234,45 +1211,33 @@ func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-c
 	}
 	o.h.b.noteFrame(final.kind, true, 0)
 	for {
-		select {
-		case ev := <-ctrl:
-			if ev.err == nil && ev.f.kind == frameBye {
-				o.h.b.noteFrame(frameBye, false, 0)
-				conn.Close()
-				o.src.Close()
-				o.h.finish(nil)
-				return sessDone, nil
-			}
-			switch out, next := o.handleCtrl(ev, conn); out {
-			case ctrlStop:
-				return sessDone, nil
-			case ctrlFailed:
-				return sessFailed, nil
-			case ctrlMoved:
-				return sessMoved, next
-			}
-		case <-beat:
-			if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-				conn.Close()
-				return sessFailed, nil
-			}
-			o.h.b.noteFrame(frameBeat, true, 0)
+		ev := <-ctrl
+		if ev.err == nil && ev.f.kind == frameBye {
+			o.h.b.noteFrame(frameBye, false, 0)
+			conn.Close()
+			o.src.Close()
+			o.h.finish(nil)
+			return sessDone, nil
+		}
+		switch out, next := o.handleCtrl(ev, conn); out {
+		case ctrlStop:
+			return sessDone, nil
+		case ctrlFailed:
+			return sessFailed, nil
+		case ctrlMoved:
+			return sessMoved, next
 		}
 	}
 }
 
-// readCtrl forwards control frames from the reader host. With
-// resilience every read is bounded by MissDeadline; the receiver
-// heartbeats the control direction, so a timeout means a dead peer.
+// readCtrl forwards control frames from the reader host. Reads carry
+// no deadline: a dead peer kills the session, which fails the read.
 // Every send selects on quit: a session that ends without draining the
 // channel (sessFailed, sessMoved) would otherwise strand this goroutine
 // behind a full buffer for the process lifetime.
-func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}, res *Resilience) {
+func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}) {
 	scratch := make([]byte, 16)
 	for {
-		if res != nil {
-			conn.SetReadDeadline(time.Now().Add(res.MissDeadline))
-		}
 		f, err := readFrameInto(conn, scratch)
 		if err != nil {
 			select {
@@ -1292,39 +1257,10 @@ func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}, res *R
 	}
 }
 
-// drainCap bounds how long a legacy sender holds its connection open
-// for a peer that has stopped consuming.
-const drainCap = 5 * time.Second
-
-// drainCtrl keeps a legacy connection open after the final frame until
-// the peer is done with it: its ACKs cover every byte sent, or it
-// closes its end, or drainCap passes. Returning any earlier — on the
-// first queued ACK, say — lets the remaining ACKs arrive at a closed
-// socket; the kernel answers those with a reset, and the reset
-// discards whatever the receiver had not yet read.
-func (o *outboundLink) drainCtrl(ctrl <-chan ctrlEvent) {
-	limit := time.NewTimer(drainCap)
-	defer limit.Stop()
-	for o.inFlight > 0 {
-		select {
-		case ev := <-ctrl:
-			if ev.err != nil {
-				return
-			}
-			if ev.f.kind == frameAck {
-				o.h.b.noteFrame(frameAck, false, 0)
-				o.inFlight -= ev.f.ack
-			}
-		case <-limit.C:
-			return
-		}
-	}
-}
-
 // inboundLink pumps received bytes into the local pipe behind a reader
 // port. With resilience it opens every connection by announcing its
-// delivered offset (RESUME), heartbeats the control direction, and
-// treats a silent connection as an outage to heal.
+// delivered offset (RESUME) and treats a dead connection as an outage
+// to heal.
 type inboundLink struct {
 	h   *Handle
 	dst io.WriteCloser
@@ -1367,9 +1303,9 @@ func (i *inboundLink) setConn(conn net.Conn) {
 	i.mu.Unlock()
 }
 
-// ctrlWrite serializes control-direction writes (ACK, BEAT, RESUME,
-// BYE, CLOSEREAD, MOVING share the conn with the heartbeat goroutine),
-// bounded by MissDeadline when resilient.
+// ctrlWrite serializes control-direction writes (the session
+// goroutine's ACK, RESUME, BYE and CLOSEREAD share the conn with
+// sendMoving), bounded by MissDeadline when resilient.
 func (i *inboundLink) ctrlWrite(conn net.Conn, f frame) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -1378,24 +1314,6 @@ func (i *inboundLink) ctrlWrite(conn net.Conn, f frame) error {
 		defer conn.SetWriteDeadline(time.Time{})
 	}
 	return writeFrameBuf(conn, f, i.hdr[:])
-}
-
-// beatLoop heartbeats the control direction so the sender's bounded
-// reads see traffic even when no data is being consumed.
-func (i *inboundLink) beatLoop(conn net.Conn, stop <-chan struct{}) {
-	t := time.NewTicker(i.res.HeartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if err := i.ctrlWrite(conn, frame{kind: frameBeat}); err != nil {
-				return // the read deadline will declare the conn dead
-			}
-			i.h.b.noteFrame(frameBeat, true, 0)
-		}
-	}
 }
 
 // redial runs the initial-dial retry loop for DialInbound when the
@@ -1455,10 +1373,14 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 			return false, false
 		}
 		i.h.b.noteFrame(frameResume, true, 0)
-		stop := make(chan struct{})
-		defer close(stop)
-		go i.beatLoop(conn, stop)
+		// The sender confirms RESUME before anything else, and only that
+		// wait is bounded: the session under the stream answers for the
+		// peer host, not for the peer link — the peer's broker parks a
+		// stream whose link is gone, and would leave this end waiting on
+		// a healthy session forever.
+		conn.SetReadDeadline(time.Now().Add(i.res.MissDeadline))
 	}
+	resuming := i.res != nil
 	// One pooled buffer serves every frame of the session: the payload
 	// is copied into the local pipe before the next read, so the frame
 	// reader can alias its scratch instead of allocating per frame. A
@@ -1469,9 +1391,6 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 	dec := getChunkBuf()
 	defer putChunkBuf(dec)
 	for {
-		if i.res != nil {
-			conn.SetReadDeadline(time.Now().Add(i.res.MissDeadline))
-		}
 		f, err := readFrameInto(conn, *scratch)
 		if err != nil {
 			i.mu.Lock()
@@ -1486,10 +1405,6 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 				return true, progressed
 			}
 			if i.res != nil {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					i.h.b.noteLink("miss")
-				}
 				return false, progressed
 			}
 			// Connection lost short of the sender's final frame: close the
@@ -1499,13 +1414,21 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 			i.h.finish(ErrTruncated)
 			return true, progressed
 		}
-		progressed = true
 		if f.kind != frameData && f.kind != frameDataC {
 			i.h.b.noteFrame(f.kind, false, len(f.payload))
 		}
+		if resuming {
+			if f.kind != frameResume {
+				conn.Close()
+				return false, progressed
+			}
+			conn.SetReadDeadline(time.Time{})
+			resuming = false
+			progressed = true
+			continue
+		}
+		progressed = true
 		switch f.kind {
-		case frameBeat:
-			// Liveness only.
 		case frameTrace:
 			// Causal trace mark for the next DATA frame: record the
 			// wire-in span (the receiving half of the conduit edge the

@@ -42,9 +42,8 @@ import (
 // connection without client certificates); production clusters set a
 // PSK on every broker or on none.
 
-// Magic is the first byte of a mux session handshake. It is disjoint
-// from every legacy frame kind, so a broker can tell a mux session
-// from a per-channel HELLO connection by its first byte.
+// Magic is the first byte of a mux session handshake; the acceptor
+// closes a connection that opens with anything else.
 const Magic = 'X'
 
 // version is the mux protocol version byte.
@@ -184,19 +183,25 @@ func dialHandshake(conn net.Conn, psk []byte, localAddr string, window uint32) (
 	return res, nil
 }
 
-// acceptHandshake runs the serving half of the session handshake. The
-// caller has already consumed the Magic byte (that is how it routed the
-// connection here).
+// acceptHandshake runs the serving half of the session handshake.
 func acceptHandshake(conn net.Conn, psk []byte, localAddr string, window uint32) (handshakeResult, error) {
 	var res handshakeResult
-	var fixed [1 + 32]byte // version + dialer ephemeral pub
-	if _, err := io.ReadFull(conn, fixed[:]); err != nil {
+	var fixed [2 + 32]byte // magic + version + dialer ephemeral pub
+	// The first byte is judged alone: a peer speaking some other protocol
+	// may never send a second one.
+	if _, err := io.ReadFull(conn, fixed[:1]); err != nil {
 		return res, err
 	}
-	if fixed[0] != version {
-		return res, fmt.Errorf("mux: peer speaks protocol version %d, want %d", fixed[0], version)
+	if fixed[0] != Magic {
+		return res, fmt.Errorf("mux: first byte %q is not a session handshake", fixed[0])
 	}
-	dialerPub, err := ecdh.X25519().NewPublicKey(fixed[1:33])
+	if _, err := io.ReadFull(conn, fixed[1:]); err != nil {
+		return res, err
+	}
+	if fixed[1] != version {
+		return res, fmt.Errorf("mux: peer speaks protocol version %d, want %d", fixed[1], version)
+	}
+	dialerPub, err := ecdh.X25519().NewPublicKey(fixed[2:34])
 	if err != nil {
 		return res, fmt.Errorf("mux: bad dialer key: %w", err)
 	}

@@ -1,15 +1,17 @@
 // Package mux multiplexes many virtual streams over one long-lived,
 // authenticated connection per peer pair.
 //
-// The broker's legacy transport opens one TCP connection per channel
-// rendezvous; at production scale (thousands of channels between two
-// hosts) that is file-descriptor and handshake blowup. A mux Session
-// runs the X25519 challenge/response handshake once (handshake.go) and
-// then carries any number of conduits as virtual streams, each a full
-// net.Conn: the netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME,
-// BEAT, TRACE, BYE, REDIRECT — tunnels through a stream unchanged, so
-// resilience, compression, durable journaling, and migration all
-// compose with the mux without knowing it exists.
+// One TCP connection per channel rendezvous (the paper's §4.2) is
+// file-descriptor and handshake blowup at production scale (thousands
+// of channels between two hosts). A mux Session runs the X25519
+// challenge/response handshake once (handshake.go) and then carries
+// any number of conduits as virtual streams, each a full net.Conn: the
+// netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME, TRACE, BYE,
+// REDIRECT — runs over a stream, so resilience, compression, durable
+// journaling, and migration never see the session boundary. The
+// session is also the wire's one liveness probe: its keepalive and
+// write bound decide when the peer is gone, and every stream fails
+// with it.
 //
 // Framing on the session is deliberately minimal:
 //
@@ -55,9 +57,9 @@ const (
 	// DefaultMaxStreams bounds concurrent streams per session.
 	DefaultMaxStreams = 4096
 
-	defaultWriteTimeout = 2 * time.Minute
-	defaultKeepAlive    = 15 * time.Second
-	acceptBacklog       = 128
+	defaultKeepAlive = 15 * time.Second
+	defaultTimeout   = 3 * defaultKeepAlive
+	acceptBacklog    = 128
 )
 
 // Frame kinds.
@@ -86,7 +88,9 @@ var (
 	// aborted the stream with a RST frame.
 	ErrStreamReset = errors.New("mux: stream reset by peer")
 
-	errKeepAlive = errors.New("mux: session keepalive timeout")
+	// errKeepAlive wraps the deadline sentinel so a session that died of
+	// silence and one that died of a stalled write classify alike.
+	errKeepAlive = fmt.Errorf("mux: session keepalive: %w", os.ErrDeadlineExceeded)
 )
 
 // Hooks are optional instrumentation callbacks; the broker points them
@@ -135,14 +139,14 @@ type Config struct {
 	// DefaultMaxStreams).
 	MaxStreams int
 
-	// WriteTimeout bounds a single frame write on the shared conn; a
-	// peer that stops draining for this long kills the session
-	// (default 2m).
-	WriteTimeout time.Duration
+	// Timeout is how long the peer may stay silent, or a single frame
+	// write may stall on the shared conn, before the session is declared
+	// dead (default 45s).
+	Timeout time.Duration
 
-	// KeepAlive is the PING interval; a session that receives nothing
-	// for 3 intervals is declared dead. Negative disables keepalives
-	// (default 15s).
+	// KeepAlive is the PING interval that keeps an idle session from
+	// looking silent; keep it well under Timeout. Negative disables
+	// PINGs and the silence check (default 15s).
 	KeepAlive time.Duration
 
 	Hooks Hooks
@@ -162,11 +166,11 @@ func (c Config) maxStreams() int {
 	return DefaultMaxStreams
 }
 
-func (c Config) writeTimeout() time.Duration {
-	if c.WriteTimeout > 0 {
-		return c.WriteTimeout
+func (c Config) timeout() time.Duration {
+	if c.Timeout > 0 {
+		return c.Timeout
 	}
-	return defaultWriteTimeout
+	return defaultTimeout
 }
 
 // Session is one authenticated connection carrying many streams. Both
@@ -182,6 +186,11 @@ type Session struct {
 	wmu  sync.Mutex
 	wbuf []byte // staging buffer: header+payload in one conn.Write
 	werr error
+
+	// openMu makes stream-id allocation and the SYN write one step: the
+	// peer rejects an id at or below the last it saw, so SYNs must reach
+	// the wire in id order.
+	openMu sync.Mutex
 
 	mu       sync.Mutex
 	streams  map[uint32]*Stream
@@ -205,9 +214,9 @@ func Dial(conn net.Conn, cfg Config) (*Session, error) {
 	return newSession(conn, cfg, res, true), nil
 }
 
-// Accept runs the serving half of the handshake on conn — whose Magic
-// byte the caller has already consumed to route it here — and returns
-// the live session. On handshake failure the conn is closed.
+// Accept runs the serving half of the handshake on conn and returns the
+// live session. On handshake failure — a first byte other than Magic
+// included — the conn is closed.
 func Accept(conn net.Conn, cfg Config) (*Session, error) {
 	res, err := acceptHandshake(conn, cfg.PSK, cfg.Addr, uint32(cfg.window()))
 	if err != nil {
@@ -274,6 +283,8 @@ func (s *Session) NumStreams() int {
 
 // OpenStream opens a new virtual stream toward the peer.
 func (s *Session) OpenStream() (*Stream, error) {
+	s.openMu.Lock()
+	defer s.openMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		err := s.err
@@ -321,6 +332,9 @@ func (s *Session) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
+	// Settle the cause first: the peer answers GO by hanging up, and the
+	// read loop's EOF must not beat the fail below to it.
+	s.err = ErrSessionClosed
 	s.mu.Unlock()
 	s.writeFrame(kindGO, 0, nil) // best effort; fail handles a dead conn
 	s.fail(ErrSessionClosed)
@@ -328,7 +342,8 @@ func (s *Session) Close() error {
 }
 
 // fail kills the session with err: closes the conn, aborts every
-// stream, and releases Done. Idempotent; the first cause wins.
+// stream, and releases Done. Idempotent; the first cause wins, and a
+// deliberate Close is always first.
 func (s *Session) fail(err error) {
 	s.mu.Lock()
 	if s.closed {
@@ -336,7 +351,10 @@ func (s *Session) fail(err error) {
 		return
 	}
 	s.closed = true
-	s.err = err
+	if s.err == nil {
+		s.err = err
+	}
+	err = s.err
 	streams := make([]*Stream, 0, len(s.streams))
 	for _, st := range s.streams {
 		streams = append(streams, st)
@@ -381,11 +399,13 @@ func (s *Session) writeFrame(kind byte, id uint32, payload []byte) error {
 	binary.BigEndian.PutUint32(b[1:5], id)
 	binary.BigEndian.PutUint32(b[5:9], uint32(len(payload)))
 	copy(b[muxHdrLen:], payload)
-	s.conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout()))
+	s.conn.SetWriteDeadline(time.Now().Add(s.cfg.timeout()))
 	if _, err := s.conn.Write(b); err != nil {
-		s.werr = err
+		// Report the session's cause, not this write's symptom: the conn
+		// may have been closed under us by a fail already in progress.
 		s.fail(err)
-		return err
+		s.werr = s.Err()
+		return s.werr
 	}
 	return nil
 }
@@ -399,7 +419,7 @@ func (s *Session) keepalive(interval time.Duration) {
 			return
 		case <-t.C:
 			idle := time.Duration(time.Now().UnixNano() - s.lastRcv.Load())
-			if idle > 3*interval {
+			if idle > s.cfg.timeout() {
 				s.fail(errKeepAlive)
 				return
 			}
@@ -546,8 +566,8 @@ func (s *Session) handleRST(id uint32) {
 	s.removeStream(st)
 }
 
-// Stream is one virtual stream: a full net.Conn (plus CloseWrite, so
-// the link layer's half-close works) multiplexed over the session.
+// Stream is one virtual stream: a full net.Conn (plus CloseWrite)
+// multiplexed over the session.
 //
 // Received data lands in a fixed ring the size of the receive window —
 // credit accounting guarantees the peer never sends more than fits, so
@@ -569,9 +589,9 @@ type Stream struct {
 
 	sendCredit int // bytes we may still send (peer grants)
 
-	remoteDone bool  // peer sent FIN
-	rclosed    bool  // local read side closed
-	wclosed    bool  // local write side closed (FIN sent or queued)
+	remoteDone bool // peer sent FIN
+	rclosed    bool // local read side closed
+	wclosed    bool // local write side closed (FIN sent or queued)
 	finSent    bool
 	rstSent    bool
 	resetErr   error // stream aborted (RST or session death)
@@ -783,8 +803,7 @@ func (st *Stream) Write(p []byte) (int, error) {
 }
 
 // CloseWrite half-closes the stream: a FIN tells the peer no more data
-// is coming, while reads continue. This is what the link layer's
-// halfCloseWrite probe finds.
+// is coming, while reads continue.
 func (st *Stream) CloseWrite() error {
 	st.mu.Lock()
 	if st.wclosed || st.resetErr != nil {
@@ -798,8 +817,11 @@ func (st *Stream) CloseWrite() error {
 	return st.sess.writeFrame(kindFIN, st.id, nil)
 }
 
-// Close closes both directions. The peer sees FIN; once it FINs back
-// (or already has) the stream leaves the session table.
+// Close closes both directions. The peer sees FIN after everything
+// written before it — a close never discards data the peer has yet to
+// read, which is what lets a link close right after its final frame —
+// and once it FINs back (or already has) the stream leaves the session
+// table.
 func (st *Stream) Close() error {
 	st.mu.Lock()
 	if st.rclosed && st.wclosed {

@@ -13,8 +13,7 @@ import (
 )
 
 // sessionPair builds a dialer/acceptor session pair over a real TCP
-// connection, with the Magic byte consumed on the accept side the way
-// the broker's accept loop does it.
+// connection.
 func sessionPair(t *testing.T, dialCfg, acceptCfg Config) (*Session, *Session) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,15 +31,6 @@ func sessionPair(t *testing.T, dialCfg, acceptCfg Config) (*Session, *Session) {
 		conn, err := ln.Accept()
 		if err != nil {
 			ch <- accepted{nil, err}
-			return
-		}
-		var magic [1]byte
-		if _, err := io.ReadFull(conn, magic[:]); err != nil {
-			ch <- accepted{nil, err}
-			return
-		}
-		if magic[0] != Magic {
-			ch <- accepted{nil, fmt.Errorf("first byte %q, want Magic", magic[0])}
 			return
 		}
 		sess, err := Accept(conn, acceptCfg)
@@ -137,11 +127,6 @@ func TestAuthFailure(t *testing.T) {
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			srvErr <- err
-			return
-		}
-		var magic [1]byte
-		if _, err := io.ReadFull(conn, magic[:]); err != nil {
 			srvErr <- err
 			return
 		}
@@ -435,8 +420,6 @@ func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 		if err != nil {
 			return
 		}
-		var magic [1]byte
-		io.ReadFull(conn, magic[:])
 		acceptHandshake(conn, nil, "blackhole:1", DefaultWindow)
 		// Keep the conn open but silent; drain to avoid TCP pushback.
 		io.Copy(io.Discard, conn)
@@ -446,7 +429,7 @@ func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := Dial(conn, Config{KeepAlive: 25 * time.Millisecond})
+	sess, err := Dial(conn, Config{KeepAlive: 25 * time.Millisecond, Timeout: 75 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func newMuxBroker(t *testing.T, psk []byte) *Broker {
 	t.Helper()
 	b := newTestBroker(t)
-	b.EnableMux(psk)
+	b.SetPSK(psk)
 	return b
 }
 
@@ -129,8 +129,8 @@ func TestMuxResilientLinkSurvivesSessionDeath(t *testing.T) {
 	// RESUME byte-identically.
 	a := newResilientBroker(t, testResilience())
 	b := newResilientBroker(t, testResilience())
-	a.EnableMux([]byte("k"))
-	b.EnableMux([]byte("k"))
+	a.SetPSK([]byte("k"))
+	b.SetPSK([]byte("k"))
 	inj := faults.New(faults.Config{Seed: 7, Drop: 0.1})
 	b.SetFaults(inj)
 
@@ -168,38 +168,6 @@ func TestMuxAuthMismatchFailsDial(t *testing.T) {
 	_, err := b.DialInbound(a.Addr(), "tok", dst.WriteEnd())
 	if !errors.Is(err, mux.ErrAuthFailed) {
 		t.Fatalf("dial across PSK mismatch: %v, want ErrAuthFailed", err)
-	}
-}
-
-func TestMuxAcceptsLegacyDialer(t *testing.T) {
-	// A mux-enabled broker still accepts a legacy per-channel dialer:
-	// the first byte is a HELLO frame kind, not mux.Magic, and is
-	// replayed into the legacy path. Mixed fleets can upgrade node by
-	// node.
-	a := newMuxBroker(t, nil)
-	b := newTestBroker(t) // legacy
-
-	src := stream.NewPipe(1 << 14)
-	dst := stream.NewPipe(1 << 14)
-	tok := a.NewToken()
-	if _, err := a.ServeOutbound(tok, src.ReadEnd(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.DialInbound(a.Addr(), tok, dst.WriteEnd()); err != nil {
-		t.Fatal(err)
-	}
-	payload := payloadPattern(100_000)
-	go func() {
-		src.Write(payload)
-		src.CloseWrite()
-	}()
-	got, err := io.ReadAll(dst.ReadEnd())
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy dialer against mux broker: got %d bytes (err %v), want %d",
-			len(got), err, len(payload))
-	}
-	if a.MuxSessions() != 0 {
-		t.Fatalf("legacy connection created %d mux sessions", a.MuxSessions())
 	}
 }
 

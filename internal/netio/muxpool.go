@@ -3,26 +3,27 @@ package netio
 import (
 	"errors"
 	"net"
+	"os"
 	"time"
 
 	"dpn/internal/netio/mux"
 )
 
-// This file is the broker's mux session pool: one authenticated,
+// This file is the broker's session pool: one authenticated,
 // long-lived connection per peer pair, carrying every channel link
 // between the pair as a virtual stream.
 //
-// The layering is deliberately transparent. A mux stream is a full
-// net.Conn, so the existing link protocol — HELLO rendezvous, DATA/
-// DATA-C, ACK credit, RESUME resync, BEAT, TRACE, BYE, REDIRECT —
-// tunnels through it unchanged: dial() opens a stream instead of a TCP
-// connection and writes the same HELLO; the accept path peels streams
-// off inbound sessions and feeds them to the same rendezvous matcher.
-// Resilience composes too: when a session dies, its streams fail like
-// broken conns, resilient links re-dial, the pool builds (or reuses) a
-// fresh session, and the RESUME offset handshake replays whatever the
-// outage swallowed — durable WAL journaling and block compression ride
-// per-stream and never notice the session boundary.
+// A mux stream is a full net.Conn, so the link protocol — HELLO
+// rendezvous, DATA/DATA-C, ACK credit, RESUME resync, TRACE, BYE,
+// REDIRECT — runs over it as it would over a socket of its own: dial()
+// opens a stream and writes HELLO; the accept path peels streams off
+// inbound sessions and feeds them to the rendezvous matcher. The
+// session owns liveness: when it dies (peer silent or not draining, see
+// muxConfig), its streams fail, resilient links re-dial, the pool
+// builds (or reuses) a fresh session, and the RESUME offset handshake
+// replays whatever the outage swallowed — durable WAL journaling and
+// block compression ride per-stream and never notice the session
+// boundary.
 //
 // Sessions are pooled under the peer broker's *announced* listen
 // address, and both the dialing and the accepting side register them,
@@ -30,11 +31,6 @@ import (
 // connection instead of opening a second: a connected peer pair holds
 // exactly one TCP socket no matter how many channels run between them,
 // which is the point (§4.2's per-stream server sockets, inverted).
-
-// muxState holds the broker's mux enablement and its cluster PSK.
-type muxState struct {
-	psk []byte
-}
 
 // muxEntry is one pooled session, or one in-flight attempt to build
 // it. ready is closed once sess/err settle, so concurrent dials to the
@@ -45,19 +41,11 @@ type muxEntry struct {
 	err   error
 }
 
-// EnableMux switches this broker to session multiplexing: every future
-// outbound link tunnels through a pooled per-peer session, and inbound
-// mux handshakes (first byte mux.Magic) are accepted alongside legacy
-// per-channel connections. psk is the cluster pre-shared key for the
-// challenge/response peer authentication; nil accepts any peer that
-// speaks the protocol. Enable it on every broker of a graph — a mux
-// dialer needs a mux-aware acceptor.
-func (b *Broker) EnableMux(psk []byte) {
-	b.muxSt.Store(&muxState{psk: psk})
-}
-
-// MuxEnabled reports whether this broker multiplexes links.
-func (b *Broker) MuxEnabled() bool { return b.muxSt.Load() != nil }
+// SetPSK sets the cluster pre-shared key for the challenge/response
+// peer authentication of every session established after the call;
+// nil accepts any peer that speaks the protocol. Set the same key on
+// every broker of a graph.
+func (b *Broker) SetPSK(psk []byte) { b.psk.Store(&psk) }
 
 // MuxSessions reports the number of live mux sessions this broker
 // holds (the dpn_mux_sessions_live gauge).
@@ -68,15 +56,14 @@ func (b *Broker) MuxSessions() int64 { return b.muxLiveSessions.Load() }
 func (b *Broker) MuxStreams() int64 { return b.muxLiveStreams.Load() }
 
 // muxConfig assembles the session config: the broker's listen address
-// as its announced identity and metric hooks into the active bundle.
+// as its announced identity, metric hooks into the active bundle, and —
+// with resilience enabled — its heartbeat as the session's PING
+// interval and its miss deadline as the bound on peer silence and on a
+// stalled write. The session is the wire's only liveness probe: links
+// set no per-frame read deadline and send no heartbeat of their own,
+// they see the session's death as their outage.
 func (b *Broker) muxConfig() mux.Config {
-	st := b.muxSt.Load()
-	var psk []byte
-	if st != nil {
-		psk = st.psk
-	}
-	return mux.Config{
-		PSK:  psk,
+	cfg := mux.Config{
 		Addr: b.addr,
 		Hooks: mux.Hooks{
 			StreamOpened: func() { b.noteMuxStreams(b.muxLiveStreams.Add(1)) },
@@ -84,6 +71,13 @@ func (b *Broker) muxConfig() mux.Config {
 			CreditStall:  func() { b.ins.Load().muxCreditStalls.Inc() },
 		},
 	}
+	if psk := b.psk.Load(); psk != nil {
+		cfg.PSK = *psk
+	}
+	if res := b.resilience(); res != nil {
+		cfg.KeepAlive, cfg.Timeout = res.HeartbeatEvery, res.MissDeadline
+	}
+	return cfg
 }
 
 // muxStream opens one virtual stream toward the peer broker at addr,
@@ -200,23 +194,6 @@ func (b *Broker) dialMuxSession(addr string) (*mux.Session, error) {
 	return sess, nil
 }
 
-// handleMuxConn runs the accept half of the session handshake on an
-// inbound connection whose mux.Magic byte the accept path consumed,
-// then serves its streams and pools it under the peer's announced
-// address so outbound links reuse it symmetrically.
-func (b *Broker) handleMuxConn(conn net.Conn) {
-	sess, err := mux.Accept(conn, b.muxConfig())
-	if err != nil {
-		if errors.Is(err, mux.ErrAuthFailed) {
-			b.ins.Load().muxAuthFail.Inc()
-		}
-		return
-	}
-	b.trackSession(sess, "accept")
-	b.adoptSession(sess)
-	b.serveMuxSession(sess)
-}
-
 // adoptSession offers an accepted session to the pool under the peer's
 // announced address. An existing live entry wins — simultaneous dials
 // from both sides may briefly yield two sessions for a pair, and the
@@ -276,21 +253,23 @@ func (b *Broker) trackSession(sess *mux.Session, role string) {
 		delete(b.muxAll, sess)
 		b.muxMu.Unlock()
 		n := b.muxLiveSessions.Add(-1)
-		ins := b.ins.Load()
-		ins.muxSessionsLive.Set(n)
+		b.ins.Load().muxSessionsLive.Set(n)
 		b.noteMuxStreams(b.muxLiveStreams.Load())
+		if errors.Is(sess.Err(), os.ErrDeadlineExceeded) {
+			b.noteLink("miss")
+		}
 	}()
 }
 
-// serveMuxSession feeds every inbound stream of a session to the same
-// rendezvous path a dedicated TCP connection would have taken.
+// serveMuxSession feeds every inbound stream of a session to the
+// rendezvous matcher.
 func (b *Broker) serveMuxSession(sess *mux.Session) {
 	for {
 		st, err := sess.AcceptStream()
 		if err != nil {
 			return
 		}
-		go b.handleChannelConn(st)
+		go b.handleStream(st)
 	}
 }
 
@@ -308,31 +287,4 @@ func (b *Broker) closeMuxSessions() {
 	for _, s := range sessions {
 		s.Close()
 	}
-}
-
-// prefixConn replays already-consumed bytes (the accept path's peek at
-// the first byte) ahead of the live connection.
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
-// CloseWrite forwards the half-close capability embedding would hide
-// (the promoted method set of an embedded interface is only the
-// interface's), so halfCloseWrite still finds it on legacy conns.
-func (p *prefixConn) CloseWrite() error {
-	type writeCloser interface{ CloseWrite() error }
-	if wc, ok := p.Conn.(writeCloser); ok {
-		return wc.CloseWrite()
-	}
-	return p.Conn.Close()
 }

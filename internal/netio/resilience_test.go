@@ -12,9 +12,9 @@ import (
 )
 
 // testResilience is a fast configuration for in-process tests: quick
-// heartbeats and short deadlines so outages are detected in tens of
-// milliseconds, with a LinkDeadline long enough to ride out the test
-// partitions.
+// heartbeats and short deadlines so outages are detected in a few
+// hundred milliseconds, with a LinkDeadline long enough to ride out the
+// test partitions.
 func testResilience() Resilience {
 	return Resilience{
 		HeartbeatEvery: 20 * time.Millisecond,
@@ -110,10 +110,10 @@ func TestResilientLinkSurvivesConnectionDrops(t *testing.T) {
 }
 
 func TestResilientLinkHealsStallPartition(t *testing.T) {
-	// Stall-mode partition: the connection goes silent instead of
-	// resetting. Heartbeat misses must detect it, and the reconnect
-	// (blocked by DialError until the window ends) must resume the
-	// stream byte-identically.
+	// Stall-mode partition: the session's connection goes silent instead
+	// of resetting. The session's keepalive must declare it dead (counted
+	// as a heartbeat miss), and the reconnect (blocked by DialError until
+	// the window ends) must resume the stream byte-identically.
 	inj := faults.New(faults.Config{Seed: 3, Stall: true})
 	a := newResilientBroker(t, testResilience())
 	b := newResilientBroker(t, testResilience())
@@ -194,6 +194,7 @@ func TestResilientLinkDegradesOnPermanentPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.PartitionNow(0)
+	cut := time.Now()
 
 	waitOrHang := func(name string, h *Handle) {
 		t.Helper()
@@ -205,6 +206,12 @@ func TestResilientLinkDegradesOnPermanentPartition(t *testing.T) {
 	}
 	waitOrHang("outbound", hOut)
 	waitOrHang("inbound", hIn)
+	// The stalled session dies one MissDeadline (plus at most one
+	// heartbeat) after the cut and the outage it opens lasts
+	// LinkDeadline; half of that again is scheduling slack.
+	if took, limit := time.Since(cut), (res.LinkDeadline+res.MissDeadline)*3/2; took > limit {
+		t.Fatalf("links degraded %v after the cut, want within LinkDeadline+MissDeadline (limit %v)", took, limit)
+	}
 
 	// The receiver's pipe must be poisoned so local readers terminate.
 	if _, err := io.ReadAll(dst.ReadEnd()); err != nil && err != io.EOF {
@@ -261,7 +268,8 @@ func TestResilientDialRoleDegradesWhenPeerEndpointNeverArrives(t *testing.T) {
 		a := newResilientBroker(t, res)
 		b := newResilientBroker(t, res)
 		dst := stream.NewPipe(1 << 12)
-		// No ServeOutbound on b: RESUME is swallowed by a parked conn.
+		// No ServeOutbound on b: RESUME is swallowed by a parked stream
+		// and never confirmed.
 		h, err := a.DialInbound(b.Addr(), b.NewToken(), dst.WriteEnd())
 		if err != nil {
 			t.Fatal(err)
@@ -329,8 +337,9 @@ func TestResilientDialRetriesUntilServerArrives(t *testing.T) {
 
 func TestResilientLinkIdleSurvivesMissDeadline(t *testing.T) {
 	// An idle channel (source produces nothing for longer than
-	// MissDeadline) must NOT be declared dead: heartbeats carry
-	// liveness in both directions.
+	// MissDeadline) must NOT be declared dead: the session's PINGs carry
+	// liveness in both directions, and the link sets no read deadline of
+	// its own.
 	res := testResilience()
 	a := newResilientBroker(t, res)
 	b := newResilientBroker(t, res)

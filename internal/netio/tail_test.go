@@ -9,14 +9,15 @@ import (
 	"dpn/internal/stream"
 )
 
-// TestDirectTCPDeliversTail is the regression test for the silent tail
-// loss on legacy (non-resilient) direct-TCP links: the sender used to
-// close as soon as one ACK came back, the remaining ACKs met a closed
-// socket, and the resulting reset discarded what a slow receiver had
-// not read yet — which the inbound session then reported as a clean
-// end of stream. Every run must deliver every byte, and both link
-// halves must finish clean.
-func TestDirectTCPDeliversTail(t *testing.T) {
+// TestSessionLinkDeliversTail pins the tail-loss property on
+// non-resilient links: the sender closes its stream right after the
+// final frame, with most of the stream unread by a slow receiver and
+// every ACK still to come, and none of that may cost the receiver a
+// byte or turn into anything but a clean end of stream. (On a socket
+// per channel the late ACKs met a closed socket and the reset discarded
+// the unread tail; a stream close must never do that.) Every run must
+// deliver every byte, and both link halves must finish clean.
+func TestSessionLinkDeliversTail(t *testing.T) {
 	runs := 500
 	if testing.Short() {
 		runs = 50
@@ -25,7 +26,8 @@ func TestDirectTCPDeliversTail(t *testing.T) {
 	b := newTestBroker(t)
 	// The shape that lost its tail: 8 batches of 4096 int64 tokens, all
 	// of it inside the default credit window, so the sender is done
-	// while most of the stream still sits in kernel buffers.
+	// while most of the stream still sits in the receiver's stream
+	// buffer.
 	const batch, batches = 32 << 10, 8
 	payload := make([]byte, batch)
 	for i := range payload {
@@ -93,11 +95,11 @@ func readSlowly(r io.Reader, run int) (int, error) {
 	}
 }
 
-// TestInboundReportsTruncation pins the other half of the fix: an
-// inbound link whose connection dies before the sender's final frame
-// closes its reader (the cascade must still run) but finishes with
-// ErrTruncated, never nil.
-func TestInboundReportsTruncation(t *testing.T) {
+// TestSessionLinkReportsTruncation pins the other half: an inbound
+// link whose stream ends before the sender's final frame closes its
+// reader (the cascade must still run) but finishes with ErrTruncated,
+// never nil.
+func TestSessionLinkReportsTruncation(t *testing.T) {
 	a := newTestBroker(t)
 	b := newTestBroker(t)
 	dst := stream.NewPipe(64)

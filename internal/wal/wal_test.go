@@ -448,8 +448,8 @@ func FuzzOpenAfterDamage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(good(fill(1, 20)))
 	f.Add(good(fill(1, 20), fill(2, 300)))
-	f.Add(good(fill(1, 20))[:25])             // torn payload
-	f.Add(append(good(fill(3, 40)), 0xff))    // trailing junk
+	f.Add(good(fill(1, 20))[:25])                              // torn payload
+	f.Add(append(good(fill(3, 40)), 0xff))                     // trailing junk
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3}) // absurd length
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dir := t.TempDir()

@@ -17,7 +17,7 @@ import (
 
 // The close-cascade equivalence property (satellite of the conduit
 // refactor): a Kahn graph must compute the identical stream whether its
-// channel is a bare in-proc conduit, a tcp-bound conduit, or a conduit
+// channel is a bare in-proc conduit, a wire-bound conduit, or a conduit
 // whose transport is rebound mid-stream by a live migration — and the
 // §3.4 cascade must terminate the graph the same way in all three
 // deployments, in both directions (producer EOF flowing down, consumer
@@ -110,14 +110,13 @@ func runInproc(t *testing.T, cc cascadeCase) []int64 {
 	return col.Vals
 }
 
-// runTCP exports the collector before execution: the conduit's sink is
-// rebound to the node's network transport (per-channel tcp, or mux
-// virtual streams when newNode enables multiplexing) and the cascade
-// crosses the wire.
-func runTCP(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int64 {
+// runWire exports the collector before execution: the conduit's sink
+// is rebound to the node's network transport and the cascade crosses
+// the wire.
+func runWire(t *testing.T, cc cascadeCase) []int64 {
 	t.Helper()
-	a := newNode(t)
-	b := newNode(t)
+	a := newTestNode(t)
+	b := newTestNode(t)
 	ch := a.Net.NewChannel("eq", 256)
 	src := newSource(cc, ch.Writer())
 	parcel, err := Export(a, b.Broker.Addr(), newCollector(cc, ch.Reader()))
@@ -139,14 +138,14 @@ func runTCP(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int6
 	return col.Vals
 }
 
-// runTCPRebind additionally migrates the running collector B→C once a
+// runWireRebind additionally migrates the running collector B→C once a
 // quarter of the stream has flowed: the reader-side rebind drains the
 // conduit at a fence, ships the leftover, and resumes on a fresh link.
-func runTCPRebind(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int64 {
+func runWireRebind(t *testing.T, cc cascadeCase) []int64 {
 	t.Helper()
-	a := newNode(t)
-	b := newNode(t)
-	c := newNode(t)
+	a := newTestNode(t)
+	b := newTestNode(t)
+	c := newTestNode(t)
 	ch := a.Net.NewChannel("eq", 256)
 	src := newSource(cc, ch.Writer())
 	parcel, err := Export(a, b.Broker.Addr(), newCollector(cc, ch.Reader()))
@@ -193,12 +192,12 @@ func runTCPRebind(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) 
 // batched monotone producer — the shape that actually compresses, and
 // the shape that stamps the int64 hint — must yield the identical
 // element sequence whether the conduit is in-proc (never compressed),
-// tcp-bound (compressed), tcp under chaos faults with replayed chunks
-// re-sealed after every reconnect, or rebound mid-stream by a live
-// migration whose SealAndDrain races sealed blocks in flight.
+// wire-bound (compressed), wire-bound under chaos faults with replayed
+// chunks re-sealed after every reconnect, or rebound mid-stream by a
+// live migration whose SealAndDrain races sealed blocks in flight.
 
 // batchSource emits monotone int64 runs through the batch path, so
-// every TCP chunk is compressible and shape-hinted.
+// every link chunk is compressible and shape-hinted.
 type batchSource struct {
 	core.Iterative
 	Out  *core.WritePort
@@ -262,9 +261,9 @@ func dataCSent(n *Node) int64 {
 		obs.L("dir", "out"), obs.L("kind", "data-c")).Value()
 }
 
-// runBatchTCP runs the batched graph across a tcp-bound conduit
+// runBatchWire runs the batched graph across a wire-bound conduit
 // between two prepared nodes and returns the collected stream.
-func runBatchTCP(t *testing.T, a, b *Node) []int64 {
+func runBatchWire(t *testing.T, a, b *Node) []int64 {
 	t.Helper()
 	ch := a.Net.NewChannel("ceq", 256)
 	src := newBatchSource()
@@ -285,10 +284,10 @@ func runBatchTCP(t *testing.T, a, b *Node) []int64 {
 	return col.Vals
 }
 
-// runBatchTCPRebind migrates the running collector B→C mid-stream, so
+// runBatchWireRebind migrates the running collector B→C mid-stream, so
 // SealAndDrain fences the compressed-bound conduit with sealed blocks
 // in flight.
-func runBatchTCPRebind(t *testing.T, a, b, c *Node) []int64 {
+func runBatchWireRebind(t *testing.T, a, b, c *Node) []int64 {
 	t.Helper()
 	ch := a.Net.NewChannel("ceq", 256)
 	src := newBatchSource()
@@ -351,63 +350,48 @@ func TestCascadeEquivalenceCompressedConduits(t *testing.T) {
 		t.Fatalf("in-proc deployment sent %d DATA-C frames", n)
 	}
 
-	// TCP: identical stream, and compression demonstrably engaged.
+	// Wire: identical stream, compression demonstrably engaged, and
+	// exactly one session per peer pair underneath.
 	a, b := newTestNode(t), newTestNode(t)
-	if got := runBatchTCP(t, a, b); !reflect.DeepEqual(got, want) {
-		t.Fatalf("tcp deployment diverged: %d elements", len(got))
+	if got := runBatchWire(t, a, b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("wire deployment diverged: %d elements", len(got))
 	}
 	if dataCSent(a) == 0 {
-		t.Fatal("tcp deployment never compressed a frame")
+		t.Fatal("wire deployment never compressed a frame")
+	}
+	if a.Broker.MuxSessions() != 1 || b.Broker.MuxSessions() != 1 {
+		t.Fatalf("wire deployment sessions: a=%d b=%d, want 1 and 1",
+			a.Broker.MuxSessions(), b.Broker.MuxSessions())
 	}
 
-	// TCP with compression disabled on the sender: the element stream
+	// Wire with compression disabled on the sender: the element stream
 	// must again be identical, proving the codec is pure transport.
 	ap, bp := newTestNode(t), newTestNode(t)
 	ap.Broker.SetCompression(false)
-	if got := runBatchTCP(t, ap, bp); !reflect.DeepEqual(got, want) {
+	if got := runBatchWire(t, ap, bp); !reflect.DeepEqual(got, want) {
 		t.Fatalf("compression-off deployment diverged: %d elements", len(got))
 	}
 	if n := dataCSent(ap); n != 0 {
 		t.Fatalf("compression-off sender sent %d DATA-C frames", n)
 	}
 
-	// Mid-stream migration: SealAndDrain with sealed blocks in flight.
+	// Mid-stream migration: the fence drains and the rebind lands on a
+	// fresh virtual stream (and a fresh session toward the new host)
+	// with sealed blocks in flight.
 	ma, mb, mc := newTestNode(t), newTestNode(t), newTestNode(t)
-	if got := runBatchTCPRebind(t, ma, mb, mc); !reflect.DeepEqual(got, want) {
+	if got := runBatchWireRebind(t, ma, mb, mc); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mid-stream rebind diverged: %d elements", len(got))
 	}
 	if dataCSent(ma) == 0 {
 		t.Fatal("rebind deployment never compressed a frame")
 	}
-
-	// Mux: compressed DATA-C frames tunneled through a shared session
-	// must yield the identical stream, with exactly one session per
-	// peer pair underneath.
-	xa, xb := newMuxWireNode(t), newMuxWireNode(t)
-	if got := runBatchTCP(t, xa, xb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux deployment diverged: %d elements", len(got))
-	}
-	if dataCSent(xa) == 0 {
-		t.Fatal("mux deployment never compressed a frame")
-	}
-	if xa.Broker.MuxSessions() != 1 || xb.Broker.MuxSessions() != 1 {
-		t.Fatalf("mux deployment sessions: a=%d b=%d, want 1 and 1",
-			xa.Broker.MuxSessions(), xb.Broker.MuxSessions())
-	}
-
-	// Mux with a mid-stream migration: the fence drains and the rebind
-	// lands on a fresh virtual stream (and a fresh session toward the
-	// new host) with sealed blocks in flight.
-	ya, yb, yc := newMuxWireNode(t), newMuxWireNode(t), newMuxWireNode(t)
-	if got := runBatchTCPRebind(t, ya, yb, yc); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux mid-stream rebind diverged: %d elements", len(got))
-	}
-	if dataCSent(ya) == 0 {
-		t.Fatal("mux rebind deployment never compressed a frame")
+	if ma.Broker.MuxSessions() != 2 || mc.Broker.MuxSessions() != 1 {
+		t.Fatalf("rebind deployment sessions: a=%d c=%d, want 2 (toward B and C) and 1",
+			ma.Broker.MuxSessions(), mc.Broker.MuxSessions())
 	}
 }
 
-// TestCascadeEquivalenceCompressedChaos reruns the compressed tcp and
+// TestCascadeEquivalenceCompressedChaos reruns the compressed wire and
 // mid-rebind deployments under seeded latency/jitter fault injection
 // with resilient links: reconnects replay unacked chunks, which are
 // re-sealed per connection, and the stream must still be
@@ -435,15 +419,15 @@ func TestCascadeEquivalenceCompressedChaos(t *testing.T) {
 	want := batchEqWant()
 
 	a, b := newChaosWireNode(t, inj, res), newChaosWireNode(t, inj, res)
-	if got := runBatchTCP(t, a, b); !reflect.DeepEqual(got, want) {
-		t.Fatalf("chaos tcp deployment diverged: %d elements", len(got))
+	if got := runBatchWire(t, a, b); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chaos wire deployment diverged: %d elements", len(got))
 	}
 	if dataCSent(a) == 0 {
-		t.Fatal("chaos tcp deployment never compressed a frame")
+		t.Fatal("chaos wire deployment never compressed a frame")
 	}
 
 	ma, mb, mc := newChaosWireNode(t, inj, res), newChaosWireNode(t, inj, res), newChaosWireNode(t, inj, res)
-	if got := runBatchTCPRebind(t, ma, mb, mc); !reflect.DeepEqual(got, want) {
+	if got := runBatchWireRebind(t, ma, mb, mc); !reflect.DeepEqual(got, want) {
 		t.Fatalf("chaos mid-rebind deployment diverged: %d elements", len(got))
 	}
 }
@@ -456,21 +440,13 @@ func TestCascadeEquivalenceAcrossTransports(t *testing.T) {
 			if len(inproc) != cc.want {
 				t.Fatalf("inproc collected %d elements, want %d", len(inproc), cc.want)
 			}
-			tcp := runTCP(t, cc, newTestNode)
-			if !reflect.DeepEqual(tcp, inproc) {
-				t.Fatalf("tcp deployment diverged: %d elements vs %d", len(tcp), len(inproc))
+			wired := runWire(t, cc)
+			if !reflect.DeepEqual(wired, inproc) {
+				t.Fatalf("wire deployment diverged: %d elements vs %d", len(wired), len(inproc))
 			}
-			rebound := runTCPRebind(t, cc, newTestNode)
+			rebound := runWireRebind(t, cc)
 			if !reflect.DeepEqual(rebound, inproc) {
 				t.Fatalf("mid-stream rebind diverged: %d elements vs %d", len(rebound), len(inproc))
-			}
-			muxed := runTCP(t, cc, newMuxWireNode)
-			if !reflect.DeepEqual(muxed, inproc) {
-				t.Fatalf("mux deployment diverged: %d elements vs %d", len(muxed), len(inproc))
-			}
-			muxRebound := runTCPRebind(t, cc, newMuxWireNode)
-			if !reflect.DeepEqual(muxRebound, inproc) {
-				t.Fatalf("mux mid-stream rebind diverged: %d elements vs %d", len(muxRebound), len(inproc))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,10 +12,13 @@ import (
 	"dpn/internal/proclib"
 )
 
-func watcherCount() int {
+// watcherCount counts n's live watchLink goroutines: the frame's first
+// argument in a stack dump is the receiver, so other nodes' watchers —
+// earlier tests leave some behind — are not counted.
+func watcherCount(n *Node) int {
 	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "wire.(*Node).watchLink")
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), fmt.Sprintf("wire.(*Node).watchLink(%p", n))
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -48,7 +52,7 @@ func TestNodeCloseTerminatesLinkWatchers(t *testing.T) {
 	if l == nil {
 		t.Fatal("export did not track a link")
 	}
-	waitFor(t, "watcher start", func() bool { return watcherCount() >= 1 })
+	waitFor(t, "watcher start", func() bool { return watcherCount(n) == 1 })
 
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -61,7 +65,7 @@ func TestNodeCloseTerminatesLinkWatchers(t *testing.T) {
 	if err := l.Wait(); !errors.Is(err, conduit.ErrBrokerClosed) {
 		t.Fatalf("link finished with %v, want ErrBrokerClosed", err)
 	}
-	waitFor(t, "watcher exit", func() bool { return watcherCount() == 0 })
+	waitFor(t, "watcher exit", func() bool { return watcherCount(n) == 0 })
 	waitFor(t, "tracker drain", func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"dpn/internal/core"
 	"dpn/internal/proclib"
+	"dpn/internal/token"
 )
 
 // countFDs counts this process's open file descriptors.
@@ -45,14 +47,26 @@ func stormVals(offset int64, n int) []int64 {
 	return out
 }
 
+// newKeyedNode is newTestNode with a cluster pre-shared key, so its
+// sessions authenticate exactly as a production cluster's would.
+func newKeyedNode(t *testing.T) *Node {
+	t.Helper()
+	n := newTestNode(t)
+	n.Broker.SetPSK([]byte("wire-storm-test"))
+	return n
+}
+
 // TestRendezvousStormBoundedFDs is the rendezvous concurrency stress:
 // dozens of client nodes race to export collectors to one hub node, so
 // hundreds of channels rendezvous against a single broker at once. No
 // rendezvous may be lost (every collector must deliver its exact
-// stream), and closing the nodes must return the process to its
-// baseline descriptor count — links are pooled per node pair and torn
-// down with the broker, so FD growth is bounded by live nodes, not by
-// channel count.
+// stream), and the socket economics of the session wire must hold:
+// while every channel is live, the process holds O(peer pairs) TCP
+// sockets (one authenticated session per hub↔client pair plus the
+// listeners), not O(channels) as §4.2's socket per channel would. A
+// gate keeps every writer open at the sampling point, so the channels
+// are provably all bound when the descriptors are counted, and
+// teardown must still return the process to its baseline.
 func TestRendezvousStormBoundedFDs(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("FD accounting reads /proc/self/fd")
@@ -67,10 +81,7 @@ func TestRendezvousStormBoundedFDs(t *testing.T) {
 	)
 	baseline := countFDs(t)
 
-	hub, err := NewLocalNode("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := newKeyedNode(t)
 
 	type landed struct {
 		col  *proclib.Collect
@@ -89,26 +100,29 @@ func TestRendezvousStormBoundedFDs(t *testing.T) {
 		errsMu.Unlock()
 	}
 
+	// release opens once the mid-storm FD census is done; every channel
+	// writer stays open (and therefore every conduit stays bound) until
+	// then.
+	release := make(chan struct{})
+	var writers sync.WaitGroup
+
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			node, err := NewLocalNode("127.0.0.1:0")
-			if err != nil {
-				fail(fmt.Errorf("client %d: %w", c, err))
-				return
-			}
+			node := newKeyedNode(t)
 			mu.Lock()
 			nodes = append(nodes, node)
 			mu.Unlock()
 
 			cut := make([]any, 0, chansEach)
 			wants := make([][]int64, 0, chansEach)
+			outs := make([]*core.WritePort, 0, chansEach)
 			for k := 0; k < chansEach; k++ {
 				ch := node.Net.NewChannel(fmt.Sprintf("storm.%d.%d", c, k), 1024)
 				vals := stormVals(int64(c)*1_000+int64(k)*100, perChan)
-				node.Net.Spawn(&proclib.SliceSource{Values: vals, Out: ch.Writer()})
+				outs = append(outs, ch.Writer())
 				cut = append(cut, &proclib.Collect{In: ch.Reader()})
 				wants = append(wants, vals)
 			}
@@ -139,6 +153,24 @@ func TestRendezvousStormBoundedFDs(t *testing.T) {
 			}
 			if ci != chansEach {
 				fail(fmt.Errorf("client %d: %d collectors imported, want %d", c, ci, chansEach))
+				return
+			}
+			// Feed every channel its full stream, then hold the writers
+			// open across the census before the closes cascade.
+			for k, out := range outs {
+				writers.Add(1)
+				go func(out *core.WritePort, vals []int64, c, k int) {
+					defer writers.Done()
+					tw := token.NewWriter(out)
+					for _, v := range vals {
+						if err := tw.WriteInt64(v); err != nil {
+							fail(fmt.Errorf("client %d chan %d write: %w", c, k, err))
+							break
+						}
+					}
+					<-release
+					out.Close()
+				}(out, wants[k], c, k)
 			}
 		}(c)
 	}
@@ -147,13 +179,28 @@ func TestRendezvousStormBoundedFDs(t *testing.T) {
 		t.Error(err)
 	}
 	if t.Failed() {
+		close(release)
 		t.FailNow()
 	}
 
-	// Sources drain, then the hub's collectors see the cascade close.
-	for _, node := range nodes {
-		waitNet(t, node.Net, "client node")
+	// Census: every one of the clients×chansEach channels is bound right
+	// now, yet the socket count must scale with peer pairs. Both ends of
+	// every session live in this process (2 FDs per pair), each node
+	// holds one listener, and the slack absorbs runtime pollers — far
+	// below the 2·clients·chansEach a socket per channel would need.
+	if got := hub.Broker.MuxSessions(); got != clients {
+		close(release)
+		t.Fatalf("hub holds %d mux sessions with %d clients connected, want one per pair", got, clients)
 	}
+	budget := baseline + (clients + 1) + 2*clients + 64
+	if mid := countFDs(t); mid > budget {
+		close(release)
+		t.Fatalf("mid-storm FDs %d exceed the O(peer pairs) budget %d (baseline %d, %d channels live)",
+			mid, budget, baseline, clients*chansEach)
+	}
+
+	close(release)
+	writers.Wait()
 	waitNet(t, hub.Net, "hub node")
 
 	if len(sinks) != clients*chansEach {
@@ -172,8 +219,8 @@ func TestRendezvousStormBoundedFDs(t *testing.T) {
 	}
 	hub.Close()
 
-	// Closed brokers must give the descriptors back; allow slack for
-	// runtime pollers and test plumbing.
+	// Closed brokers must give the sessions' descriptors back; allow
+	// slack for runtime pollers and test plumbing.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if n := countFDs(t); n <= baseline+16 {

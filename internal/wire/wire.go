@@ -59,8 +59,9 @@ func portsOfDeep(p any) []io.Closer {
 // which channels are carried by which transport links, so that a second
 // move of a channel end can trigger the §4.3 redirection instead of a
 // relay. All cross-node bindings flow through the node's conduit
-// transport (tcp over the broker; chaos suites install fault injection
-// on the same broker, so the binding code path is identical).
+// transport (mux streams over the broker's sessions; chaos suites
+// install fault injection on the same broker, so the binding code path
+// is identical).
 type Node struct {
 	Net    *core.Network
 	Broker *netio.Broker
@@ -87,7 +88,7 @@ func NewNode(net *core.Network, broker *netio.Broker) *Node {
 	return &Node{
 		Net:    net,
 		Broker: broker,
-		tr:     conduit.TCP{Broker: broker},
+		tr:     conduit.Mux{Broker: broker},
 		links:  make(map[*core.Channel]conduit.Link),
 	}
 }

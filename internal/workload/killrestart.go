@@ -142,7 +142,7 @@ func childRun() error {
 	broker.SetResilience(krResilience(seed))
 
 	pipe := stream.NewPipe(64 << 10)
-	d := conduit.Durable{Inner: conduit.TCP{Broker: broker}, Dir: dir}
+	d := conduit.Durable{Inner: conduit.Mux{Broker: broker}, Dir: dir}
 	l, err := d.BindOutbound(conduit.Endpoint{Addr: addr, Token: tok}, pipe.ReadEnd(), 256<<10)
 	if err != nil {
 		return fmt.Errorf("bind durable outbound: %w", err)
@@ -190,7 +190,7 @@ func runKillRestart(sc Scenario, seed int64, opt RunOptions, timeout time.Durati
 
 	tok := krToken(sc.Name, seed)
 	pipe := stream.NewPipe(256 << 10)
-	if _, err := (conduit.TCP{Broker: broker}).BindInbound(conduit.Endpoint{Token: tok}, pipe.WriteEnd()); err != nil {
+	if _, err := (conduit.Mux{Broker: broker}).BindInbound(conduit.Endpoint{Token: tok}, pipe.WriteEnd()); err != nil {
 		return nil, fmt.Errorf("bind inbound: %w", err)
 	}
 

@@ -275,13 +275,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	graphSeconds := streamQ.Sum + poolQ.Sum
 	rep := &SoakReport{
-		Graphs:   cfg.Graphs,
-		Servers:  cfg.Servers,
-		Elapsed:  elapsed.Seconds(),
-		Tokens:   tokens,
-		TaskP50:  taskQ.Quantile(0.50),
-		TaskP95:  taskQ.Quantile(0.95),
-		TaskP99:  taskQ.Quantile(0.99),
+		Graphs:  cfg.Graphs,
+		Servers: cfg.Servers,
+		Elapsed: elapsed.Seconds(),
+		Tokens:  tokens,
+		TaskP50: taskQ.Quantile(0.50),
+		TaskP95: taskQ.Quantile(0.95),
+		TaskP99: taskQ.Quantile(0.99),
 		Stream: SoakFamily{
 			Name:   "stream",
 			Graphs: (cfg.Graphs + 1) / 2,

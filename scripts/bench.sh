@@ -45,15 +45,6 @@
 #                                 BENCH_pr9.json; fails unless the
 #                                 kill-restart run verified and the
 #                                 journaling cost stayed <= 2.5x.
-#   scripts/bench.sh -pr10 [out]  session-multiplexing trajectory: bulk
-#                                 link throughput direct vs tunneled
-#                                 through a mux virtual stream, sockets
-#                                 per peer pair under a 16-channel
-#                                 fan-out, and handshake amortization,
-#                                 written to BENCH_pr10.json; fails
-#                                 unless the mux link stays within
-#                                 1.15x of direct TCP and the fan-out
-#                                 rode exactly one session.
 #
 # Every record is stamped with the go version, GOMAXPROCS, host name,
 # and CPU so trajectory entries are comparable across machines.
@@ -119,36 +110,17 @@ if [ "${1:-}" = "-pr9" ]; then
 	exit 0
 fi
 
-if [ "${1:-}" = "-pr10" ]; then
-	out="${2:-BENCH_pr10.json}"
-	echo "bench: go run ./cmd/dpnbench -pr10 -json > $out"
-	go run ./cmd/dpnbench -pr10 -json > "$out"
-	cost=$(awk -F: '/"mux_over_direct_cost"/ { gsub(/[ ,]/, "", $2); print $2 + 0 }' "$out")
-	ok=$(awk -F: '/"mux_over_direct_cost"/ { gsub(/[ ,]/, "", $2); print ($2 + 0 <= 1.15 && $2 + 0 > 0) ? 1 : 0 }' "$out")
-	if [ "${ok:-0}" != "1" ]; then
-		echo "bench: FAIL — mux_over_direct_cost = ${cost:-none} > 1.15 in $out"
-		exit 1
-	fi
-	sockets=$(awk -F: '/"sockets_per_pair"/ { gsub(/[ ,]/, "", $2); print $2 + 0 }' "$out")
-	if [ "${sockets:-0}" -ne 1 ]; then
-		echo "bench: FAIL — sockets_per_pair = ${sockets:-none} != 1 in $out"
-		exit 1
-	fi
-	echo "bench: wrote $out (mux link costs ${cost}x direct TCP, $sockets session per peer pair)"
-	exit 0
-fi
-
 # The default trajectory stays comparable across PRs, so the tracing
 # benchmarks added later are skipped unless -pr6 asks for them, and the
 # LinkTokens compression suite lives in its own -pr8 record.
 overhead=0
 compression=0
-skip='Traced|PipeMarkTrace|LinkTokens|Mux'
+skip='Traced|PipeMarkTrace|LinkTokens'
 pat='^(BenchmarkPipeWrite|BenchmarkPipeTransfer|BenchmarkPipeInstrumented|BenchmarkPipeMarkTrace|BenchmarkToken|BenchmarkLink)'
 if [ "${1:-}" = "-pr6" ]; then
 	out="${2:-BENCH_pr6.json}"
 	overhead=1
-	skip='LinkTokens|Mux'
+	skip='LinkTokens'
 elif [ "${1:-}" = "-pr8" ]; then
 	out="${2:-BENCH_pr8.json}"
 	compression=1

@@ -12,24 +12,19 @@
 #                    if allocs/op regressed against the committed
 #                    baseline (BENCH_pr3.json; see EXPERIMENTS.md).
 #   check.sh -chaos  chaos gate: every test whose name contains
-#                    "Chaos" runs three times under -race with a
-#                    fresh fault schedule each run. On failure the
-#                    logged seed is replayed once (CHAOS_SEED pins
-#                    the schedule): a second failure is reproducible
-#                    — report it with that seed — while a replay
-#                    pass classifies the original failure as flaky.
-#   check.sh -mux    session-multiplexing gate: the mux package's
-#                    handshake/stream/credit unit tests, the broker
-#                    session-pool integration tests (shared sessions,
-#                    legacy interop, auth failure, session-death
-#                    resilience), the FD-bounded mux rendezvous storm,
-#                    and the cascade-equivalence sweep (inproc = tcp =
-#                    mux = mux+compression = mid-migration rebind),
-#                    all under -race. On failure the logged seed is
-#                    replayed once (CHAOS_SEED / WORKLOAD_SEED pin the
-#                    schedule): a second failure is reproducible —
-#                    report it with that seed — while a replay pass
-#                    classifies the original failure as flaky.
+#                    "Chaos", "Mux" or "CascadeEquivalence" — fault
+#                    injection, the broker's session pool, and the
+#                    stream-equivalence sweep across deployments
+#                    (inproc = wire = wire without compression =
+#                    mid-migration rebind) — runs three times under
+#                    -race with a fresh fault schedule each run. On
+#                    failure the logged seeds are replayed once, as
+#                    for every seeded gate (see seed_gate below):
+#                    CHAOS_SEED pins the fault schedule,
+#                    WORKLOAD_SEED the topology and data; a second
+#                    failure is reproducible — report it with those
+#                    seeds — while a replay pass classifies the
+#                    original failure as flaky.
 #   check.sh -pool   elasticity gate: the pool/elastic suites (worker
 #                    join/leave/kill, straggler re-dispatch, lane
 #                    migration) plus the hardened Scatter/Gather close
@@ -53,20 +48,17 @@
 #                    binary is on PATH (skipped with a notice otherwise
 #                    — nothing is downloaded), a style check that
 #                    the conduit package's API surface never says
-#                    interface{} (spell it any), and a check that no
+#                    interface{} (spell it any), a check that no
 #                    process library builds its own token codec over a
-#                    port (ports own theirs: port.Tokens()).
+#                    port (ports own theirs: port.Tokens()), and
+#                    gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
 #                    migration), the graph-shape fuzzer, the histogram
 #                    quantile unit tests, the registry/rendezvous
 #                    stress tests, and the reduced-scale soak, all
-#                    under -race. On failure the logged seed is
-#                    replayed once (WORKLOAD_SEED pins the topology
-#                    and data): a second failure is reproducible —
-#                    report it with that seed — while a replay pass
-#                    classifies the original failure as flaky.
+#                    under -race, with seed replay on failure.
 #   check.sh -codec  wire-codec gate: the columnar block codec's
 #                    round-trip identity, corruption-rejection, and
 #                    compression-floor tests (>= 4x on monotone int64
@@ -81,14 +73,45 @@
 #                    durable-conduit restart tests and the
 #                    kill-restart scenario matrix (SIGKILL the
 #                    producer twice, byte-identical replay) under
-#                    -race. On failure the logged seed is replayed
-#                    once (WORKLOAD_SEED pins the data): a second
-#                    failure is reproducible — report it with that
-#                    seed — while a replay pass classifies the
-#                    original failure as flaky.
+#                    -race, with seed replay on failure.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# seed_gate NAME PATTERN COUNT runs every test matching PATTERN under
+# -race, COUNT times, and exits with the verdict. A failing run is
+# replayed once with the seeds it logged ("chaos seed N" pins a fault
+# schedule through CHAOS_SEED, "workload seed N" a topology and its
+# data through WORKLOAD_SEED): failing again makes it reproducible,
+# passing makes the first failure flaky. Both verdicts fail the gate.
+seed_gate() {
+	name=$1 pat=$2 count=$3
+	log=$(mktemp)
+	trap 'rm -f "$log"' EXIT
+	echo "$name gate: go test -race -run '$pat' -count=$count ./..."
+	rc=0
+	go test -race -run "$pat" -count="$count" -timeout 15m ./... >"$log" 2>&1 || rc=$?
+	cat "$log"
+	if [ "$rc" -eq 0 ]; then
+		echo "$name gate: PASS"
+		exit 0
+	fi
+	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
+	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
+	if [ -z "$seed" ] && [ -z "$wseed" ]; then
+		echo "$name gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
+		exit 1
+	fi
+	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
+	[ -n "$pkgs" ] || pkgs=./...
+	echo "$name gate: FAIL — replaying with CHAOS_SEED=${seed:-unset} WORKLOAD_SEED=${wseed:-unset}: $pkgs"
+	if CHAOS_SEED="$seed" WORKLOAD_SEED="$wseed" go test -race -run "$pat" -count=1 $pkgs; then
+		echo "$name gate: FLAKY (seeds passed on replay; original failure did not reproduce)"
+		exit 1
+	fi
+	echo "$name gate: REPRODUCIBLE — rerun with CHAOS_SEED=$seed WORKLOAD_SEED=$wseed to debug"
+	exit 1
+}
 
 if [ "${1:-}" = "-bench" ]; then
 	base="${2:-BENCH_pr3.json}"
@@ -139,7 +162,7 @@ if [ "${1:-}" = "-obs" ]; then
 	# and TestObservabilitySmoke — which exercises the live metrics
 	# endpoint and the distributed trace-merge round-trip through the
 	# real binaries.
-	pat='(Trace|TopView|GatherMetrics|Cardinality|Prom|WaitNanos|DeadlockDump|ServeDebugScope|PoolLatency|MetricAliases|MetricsOverRPC|ObservabilitySmoke)'
+	pat='(Trace|TopView|GatherMetrics|Cardinality|Prom|WaitNanos|DeadlockDump|ServeDebugScope|PoolLatency|MetricsOverRPC|ObservabilitySmoke)'
 	echo "obs gate: go test -race -run '$pat' -count=1 ./..."
 	go test -race -run "$pat" -count=1 -timeout 10m ./... || fail=1
 
@@ -182,33 +205,11 @@ if [ "${1:-}" = "-obs" ]; then
 fi
 
 if [ "${1:-}" = "-chaos" ]; then
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "chaos gate: go test -race -run Chaos -count=3 ./..."
-	if go test -race -run Chaos -count=3 ./... 2>&1 | tee "$log"; then
-		echo "chaos gate: PASS"
-		exit 0
-	fi
-	# The chaos sweep now includes the graph-shape fuzzer's random
-	# topologies under fault injection (TestGraphFuzzChaos), which pin
-	# their topology with WORKLOAD_SEED; link-level chaos tests pin
-	# their fault schedule with CHAOS_SEED. Replay with whichever the
-	# failing run logged (both, when both appear).
-	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
-	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ] && [ -z "$wseed" ]; then
-		echo "chaos gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "chaos gate: FAIL — replaying with CHAOS_SEED=${seed:-unset} WORKLOAD_SEED=${wseed:-unset}: $pkgs"
-	if CHAOS_SEED="$seed" WORKLOAD_SEED="$wseed" go test -race -run Chaos -count=1 $pkgs; then
-		echo "chaos gate: FLAKY (seeds passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "chaos gate: REPRODUCIBLE — rerun with CHAOS_SEED=$seed WORKLOAD_SEED=$wseed to debug"
-	exit 1
+	# Beside the link-level fault schedules this sweeps the graph-shape
+	# fuzzer's random topologies under fault injection
+	# (TestGraphFuzzChaos), the session pool, and the stream-equivalence
+	# sweep across deployments.
+	seed_gate chaos '(Chaos|Mux|CascadeEquivalence)' 3
 fi
 
 if [ "${1:-}" = "-lint" ]; then
@@ -236,33 +237,18 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: token.NewReader/NewWriter in a process library (use port.Tokens())"
 		fail=1
 	fi
+	if unformatted=$(gofmt -l .) && [ -n "$unformatted" ]; then
+		echo "$unformatted"
+		echo "lint gate: files above are not gofmt-formatted"
+		fail=1
+	fi
 	[ "$fail" -eq 0 ] && echo "lint gate: PASS" || echo "lint gate: FAIL"
 	exit "$fail"
 fi
 
 if [ "${1:-}" = "-scenarios" ]; then
 	pat='(Scenario|Quantile|PromHistogram|GraphFuzz|FuzzPlan|StreamOracle|SoakSmoke|RegistryConcurrent|RendezvousStorm)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "scenario gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "scenario gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ]; then
-		echo "scenario gate: FAIL (no 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "scenario gate: FAIL — replaying with WORKLOAD_SEED=$seed: $pkgs"
-	if WORKLOAD_SEED="$seed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "scenario gate: FLAKY (seed $seed passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "scenario gate: REPRODUCIBLE — rerun with WORKLOAD_SEED=$seed to debug"
-	exit 1
+	seed_gate scenario "$pat" 1
 fi
 
 if [ "${1:-}" = "-codec" ]; then
@@ -303,61 +289,7 @@ if [ "${1:-}" = "-wal" ]; then
 	# kill-restart scenario matrix (a re-exec'd producer SIGKILLed
 	# twice mid-stream, output byte-identical to the oracle).
 	pat='(Durable|KillRestart|JournalDir|RebaseMidChunkCompressedReplay|BrokerCloseInterruptsReconnectBackoff|RateChargesOnlyWrittenBytes)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "wal gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "wal gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ]; then
-		echo "wal gate: FAIL (no 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "wal gate: FAIL — replaying with WORKLOAD_SEED=$seed: $pkgs"
-	if WORKLOAD_SEED="$seed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "wal gate: FLAKY (seed $seed passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "wal gate: REPRODUCIBLE — rerun with WORKLOAD_SEED=$seed to debug"
-	exit 1
-fi
-
-if [ "${1:-}" = "-mux" ]; then
-	fail=0
-	# The mux substrate itself: handshake auth, stream framing, credit
-	# windows, deadlines, keepalive, fair interleaving.
-	echo "mux gate: go test -race -count=1 ./internal/netio/mux"
-	go test -race -count=1 -timeout 10m ./internal/netio/mux || fail=1
-	[ "$fail" -eq 0 ] || { echo "mux gate: FAIL"; exit 1; }
-	# The layers above: broker session pooling, transport composition,
-	# the FD-bounded storm, and stream equivalence across deployments.
-	pat='(Mux|CascadeEquivalence)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "mux gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "mux gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
-	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ] && [ -z "$wseed" ]; then
-		echo "mux gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "mux gate: FAIL — replaying with CHAOS_SEED=${seed:-unset} WORKLOAD_SEED=${wseed:-unset}: $pkgs"
-	if CHAOS_SEED="$seed" WORKLOAD_SEED="$wseed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "mux gate: FLAKY (seeds passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "mux gate: REPRODUCIBLE — rerun with CHAOS_SEED=$seed WORKLOAD_SEED=$wseed to debug"
-	exit 1
+	seed_gate wal "$pat" 1
 fi
 
 if [ "${1:-}" = "-pool" ]; then
@@ -382,6 +314,5 @@ set +x
 ./scripts/check.sh -pool
 ./scripts/check.sh -codec
 ./scripts/check.sh -wal
-./scripts/check.sh -mux
 ./scripts/check.sh -chaos
 ./scripts/check.sh -scenarios
