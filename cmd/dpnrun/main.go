@@ -64,8 +64,8 @@ var chaosCfg struct {
 }
 
 // applyChaos wires the -faults / -resilient / -muxkey flags into a
-// broker. Resilience changes the wire protocol, so every node of a
-// distributed graph must run with the same -resilient setting.
+// broker. -resilient is this node's retry policy, not a protocol: the
+// nodes of a distributed graph may differ in it.
 func applyChaos(b *netio.Broker) {
 	if chaosCfg.muxKey != "" {
 		b.SetPSK([]byte(chaosCfg.muxKey))
@@ -209,8 +209,8 @@ func main() {
 		traceOut = flag.String("trace", "", "write a merged multi-node Chrome trace (JSON) to this file after the run")
 		sample   = flag.Int("tracesample", 64, "with -trace: carry a causal trace mark on every Nth outbound data frame")
 		faultsF  = flag.String("faults", "", "inject network faults on this node's broker, e.g. seed=7,drop=0.01,latency=2ms,partition=1s:500ms,mode=stall")
-		resil    = flag.Bool("resilient", false, "resilient links: retry/backoff, heartbeats, resumable reconnect (set on every node or none)")
-		durableF = flag.String("durable", "", "journal boundary channels to a WAL under this directory; with -resilient, a kill -9 replays instead of losing bytes")
+		resil    = flag.Bool("resilient", false, "retry policy: this node's links ride out a dead session (re-dial with backoff, resume where the stream stopped) for up to 15s instead of ending the channel at once; nodes may differ, but a link heals only when both its ends retry")
+		durableF = flag.String("durable", "", "journal boundary channels to a WAL under this directory, truncated as the peer acknowledges: a node restarted after kill -9 resumes its streams from the journal (a surviving peer waits out the restart only under -resilient)")
 		muxKeyF  = flag.String("muxkey", "", "cluster pre-shared key for session peer authentication (empty accepts any peer; set the same key on every node)")
 	)
 	flag.Parse()

@@ -47,11 +47,11 @@ func main() {
 		metrics    = flag.String("metrics", "", "optional observability HTTP listen address (serves /metrics and /trace)")
 		statsEvery = flag.Duration("statsevery", 30*time.Second, "interval between stats log lines when -metrics is enabled")
 		faultsF    = flag.String("faults", "", "inject network faults on this server's broker, e.g. seed=7,drop=0.01,latency=2ms,partition=1s:500ms,mode=stall")
-		resil      = flag.Bool("resilient", false, "resilient links: retry/backoff, heartbeats, resumable reconnect (set on every node or none)")
+		resil      = flag.Bool("resilient", false, "retry policy: this node's links ride out a dead session (re-dial with backoff, resume where the stream stopped) for up to 15s instead of ending the channel at once; nodes may differ, but a link heals only when both its ends retry")
 		pprofF     = flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof/ on the observability endpoint")
 		mutexF     = flag.Int("mutexprofile", 0, "mutex profile sampling fraction passed to runtime.SetMutexProfileFraction (0 leaves profiling off)")
 		sample     = flag.Int("tracesample", 0, "carry a causal trace mark on every Nth outbound data frame and record span events (0 disables)")
-		durableF   = flag.String("durable", "", "journal boundary channels to a WAL under this directory; with -resilient, a kill -9 replays instead of losing bytes")
+		durableF   = flag.String("durable", "", "journal boundary channels to a WAL under this directory, truncated as the peer acknowledges: a node restarted after kill -9 resumes its streams from the journal (a surviving peer waits out the restart only under -resilient)")
 		muxKeyF    = flag.String("muxkey", "", "cluster pre-shared key for session peer authentication (empty accepts any peer; set the same key on every node)")
 	)
 	flag.Parse()
@@ -74,8 +74,8 @@ func main() {
 		s.Node().Broker.SetFaults(inj)
 		fmt.Printf("fault injection enabled (chaos seed %d)\n", inj.Seed())
 	}
-	// Resilience changes the wire protocol, so every node of a
-	// distributed graph must run with the same -resilient setting.
+	// -resilient is this node's retry policy, not a protocol: the nodes
+	// of a distributed graph may differ in it.
 	if *resil {
 		s.Node().Broker.SetResilience(netio.DefaultResilience())
 	}

@@ -22,12 +22,16 @@ import (
 //
 //   - The outbound half journals each chunk (append + fsync) before the
 //     link may send it, and truncates acknowledged whole segments as the
-//     receiver's ACKs arrive. A restarted sender whose deterministic
-//     producer re-runs from offset zero discards the re-produced prefix
-//     it already journaled, rewinds to the receiver's RESUME offset, and
-//     replays the gap [delivered, journal-end) from the journal — the
-//     netio link drives this through the rewindableSource/ackedSource
-//     taps.
+//     receiver's ACKs arrive — on every link: offsets and ACKs belong
+//     to the one link protocol, not to a retry policy, so the journal
+//     stays bounded with no policy set. A restarted sender whose
+//     deterministic producer re-runs from offset zero discards the
+//     re-produced prefix it already journaled, rewinds to the receiver's
+//     RESUME offset, and replays the gap [delivered, journal-end) from
+//     the journal — the netio link drives this through the
+//     rewindableSource/ackedSource taps. (The peer that survives must
+//     still be there to resume with: its broker needs a retry policy
+//     whose LinkDeadline covers the restart.)
 //   - The inbound half journals each delivered chunk before writing it
 //     to the local buffer and before the link ACKs it, so the sender's
 //     truncation never outruns receiver durability. After a restart it

@@ -2,7 +2,10 @@ package conduit
 
 import (
 	"bytes"
+	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -309,5 +312,86 @@ func TestDurableString(t *testing.T) {
 	d := Durable{Inner: Mux{Broker: durBroker(t, patientRes())}, Dir: t.TempDir()}
 	if d.String() != "durable(mux)" {
 		t.Fatalf("String() = %q", d.String())
+	}
+}
+
+// TestDurableJournalBoundedWithoutPolicy pins what one link protocol
+// gives the durable binding for free: ACK offsets flow on every link,
+// so the outbound journal is truncated behind the receiver whether or
+// not the broker has a retry policy. (While policy selected the
+// protocol, a Durable binding on a broker without one never truncated:
+// its journal grew with the stream.) 64 MiB pass through 1 MiB
+// segments; the segment count is sampled as the stream flows and must
+// stay a small constant.
+func TestDurableJournalBoundedWithoutPolicy(t *testing.T) {
+	const total, segment, maxSegments = 64 << 20, 1 << 20, 8
+	dir := t.TempDir()
+	a, b := durBroker(t, netio.Resilience{}), durBroker(t, netio.Resilience{})
+	dur := Durable{Inner: Mux{Broker: a}, Dir: dir, Opt: wal.Options{SegmentBytes: segment, NoSync: true}}
+
+	src := stream.NewPipe(256 << 10)
+	dst := stream.NewPipe(256 << 10)
+	ep := Endpoint{Token: "dur-bounded"}
+	out, err := dur.BindOutbound(ep, src.ReadEnd(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := (Mux{Broker: b}).BindInbound(Endpoint{Addr: a.Addr(), Token: ep.Token}, dst.WriteEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := durPattern(1 << 20)
+	sent := crc32.NewIEEE()
+	for n := 0; n < total; n += len(block) {
+		sent.Write(block)
+	}
+	go func() {
+		for n := 0; n < total; n += len(block) {
+			if _, err := src.Write(block); err != nil {
+				return
+			}
+		}
+		src.CloseWrite()
+	}()
+
+	journal := journalDir(dir, "out", ep.Token)
+	got := crc32.NewIEEE()
+	buf := make([]byte, 1<<20)
+	peak, n := 0, 0
+	for {
+		k, err := dst.ReadEnd().Read(buf)
+		got.Write(buf[:k])
+		if n += k; n%(4<<20) < k { // every 4 MiB or so
+			segs, gerr := filepath.Glob(filepath.Join(journal, "*.seg"))
+			if gerr != nil {
+				t.Fatal(gerr)
+			}
+			peak = max(peak, len(segs))
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n != total || got.Sum32() != sent.Sum32() {
+		t.Fatalf("received %d bytes (crc %08x), sent %d (crc %08x)", n, got.Sum32(), total, sent.Sum32())
+	}
+	if err := waitLink(t, in, "inbound"); err != nil {
+		t.Fatal(err)
+	}
+	if err := waitLink(t, out, "outbound"); err != nil {
+		t.Fatal(err)
+	}
+	if peak == 0 {
+		if _, err := os.Stat(journal); err != nil {
+			t.Fatalf("journal directory: %v", err)
+		}
+		t.Fatal("never saw a journal segment: the stream did not go through the WAL")
+	}
+	if peak > maxSegments {
+		t.Fatalf("journal peaked at %d segments of %d MiB over a %d MiB stream, want at most %d: acknowledged segments are not being truncated",
+			peak, segment>>20, total>>20, maxSegments)
 	}
 }

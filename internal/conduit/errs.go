@@ -41,12 +41,13 @@ var (
 	ErrBrokerClosed = netio.ErrBrokerClosed
 	// ErrRendezvousTimeout reports a peer that never presented its token.
 	ErrRendezvousTimeout = netio.ErrRendezvousTimeout
-	// ErrLinkDeadline reports an outage that outlasted the link's
-	// resilience window; the link degraded into a cascading close.
+	// ErrLinkDeadline reports an outage that outlasted what the link's
+	// retry policy allows (under the zero policy, any outage); the link
+	// degraded into a cascading close.
 	ErrLinkDeadline = netio.ErrLinkDeadline
 	// ErrTruncated reports an inbound stream whose connection ended
-	// before the sender's final frame with no resilience to resume it:
-	// the reader saw a prefix of the stream, not its end.
+	// before the sender's final frame and could not be resumed: the
+	// reader saw a prefix of the stream, not its end.
 	ErrTruncated = netio.ErrTruncated
 	// ErrTokenInUse reports a rendezvous token registered twice on one
 	// broker.

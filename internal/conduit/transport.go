@@ -75,8 +75,9 @@ type Transport interface {
 
 // Mux is the network transport: every link between this node and a
 // given peer is a virtual stream of the one long-lived, authenticated
-// session the two brokers share, carrying framed links with credit flow
-// control and optional resilience (see netio). Fault injection is not a
+// session the two brokers share, carrying framed, resumable links with
+// credit flow control; how long a link rides out a dead session is the
+// broker's retry policy (netio.Resilience). Fault injection is not a
 // transport: install it on the broker (netio.Broker.SetFaults) and
 // bindings run through exactly this code path with the failure surface
 // switched on.

@@ -68,8 +68,8 @@ type Broker struct {
 	ins atomic.Pointer[brokerInstruments]
 
 	// flt is the active fault injector (nil injector = no faults); res
-	// is the link resilience configuration (nil = legacy fail-fast
-	// links). Both are swapped whole and read per connection.
+	// is the retry policy (never nil; the zero policy until
+	// SetResilience). Both are swapped whole and read per connection.
 	flt atomic.Pointer[faults.Injector]
 	res atomic.Pointer[Resilience]
 
@@ -80,8 +80,8 @@ type Broker struct {
 	// cmpOff disables wire compression for links created after the
 	// store. Stored inverted so the zero-value broker compresses —
 	// compression is a transparent payload property, not a protocol
-	// change, so unlike Resilience it needs no fleet-wide agreement
-	// (every inbound side always accepts both DATA kinds).
+	// change, so it needs no fleet-wide agreement (every inbound side
+	// always accepts both DATA kinds).
 	cmpOff atomic.Bool
 
 	// psk is the cluster pre-shared key of the session handshake (nil =
@@ -123,6 +123,7 @@ func NewBroker(listenAddr string) (*Broker, error) {
 		acceptDone: make(chan struct{}),
 	}
 	b.ins.Store(newBrokerInstruments(obs.NewScope()))
+	b.res.Store(new(Resilience))
 	go b.acceptLoop()
 	return b, nil
 }
@@ -143,18 +144,18 @@ func (b *Broker) injector() *faults.Injector {
 	return nil
 }
 
-// SetResilience enables fault-tolerant links (retry/backoff, resumable
-// reconnect) for every link created after the call, and gives every
-// session established after it the configured heartbeat and miss
-// deadline. Resilience changes the wire protocol, so every broker of a
-// distributed graph must enable it — or none.
+// SetResilience sets the retry policy of every link created after the
+// call (how long an outage is ridden out before the link degrades; see
+// Resilience), and gives every session established after it the
+// policy's heartbeat and miss deadline. The policy is local: it does
+// not change the wire, so peers may differ.
 func (b *Broker) SetResilience(r Resilience) {
 	b.res.Store(&r)
 }
 
-// resilience returns the active resilience config, nil when disabled.
-func (b *Broker) resilience() *Resilience {
-	return b.res.Load()
+// resilience returns the active retry policy.
+func (b *Broker) resilience() Resilience {
+	return *b.res.Load()
 }
 
 // SetTraceSampling arranges for every Nth outbound DATA frame of every
@@ -371,7 +372,7 @@ func (b *Broker) cancelExpect(token string) {
 
 // expectWithin waits up to d for a connection presenting token,
 // withdrawing the registration on timeout. Used by the serving side of
-// a resilient link to re-arm its rendezvous during an outage.
+// a link to re-arm its rendezvous during an outage.
 func (b *Broker) expectWithin(token string, d time.Duration) (net.Conn, string, error) {
 	type arrival struct {
 		conn net.Conn
@@ -435,8 +436,8 @@ func (b *Broker) dial(addr, token string) (net.Conn, error) {
 		return nil, err
 	}
 	helloTimeout := handshakeTimeout()
-	if res := b.resilience(); res != nil && res.MissDeadline > 0 {
-		helloTimeout = res.MissDeadline
+	if miss := b.resilience().MissDeadline; miss > 0 {
+		helloTimeout = miss
 	}
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
 	if err := writeFrame(conn, frame{kind: frameHello, token: token, addr: b.addr}); err != nil {

@@ -218,10 +218,7 @@ func TestCorruptCompressedFrameFailsLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := b.dial(a.Addr(), tok)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRawSender(t, b, a.Addr(), tok)
 	defer conn.Close()
 	// 0x90 is no valid encoding tag, so the strict decoder rejects it.
 	if err := writeFrame(conn, frame{kind: frameDataC, payload: []byte{0x90, 0x01, 0xAA}}); err != nil {

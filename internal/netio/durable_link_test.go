@@ -6,9 +6,11 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dpn/internal/stream"
 	"dpn/internal/token/blocks"
 )
 
@@ -26,8 +28,8 @@ func mkMonotone(n int, seed int64) outChunk {
 	return outChunk{data: data, start: frameHdrLen, orig: bp}
 }
 
-// TestRebaseMidChunkCompressedReplay pins down the dropUnacked /
-// trimUnacked compression audit: an ack or rebase landing mid-chunk
+// TestRebaseMidChunkCompressedReplay pins down the replayQueue
+// drop/trim compression audit: an ack or rebase landing mid-chunk
 // (and therefore mid-sealed-block on the wire) must never make the
 // receiver resume decode inside a sealed block. Blocks are sealed per
 // frame at write time, so the replayed remainder is re-trialed — and a
@@ -92,7 +94,7 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 		if err := o.writeData(sender, c); err != nil {
 			t.Fatalf("writeData: %v", err)
 		}
-		o.unacked = append(o.unacked, sentChunk{off: o.sendOff, c: c})
+		o.unacked.push(o.sendOff, c, o.frameMax)
 		o.sendOff += uint64(len(c.data))
 	}
 
@@ -104,15 +106,14 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 	// The receiver acks PART of it, mid-block and non-8-aligned: the
 	// retained remainder must not pretend it is still a sealed block.
 	const midAck = 1003
-	o.ackOff = midAck
-	o.trimUnacked(o.ackOff)
-	if len(o.unacked) != 1 || len(o.unacked[0].c.data)%8 == 0 {
-		t.Fatalf("expected one non-aligned remainder chunk, have %d chunks", len(o.unacked))
+	o.acked(midAck)
+	if o.unacked.n != 1 || len(o.unacked.at(0).c.data)%8 == 0 {
+		t.Fatalf("expected one non-aligned remainder chunk, have %d chunks", o.unacked.n)
 	}
 
 	// RESUME replay of the remainder (what resync does).
-	for _, sc := range o.unacked {
-		if err := o.writeData(sender, sc.c); err != nil {
+	for k := 0; k < o.unacked.n; k++ {
+		if err := o.writeData(sender, o.unacked.at(k).c); err != nil {
 			t.Fatalf("replay writeData: %v", err)
 		}
 	}
@@ -120,12 +121,12 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 
 	// MOVING-style rebase to offset zero, then a fresh compressible
 	// chunk: decode must restart cleanly at the new epoch.
-	o.dropUnacked()
+	o.unacked.drop()
 	o.sendOff, o.ackOff = 0, 0
 	second := mkMonotone(512, 999)
 	want = append(want, second.data...)
 	send(second)
-	o.dropUnacked()
+	o.unacked.drop()
 
 	sender.Close()
 	r := <-resCh
@@ -166,7 +167,7 @@ func TestBrokerCloseInterruptsReconnectBackoff(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.reconnect(&res, newLinkRNG(&res), false, deadAddr, "tok", time.Now())
+		_, err := b.reconnect(res, false, deadAddr, "tok", time.Now())
 		done <- err
 	}()
 	// Let a few dial attempts fail so the loop is inside a backoff sleep.
@@ -185,5 +186,50 @@ func TestBrokerCloseInterruptsReconnectBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("reconnect still retrying after Broker.Close")
+	}
+}
+
+// ackTap is a byte source with the journaling source's Acked tap: it
+// records the highest offset the link reported confirmed.
+type ackTap struct {
+	io.ReadCloser
+	acked atomic.Uint64
+}
+
+func (a *ackTap) Acked(off uint64) { a.acked.Store(off) }
+
+// TestAckedOffsetsFlowWithoutPolicy pins the link half of "durable
+// follows for free": the receiver-confirmed offset reaches a journaling
+// source on every link, retry policy or none, and ends at the stream's
+// length (the conduit package's TestDurableJournalBoundedWithoutPolicy
+// shows the WAL truncating on it).
+func TestAckedOffsetsFlowWithoutPolicy(t *testing.T) {
+	a := newTestBroker(t)
+	a.SetResilience(Resilience{})
+	b := newTestBroker(t)
+	src := stream.NewPipe(1 << 16)
+	dst := stream.NewPipe(1 << 16)
+	tap := &ackTap{ReadCloser: src.ReadEnd()}
+	tok := a.NewToken()
+	hOut, err := a.ServeOutbound(tok, tap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.DialInbound(a.Addr(), tok, dst.WriteEnd()); err != nil {
+		t.Fatal(err)
+	}
+	payload := payloadPattern(1 << 20)
+	go func() {
+		src.Write(payload)
+		src.CloseWrite()
+	}()
+	if n, err := io.Copy(io.Discard, dst.ReadEnd()); err != nil || n != int64(len(payload)) {
+		t.Fatalf("received %d bytes, %v", n, err)
+	}
+	if err := hOut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tap.acked.Load(); got != uint64(len(payload)) {
+		t.Fatalf("source was told %d bytes are confirmed, want all %d", got, len(payload))
 	}
 }

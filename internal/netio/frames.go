@@ -22,9 +22,12 @@ import (
 	"io"
 )
 
-// Frame type bytes. DATA/EOF/REDIRECT travel in the data direction
-// (writer host → reader host); CLOSEREAD/MOVING travel in the control
-// direction (reader host → writer host). HELLO opens every stream.
+// Frame type bytes. DATA/EOF/REDIRECT/FENCE travel in the data
+// direction (writer host → reader host); ACK/BYE/CLOSEREAD/MOVING
+// travel in the control direction (reader host → writer host). HELLO
+// opens every stream, and RESUME — once each way, receiver first —
+// every connection of a link. DESIGN.md, "What heals: one link
+// protocol", has the frame × direction × when table.
 const (
 	frameHello     = 'H' // token, brokerAddr — connection rendezvous
 	frameData      = 'D' // payload — channel bytes
@@ -34,8 +37,8 @@ const (
 	frameMoving    = 'M' // addr, token — reader end moving; reconnect there
 	frameFence     = 'F' // data pauses here; resumes at the reader's new host
 	frameAck       = 'A' // count — receiver consumed payload bytes (flow control)
-	frameResume    = 'S' // off — receiver's delivered offset, then the sender's confirmation; opens every resilient conn
-	frameBye       = 'Y' // reader confirms EOF/REDIRECT receipt (resilient links only)
+	frameResume    = 'S' // off — receiver's delivered offset, then the sender's confirmation; opens every connection
+	frameBye       = 'Y' // reader confirms EOF/REDIRECT receipt
 	frameTrace     = 'T' // id — causal trace mark for the next DATA frame (sampled, best-effort)
 	frameDataC     = 'Z' // payload — channel bytes, sealed as one compressed block (see token/blocks)
 )

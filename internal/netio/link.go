@@ -41,8 +41,8 @@ func putChunkBuf(b *[]byte) { chunkPool.Put(b) }
 // outChunk is one run of source bytes staged for the wire. data aliases
 // (*orig)[start:], where orig is a pooled buffer with at least
 // frameHdrLen bytes of headroom before start. The buffer returns to the
-// pool when the chunk is sent (resilient links: when it is fully
-// acknowledged, since unacked chunks may be replayed).
+// pool when the chunk is fully acknowledged (until then it may be
+// replayed; see replayQueue).
 type outChunk struct {
 	data  []byte
 	start int     // offset of data[0] within *orig; always >= frameHdrLen
@@ -54,6 +54,21 @@ func (c *outChunk) release() {
 		putChunkBuf(c.orig)
 	}
 	*c = outChunk{}
+}
+
+// room reports how many more bytes fit behind c's data in its buffer
+// without the chunk outgrowing limit. c.orig must be set.
+func (c *outChunk) room(limit int) int {
+	return min(limit-len(c.data), len(*c.orig)-(c.start+len(c.data)))
+}
+
+// absorb appends d's bytes to c in place (the caller checked room) and
+// returns d's buffer to the pool.
+func (c *outChunk) absorb(d outChunk) {
+	tail := c.start + len(c.data)
+	copy((*c.orig)[tail:], d.data)
+	c.data = (*c.orig)[c.start : tail+len(d.data)]
+	d.release()
 }
 
 // compressMin is the smallest DATA payload worth a compression trial.
@@ -88,54 +103,49 @@ var ErrNotConnected = errors.New("netio: link not connected")
 
 // ErrTruncated is the terminal error of an inbound link whose
 // connection ended before the sender's final frame (EOF or REDIRECT)
-// and that has no resilience to resume with: the local reader is still
-// closed so the graph terminates (§3.4), but the stream it drained is
-// a prefix of what the sender wrote, never to be mistaken for a clean
-// end. Part of the consolidated sentinel set in
+// and whose retry policy could not resume it — at once under the zero
+// policy, after LinkDeadline otherwise; the cause is wrapped alongside.
+// The local reader is still closed so the graph terminates (§3.4), but
+// the stream it drained is a prefix of what the sender wrote, never to
+// be mistaken for a clean end. Part of the consolidated sentinel set in
 // internal/conduit/errs.go.
 var ErrTruncated = errors.New("netio: stream ended before the sender's final frame")
 
-// errLinkFailed terminates a non-resilient link whose connection died
-// without a more specific cause; defined once so the terminal error of
-// that path is errors.Is-comparable instead of freshly minted.
-var errLinkFailed = errors.New("netio: link failed")
-
-// Resilience configures fault tolerance for every link of a broker.
-// With resilience enabled, the broker's sessions heartbeat the peer
-// every HeartbeatEvery and die after MissDeadline of silence (see
-// muxConfig), and a link treats the death of the session under it as
-// an outage to heal rather than the end of the channel: the dialer
-// side re-dials with jittered exponential backoff, the serving side
-// re-arms its rendezvous token, and a RESUME handshake (the receiver
-// announces its delivered byte offset, the sender replays everything
-// after it) resynchronizes the stream and its credit window. An outage
-// that outlasts LinkDeadline degrades into the normal cascading close:
-// the local channel end is poisoned and the process network terminates
-// cleanly instead of hanging.
-//
-// Resilience changes the wire protocol (RESUME opens every
-// connection), so it must be enabled on every broker of a distributed
-// graph or on none.
+// Resilience is a broker's retry policy. It does not change the wire:
+// every link speaks the one resumable protocol (RESUME opens each
+// connection, BYE confirms the final frame, offsets and ACKs always
+// run), so peers with different policies interoperate. The policy only
+// decides what a link does when the session under it dies. With a
+// positive LinkDeadline the outage is healed: the dialer side re-dials
+// with jittered exponential backoff, the serving side re-arms its
+// rendezvous token, and the RESUME exchange replays whatever the outage
+// swallowed. An outage that outlasts LinkDeadline — under the zero
+// policy, any outage — degrades into the normal cascading close: the
+// local channel end is poisoned and the process network terminates
+// cleanly instead of hanging. HeartbeatEvery and MissDeadline tune the
+// broker's sessions (see muxConfig); zero selects the session defaults.
 type Resilience struct {
 	// HeartbeatEvery is the session's PING interval, sent in both
 	// directions so either side can detect a dead peer.
 	HeartbeatEvery time.Duration
 	// MissDeadline is how long a session may stay silent, or a write
-	// may stall, before the peer is declared dead; it also bounds the
-	// RESUME handshake and every link control write.
+	// may stall, before the peer is declared dead; it also bounds each
+	// side's wait for the other half of the opening RESUME exchange.
 	MissDeadline time.Duration
 	// RetryBase is the first reconnect backoff; it doubles per attempt.
 	RetryBase time.Duration
 	// RetryMax caps the reconnect backoff.
 	RetryMax time.Duration
 	// LinkDeadline bounds one outage: a link that cannot resynchronize
-	// within this window degrades into a cascading close.
+	// within this window degrades into a cascading close. Zero means no
+	// retry at all: a failed first dial is returned to the caller and
+	// the first outage ends the link.
 	LinkDeadline time.Duration
 	// Seed seeds the backoff jitter.
 	Seed int64
 }
 
-// DefaultResilience returns production-shaped resilience settings.
+// DefaultResilience returns a production-shaped retry policy.
 func DefaultResilience() Resilience {
 	return Resilience{
 		HeartbeatEvery: 500 * time.Millisecond,
@@ -146,15 +156,24 @@ func DefaultResilience() Resilience {
 	}
 }
 
-// linkSeq decorrelates per-link backoff jitter streams.
-var linkSeq atomic.Int64
+// retries reports whether the policy rides out outages at all.
+func (r Resilience) retries() bool { return r.LinkDeadline > 0 }
 
-func newLinkRNG(res *Resilience) *rand.Rand {
-	if res == nil {
-		return nil
+// resumeWait bounds the wait for the peer's half of the opening RESUME
+// exchange. The session under a stream answers for the peer host, not
+// for the peer link: a broker parks a stream whose link end is gone (or
+// not registered yet), so without a bound of its own the wait could
+// outlive a healthy session forever.
+func (r Resilience) resumeWait() time.Duration {
+	if r.MissDeadline > 0 {
+		return r.MissDeadline
 	}
-	return rand.New(rand.NewSource(res.Seed + linkSeq.Add(1)))
+	return rendezvousTimeout
 }
+
+// outageSeq decorrelates the backoff jitter streams of concurrent
+// outages.
+var outageSeq atomic.Int64
 
 // Handle tracks one cross-node channel link from this node's
 // perspective: either the sending half (outbound: local bytes flow to a
@@ -195,13 +214,23 @@ func newHandle(b *Broker, outbound bool) *Handle {
 // Outbound reports whether this is the sending half.
 func (h *Handle) Outbound() bool { return h.outbound }
 
-// WaitReady blocks until the link is connected (or the timeout
-// elapses).
+// WaitReady blocks until the link is connected — for an inbound link,
+// until its opening RESUME is on the wire, so that whatever the caller
+// sends next (Move) is ordered behind it. It fails with the link's
+// terminal error if the link shuts down first, and with
+// ErrRendezvousTimeout if neither happens in time.
 func (h *Handle) WaitReady() error {
+	t := time.NewTimer(rendezvousTimeout)
+	defer t.Stop()
 	select {
 	case <-h.ready:
 		return nil
-	case <-time.After(rendezvousTimeout):
+	case <-h.done:
+		if h.err != nil {
+			return h.err
+		}
+		return ErrNotConnected
+	case <-t.C:
 		return ErrRendezvousTimeout
 	}
 }
@@ -255,11 +284,18 @@ func (h *Handle) finish(err error) {
 	})
 }
 
-func (h *Handle) markReady(peerAddr string) {
+// setPeer records the broker address of the other end: at connection
+// time, and again when a MOVING re-points an outbound link.
+func (h *Handle) setPeer(addr string) {
+	h.mu.Lock()
+	h.peerAddr = addr
+	h.mu.Unlock()
+}
+
+func (h *Handle) markReady() {
 	h.mu.Lock()
 	if !h.active {
 		h.active = true
-		h.peerAddr = peerAddr
 		close(h.ready)
 	}
 	h.mu.Unlock()
@@ -272,20 +308,21 @@ func (h *Handle) markReady(peerAddr string) {
 // capacity semantics across the network — kernel socket buffers would
 // otherwise add megabytes of invisible capacity (a non-positive window
 // selects DefaultWindow; the migration machinery passes the channel's
-// buffer capacity). With resilience enabled a failed dial is retried
-// with backoff in the background instead of failing the call.
+// buffer capacity). Under a retry policy a failed dial is retried with
+// backoff in the background instead of failing the call.
 func (b *Broker) DialOutbound(addr, token string, src io.ReadCloser, window int) (*Handle, error) {
 	h := newHandle(b, true)
+	h.setPeer(addr)
 	h.out = b.newOutbound(h, src, window, false, addr, token)
 	conn, err := b.dial(addr, token)
 	if err != nil {
-		if h.out.res == nil {
+		if !h.out.res.retries() {
 			return nil, err
 		}
-		go h.out.redial(addr)
+		go h.out.redial()
 		return h, nil
 	}
-	h.markReady(addr)
+	h.markReady()
 	go h.out.run(conn)
 	return h, nil
 }
@@ -297,7 +334,8 @@ func (b *Broker) ServeOutbound(token string, src io.ReadCloser, window int) (*Ha
 	h := newHandle(b, true)
 	h.out = b.newOutbound(h, src, window, true, "", token)
 	err := b.expectCancelable(token, func(conn net.Conn, peerAddr string) {
-		h.markReady(peerAddr)
+		h.setPeer(peerAddr)
+		h.markReady()
 		go h.out.run(conn)
 	}, func(err error) {
 		// Broker shut down before the peer arrived: poison the local
@@ -345,7 +383,6 @@ type ackedSource interface{ Acked(off uint64) }
 type deliveredSink interface{ Delivered() uint64 }
 
 func (b *Broker) newOutbound(h *Handle, src io.ReadCloser, window int, serve bool, addr, token string) *outboundLink {
-	res := b.resilience()
 	w := normWindow(window)
 	tt, _ := src.(traceTaker)
 	ss, _ := src.(shapeSource)
@@ -361,8 +398,7 @@ func (b *Broker) newOutbound(h *Handle, src io.ReadCloser, window int, serve boo
 		comp:      b.compression(),
 		window:    w,
 		frameMax:  normFrameMax(w),
-		res:       res,
-		rng:       newLinkRNG(res),
+		res:       b.resilience(),
 		serveRole: serve,
 		dialAddr:  addr,
 		token:     token,
@@ -397,17 +433,16 @@ func normWindow(w int) int {
 // reader port).
 func (b *Broker) DialInbound(addr, token string, dst io.WriteCloser) (*Handle, error) {
 	h := newHandle(b, false)
+	h.setPeer(addr)
 	h.in = b.newInbound(h, dst, false, addr, token)
 	conn, err := b.dial(addr, token)
 	if err != nil {
-		if h.in.res == nil {
+		if !h.in.res.retries() {
 			return nil, err
 		}
-		go h.in.redial(addr)
+		go h.in.redial()
 		return h, nil
 	}
-	h.markReady(addr)
-	h.in.setConn(conn)
 	go h.in.run(conn)
 	return h, nil
 }
@@ -420,8 +455,7 @@ func (b *Broker) ServeInbound(token string, dst io.WriteCloser) (*Handle, error)
 	h := newHandle(b, false)
 	h.in = b.newInbound(h, dst, true, "", token)
 	err := b.expectCancelable(token, func(conn net.Conn, peerAddr string) {
-		h.in.setConn(conn)
-		h.markReady(peerAddr)
+		h.setPeer(peerAddr)
 		go h.in.run(conn)
 	}, func(err error) {
 		dst.Close()
@@ -434,14 +468,12 @@ func (b *Broker) ServeInbound(token string, dst io.WriteCloser) (*Handle, error)
 }
 
 func (b *Broker) newInbound(h *Handle, dst io.WriteCloser, serve bool, addr, token string) *inboundLink {
-	res := b.resilience()
 	tm, _ := dst.(traceMarker)
 	i := &inboundLink{
 		h:         h,
 		dst:       dst,
 		traceDst:  tm,
-		res:       res,
-		rng:       newLinkRNG(res),
+		res:       b.resilience(),
 		serveRole: serve,
 		dialAddr:  addr,
 		token:     token,
@@ -478,6 +510,12 @@ func (h *Handle) Redirect(token string) (peerAddr string, err error) {
 // after the fence has arrived and the link has shut down, at which
 // point every byte the writer sent is either in the local pipe or will
 // be delivered to the new host.
+//
+// A link that is between connections, or whose stream already ended
+// (the sender's final frame was confirmed, so the local pipe holds the
+// rest of the stream and its EOF), has nobody to tell: Move returns
+// ErrNotConnected. In the second case the handle is Done by then, and
+// the caller moves the reader as the local channel end it has become.
 func (h *Handle) Move(addr, token string) error {
 	if h.outbound {
 		return fmt.Errorf("%w: Move requires an inbound link", ErrWrongDirection)
@@ -499,11 +537,17 @@ func (h *Handle) Move(addr, token string) error {
 	return h.Wait()
 }
 
-// reconnect reestablishes one side of a broken link. The dialer role
-// re-dials the peer with jittered exponential backoff; the serving
-// role re-arms its rendezvous token and waits. Both are bounded by the
-// outage's LinkDeadline.
-func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, token string, outageStart time.Time) (net.Conn, error) {
+// reconnect reestablishes one side of a broken link within what is left
+// of the outage's LinkDeadline — nothing, under the zero policy. The
+// dialer role re-dials the peer with jittered exponential backoff; the
+// serving role re-arms its rendezvous token and waits.
+func (b *Broker) reconnect(res Resilience, serve bool, addr, token string, outageStart time.Time) (net.Conn, error) {
+	select {
+	case <-b.closedCh:
+		// Not an outage: the local node is shutting down.
+		return nil, ErrBrokerClosed
+	default:
+	}
 	deadline := outageStart.Add(res.LinkDeadline)
 	if serve {
 		remaining := time.Until(deadline)
@@ -517,6 +561,7 @@ func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, to
 	if backoff <= 0 {
 		backoff = time.Millisecond
 	}
+	var rng *rand.Rand // built on the first failed attempt
 	for {
 		// Check the outage deadline before every attempt, not only on
 		// dial failure: a peer broker can keep accepting HELLOs while the
@@ -527,22 +572,17 @@ func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, to
 		if !time.Now().Before(deadline) {
 			return nil, ErrLinkDeadline
 		}
-		select {
-		case <-b.closedCh:
-			return nil, ErrBrokerClosed
-		default:
-		}
 		conn, err := b.dial(addr, token)
 		if err == nil {
 			return conn, nil
 		}
 		b.noteLink("retry")
-		wait := backoff
-		if rng != nil {
-			// Decorrelated jitter in [backoff/2, backoff].
-			half := backoff / 2
-			wait = half + time.Duration(rng.Int63n(int64(half)+1))
+		if rng == nil {
+			rng = rand.New(rand.NewSource(res.Seed + outageSeq.Add(1)))
 		}
+		// Decorrelated jitter in [backoff/2, backoff].
+		half := backoff / 2
+		wait := half + time.Duration(rng.Int63n(int64(half)+1))
 		if time.Now().Add(wait).After(deadline) {
 			return nil, fmt.Errorf("reconnect to %s: %w: %w", addr, ErrLinkDeadline, err)
 		}
@@ -563,20 +603,12 @@ func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, to
 	}
 }
 
-// sentChunk is one unacknowledged DATA payload retained for replay,
-// keyed by its logical stream offset. It keeps the chunk's pooled
-// backing buffer alive until the receiver confirms delivery.
-type sentChunk struct {
-	off uint64
-	c   outChunk
-}
-
 // outboundLink pumps a local byte source to the remote reader host,
 // subject to a credit window: at most `window` bytes may be
 // unacknowledged, so the receiver's bounded pipe governs the sender's
-// progress end to end. With resilience enabled it retains unacked
-// chunks and replays them after a reconnect, trimming to the offset
-// the receiver announces in its RESUME frame.
+// progress end to end. It retains unacknowledged bytes and replays them
+// after a reconnect, trimming to the offset the receiver announces in
+// its RESUME frame.
 type outboundLink struct {
 	h   *Handle
 	src io.ReadCloser
@@ -607,16 +639,14 @@ type outboundLink struct {
 	// session-owned scratch: frame header staging for control writes.
 	hdr [16]byte
 
-	// resilient state; untouched when res == nil. All fields below are
-	// owned by the run goroutine.
-	res       *Resilience
-	rng       *rand.Rand
+	// All fields below are owned by the run goroutine.
+	res       Resilience
 	serveRole bool
 	dialAddr  string
 	token     string
 	sendOff   uint64 // logical stream offset after the last sent chunk
 	ackOff    uint64 // offset the receiver has confirmed delivered
-	unacked   []sentChunk
+	unacked   replayQueue
 	pending   outChunk // chunk taken from the source but not yet sent
 	next      outChunk // drained chunk that did not fit the coalesce cap
 	finishing bool     // source exhausted; terminal frame in progress
@@ -670,15 +700,16 @@ func (o *outboundLink) startReader() {
 	})
 }
 
-// writeLink writes one frame, bounded by MissDeadline when resilient
-// (a write that cannot drain is a dead or partitioned peer; the
-// replay buffer makes a false positive merely wasteful, not wrong).
-func (o *outboundLink) writeLink(conn net.Conn, f frame) error {
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
+// writeCtrl writes one non-DATA frame from the session goroutine. Like
+// every link write it carries no deadline: the session's Timeout is the
+// wire's only liveness probe, and a write parked on stream credit
+// behind a slow reader is back-pressure, not a dead peer.
+func (o *outboundLink) writeCtrl(conn net.Conn, f frame) error {
+	err := writeFrameBuf(conn, f, o.hdr[:])
+	if err == nil {
+		o.h.b.noteFrame(f.kind, true, 0)
 	}
-	return writeFrameBuf(conn, f, o.hdr[:])
+	return err
 }
 
 // writeData writes one DATA frame as a single conn.Write: the header
@@ -697,21 +728,15 @@ func (o *outboundLink) writeData(conn net.Conn, c outChunk) error {
 			return err
 		}
 	}
+	var err error
 	if c.orig == nil || c.start < frameHdrLen {
-		err := o.writeLink(conn, frame{kind: frameData, payload: c.data})
-		if err == nil {
-			o.h.b.noteData(frameData, true, n, n)
-		}
-		return err
+		err = writeFrameBuf(conn, frame{kind: frameData, payload: c.data}, o.hdr[:])
+	} else {
+		full := (*c.orig)[c.start-frameHdrLen : c.start+n]
+		full[0] = frameData
+		binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(n))
+		_, err = conn.Write(full)
 	}
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	full := (*c.orig)[c.start-frameHdrLen : c.start+n]
-	full[0] = frameData
-	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(n))
-	_, err := conn.Write(full)
 	if err == nil {
 		o.h.b.noteData(frameData, true, n, n)
 	}
@@ -723,9 +748,9 @@ func (o *outboundLink) writeData(conn net.Conn, c outChunk) error {
 // DATA-C frame (header + block in one conn.Write, like the raw path).
 // done=false means nothing was written — the block did not pay for
 // itself — and the caller ships the chunk raw. The chunk itself is
-// never modified: flow control, the RESUME offsets, and the unacked
-// replay buffer all keep working in logical (uncompressed) bytes, and
-// a replayed chunk is simply re-sealed here.
+// never modified: flow control, the RESUME offsets, and the replay
+// queue all keep working in logical (uncompressed) bytes, and a
+// replayed chunk is simply re-sealed here.
 func (o *outboundLink) writeCompressed(conn net.Conn, c outChunk) (done bool, err error) {
 	shape := blocks.ShapeNone
 	if o.shapeSrc != nil {
@@ -747,10 +772,6 @@ func (o *outboundLink) writeCompressed(conn net.Conn, c outChunk) (done bool, er
 	full := (*bp)[:frameHdrLen+len(block)]
 	full[0] = frameDataC
 	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(len(block)))
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
 	if _, err := conn.Write(full); err != nil {
 		return true, err
 	}
@@ -781,10 +802,7 @@ func (o *outboundLink) coalesce() {
 		return
 	}
 	for {
-		room := o.frameMax - len(o.pending.data)
-		if avail := len(*o.pending.orig) - (o.pending.start + len(o.pending.data)); avail < room {
-			room = avail
-		}
+		room := o.pending.room(o.frameMax)
 		if room <= 0 {
 			return
 		}
@@ -798,10 +816,7 @@ func (o *outboundLink) coalesce() {
 				o.next = c
 				return
 			}
-			tail := o.pending.start + len(o.pending.data)
-			copy((*o.pending.orig)[tail:], c.data)
-			o.pending.data = (*o.pending.orig)[o.pending.start : tail+len(c.data)]
-			c.release()
+			o.pending.absorb(c)
 			o.h.b.noteCoalesced()
 		default:
 			return
@@ -810,18 +825,50 @@ func (o *outboundLink) coalesce() {
 }
 
 // redial runs the initial-dial retry loop for DialOutbound when the
-// first attempt fails under resilience.
-func (o *outboundLink) redial(addr string) {
+// first attempt fails under a retry policy.
+func (o *outboundLink) redial() {
 	o.h.b.noteLink("retry")
-	conn, err := o.h.b.reconnect(o.res, o.rng, false, addr, o.token, time.Now())
+	conn, err := o.h.b.reconnect(o.res, false, o.dialAddr, o.token, time.Now())
 	if err != nil {
-		o.h.b.noteLink("fail")
-		o.src.Close()
-		o.h.finish(err)
+		o.degrade(err)
 		return
 	}
-	o.h.markReady(addr)
+	o.h.markReady()
 	o.run(conn)
+}
+
+// degrade ends the link after an outage its policy could not heal:
+// the local source is poisoned so the process network terminates by
+// cascading close instead of hanging (§3.4 across machines).
+func (o *outboundLink) degrade(err error) {
+	o.h.b.noteLink("fail")
+	if o.finishing && o.srcErr == nil && o.unacked.n == 0 {
+		// Every byte was confirmed delivered; only the terminal frame's
+		// confirmation is outstanding. The receiver degrades
+		// independently, so this end shuts down clean. Unacked bytes mean
+		// possible data loss and must surface as a link failure, not a
+		// clean close.
+		err = nil
+	}
+	o.end(err)
+}
+
+// end shuts the link down with its terminal error: the source is closed
+// (poisoning a producer that is still writing), every staged or
+// retained buffer goes back to the pool, and the source reader — parked
+// on a chunk nobody will take, or about to see the close — is drained
+// until it exits, so a link leaves neither buffers nor goroutines.
+func (o *outboundLink) end(err error) {
+	o.src.Close()
+	o.unacked.drop()
+	o.pending.release()
+	o.next.release()
+	o.h.finish(err)
+	if o.chunks != nil {
+		for c := range o.chunks {
+			c.release()
+		}
+	}
 }
 
 type ctrlEvent struct {
@@ -829,194 +876,109 @@ type ctrlEvent struct {
 	err error
 }
 
-// ctrlOutcome describes how a control event changes the sender's
-// state.
-type ctrlOutcome int
+type sessResult int
 
 const (
-	ctrlContinue ctrlOutcome = iota // credit absorbed; keep going
-	ctrlStop                        // link is over (peer gone or reader closed)
-	ctrlMoved                       // reconnected to a new host; restart the session
-	ctrlFailed                      // connection dead; resilient reconnect wanted
+	sessContinue sessResult = iota // credit absorbed; keep going
+	sessDone                       // link is over (reader closed, or the final frame was confirmed)
+	sessMoved                      // reconnected to a new host; restart the session there
+	sessFailed                     // connection dead; the policy decides what follows
 )
 
-// trimUnacked drops (or slices) retained chunks the receiver has
-// confirmed up to off. Fully confirmed chunks return their pooled
-// buffer; a partially confirmed chunk keeps its buffer (the remaining
-// bytes may be replayed) and its headroom invariant (start only grows).
-func (o *outboundLink) trimUnacked(off uint64) {
-	for len(o.unacked) > 0 {
-		sc := o.unacked[0]
-		end := sc.off + uint64(len(sc.c.data))
-		if end <= off {
-			sc.c.release()
-			o.unacked[0] = sentChunk{}
-			o.unacked = o.unacked[1:]
-			continue
-		}
-		if sc.off < off {
-			delta := int(off - sc.off)
-			sc.c.data = sc.c.data[delta:]
-			sc.c.start += delta
-			sc.off = off
-			o.unacked[0] = sc
-		}
-		return
-	}
-}
-
-// dropUnacked abandons the replay buffer (stream offsets rebase, e.g.
-// after a MOVING fence, or a restart rewind in resync) and returns its
-// pooled buffers.
-//
-// Compression audit: a rebase can land mid-chunk (trimUnacked slices a
-// partially acked chunk, leaving a remainder that may not be
-// 8-aligned), but it can never land mid-BLOCK on the wire. DATA-C
-// blocks are sealed per frame at write time (writeCompressed) and
-// never retained: the replay buffer holds logical bytes, and a
-// replayed or sliced chunk is re-trialed from scratch — a non-aligned
-// remainder simply fails the n%8 gate in writeData and ships raw. The
-// receiver therefore always decodes whole, freshly sealed blocks;
-// resuming decode inside a previously sealed block is structurally
-// impossible. TestRebaseMidChunkCompressedReplay pins this down.
-func (o *outboundLink) dropUnacked() {
-	for i := range o.unacked {
-		o.unacked[i].c.release()
-	}
-	o.unacked = nil
-}
-
-// handleCtrl processes one control event. On ctrlMoved the connection
+// handleCtrl processes one control event. On sessMoved the connection
 // to the reader's new host is returned.
-func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (ctrlOutcome, net.Conn) {
-	if ev.err == nil {
-		o.h.b.noteFrame(ev.f.kind, false, 0)
-	}
-	switch {
-	case ev.err != nil:
+func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (sessResult, net.Conn) {
+	if ev.err != nil {
 		conn.Close()
-		if o.res != nil {
-			return ctrlFailed, nil
-		}
-		// Peer vanished: poison the local writer so the process network
-		// observes termination (§3.4 across machines).
-		o.src.Close()
-		o.h.finish(nil)
-		return ctrlStop, nil
-	case ev.f.kind == frameAck:
+		return sessFailed, nil
+	}
+	o.h.b.noteFrame(ev.f.kind, false, 0)
+	switch ev.f.kind {
+	case frameAck:
 		o.inFlight -= ev.f.ack
 		if o.inFlight < 0 {
 			o.inFlight = 0
 		}
-		if o.res != nil {
-			o.ackOff += uint64(ev.f.ack)
-			o.trimUnacked(o.ackOff)
-			if o.ackSrc != nil {
-				o.ackSrc.Acked(o.ackOff)
-			}
-		}
-		return ctrlContinue, nil
-	case ev.f.kind == frameCloseRead:
+		o.acked(o.ackOff + uint64(ev.f.ack))
+	case frameCloseRead:
 		// Remote reader closed: cascade the exception upstream.
 		conn.Close()
-		o.src.Close()
-		o.h.finish(nil)
-		return ctrlStop, nil
-	case ev.f.kind == frameMoving:
+		o.end(nil)
+		return sessDone, nil
+	case frameMoving:
 		// Reader host is moving: fence this connection and reconnect
 		// directly to the new host. Every pre-fence byte lands in the
 		// old host's leftover buffer and travels inside the migration
 		// parcel, so the stream offsets rebase to zero.
-		writeFrame(conn, frame{kind: frameFence})
-		o.h.b.noteFrame(frameFence, true, 0)
+		o.writeCtrl(conn, frame{kind: frameFence})
 		conn.Close()
 		o.inFlight = 0
-		o.dropUnacked()
+		o.unacked.drop()
 		o.sendOff, o.ackOff = 0, 0
 		o.serveRole = false
 		o.dialAddr = ev.f.addr
 		o.token = ev.f.token
-		var newConn net.Conn
-		var err error
-		if o.res != nil {
-			newConn, err = o.h.b.reconnect(o.res, o.rng, false, ev.f.addr, ev.f.token, time.Now())
-		} else {
-			newConn, err = o.h.b.dial(ev.f.addr, ev.f.token)
+		// The re-dial is part of the move, not an outage: one bounded
+		// dial, and only a policy that retries keeps at it.
+		newConn, err := o.h.b.dial(ev.f.addr, ev.f.token)
+		if err != nil && o.res.retries() {
+			newConn, err = o.h.b.reconnect(o.res, false, ev.f.addr, ev.f.token, time.Now())
 		}
 		if err != nil {
-			o.src.Close()
-			o.h.finish(fmt.Errorf("netio: reconnect after MOVING: %w", err))
-			return ctrlStop, nil
+			o.end(fmt.Errorf("netio: reconnect after MOVING: %w", err))
+			return sessDone, nil
 		}
-		o.h.mu.Lock()
-		o.h.peerAddr = ev.f.addr
-		o.h.mu.Unlock()
-		return ctrlMoved, newConn
-	default:
-		return ctrlContinue, nil
+		o.h.setPeer(ev.f.addr)
+		return sessMoved, newConn
 	}
+	return sessContinue, nil
 }
 
-type sessResult int
-
-const (
-	sessDone sessResult = iota
-	sessMoved
-	sessFailed
-)
+// acked advances the receiver-confirmed offset: confirmed bytes leave
+// the replay queue and a journaling source may truncate behind them.
+func (o *outboundLink) acked(off uint64) {
+	o.ackOff = off
+	o.unacked.trim(off)
+	if o.ackSrc != nil {
+		o.ackSrc.Acked(off)
+	}
+}
 
 func (o *outboundLink) run(conn net.Conn) {
 	var outageStart time.Time
 	for {
-		res, next, progressed := o.session(conn)
-		if progressed {
+		res, next := sessFailed, net.Conn(nil)
+		if o.resync(conn) {
 			outageStart = time.Time{}
+			res, next = o.session(conn)
+		} else {
+			conn.Close()
 		}
 		switch res {
 		case sessDone:
 			return
-		case sessMoved:
-			conn = next
-			outageStart = time.Time{}
 		case sessFailed:
-			if o.res == nil {
-				// Legacy sessions finish before failing; defensive only.
-				o.src.Close()
-				o.h.finish(errLinkFailed)
-				return
-			}
 			if outageStart.IsZero() {
 				outageStart = time.Now()
 			}
-			next, err := o.h.b.reconnect(o.res, o.rng, o.serveRole, o.dialAddr, o.token, outageStart)
-			if err != nil {
-				o.h.b.noteLink("fail")
-				o.src.Close()
-				if o.finishing && o.srcErr == nil && len(o.unacked) == 0 {
-					// Every byte was confirmed delivered; only the terminal
-					// frame's confirmation is outstanding. The receiver
-					// degrades independently, so this end shuts down clean.
-					// Unacked bytes mean possible data loss and must surface
-					// as a link failure, not a clean close.
-					o.h.finish(nil)
-				} else {
-					o.h.finish(err)
-				}
+			var err error
+			if next, err = o.h.b.reconnect(o.res, o.serveRole, o.dialAddr, o.token, outageStart); err != nil {
+				o.degrade(err)
 				return
 			}
 			o.h.b.noteLink("heal")
-			conn = next
 		}
+		conn = next
 	}
 }
 
-// resync performs the sender half of the RESUME handshake: the
-// receiver speaks first, announcing its delivered offset; the sender
-// confirms the offset it resumes from (the receiver waits for that, see
-// inboundLink.session), retained chunks past it are replayed and the
-// credit window is recomputed from it.
+// resync performs the sender half of the RESUME exchange that opens
+// every connection: the receiver speaks first, announcing its delivered
+// offset; the sender confirms the offset it resumes from (the receiver
+// waits for that, see inboundLink.open), retained bytes past it are
+// replayed and the credit window is recomputed from it.
 func (o *outboundLink) resync(conn net.Conn) bool {
-	conn.SetReadDeadline(time.Now().Add(o.res.MissDeadline))
+	conn.SetReadDeadline(time.Now().Add(o.res.resumeWait()))
 	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
 	if err != nil || f.kind != frameResume {
@@ -1033,8 +995,8 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 		// replaying the stream from offset zero. Skip the source forward
 		// to the receiver's delivered offset and adopt it as our own.
 		// This can only happen on an incarnation's first resync — the
-		// reader goroutine has not started (see session), so no chunk is
-		// staged and the replay buffer is empty.
+		// reader goroutine has not started (see run), so no chunk is
+		// staged and the replay queue is empty.
 		if o.rewindSrc == nil || o.rewindSrc.Rewind(off) != nil {
 			// A plain source cannot skip; the streams have genuinely
 			// diverged (e.g. mismatched journal dir). Fail the session —
@@ -1042,20 +1004,15 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 			// the stream.
 			return false
 		}
-		o.dropUnacked()
+		o.unacked.drop()
 		o.sendOff = off
 	}
-	o.ackOff = off
-	o.trimUnacked(off)
-	if o.ackSrc != nil {
-		o.ackSrc.Acked(off)
-	}
-	if err := o.writeLink(conn, frame{kind: frameResume, off: off}); err != nil {
+	o.acked(off)
+	if o.writeCtrl(conn, frame{kind: frameResume, off: off}) != nil {
 		return false
 	}
-	o.h.b.noteFrame(frameResume, true, 0)
-	for _, sc := range o.unacked {
-		if err := o.writeData(conn, sc.c); err != nil {
+	for k := 0; k < o.unacked.n; k++ {
+		if o.writeData(conn, o.unacked.at(k).c) != nil {
 			return false
 		}
 	}
@@ -1063,25 +1020,18 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 	return true
 }
 
-// session drives one connection's worth of the outbound stream. It
-// returns sessFailed (resilient mode only) when the connection died
-// and the stream should resume on a fresh one.
-func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
-	progressed := false
-	if o.res != nil {
-		if !o.resync(conn) {
-			conn.Close()
-			return sessFailed, nil, false
-		}
-		progressed = true
-	}
+// session drives one resynchronized connection's worth of the outbound
+// stream.
+func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn) {
 	// The reader starts only after the first resync: it prefetches a
 	// chunk the moment it runs, and a restarted sender must Rewind its
-	// journal-backed source to the receiver's offset (resync above)
-	// before anyone reads from it. readerOnce keeps later sessions
-	// cheap, and a rewind can only happen on the first resync, when the
-	// reader provably has not started.
+	// journal-backed source to the receiver's offset (resync) before
+	// anyone reads from it. readerOnce keeps later sessions cheap, and a
+	// rewind can only happen on the first resync, when the reader
+	// provably has not started.
 	o.startReader()
+	// Buffered so the control reader runs ahead of a session busy
+	// sending: a window's worth of ACKs rarely exceeds 16 frames.
 	ctrl := make(chan ctrlEvent, 16)
 	quit := make(chan struct{})
 	defer close(quit)
@@ -1090,8 +1040,7 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 		// The terminal frame waits until every staged chunk (pending and
 		// the coalesce overflow slot) has been sent.
 		if o.finishing && o.pending.data == nil && o.next.data == nil {
-			res, next := o.finishStream(conn, ctrl)
-			return res, next, progressed
+			return o.finishStream(conn, ctrl)
 		}
 		if o.pending.data == nil {
 			if o.next.data != nil {
@@ -1107,13 +1056,8 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 					o.pending = chunk
 					o.coalesce()
 				case ev := <-ctrl:
-					switch out, next := o.handleCtrl(ev, conn); out {
-					case ctrlStop:
-						return sessDone, nil, progressed
-					case ctrlFailed:
-						return sessFailed, nil, progressed
-					case ctrlMoved:
-						return sessMoved, next, progressed
+					if res, next := o.handleCtrl(ev, conn); res != sessContinue {
+						return res, next
 					}
 					continue
 				}
@@ -1125,19 +1069,14 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 			o.h.b.noteCreditStall()
 		}
 		for o.window > 0 && o.inFlight > 0 && o.inFlight+len(o.pending.data) > o.window {
-			switch out, next := o.handleCtrl(<-ctrl, conn); out {
-			case ctrlStop:
-				return sessDone, nil, progressed
-			case ctrlFailed:
-				return sessFailed, nil, progressed
-			case ctrlMoved:
-				return sessMoved, next, progressed
+			if res, next := o.handleCtrl(<-ctrl, conn); res != sessContinue {
+				return res, next
 			}
 		}
 		// A pending trace mark (set upstream on the pipe, or minted by
 		// the broker's auto-sampler) rides ahead of the DATA frame it
 		// tags. Trace frames carry no credit or offset and never enter
-		// the replay buffer — a mark lost to a reconnect just means that
+		// the replay queue — a mark lost to a reconnect just means that
 		// batch goes unsampled.
 		if id := o.takeTrace(); id != 0 {
 			// Record the span before the frame is flushed: on a fast
@@ -1146,86 +1085,48 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 			// write would then read later than its own wire-in, breaking
 			// the causal edge the merge aligns clocks on.
 			o.h.b.noteSpan(o.token, "wire-out", id)
-			if err := o.writeLink(conn, frame{kind: frameTrace, off: id}); err != nil {
+			if o.writeCtrl(conn, frame{kind: frameTrace, off: id}) != nil {
 				conn.Close()
-				if o.res != nil {
-					return sessFailed, nil, progressed
-				}
-				o.src.Close()
-				o.h.finish(fmt.Errorf("netio: send failed: %w", err))
-				return sessDone, nil, progressed
+				return sessFailed, nil
 			}
-			o.h.b.noteFrame(frameTrace, true, 0)
 		}
-		chunk := o.pending
-		if err := o.writeData(conn, chunk); err != nil {
+		if o.writeData(conn, o.pending) != nil {
 			conn.Close()
-			if o.res != nil {
-				return sessFailed, nil, progressed
-			}
-			o.src.Close()
-			o.h.finish(fmt.Errorf("netio: send failed: %w", err))
-			return sessDone, nil, progressed
+			return sessFailed, nil
 		}
-		o.inFlight += len(chunk.data)
-		if o.res != nil {
-			o.unacked = append(o.unacked, sentChunk{off: o.sendOff, c: chunk})
-			o.sendOff += uint64(len(chunk.data))
-		} else {
-			chunk.release()
-		}
+		o.inFlight += len(o.pending.data)
+		o.unacked.push(o.sendOff, o.pending, o.frameMax)
+		o.sendOff += uint64(len(o.pending.data))
 		o.pending = outChunk{}
 	}
 }
 
-// finishStream sends the terminal frame (EOF or REDIRECT) and shuts
-// the link down. With resilience the sender waits for the receiver's
-// BYE confirmation, reconnecting and re-sending the terminal frame if
-// the connection dies first — a lost EOF is otherwise indistinguishable
-// from a lost peer.
+// finishStream sends the terminal frame (EOF or REDIRECT) and waits for
+// the receiver's BYE confirmation; if the connection dies first the
+// session fails, and the next one re-sends the terminal frame — a lost
+// EOF is otherwise indistinguishable from a lost peer. A MOVING that
+// arrives instead of the BYE is a reader that moved while the final
+// frame was in flight: the terminal frame is re-sent at its new host.
 func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent) (sessResult, net.Conn) {
-	if o.res == nil {
-		err := o.srcErr
-		if err == nil {
-			final := o.finalFrame()
-			err = writeFrame(conn, final)
-			if err == nil {
-				o.h.b.noteFrame(final.kind, true, 0)
-			}
-		}
-		// Closing a stream delivers everything written before the close,
-		// so the link need not wait for the receiver's ACKs.
-		conn.Close()
-		o.h.finish(err)
-		return sessDone, nil
-	}
 	if o.srcErr != nil {
 		conn.Close()
-		o.h.finish(o.srcErr)
+		o.end(o.srcErr)
 		return sessDone, nil
 	}
-	final := o.finalFrame()
-	if err := o.writeLink(conn, final); err != nil {
+	if o.writeCtrl(conn, o.finalFrame()) != nil {
 		conn.Close()
 		return sessFailed, nil
 	}
-	o.h.b.noteFrame(final.kind, true, 0)
 	for {
 		ev := <-ctrl
 		if ev.err == nil && ev.f.kind == frameBye {
 			o.h.b.noteFrame(frameBye, false, 0)
 			conn.Close()
-			o.src.Close()
-			o.h.finish(nil)
+			o.end(nil)
 			return sessDone, nil
 		}
-		switch out, next := o.handleCtrl(ev, conn); out {
-		case ctrlStop:
-			return sessDone, nil
-		case ctrlFailed:
-			return sessFailed, nil
-		case ctrlMoved:
-			return sessMoved, next
+		if res, next := o.handleCtrl(ev, conn); res != sessContinue {
+			return res, next
 		}
 	}
 }
@@ -1258,25 +1159,29 @@ func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}) {
 }
 
 // inboundLink pumps received bytes into the local pipe behind a reader
-// port. With resilience it opens every connection by announcing its
-// delivered offset (RESUME) and treats a dead connection as an outage
-// to heal.
+// port. It opens every connection by announcing its delivered offset
+// (RESUME) and treats a dead connection as an outage for its policy to
+// heal or give up on.
 type inboundLink struct {
 	h   *Handle
 	dst io.WriteCloser
 	// traceDst is dst's trace-mark tap, nil when dst is not trace-aware.
 	traceDst traceMarker
 
-	mu     sync.Mutex
-	conn   net.Conn
-	moving bool
+	// mu serializes control-direction writes (the session goroutine's
+	// RESUME, ACK, BYE and CLOSEREAD share the conn with Move's MOVING)
+	// and guards the fields below.
+	mu sync.Mutex
+	// conn is the live connection once its opening RESUME is on the
+	// wire; nil between connections and after the link has ended.
+	conn net.Conn
+	// moving is the MOVING frame once Move has announced one (kind 0
+	// until then); a connection opened later repeats it after RESUME.
+	moving frame
+	hdr    [16]byte // control-frame header staging
 
-	// hdr stages control-frame headers; guarded by mu (ctrlWrite).
-	hdr [16]byte
-
-	// resilient state; owned by the run goroutine.
-	res       *Resilience
-	rng       *rand.Rand
+	// Owned by the run goroutine.
+	res       Resilience
 	serveRole bool
 	dialAddr  string
 	token     string
@@ -1289,98 +1194,115 @@ func (i *inboundLink) sendMoving(addr, token string) error {
 	if i.conn == nil {
 		return ErrNotConnected
 	}
-	i.moving = true
-	err := writeFrame(i.conn, frame{kind: frameMoving, token: token, addr: addr})
-	if err == nil {
-		i.h.b.noteFrame(frameMoving, true, 0)
+	i.moving = frame{kind: frameMoving, token: token, addr: addr}
+	err := i.writeLocked(i.conn, i.moving)
+	if err != nil {
+		i.moving = frame{}
 	}
 	return err
 }
 
-func (i *inboundLink) setConn(conn net.Conn) {
-	i.mu.Lock()
-	i.conn = conn
-	i.mu.Unlock()
+// writeLocked writes one control frame; the caller holds mu.
+func (i *inboundLink) writeLocked(conn net.Conn, f frame) error {
+	err := writeFrameBuf(conn, f, i.hdr[:])
+	if err == nil {
+		i.h.b.noteFrame(f.kind, true, 0)
+	}
+	return err
 }
 
-// ctrlWrite serializes control-direction writes (the session
-// goroutine's ACK, RESUME, BYE and CLOSEREAD share the conn with
-// sendMoving), bounded by MissDeadline when resilient.
+// ctrlWrite writes one control frame from the session goroutine. No
+// deadline: see outboundLink.writeCtrl.
 func (i *inboundLink) ctrlWrite(conn net.Conn, f frame) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(i.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	return writeFrameBuf(conn, f, i.hdr[:])
+	return i.writeLocked(conn, f)
 }
 
 // redial runs the initial-dial retry loop for DialInbound when the
-// first attempt fails under resilience.
-func (i *inboundLink) redial(addr string) {
+// first attempt fails under a retry policy.
+func (i *inboundLink) redial() {
 	i.h.b.noteLink("retry")
-	conn, err := i.h.b.reconnect(i.res, i.rng, false, addr, i.token, time.Now())
+	conn, err := i.h.b.reconnect(i.res, false, i.dialAddr, i.token, time.Now())
 	if err != nil {
-		i.h.b.noteLink("fail")
-		i.dst.Close()
-		i.h.finish(err)
+		i.degrade(err)
 		return
 	}
-	i.h.markReady(addr)
-	i.setConn(conn)
 	i.run(conn)
+}
+
+// degrade ends the link after an outage its policy could not heal:
+// the local reader is poisoned so the process network terminates by
+// cascading close instead of hanging (§3.4), and the terminal error
+// says that what the reader drained is only a prefix.
+func (i *inboundLink) degrade(err error) {
+	i.h.b.noteLink("fail")
+	i.dst.Close()
+	i.h.finish(fmt.Errorf("%w: %w", ErrTruncated, err))
 }
 
 func (i *inboundLink) run(conn net.Conn) {
 	var outageStart time.Time
 	for {
-		done, progressed := i.session(conn)
-		if progressed {
+		done := false
+		if i.open(conn) {
 			outageStart = time.Time{}
+			done = i.session(conn)
 		}
+		i.mu.Lock()
+		i.conn = nil
+		i.mu.Unlock()
+		conn.Close()
 		if done {
 			return
-		}
-		if i.res == nil {
-			return // legacy sessions always finish
 		}
 		if outageStart.IsZero() {
 			outageStart = time.Now()
 		}
-		next, err := i.h.b.reconnect(i.res, i.rng, i.serveRole, i.dialAddr, i.token, outageStart)
-		if err != nil {
-			// Degrade: poison the local reader so the process network
-			// terminates by cascading close instead of hanging (§3.4).
-			i.h.b.noteLink("fail")
-			i.dst.Close()
-			i.h.finish(err)
+		var err error
+		if conn, err = i.h.b.reconnect(i.res, i.serveRole, i.dialAddr, i.token, outageStart); err != nil {
+			i.degrade(err)
 			return
 		}
 		i.h.b.noteLink("heal")
-		i.setConn(next)
-		conn = next
 	}
 }
 
-// session drives one connection's worth of the inbound stream. It
-// returns done=false (resilient mode only) when the connection died
-// and the stream should resume on a fresh one.
-func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
-	if i.res != nil {
-		if err := i.ctrlWrite(conn, frame{kind: frameResume, off: i.delivered}); err != nil {
-			conn.Close()
-			return false, false
-		}
-		i.h.b.noteFrame(frameResume, true, 0)
-		// The sender confirms RESUME before anything else, and only that
-		// wait is bounded: the session under the stream answers for the
-		// peer host, not for the peer link — the peer's broker parks a
-		// stream whose link is gone, and would leave this end waiting on
-		// a healthy session forever.
-		conn.SetReadDeadline(time.Now().Add(i.res.MissDeadline))
+// open performs the receiver half of the RESUME exchange that opens
+// every connection: announce the delivered offset, publish the
+// connection to Move (repeating a MOVING announced on an earlier
+// connection — the outage may have swallowed it), and wait for the
+// sender's confirmation. Publishing under the same lock hold as the
+// RESUME write is what orders any MOVING behind the RESUME: the sender
+// rejects a connection that opens with anything else.
+func (i *inboundLink) open(conn net.Conn) bool {
+	i.mu.Lock()
+	err := i.writeLocked(conn, frame{kind: frameResume, off: i.delivered})
+	if err == nil && i.moving.kind != 0 {
+		err = i.writeLocked(conn, i.moving)
 	}
-	resuming := i.res != nil
+	if err == nil {
+		i.conn = conn
+	}
+	i.mu.Unlock()
+	if err != nil {
+		return false
+	}
+	i.h.markReady()
+	conn.SetReadDeadline(time.Now().Add(i.res.resumeWait()))
+	f, err := readFrame(conn)
+	conn.SetReadDeadline(time.Time{})
+	if err != nil || f.kind != frameResume {
+		return false
+	}
+	i.h.b.noteFrame(frameResume, false, 0)
+	return true
+}
+
+// session drives one opened connection's worth of the inbound stream.
+// It returns false when the connection died short of a terminal frame
+// and the stream should resume on a fresh one.
+func (i *inboundLink) session(conn net.Conn) (done bool) {
 	// One pooled buffer serves every frame of the session: the payload
 	// is copied into the local pipe before the next read, so the frame
 	// reader can alias its scratch instead of allocating per frame. A
@@ -1393,41 +1315,11 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 	for {
 		f, err := readFrameInto(conn, *scratch)
 		if err != nil {
-			i.mu.Lock()
-			moving := i.moving
-			i.mu.Unlock()
-			conn.Close()
-			if moving {
-				// We initiated a move and the fence may have raced the
-				// close; the migration machinery drains the pipe, so do
-				// not close dst.
-				i.h.finish(nil)
-				return true, progressed
-			}
-			if i.res != nil {
-				return false, progressed
-			}
-			// Connection lost short of the sender's final frame: close the
-			// data stream so the local reader terminates, and say that what
-			// it drained is only a prefix.
-			i.dst.Close()
-			i.h.finish(ErrTruncated)
-			return true, progressed
+			return false
 		}
 		if f.kind != frameData && f.kind != frameDataC {
 			i.h.b.noteFrame(f.kind, false, len(f.payload))
 		}
-		if resuming {
-			if f.kind != frameResume {
-				conn.Close()
-				return false, progressed
-			}
-			conn.SetReadDeadline(time.Time{})
-			resuming = false
-			progressed = true
-			continue
-		}
-		progressed = true
 		switch f.kind {
 		case frameTrace:
 			// Causal trace mark for the next DATA frame: record the
@@ -1446,10 +1338,9 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 				if derr != nil {
 					// A block that fails its strict decode is wire
 					// corruption, exactly like an unknown frame kind.
-					conn.Close()
 					i.dst.Close()
 					i.h.finish(ErrBadFrame)
-					return true, progressed
+					return true
 				}
 				payload = out
 			}
@@ -1457,64 +1348,67 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 			if _, err := i.dst.Write(payload); err != nil {
 				// Local reader closed: cascade upstream (§3.4).
 				i.ctrlWrite(conn, frame{kind: frameCloseRead})
-				i.h.b.noteFrame(frameCloseRead, true, 0)
-				conn.Close()
 				i.h.finish(nil)
-				return true, progressed
+				return true
 			}
 			i.delivered += uint64(len(payload))
 			// Grant the sender credit for the consumed LOGICAL bytes —
-			// the sender's window, offsets, and replay buffer all count
+			// the sender's window, offsets, and replay queue all count
 			// the uncompressed stream.
 			i.ctrlWrite(conn, frame{kind: frameAck, ack: len(payload)})
-			i.h.b.noteFrame(frameAck, true, 0)
-		case frameEOF:
-			if i.res != nil {
-				if i.ctrlWrite(conn, frame{kind: frameBye}) == nil {
-					i.h.b.noteFrame(frameBye, true, 0)
-				}
+		case frameEOF, frameRedirect:
+			if i.confirmFinal(conn, f) {
+				return true
 			}
-			i.dst.Close()
-			conn.Close()
-			i.h.finish(nil)
-			return true, progressed
 		case frameFence:
 			// We asked the writer to move to a new host; the stream
 			// pauses here and resumes there. Do not close dst: the
 			// migration machinery drains it into the descriptor.
-			conn.Close()
 			i.h.finish(nil)
-			return true, progressed
-		case frameRedirect:
-			// Writer end is moving: re-arm the rendezvous on our broker
-			// with the announced token; the writer's new host will
-			// connect directly (§4.3).
-			if i.res != nil {
-				if i.ctrlWrite(conn, frame{kind: frameBye}) == nil {
-					i.h.b.noteFrame(frameBye, true, 0)
-				}
-			}
-			nh, err := i.h.b.ServeInbound(f.token, i.dst)
-			conn.Close()
-			if err != nil {
-				i.h.finish(fmt.Errorf("netio: redirect re-arm: %w", err))
-				return true, progressed
-			}
-			// Hand the replacement to whoever tracks this handle before
-			// finishing, so the tracker never observes a gap — and seed
-			// the hook on the replacement, so a further redirect keeps
-			// the chain alive.
-			if hook := i.h.rearmHook(); hook != nil {
-				nh.SetRearmHook(hook)
-				hook(nh)
-			}
-			i.h.finish(nil)
-			return true, progressed
+			return true
 		default:
-			conn.Close()
 			i.dst.Close()
 			i.h.finish(ErrBadFrame)
-			return true, progressed
+			return true
 		}
 	}
+}
+
+// confirmFinal answers the sender's terminal frame with BYE and ends
+// the link: EOF closes dst; REDIRECT (the writer end is moving, §4.3)
+// re-arms the rendezvous on our broker with the announced token, where
+// the writer's new host will connect directly. It all happens in one
+// critical section, so a Move racing the end of the stream finds either
+// a live connection or a finished link, never the gap between.
+//
+// With a MOVING already out it does nothing and reports false: the
+// sender, still waiting for its BYE, answers the MOVING with a FENCE
+// and re-sends the terminal frame to the reader's new host.
+func (i *inboundLink) confirmFinal(conn net.Conn, f frame) bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if i.moving.kind != 0 {
+		return false
+	}
+	i.conn = nil
+	i.writeLocked(conn, frame{kind: frameBye})
+	if f.kind == frameEOF {
+		i.dst.Close()
+		i.h.finish(nil)
+		return true
+	}
+	nh, err := i.h.b.ServeInbound(f.token, i.dst)
+	if err != nil {
+		i.h.finish(fmt.Errorf("netio: redirect re-arm: %w", err))
+		return true
+	}
+	// Hand the replacement to whoever tracks this handle before
+	// finishing, so the tracker never observes a gap — and seed the hook
+	// on the replacement, so a further redirect keeps the chain alive.
+	if hook := i.h.rearmHook(); hook != nil {
+		nh.SetRearmHook(hook)
+		hook(nh)
+	}
+	i.h.finish(nil)
+	return true
 }

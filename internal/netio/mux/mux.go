@@ -7,7 +7,7 @@
 // challenge/response handshake once (handshake.go) and then carries
 // any number of conduits as virtual streams, each a full net.Conn: the
 // netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME, TRACE, BYE,
-// REDIRECT — runs over a stream, so resilience, compression, durable
+// REDIRECT — runs over a stream, so resume, compression, durable
 // journaling, and migration never see the session boundary. The
 // session is also the wire's one liveness probe: its keepalive and
 // write bound decide when the peer is gone, and every stream fails
@@ -622,15 +622,22 @@ func (st *Stream) ID() uint32 { return st.id }
 func (st *Stream) fill(r io.Reader, n int) error {
 	st.mu.Lock()
 	if st.rclosed || st.resetErr != nil {
-		// Locally closed: drain and abort the peer's sender.
+		// Locally closed: drain and abort the peer's sender. A stream
+		// closed in both directions here has nothing left to wait for —
+		// the peer does not FIN a stream it was told to reset — so it
+		// leaves the session table now rather than never.
 		sendRST := !st.rstSent
 		st.rstSent = true
+		gone := st.rclosed && st.wclosed
 		st.mu.Unlock()
 		if _, err := io.CopyN(io.Discard, r, int64(n)); err != nil {
 			return err
 		}
 		if sendRST {
 			go st.sess.writeFrame(kindRST, st.id, nil)
+		}
+		if gone {
+			st.sess.removeStream(st)
 		}
 		return nil
 	}

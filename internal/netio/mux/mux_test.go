@@ -406,6 +406,50 @@ func TestStreamCountAndTeardown(t *testing.T) {
 	}
 }
 
+// TestCloseUnderASendingPeerLeavesNoStream closes a stream whose peer
+// is still writing: the late data is answered with RST, the peer — told
+// to reset — never FINs, and the closed side must drop the stream from
+// its table itself instead of keeping it (and its receive ring) for the
+// life of the session. A link whose consumer closes mid-stream (§3.4)
+// does exactly this.
+func TestCloseUnderASendingPeerLeavesNoStream(t *testing.T) {
+	d, a := sessionPair(t, Config{}, Config{})
+	st, err := d.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := a.AcceptStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Write([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(peer, make([]byte, 5)); err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	// Keep writing until the RST lands; then close our side too.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := st.Write([]byte("late")); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("writer never saw the reset")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.Close()
+	for d.NumStreams() > 0 || a.NumStreams() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("streams lingering after close: dialer=%d acceptor=%d",
+				d.NumStreams(), a.NumStreams())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -19,11 +19,11 @@ import (
 // opens a stream and writes HELLO; the accept path peels streams off
 // inbound sessions and feeds them to the rendezvous matcher. The
 // session owns liveness: when it dies (peer silent or not draining, see
-// muxConfig), its streams fail, resilient links re-dial, the pool
-// builds (or reuses) a fresh session, and the RESUME offset handshake
-// replays whatever the outage swallowed — durable WAL journaling and
-// block compression ride per-stream and never notice the session
-// boundary.
+// muxConfig), its streams fail, links whose policy retries re-dial, the
+// pool builds (or reuses) a fresh session, and the RESUME offset
+// handshake replays whatever the outage swallowed — durable WAL
+// journaling and block compression ride per-stream and never notice
+// the session boundary.
 //
 // Sessions are pooled under the peer broker's *announced* listen
 // address, and both the dialing and the accepting side register them,
@@ -56,12 +56,12 @@ func (b *Broker) MuxSessions() int64 { return b.muxLiveSessions.Load() }
 func (b *Broker) MuxStreams() int64 { return b.muxLiveStreams.Load() }
 
 // muxConfig assembles the session config: the broker's listen address
-// as its announced identity, metric hooks into the active bundle, and —
-// with resilience enabled — its heartbeat as the session's PING
-// interval and its miss deadline as the bound on peer silence and on a
-// stalled write. The session is the wire's only liveness probe: links
-// set no per-frame read deadline and send no heartbeat of their own,
-// they see the session's death as their outage.
+// as its announced identity, metric hooks into the active bundle, and
+// the retry policy's heartbeat as the session's PING interval and its
+// miss deadline as the bound on peer silence and on a stalled write
+// (zero selects the session defaults). The session is the wire's only
+// liveness probe: links set no per-frame deadline and send no heartbeat
+// of their own, they see the session's death as their outage.
 func (b *Broker) muxConfig() mux.Config {
 	cfg := mux.Config{
 		Addr: b.addr,
@@ -74,9 +74,8 @@ func (b *Broker) muxConfig() mux.Config {
 	if psk := b.psk.Load(); psk != nil {
 		cfg.PSK = *psk
 	}
-	if res := b.resilience(); res != nil {
-		cfg.KeepAlive, cfg.Timeout = res.HeartbeatEvery, res.MissDeadline
-	}
+	res := b.resilience()
+	cfg.KeepAlive, cfg.Timeout = res.HeartbeatEvery, res.MissDeadline
 	return cfg
 }
 

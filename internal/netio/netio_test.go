@@ -3,20 +3,48 @@ package netio
 import (
 	"bytes"
 	"io"
+	"net"
+	"os"
 	"testing"
 	"time"
 
 	"dpn/internal/stream"
 )
 
+// newTestBroker starts a broker for one test. With DPN_TEST_POLICY=retry
+// in the environment every such broker gets DefaultResilience(), so the
+// suite — the Move tests above all — can be replayed unmodified under a
+// retry policy (scripts/check.sh -chaos does): a policy may change when
+// a move completes, never whether.
 func newTestBroker(t *testing.T) *Broker {
 	t.Helper()
 	b, err := NewBroker("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if os.Getenv("DPN_TEST_POLICY") == "retry" {
+		b.SetResilience(DefaultResilience())
+	}
 	t.Cleanup(func() { b.Close() })
 	return b
+}
+
+// dialRawSender plays the sending half of a link by hand: it dials the
+// inbound link serving tok at addr and performs the RESUME exchange
+// that opens every connection, returning the stream ready for DATA.
+func dialRawSender(t *testing.T, b *Broker, addr, tok string) net.Conn {
+	t.Helper()
+	conn, err := b.dial(addr, tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrame(conn); err != nil || f.kind != frameResume || f.off != 0 {
+		t.Fatalf("opening frame %+v, %v; want RESUME(0)", f, err)
+	}
+	if err := writeFrame(conn, frame{kind: frameResume}); err != nil {
+		t.Fatal(err)
+	}
+	return conn
 }
 
 func TestServeOutboundDialInbound(t *testing.T) {

@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -9,11 +10,10 @@ import (
 	"dpn/internal/stream"
 )
 
-// TestSessionLinkDeliversTail pins the tail-loss property on
-// non-resilient links: the sender closes its stream right after the
-// final frame, with most of the stream unread by a slow receiver and
-// every ACK still to come, and none of that may cost the receiver a
-// byte or turn into anything but a clean end of stream. (On a socket
+// TestSessionLinkDeliversTail pins the tail-loss property: the sender
+// is done producing with most of the stream unread by a slow receiver
+// and every ACK still to come, and none of that may cost the receiver
+// a byte or turn into anything but a clean end of stream. (On a socket
 // per channel the late ACKs met a closed socket and the reset discarded
 // the unread tail; a stream close must never do that.) Every run must
 // deliver every byte, and both link halves must finish clean.
@@ -96,9 +96,9 @@ func readSlowly(r io.Reader, run int) (int, error) {
 }
 
 // TestSessionLinkReportsTruncation pins the other half: an inbound
-// link whose stream ends before the sender's final frame closes its
-// reader (the cascade must still run) but finishes with ErrTruncated,
-// never nil.
+// link with no retry policy whose stream ends before the sender's final
+// frame closes its reader (the cascade must still run) but finishes
+// with ErrTruncated, never nil.
 func TestSessionLinkReportsTruncation(t *testing.T) {
 	a := newTestBroker(t)
 	b := newTestBroker(t)
@@ -109,10 +109,7 @@ func TestSessionLinkReportsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A sender that delivers a prefix and then vanishes: no EOF frame.
-	conn, err := b.dial(a.Addr(), tok)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRawSender(t, b, a.Addr(), tok)
 	if err := writeFrame(conn, frame{kind: frameData, payload: []byte("prefix")}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +121,7 @@ func TestSessionLinkReportsTruncation(t *testing.T) {
 	if _, err := dst.ReadEnd().Read(buf); err != io.EOF {
 		t.Fatalf("reader after peer loss: %v, want io.EOF (cascading close)", err)
 	}
-	if err := hIn.Wait(); err != ErrTruncated {
+	if err := hIn.Wait(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("inbound link finished with %v, want ErrTruncated", err)
 	}
 }

@@ -44,19 +44,29 @@ func (s *lcgSource) Step(env *core.Env) error {
 // Limit == 0 it reads until the producer's EOF reaches it (the downward
 // cascade). Vals is exported so the collected prefix survives a
 // migration; the atomic mirror lets the test poll progress on a live
-// process without racing.
+// process without racing. With HoldAt > 0 it stops reading after that
+// many elements for as long as collectHold is set, idling at step
+// boundaries, so a test can let the rest of the stream (and its EOF)
+// pile up behind a live reader before migrating it.
 type capCollect struct {
-	In    *core.ReadPort
-	Limit int
-	Vals  []int64
+	In     *core.ReadPort
+	Limit  int
+	HoldAt int
+	Vals   []int64
 
 	progress atomic.Int64
 }
+
+var collectHold atomic.Bool
 
 func (c *capCollect) Step(env *core.Env) error {
 	if c.Limit > 0 && len(c.Vals) >= c.Limit {
 		c.In.Close()
 		return io.EOF
+	}
+	if c.HoldAt > 0 && len(c.Vals) >= c.HoldAt && collectHold.Load() {
+		time.Sleep(200 * time.Microsecond)
+		return nil
 	}
 	v, err := token.NewReader(c.In).ReadInt64()
 	if err != nil {
@@ -138,17 +148,46 @@ func runWire(t *testing.T, cc cascadeCase) []int64 {
 	return col.Vals
 }
 
+// When runWireRebind migrates the collector, relative to the producer's
+// EOF. The paper's promise (§4.2–4.3) is that a channel end can move at
+// any time, so the sweep moves the reader at each point where the link
+// under it is in a different state.
+const (
+	moveMidStream    = "mid-stream"    // the producer is still running
+	moveEOFSent      = "eof-sent"      // its EOF is on the wire: in flight, or just delivered
+	moveEOFConfirmed = "eof-confirmed" // the reader host confirmed the EOF: the link is over
+)
+
+// framesSent reads a node's outbound frame counter for one kind.
+func framesSent(n *Node, kind string) int64 {
+	return n.Obs().Registry().Counter("dpn_broker_frames_total",
+		obs.L("dir", "out"), obs.L("kind", kind)).Value()
+}
+
 // runWireRebind additionally migrates the running collector B→C once a
-// quarter of the stream has flowed: the reader-side rebind drains the
-// conduit at a fence, ships the leftover, and resumes on a fresh link.
-func runWireRebind(t *testing.T, cc cascadeCase) []int64 {
+// quarter of the stream has flowed and the link has reached moveAt: the
+// reader-side rebind drains the conduit at a fence, ships the leftover,
+// and resumes on a fresh link — or, when the stream already ended at B,
+// moves what is left as the local channel it has become.
+func runWireRebind(t *testing.T, cc cascadeCase, moveAt string) []int64 {
 	t.Helper()
 	a := newTestNode(t)
 	b := newTestNode(t)
 	c := newTestNode(t)
-	ch := a.Net.NewChannel("eq", 256)
+	capacity := 256
+	col := newCollector(cc, nil)
+	if moveAt != moveMidStream {
+		// The collector stops a quarter in, and the channel is roomy enough
+		// for the producer to finish regardless.
+		capacity = 8 * cc.want
+		col.HoldAt = cc.want / 4
+		collectHold.Store(true)
+		defer collectHold.Store(false)
+	}
+	ch := a.Net.NewChannel("eq", capacity)
+	col.In = ch.Reader()
 	src := newSource(cc, ch.Writer())
-	parcel, err := Export(a, b.Broker.Addr(), newCollector(cc, ch.Reader()))
+	parcel, err := Export(a, b.Broker.Addr(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +206,12 @@ func runWireRebind(t *testing.T, cc cascadeCase) []int64 {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	switch moveAt {
+	case moveEOFSent:
+		waitFor(t, "producer host sends EOF", func() bool { return framesSent(a, "eof") > 0 })
+	case moveEOFConfirmed:
+		waitFor(t, "consumer host confirms EOF", func() bool { return framesSent(b, "bye") > 0 })
+	}
 	p2, err := Migrate(b, c.Broker.Addr(), h)
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +224,18 @@ func runWireRebind(t *testing.T, cc cascadeCase) []int64 {
 		t.Fatal(err)
 	}
 	colC := procsC[0].(*capCollect)
+	collectHold.Store(false)
 	c.Net.Spawn(colC)
 	waitNet(t, a.Net, "producer node")
 	waitNet(t, b.Net, "old consumer node")
 	waitNet(t, c.Net, "new consumer node")
+	// Nothing may be left behind: a stranded move parks a stream (or a
+	// link watcher) on some node for good.
+	for _, n := range []*Node{a, b, c} {
+		n := n
+		waitFor(t, "every link stream closes", func() bool { return n.Broker.MuxStreams() == 0 })
+		waitFor(t, "every link watcher exits", func() bool { return watcherCount(n) == 0 })
+	}
 	return colC.Vals
 }
 
@@ -444,9 +497,15 @@ func TestCascadeEquivalenceAcrossTransports(t *testing.T) {
 			if !reflect.DeepEqual(wired, inproc) {
 				t.Fatalf("wire deployment diverged: %d elements vs %d", len(wired), len(inproc))
 			}
-			rebound := runWireRebind(t, cc)
-			if !reflect.DeepEqual(rebound, inproc) {
-				t.Fatalf("mid-stream rebind diverged: %d elements vs %d", len(rebound), len(inproc))
+			moves := []string{moveMidStream}
+			if cc.limit == 0 {
+				moves = append(moves, moveEOFSent, moveEOFConfirmed)
+			}
+			for _, moveAt := range moves {
+				rebound := runWireRebind(t, cc, moveAt)
+				if !reflect.DeepEqual(rebound, inproc) {
+					t.Fatalf("%s rebind diverged: %d elements vs %d", moveAt, len(rebound), len(inproc))
+				}
 			}
 		})
 	}

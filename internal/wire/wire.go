@@ -160,9 +160,9 @@ func (n *Node) trackLink(ch *core.Channel, l conduit.Link) {
 }
 
 // watchLink waits for a tracked link to shut down and reports it. A
-// link that ends with an error has exhausted its resilience (or, in
-// legacy mode, hit any network fault): the local channel end has been
-// poisoned and the graph degrades through the §3.4 cascading close.
+// link that ends with an error has exhausted its retry policy (under
+// the zero policy, hit any network fault): the local channel end has
+// been poisoned and the graph degrades through the §3.4 cascading close.
 // The counter and the traced event are how an operator distinguishes
 // "graph finished" from "graph degraded". The map entry is dropped
 // either way, so a dead handle is never offered a Move or Redirect.
@@ -172,11 +172,7 @@ func (n *Node) trackLink(ch *core.Channel, l conduit.Link) {
 // failure, since nothing degraded on the wire.
 func (n *Node) watchLink(ch *core.Channel, l conduit.Link) {
 	err := l.Wait()
-	n.mu.Lock()
-	if n.links[ch] == l {
-		delete(n.links, ch)
-	}
-	n.mu.Unlock()
+	n.forgetLink(ch, l)
 	if err != nil {
 		s := n.Obs()
 		if errors.Is(err, conduit.ErrBrokerClosed) {
@@ -186,6 +182,16 @@ func (n *Node) watchLink(ch *core.Channel, l conduit.Link) {
 		s.Registry().Counter("dpn_wire_link_failures_total", obs.L("channel", ch.Name())).Inc()
 		s.Record(obs.EvLink, ch.Name(), "fail", 0)
 	}
+}
+
+// forgetLink drops l as the link carrying ch, unless a replacement has
+// already been tracked.
+func (n *Node) forgetLink(ch *core.Channel, l conduit.Link) {
+	n.mu.Lock()
+	if n.links[ch] == l {
+		delete(n.links, ch)
+	}
+	n.mu.Unlock()
 }
 
 func (n *Node) linkFor(ch *core.Channel) conduit.Link {
@@ -339,7 +345,10 @@ func Export(n *Node, destAddr string, procs ...any) (*Parcel, error) {
 // moved away earlier), the live inbound binding is rebound instead: the
 // writer host is told to fence and reconnect directly to the reader's
 // new home, and the bytes delivered before the fence travel inside the
-// parcel (drain → rebind → resume at offset).
+// parcel (drain → rebind → resume at offset). An inbound binding whose
+// stream has already ended — the writer's EOF was delivered and
+// confirmed before the move — has left a local channel with a closed
+// producing side behind, and is exported as one.
 func exportReader(n *Node, t *core.Transfer, ch *core.Channel, r *core.ReadPort, destAddr string) (PortDescriptor, error) {
 	pd := PortDescriptor{
 		ID:       t.RegisterRead(r),
@@ -347,11 +356,17 @@ func exportReader(n *Node, t *core.Transfer, ch *core.Channel, r *core.ReadPort,
 		Name:     ch.Name(),
 		Capacity: ch.Pipe().Cap(),
 	}
-	if l := n.linkFor(ch); l != nil && !l.Outbound() {
+	for l := n.linkFor(ch); l != nil && !l.Outbound(); l = n.linkFor(ch) {
 		// Case: reader moving while its writer is already remote. Tell
 		// the writer host to rebind directly to the destination.
 		token := n.Broker.NewToken()
 		if err := l.Move(destAddr, token); err != nil {
+			if errors.Is(err, conduit.ErrNotConnected) && linkDone(l) {
+				// The stream ended under us (or the link re-armed for a
+				// redirected writer): forget the finished link and look again.
+				n.forgetLink(ch, l)
+				continue
+			}
 			return pd, fmt.Errorf("wire: moving reader of %s: %w", ch.Name(), err)
 		}
 		// Everything delivered before the fence sits in the conduit;
@@ -380,6 +395,15 @@ func exportReader(n *Node, t *core.Transfer, ch *core.Channel, r *core.ReadPort,
 	pd.Addr = n.Broker.Addr()
 	pd.Token = token
 	return pd, nil
+}
+
+func linkDone(l conduit.Link) bool {
+	select {
+	case <-l.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // exportWriter handles a moving producing end. If the channel is fully

@@ -3,20 +3,29 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"dpn/internal/core"
+	"dpn/internal/netio"
 	"dpn/internal/proclib"
 	"dpn/internal/token"
 )
 
+// newTestNode starts a node for one test. With DPN_TEST_POLICY=retry in
+// the environment its broker gets netio.DefaultResilience(), so the
+// suite can be replayed unmodified under a retry policy (see the netio
+// tests' newTestBroker).
 func newTestNode(t *testing.T) *Node {
 	t.Helper()
 	n, err := NewLocalNode("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if os.Getenv("DPN_TEST_POLICY") == "retry" {
+		n.Broker.SetResilience(netio.DefaultResilience())
 	}
 	t.Cleanup(func() { n.Close() })
 	return n

@@ -12,12 +12,17 @@
 #                    if allocs/op regressed against the committed
 #                    baseline (BENCH_pr3.json; see EXPERIMENTS.md).
 #   check.sh -chaos  chaos gate: every test whose name contains
-#                    "Chaos", "Mux" or "CascadeEquivalence" — fault
-#                    injection, the broker's session pool, and the
-#                    stream-equivalence sweep across deployments
-#                    (inproc = wire = wire without compression =
-#                    mid-migration rebind) — runs three times under
-#                    -race with a fresh fault schedule each run. On
+#                    "Chaos", "Mux", "CascadeEquivalence",
+#                    "MoveAfterEOF" or "MixedPolicy" — fault injection,
+#                    the broker's session pool, the stream-equivalence
+#                    sweep across deployments (inproc = wire = wire
+#                    without compression = rebind mid-stream, with the
+#                    EOF in flight, after the EOF), and links whose
+#                    ends differ in retry policy — runs three times
+#                    under -race with a fresh fault schedule each run,
+#                    after the reader-move tests have run, unmodified,
+#                    with a retry policy on every test broker
+#                    (DPN_TEST_POLICY=retry). On
 #                    failure the logged seeds are replayed once, as
 #                    for every seeded gate (see seed_gate below):
 #                    CHAOS_SEED pins the fault schedule,
@@ -50,8 +55,10 @@
 #                    the conduit package's API surface never says
 #                    interface{} (spell it any), a check that no
 #                    process library builds its own token codec over a
-#                    port (ports own theirs: port.Tokens()), and
-#                    gofmt -l.
+#                    port (ports own theirs: port.Tokens()), a check
+#                    that netio holds its retry policy by value (no
+#                    *Resilience: a nil policy was a second protocol),
+#                    and gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -208,8 +215,17 @@ if [ "${1:-}" = "-chaos" ]; then
 	# Beside the link-level fault schedules this sweeps the graph-shape
 	# fuzzer's random topologies under fault injection
 	# (TestGraphFuzzChaos), the session pool, and the stream-equivalence
-	# sweep across deployments.
-	seed_gate chaos '(Chaos|Mux|CascadeEquivalence)' 3
+	# sweep across deployments. First, the reader-move tests once more
+	# exactly as written but with DefaultResilience on every test broker:
+	# there is one link protocol, so a policy may change when a move
+	# completes, never whether (MOVING used to overtake the opening RESUME
+	# and hang them).
+	echo "chaos gate: DPN_TEST_POLICY=retry go test -race -run '(Move|SecondHop)' -count=3 ./internal/netio ./internal/wire"
+	if ! DPN_TEST_POLICY=retry go test -race -run '(Move|SecondHop)' -count=3 -timeout 10m ./internal/netio ./internal/wire; then
+		echo "chaos gate: FAIL (reader moves under a retry policy)"
+		exit 1
+	fi
+	seed_gate chaos '(Chaos|Mux|CascadeEquivalence|MoveAfterEOF|MixedPolicy)' 3
 fi
 
 if [ "${1:-}" = "-lint" ]; then
@@ -235,6 +251,13 @@ if [ "${1:-}" = "-lint" ]; then
 	if grep -rn --include='*.go' --exclude='*_test.go' -e 'token\.NewReader(' -e 'token\.NewWriter(' \
 		internal/proclib internal/workload internal/meta internal/graphs; then
 		echo "lint gate: token.NewReader/NewWriter in a process library (use port.Tokens())"
+		fail=1
+	fi
+	# One link protocol (DESIGN.md, "What heals: one link protocol"): the retry
+	# policy is a value every link holds, never a pointer whose nil-ness
+	# selects a second protocol.
+	if grep -rn --include='*.go' --exclude='*_test.go' '\*Resilience' internal/netio; then
+		echo "lint gate: *Resilience in internal/netio (hold the policy by value)"
 		fail=1
 	fi
 	if unformatted=$(gofmt -l .) && [ -n "$unformatted" ]; then
