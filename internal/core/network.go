@@ -63,6 +63,7 @@ type Network struct {
 
 	wg         sync.WaitGroup
 	generation atomic.Uint64
+	quiet      chan struct{} // one slot; see Quiescent
 
 	defaultCap int
 	chanSeq    atomic.Int64
@@ -101,6 +102,7 @@ func NewNetwork(opts ...Option) *Network {
 	n := &Network{
 		defaultCap: stream.DefaultCapacity,
 		scope:      obs.NewScope(),
+		quiet:      make(chan struct{}, 1),
 	}
 	for _, o := range opts {
 		o(n)
@@ -157,12 +159,15 @@ func (n *Network) registerChannel(c *Channel) {
 
 // Channels returns a snapshot of the registered channels. Channels
 // that can carry no more data drop out of it over time.
-func (n *Network) Channels() []*Channel {
+func (n *Network) Channels() []*Channel { return n.AppendChannels(nil) }
+
+// AppendChannels appends the registered channels to dst, in
+// registration order, and returns the extended slice. A caller that
+// walks the list often reuses one slice and allocates nothing.
+func (n *Network) AppendChannels(dst []*Channel) []*Channel {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]*Channel, len(n.channels))
-	copy(out, n.channels)
-	return out
+	return append(dst, n.channels...)
 }
 
 // Spawn starts p (a Process or Stepper) in its own goroutine — "each
@@ -219,6 +224,7 @@ func (n *Network) finish(proc *Proc) {
 	n.scope.Record(obs.EvStop, proc.name, detail, 0)
 	n.gLive.Add(-1)
 	n.generation.Add(1)
+	n.noteQuiescence()
 	close(proc.done)
 	n.wg.Done()
 }
@@ -258,6 +264,28 @@ func (n *Network) Blocked() int64 { return n.gBlocked.Value() }
 // change. The deadlock monitor uses it to take stable snapshots.
 func (n *Network) Generation() uint64 { return n.generation.Load() }
 
+// Quiescent returns a channel that receives a value whenever a blocking
+// transition or a process exit leaves Blocked() >= Live(): the only two
+// transitions after which the deadlock monitor's test can newly hold.
+// The channel has one slot, so signals raised while one is pending
+// merge into it; a consumer must drain it before it inspects the
+// network, and there must be one consumer per network (the monitor) —
+// a second would take signals the first needs.
+func (n *Network) Quiescent() <-chan struct{} { return n.quiet }
+
+// noteQuiescence signals Quiescent if every live process may be blocked.
+// It runs after the transition's counter and generation updates, so a
+// consumer woken by it observes them.
+func (n *Network) noteQuiescence() {
+	if n.gBlocked.Value() < n.gLive.Value() {
+		return
+	}
+	select {
+	case n.quiet <- struct{}{}:
+	default:
+	}
+}
+
 // Network implements stream.Observer so registered pipes report blocking
 // transitions.
 
@@ -265,6 +293,7 @@ func (n *Network) Generation() uint64 { return n.generation.Load() }
 func (n *Network) PipeBlocked(*stream.Pipe, bool) {
 	n.gBlocked.Add(1)
 	n.generation.Add(1)
+	n.noteQuiescence()
 }
 
 // PipeUnblocked implements stream.Observer.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -74,8 +73,10 @@ type Event struct {
 type Monitor struct {
 	net *core.Network
 
-	// Poll is the sampling interval. The generation counter makes
-	// detection cheap, so a small interval is fine.
+	// Poll is the backstop sampling interval. A started monitor checks
+	// when the network signals quiescence (core.Network.Quiescent) —
+	// the last process blocking or exiting — so Poll does not set how
+	// long an artificial deadlock stalls the graph.
 	Poll time.Duration
 	// GrowthFactor multiplies a full channel's capacity on resolution
 	// (must be > 1; default 2).
@@ -98,6 +99,11 @@ type Monitor struct {
 	events []Event
 	stop   chan struct{}
 	done   chan struct{}
+
+	// checkMu guards chans, the scratch slice every pass's channel walk
+	// reuses, so concurrent Check calls stay safe.
+	checkMu sync.Mutex
+	chans   []*core.Channel
 
 	scope   *obs.Scope
 	cChecks *obs.Counter
@@ -149,8 +155,11 @@ func (m *Monitor) Resolutions() int {
 	return n
 }
 
-// Start launches the monitoring goroutine. Call Stop to end it; it also
-// ends by itself when the network has no live processes left.
+// Start launches the monitoring goroutine, which checks whenever the
+// network signals quiescence and every Poll as a backstop. It is the
+// Quiescent channel's one consumer, so start one monitor per network.
+// Call Stop to end it; it also ends by itself when the network has no
+// live processes left.
 func (m *Monitor) Start() {
 	go m.loop()
 }
@@ -169,10 +178,12 @@ func (m *Monitor) loop() {
 	defer close(m.done)
 	t := time.NewTicker(m.Poll)
 	defer t.Stop()
+	quiet := m.net.Quiescent()
 	for {
 		select {
 		case <-m.stop:
 			return
+		case <-quiet:
 		case <-t.C:
 		}
 		if st := m.Check(); st == StatusTerminated {
@@ -186,7 +197,8 @@ func (m *Monitor) loop() {
 
 // Check performs one detection pass and, when it finds an artificial
 // deadlock, resolves it. It is exported so tests and callers can drive
-// detection synchronously.
+// detection synchronously. A pass that records no Event allocates
+// nothing.
 func (m *Monitor) Check() Status {
 	m.cChecks.Inc()
 	t0 := time.Now()
@@ -206,54 +218,57 @@ func (m *Monitor) Check() Status {
 	if m.net.Blocked() < m.net.Live() || m.net.Generation() != gen {
 		return StatusRunning
 	}
+	return m.resolve(gen)
+}
 
-	// Deadlocked? Find full channels with blocked writers, and bail out
-	// if any pipe has a signaled-but-not-yet-rescheduled party — the
-	// scheduler just hasn't run it yet.
-	type cand struct {
-		ch  *core.Channel
-		cap int
-	}
-	var full []cand
-	for _, ch := range m.net.Channels() {
-		p := ch.Pipe()
-		if p.WakePending() {
-			return StatusRunning
-		}
-		if p.WriteBlockedOnFull() {
-			full = append(full, cand{ch, p.Cap()})
-		}
-	}
-	if m.net.Generation() != gen {
+// resolve finishes a pass over a network seen quiescent at generation
+// gen: any scheduling event since gen voids the observation; otherwise
+// Parks' rule grows the smallest full channel, keeping total buffer
+// memory as small as possible, and a network with no full channel
+// that can still grow is truly deadlocked.
+func (m *Monitor) resolve(gen uint64) Status {
+	ch, newCap, pending := m.smallestFull()
+	if pending || m.net.Generation() != gen {
 		return StatusRunning // raced with progress; not a deadlock
 	}
-	if len(full) == 0 {
-		ev := Event{Status: StatusTrueDeadlock, Time: time.Now()}
-		m.recordEdge(ev)
+	if ch == nil {
+		m.recordEdge(Event{Status: StatusTrueDeadlock, Time: time.Now()})
 		return StatusTrueDeadlock
 	}
-	// Parks' rule: grow the smallest full channel, keeping total buffer
-	// memory as small as possible.
-	sort.Slice(full, func(i, j int) bool { return full[i].cap < full[j].cap })
-	for _, c := range full {
-		newCap := c.cap * m.GrowthFactor
-		if m.GrowthFactor <= 1 {
-			newCap = c.cap * 2
+	ch.Pipe().Grow(newCap)
+	m.record(Event{Status: StatusResolved, Channel: ch.Name(), NewCap: newCap, Time: time.Now()})
+	return StatusResolved
+}
+
+// smallestFull walks the channels for the full one with a blocked
+// writer and the smallest capacity that can still grow — the first
+// registered on a tie — and the capacity to grow it to. It stops early
+// with pending set if some pipe has a signaled-but-not-yet-rescheduled
+// party: the scheduler just hasn't run it yet.
+func (m *Monitor) smallestFull() (grow *core.Channel, newCap int, pending bool) {
+	m.checkMu.Lock()
+	defer m.checkMu.Unlock()
+	m.chans = m.net.AppendChannels(m.chans[:0])
+	defer clear(m.chans) // pin no channel between passes
+	oldCap := 0
+	for _, ch := range m.chans {
+		p := ch.Pipe()
+		if p.WakePending() {
+			return nil, 0, true
 		}
-		if m.MaxCapacity > 0 && newCap > m.MaxCapacity {
-			newCap = m.MaxCapacity
+		if !p.WriteBlockedOnFull() {
+			continue
 		}
-		if newCap <= c.cap {
-			continue // already at the bound; try the next channel
+		c := p.Cap()
+		nc := c * max(m.GrowthFactor, 2)
+		if m.MaxCapacity > 0 {
+			nc = min(nc, m.MaxCapacity)
 		}
-		c.ch.Pipe().Grow(newCap)
-		ev := Event{Status: StatusResolved, Channel: c.ch.Name(), NewCap: newCap, Time: time.Now()}
-		m.record(ev)
-		return StatusResolved
+		if nc > c && (grow == nil || c < oldCap) { // nc <= c: already at the bound
+			grow, oldCap, newCap = ch, c, nc
+		}
 	}
-	ev := Event{Status: StatusTrueDeadlock, Time: time.Now()}
-	m.recordEdge(ev)
-	return StatusTrueDeadlock
+	return grow, newCap, false
 }
 
 // recordEdge records a true-deadlock event only on the transition into

@@ -4,8 +4,9 @@
 # from every process goroutine, so -race is not optional here.
 #
 #   check.sh         vet + build + race-enabled test suite, the
-#                    benchmark harness's smoke test, then every gate
-#                    below except -bench and -obs
+#                    deadlock-resolution tests x20 at GOMAXPROCS 1, 2
+#                    and 4, the benchmark harness's smoke test, then
+#                    every gate below except -bench and -obs
 #   check.sh -bench  allocation gate: re-runs the two hot-path
 #                    sentinel benchmarks (BenchmarkTokenWriteInt64,
 #                    BenchmarkLinkThroughput) with -benchmem and fails
@@ -330,6 +331,11 @@ fi
 set -x
 go build ./...
 go test -race ./...
+# The deadlock monitor checks when the last process blocks or exits; a
+# lost wake is a hang that shows only under some core counts, so the
+# tests that need a resolution run again, 20 times at each of 1, 2, 4.
+go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity' \
+	./internal/deadlock ./internal/graphs
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
