@@ -8,18 +8,16 @@
 //	dpnbench -overhead   the §5.2 one-worker overhead measurement, run
 //	                     for real on this machine's process network
 //	dpnbench -seqreal    a real (scaled-down) sequential factorization
-//	dpnbench -scenarios  the workload scenario suite: verified
-//	                     streaming/sieve/fuzz runs plus the many-client
-//	                     soak, with latency percentiles (BENCH_pr7.json)
-//	dpnbench -pr9        the durable-conduit trajectory: WAL journaling
-//	                     overhead vs loopback plus SIGKILL recovery
-//	                     times (BENCH_pr9.json)
+//	dpnbench -validate-sim
+//	                     the simulator cross-validated against the real
+//	                     runtime with sleep-emulated heterogeneous workers
 //	dpnbench -all        everything
 //
 // Tables 1–2 and the figures use the discrete-event cluster simulator
 // (see DESIGN.md: the paper's heterogeneous 34-CPU laboratory is
 // substituted by simulation); the overhead experiment exercises the
-// real runtime.
+// real runtime. The program's own throughput is measured by the
+// benchmark harness (benchmark/run.sh), not here.
 package main
 
 import (
@@ -27,20 +25,15 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"time"
 
 	"dpn/internal/cluster"
 	"dpn/internal/core"
 	"dpn/internal/factor"
 	"dpn/internal/meta"
-	"dpn/internal/workload"
 )
 
 func main() {
-	// The -pr9 kill-restart experiment re-execs this binary as the
-	// scenario child; the env gate must win before flags or benches.
-	workload.ChildMain()
 	var (
 		table1   = flag.Bool("table1", false, "regenerate Table 1")
 		table2   = flag.Bool("table2", false, "regenerate Table 2")
@@ -49,12 +42,6 @@ func main() {
 		overhead = flag.Bool("overhead", false, "measure real process-network overhead at one worker")
 		seqReal  = flag.Bool("seqreal", false, "run a real scaled-down sequential factorization")
 		valSim   = flag.Bool("validate-sim", false, "cross-validate the simulator against the real runtime with sleep-emulated heterogeneous workers")
-		pr4      = flag.Bool("pr4", false, "skewed-cluster elasticity experiment: static vs dynamic vs elastic with sleep-emulated workers")
-		scenar   = flag.Bool("scenarios", false, "workload scenario suite: verified streaming/sieve/fuzz runs plus the many-client soak (BENCH_pr7.json)")
-		pr9      = flag.Bool("pr9", false, "durable-conduit trajectory: WAL journaling overhead and SIGKILL recovery (BENCH_pr9.json)")
-		soakG    = flag.Int("soakgraphs", 120, "with -scenarios: concurrent graphs in the soak")
-		soakS    = flag.Int("soakservers", 3, "with -scenarios: shared compute servers in the soak")
-		jsonOut  = flag.Bool("json", false, "with -pr4 or -scenarios, emit the report as JSON")
 		csv      = flag.Bool("csv", false, "emit the figure series as CSV instead of text")
 		all      = flag.Bool("all", false, "run everything")
 		bits     = flag.Int("bits", 512, "prime size for the real experiments (the paper uses 512)")
@@ -62,7 +49,7 @@ func main() {
 		batch    = flag.Int64("batch", 2048, "difference values per task (heavier than the paper's 32 so per-task compute dominates on modern hardware)")
 	)
 	flag.Parse()
-	if !(*table1 || *table2 || *fig19 || *fig20 || *overhead || *seqReal || *valSim || *pr4 || *scenar || *pr9 || *csv) {
+	if !(*table1 || *table2 || *fig19 || *fig20 || *overhead || *seqReal || *valSim || *csv) {
 		*all = true
 	}
 	cfg := cluster.PaperConfig()
@@ -104,16 +91,6 @@ func main() {
 	}
 	if *all || *valSim {
 		runSimValidation()
-		fmt.Println()
-	}
-	if *all || *pr4 {
-		runPR4(*jsonOut)
-	}
-	if *all || *scenar {
-		runScenarios(*jsonOut, *soakG, *soakS)
-	}
-	if *all || *pr9 {
-		runPR9(*jsonOut)
 	}
 }
 
@@ -176,32 +153,6 @@ func runSleepExperiment(static bool, speeds []float64, tasks, taskMS int64) time
 		fatal(err)
 	}
 	return time.Since(start)
-}
-
-// benchEnv stamps a BENCH_*.json record with the environment it was
-// measured on — go version, GOMAXPROCS, host, platform — so trajectory
-// entries are comparable across machines (scripts/bench.sh stamps its
-// awk-built records the same way). Embed it first in a report struct.
-type benchEnv struct {
-	Recorded   string `json:"recorded"`
-	Go         string `json:"go"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Host       string `json:"host"`
-	OSArch     string `json:"os_arch"`
-}
-
-func currentEnv() benchEnv {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "unknown"
-	}
-	return benchEnv{
-		Recorded:   time.Now().UTC().Format(time.RFC3339),
-		Go:         runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host:       host,
-		OSArch:     runtime.GOOS + "/" + runtime.GOARCH,
-	}
 }
 
 func fatal(err error) {

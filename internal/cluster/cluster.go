@@ -96,8 +96,7 @@ func PaperConfig() Config {
 // one CPU per class the static scheme's lock-step rotation is pinned to
 // the 0.25× straggler while the on-demand scheme lets the 4× CPU race
 // ahead — the widest static-vs-dynamic gap the five-class shape can
-// express, which is what the dpnbench skewed-cluster scenario measures
-// against real sleep-workers.
+// express.
 func SkewedConfig() Config {
 	ref := 20.0
 	return Config{

@@ -6,7 +6,23 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"time"
 )
+
+// regTimeoutNs bounds every registry exchange: the client's dial and
+// request/response round trip, and the registry's wait for each request
+// on a connection. Without it a registry that accepts and never answers
+// hangs Register/Lookup/List forever, and a silent client pins a
+// serveConn goroutine. Atomic so tests can compress it while registries
+// from earlier tests still serve connections.
+var regTimeoutNs atomic.Int64
+
+func init() { regTimeoutNs.Store(int64(10 * time.Second)) }
+
+func regTimeout() time.Duration { return time.Duration(regTimeoutNs.Load()) }
+
+func setRegTimeout(d time.Duration) { regTimeoutNs.Store(int64(d)) }
 
 // Registry is the RMI-registry analog: a name service mapping compute
 // server names to their RPC addresses, so client applications can
@@ -80,6 +96,7 @@ func (r *Registry) serveConn(conn net.Conn) {
 	dec := gob.NewDecoder(conn)
 	enc := gob.NewEncoder(conn)
 	for {
+		conn.SetDeadline(time.Now().Add(regTimeout()))
 		var req regRequest
 		if err := dec.Decode(&req); err != nil {
 			return
@@ -104,17 +121,17 @@ func (r *Registry) serveConn(conn net.Conn) {
 				resp.Addr = addr
 			}
 		case "list":
+			// One lock hold for both slices: an unregister between
+			// reading a name and its address would pair it with "".
 			r.mu.Lock()
 			for name := range r.entries {
 				resp.Names = append(resp.Names, name)
 			}
-			r.mu.Unlock()
 			sort.Strings(resp.Names)
 			for _, name := range resp.Names {
-				r.mu.Lock()
 				resp.Addrs = append(resp.Addrs, r.entries[name])
-				r.mu.Unlock()
 			}
+			r.mu.Unlock()
 		default:
 			resp.Err = "registry: unknown request " + req.Kind
 		}
@@ -125,11 +142,12 @@ func (r *Registry) serveConn(conn net.Conn) {
 }
 
 func regRoundTrip(registryAddr string, req *regRequest) (*regResponse, error) {
-	conn, err := net.Dial("tcp", registryAddr)
+	conn, err := net.DialTimeout("tcp", registryAddr, regTimeout())
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(regTimeout()))
 	if err := gob.NewEncoder(conn).Encode(req); err != nil {
 		return nil, err
 	}

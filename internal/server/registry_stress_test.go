@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -11,7 +12,8 @@ import (
 // the many-clients shape of §4.1. No registration may be lost while it
 // is live (every lookup between a client's register and unregister must
 // return exactly the registered address), list must never fail
-// mid-churn, and the registry must drain to empty when every client
+// mid-churn and must pair every name it returns with its address, and
+// the registry must drain to empty when every client
 // has unregistered — each request is a short-lived connection, so FD
 // use is bounded by the number of in-flight requests.
 func TestRegistryConcurrentClients(t *testing.T) {
@@ -57,8 +59,14 @@ func TestRegistryConcurrentClients(t *testing.T) {
 						return
 					}
 				}
-				if _, _, err := List(addr); err != nil {
+				listed, addrs, err := List(addr)
+				if err != nil {
 					fail(fmt.Errorf("list round %d: %w", r, err))
+					return
+				}
+				if empty := slices.Index(addrs, ""); len(listed) != len(addrs) || empty >= 0 {
+					fail(fmt.Errorf("list round %d is not a snapshot: %d names, %d addrs, first empty address at %d",
+						r, len(listed), len(addrs), empty))
 					return
 				}
 				for i := 0; i < names; i++ {

@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/gob"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -297,6 +299,63 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(r.Entries()) != 1 {
 		t.Fatalf("Entries = %v", r.Entries())
+	}
+}
+
+// TestRegistryRPCDeadline: every registry wait is bounded. A registry
+// that accepts and never answers fails Lookup within twice the bound,
+// and a client that connects and never sends is dropped by the
+// registry within twice the bound.
+func TestRegistryRPCDeadline(t *testing.T) {
+	const bound = 200 * time.Millisecond
+	old := regTimeout()
+	setRegTimeout(bound)
+	defer setRegTimeout(old)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		<-stop
+		c.Close()
+	}()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := Lookup(ln.Addr().String(), "east")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Lookup against a silent registry succeeded")
+		}
+		t.Logf("silent registry: Lookup failed after %v: %v", time.Since(start), err)
+	case <-time.After(2 * bound):
+		t.Fatalf("Lookup against a silent registry still blocked after %v", 2*bound)
+	}
+
+	r, err := NewRegistry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	c, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(2 * bound))
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent client not dropped within %v: read returned %v", 2*bound, err)
 	}
 }
 

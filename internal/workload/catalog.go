@@ -12,14 +12,3 @@ func Catalog(fuzzSeed int64) []Scenario {
 		NewFuzzPlan(fuzzSeed).Scenario(),
 	}
 }
-
-// BenchCatalog returns the suite at measurement scale, used by
-// dpnbench -scenarios for the tokens/sec trajectory.
-func BenchCatalog(fuzzSeed int64) []Scenario {
-	return []Scenario{
-		Streaming("stream-int64", streamSpec{records: 120_000, keys: 64, window: 4, shards: 4, batch: 512}),
-		Streaming("stream-float64", streamSpec{records: 100_000, keys: 48, window: 5, shards: 4, batch: 512, float: true}),
-		Sieve(true),
-		NewFuzzPlan(fuzzSeed).Scenario(),
-	}
-}

@@ -28,8 +28,7 @@ import (
 // must stay byte-identical to the oracle, exactly once.
 //
 // Not listed in Deployments: it re-execs os.Args[0], so only drivers
-// that call ChildMain early (the workload TestMain, dpnbench) can
-// host it.
+// that call ChildMain early (the workload TestMain) can host it.
 const KillRestart Deployment = "killrestart"
 
 // Child-side environment protocol. The driver re-execs its own binary
@@ -42,7 +41,6 @@ const (
 	envAddr     = "DPN_KR_ADDR"
 	envToken    = "DPN_KR_TOKEN"
 	envDir      = "DPN_KR_DIR"
-	envCatalog  = "DPN_KR_CATALOG"
 )
 
 // krResilience is patient enough that the surviving driver treats a
@@ -120,9 +118,6 @@ func childRun() error {
 		return fmt.Errorf("incomplete child environment (addr=%q token=%q dir=%q)", addr, tok, dir)
 	}
 	cat := Catalog(seed)
-	if os.Getenv(envCatalog) == "bench" {
-		cat = BenchCatalog(seed)
-	}
 	var sc *Scenario
 	for i := range cat {
 		if cat[i].Name == name {
@@ -226,7 +221,6 @@ func runKillRestart(sc Scenario, seed int64, opt RunOptions, timeout time.Durati
 		envAddr + "=" + broker.Addr(),
 		envToken + "=" + tok,
 		envDir + "=" + dir,
-		envCatalog + "=" + opt.KRCatalog,
 	}
 	child, err := faults.StartProc(os.Args[0], env, nil, os.Stderr)
 	if err != nil {

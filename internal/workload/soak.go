@@ -87,7 +87,8 @@ type SoakFamily struct {
 	P99 float64 `json:"p99_seconds"`
 }
 
-// SoakReport is RunSoak's result, shaped for BENCH_pr7.json.
+// SoakReport is RunSoak's result: failures, throughput and the latency
+// percentiles read back through the exposition path.
 type SoakReport struct {
 	Graphs   int     `json:"concurrent_graphs"`
 	Servers  int     `json:"servers"`

@@ -10,8 +10,8 @@ import (
 // TestSoakSmoke runs the many-client soak at gate scale: a few dozen
 // concurrent graphs against two shared servers, every graph verified
 // against its oracle, percentiles readable from the exposition path.
-// SOAK_GRAPHS scales it up for manual soaks (dpnbench -scenarios runs
-// the full configuration).
+// SOAK_GRAPHS scales it up for manual soaks (SOAK_GRAPHS=120 is the
+// full configuration).
 func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak in -short mode")

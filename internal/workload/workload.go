@@ -119,9 +119,6 @@ type RunOptions struct {
 	// KRDir is the WAL root for the KillRestart deployment's durable
 	// conduit (default: a fresh temp dir, removed afterwards).
 	KRDir string
-	// KRCatalog selects the child's scenario lookup table: "" (gate
-	// scale, Catalog) or "bench" (BenchCatalog).
-	KRCatalog string
 }
 
 // RunStats are measurements harvested from a run's origin node.

@@ -125,7 +125,7 @@ func TestStreamOracleShape(t *testing.T) {
 }
 
 // TestScenarioLoopbackStats: Run must report tokens and elapsed time
-// when asked — the measurements dpnbench -scenarios records.
+// when asked.
 func TestScenarioLoopbackStats(t *testing.T) {
 	seed := workloadSeed(t, 11)
 	sc := Catalog(seed)[0]
