@@ -32,6 +32,12 @@ type Proc struct {
 	state   atomic.Int32
 	park    *parkState
 	ejected bool
+
+	// The channel ends the runtime has registered to this process, and
+	// whether it holds a port the runtime did not register (see cut.go).
+	// Guarded by net.mu.
+	ins, outs []*Channel
+	opaque    bool
 }
 
 // Name returns the process's diagnostic name.
@@ -60,6 +66,7 @@ type Network struct {
 	channels []*Channel
 	sweepAt  int // registerChannel drops finished channels at this length
 	errs     []error
+	held     map[*Channel]ends // who holds each end of a local channel; see cut.go
 
 	wg         sync.WaitGroup
 	generation atomic.Uint64
@@ -109,7 +116,7 @@ func NewNetwork(opts ...Option) *Network {
 	}
 	reg := n.scope.Registry()
 	reg.Help("dpn_net_procs_live", "Processes currently executing in this network.")
-	reg.Help("dpn_net_procs_blocked", "Goroutines blocked inside a registered channel's pipe.")
+	reg.Help("dpn_net_procs_blocked", "Goroutines parked inside a registered channel's pipe that nothing has signalled yet.")
 	reg.Help("dpn_net_procs_spawned_total", "Processes ever spawned in this network.")
 	reg.Help("dpn_net_proc_failures_total", "Processes that ended with a non-termination error.")
 	n.gLive = reg.Gauge("dpn_net_procs_live")
@@ -186,6 +193,7 @@ func (n *Network) Spawn(p any) *Proc {
 	n.cSpawned.Inc()
 	n.scope.Record(obs.EvSpawn, proc.name, "", 0)
 	n.generation.Add(1)
+	n.hold(proc, PortsOf(p))
 	go func() {
 		defer n.finish(proc)
 		env := &Env{net: n, proc: proc}
@@ -209,6 +217,7 @@ func (n *Network) finish(proc *Proc) {
 			c.Close()
 		}
 	}
+	n.release(proc)
 	if proc.park != nil {
 		proc.park.markFinished()
 	}
@@ -255,9 +264,12 @@ func (n *Network) Errors() []error {
 // thin wrapper over the registry-backed dpn_net_procs_live gauge.
 func (n *Network) Live() int64 { return n.gLive.Value() }
 
-// Blocked reports the number of goroutines currently blocked inside a
-// registered channel's pipe (reading an empty buffer or writing a full
-// one). It is a thin wrapper over the dpn_net_procs_blocked gauge.
+// Blocked reports the number of goroutines parked inside a registered
+// channel's pipe (reading an empty buffer or writing a full one) that
+// the pipe has not signalled yet. A party counts from its park to its
+// wake-up signal, not to when it runs again, so Blocked() >= Live()
+// holds only while no hand-off is in flight. It is a thin wrapper over
+// the dpn_net_procs_blocked gauge.
 func (n *Network) Blocked() int64 { return n.gBlocked.Value() }
 
 // Generation returns a counter bumped on every scheduling-relevant state
@@ -325,8 +337,14 @@ func (e *Env) Self() *Proc { return e.proc }
 // Spawn starts a new process in the same network.
 func (e *Env) Spawn(p any) *Proc { return e.net.Spawn(p) }
 
-// NewChannel creates a channel in the same network.
+// NewChannel creates a channel in the same network. The runtime does
+// not know which of its ends the calling process keeps, so a process
+// that makes channels itself is never cut (see cut.go); InsertUpstream
+// is the helper that records the hand-over.
 func (e *Env) NewChannel(name string, capacity int) *Channel {
+	e.net.mu.Lock()
+	e.proc.opaque = true
+	e.net.mu.Unlock()
 	return e.net.NewChannel(name, capacity)
 }
 

@@ -103,11 +103,19 @@ func (p *ReadPort) Tokens() *token.Reader {
 // Close closes the consuming end. The producing process observes
 // stream.ErrReadClosed on its next write, propagating termination
 // upstream (§3.4).
+//
+// Closing the port of a channel registered with a network also runs the
+// cut from it (see cut.go): a writer whose every output has lost its
+// consumer stops at once instead of on its next write.
 func (p *ReadPort) Close() error {
 	if p.s == nil || p.s.seq == nil {
 		return nil
 	}
-	return p.s.seq.Close()
+	err := p.s.seq.Close()
+	if ch := p.s.ch; ch != nil && ch.net != nil {
+		ch.net.consumerClosed(ch)
+	}
+	return err
 }
 
 // Channel returns the local channel this port belongs to, or nil if the
@@ -137,6 +145,9 @@ func (p *ReadPort) Name() string {
 func (p *ReadPort) Detach() io.ReadCloser {
 	if p.s == nil {
 		return nil
+	}
+	if ch := p.s.ch; ch != nil && ch.net != nil {
+		ch.net.forget(ch, false)
 	}
 	seq := p.s.seq
 	p.s = &rstate{name: p.Name() + "<detached>"}
@@ -306,6 +317,9 @@ func (p *WritePort) Name() string {
 func (p *WritePort) Detach() io.WriteCloser {
 	if p.s == nil {
 		return nil
+	}
+	if ch := p.s.ch; ch != nil && ch.net != nil {
+		ch.net.forget(ch, true)
 	}
 	sw := p.s.sw
 	p.s = &wstate{name: p.Name() + "<detached>"}

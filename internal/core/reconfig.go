@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io"
 
 	"dpn/internal/obs"
 )
@@ -71,10 +72,15 @@ func SpliceOut(in *ReadPort, out *WritePort) error {
 // responsible for assigning it to its own field. The new process is
 // spawned by the caller via env.Spawn after attach wiring, keeping the
 // reconfiguration entirely under the initiating process's control.
+//
+// The returned port is registered to the caller, so a closed consumer
+// downstream still cuts the caller and, through it, the inserted
+// process (see cut.go).
 func InsertUpstream(env *Env, in *ReadPort, name string, capacity int,
 	attach func(handedOff *ReadPort, out *WritePort)) *ReadPort {
-	ch := env.NewChannel(name, capacity)
+	ch := env.net.NewChannel(name, capacity)
 	attach(in, ch.Writer())
 	noteReconfig(env.net, "insert-upstream", ch.Name())
+	env.net.hold(env.proc, []io.Closer{ch.Reader()})
 	return ch.Reader()
 }

@@ -90,7 +90,11 @@ func (ps *parkState) park() (ejected bool) {
 	}
 	act := ps.action
 	ps.action = actNone
-	ps.requested.Store(false)
+	if act != actEject {
+		// An ejected process stays "asked to suspend" while it unwinds,
+		// so the cut leaves the ports it is taking elsewhere alone.
+		ps.requested.Store(false)
+	}
 	ps.parked = false
 	ps.cond.Broadcast()
 	return act == actEject

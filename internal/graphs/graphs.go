@@ -76,7 +76,10 @@ func SieveBounded(n *core.Network, limit int64, mode SieveMode) *proclib.Collect
 // SieveFirstN wires the sieve to compute the first `count` primes: the
 // integer source is unbounded and the *collector* carries the iteration
 // limit; its stopping poisons the chain upstream (§3.4, "compute the
-// first 100 prime numbers").
+// first 100 prime numbers"). The runtime's cut (core/cut.go) closes
+// every filter's input, and so the source's output, as soon as the
+// collector closes, instead of each stage learning it only when its
+// next surviving element reaches it.
 func SieveFirstN(n *core.Network, count int64, mode SieveMode) *proclib.Collect {
 	src := n.NewChannel("ints", 0)
 	out := n.NewChannel("primes", 0)

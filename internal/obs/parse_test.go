@@ -74,7 +74,7 @@ func TestParsePromSkipsGarbageAndComments(t *testing.T) {
 }
 
 // Golden check for the new histogram families' exposition: the exact
-// lines dashboards and the -obs gate grep for.
+// lines dashboards grep for.
 func TestNewFamiliesGoldenExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Help("dpn_pool_latency_seconds", "Task latency distribution, by stage.")

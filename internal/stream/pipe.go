@@ -44,9 +44,13 @@ const DefaultCapacity = 1024
 // a blocked state, and every data movement, bumps a generation counter so
 // the monitor can take stable snapshots.
 type Observer interface {
-	// PipeBlocked is called whenever a reader or writer blocks on the pipe.
+	// PipeBlocked is called whenever a reader or writer parks on the pipe.
 	PipeBlocked(p *Pipe, write bool)
-	// PipeUnblocked is called when the blocked operation resumes.
+	// PipeUnblocked is called once for each PipeBlocked, when the pipe
+	// signals that party (data, space, growth or a close) — not when it
+	// resumes. A party that has been signalled but not yet scheduled is
+	// making progress, so an observer that counts Blocked minus
+	// Unblocked sees only the parties nothing has woken.
 	PipeUnblocked(p *Pipe, write bool)
 	// PipeEvent is called on any other state change (data moved, close,
 	// capacity growth).
@@ -72,8 +76,11 @@ type Pipe struct {
 	writeClosed bool
 	unbounded   bool // see Unbound
 
-	blockedReaders int
-	blockedWriters int
+	// blockedReaders/blockedWriters count the goroutines inside
+	// cond.Wait; waitR/waitW count those of them not yet signalled, the
+	// ones the observer has been told are blocked (see wakeOne).
+	blockedReaders, blockedWriters int32
+	waitR, waitW                   int32
 
 	observer Observer
 	ins      *Instruments
@@ -177,7 +184,7 @@ func (p *Pipe) Full() bool {
 func (p *Pipe) BlockedWriters() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.blockedWriters
+	return int(p.blockedWriters)
 }
 
 // BlockedReaders reports how many goroutines are currently blocked in
@@ -185,7 +192,7 @@ func (p *Pipe) BlockedWriters() int {
 func (p *Pipe) BlockedReaders() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.blockedReaders
+	return int(p.blockedReaders)
 }
 
 // WriteBlockedOnFull reports whether some writer is blocked and the
@@ -234,7 +241,7 @@ func (p *Pipe) Grow(newCap int) int {
 func (p *Pipe) Unbound() {
 	p.mu.Lock()
 	p.unbounded = true
-	p.canWrit.Broadcast()
+	p.wakeAll(true)
 	p.mu.Unlock()
 }
 
@@ -247,7 +254,7 @@ func (p *Pipe) growLocked(newCap int) int {
 	p.copyOut(nb)
 	p.buf = nb
 	p.r = 0
-	p.canWrit.Broadcast()
+	p.wakeAll(true)
 	p.ins.noteGrow(newCap)
 	if p.observer != nil {
 		p.observer.PipeEvent(p)
@@ -285,7 +292,7 @@ func (p *Pipe) Drain() []byte {
 	p.copyOut(out)
 	p.n = 0
 	p.r = 0
-	p.canWrit.Broadcast()
+	p.wakeAll(true)
 	ins := p.ins
 	o := p.observer
 	p.mu.Unlock()
@@ -358,6 +365,7 @@ func (p *Pipe) writeOne(b []byte, pending *int) (int, error) {
 				*pending = 0
 			}
 			p.blockedWriters++
+			p.waitW++
 			t0 := p.ins.noteBlock(true)
 			if p.observer != nil {
 				p.observer.PipeBlocked(p, true)
@@ -365,9 +373,6 @@ func (p *Pipe) writeOne(b []byte, pending *int) (int, error) {
 			p.canWrit.Wait()
 			p.blockedWriters--
 			p.ins.noteUnblock(true, t0)
-			if p.observer != nil {
-				p.observer.PipeUnblocked(p, true)
-			}
 			if p.writeClosed {
 				return written, ErrWriteClosed
 			}
@@ -392,10 +397,10 @@ func (p *Pipe) writeOne(b []byte, pending *int) (int, error) {
 		*pending += len(chunk)
 		// Wake-avoidance: a reader can only be parked when it found the
 		// buffer empty, so the cond op is skipped entirely unless one is
-		// actually waiting, and Signal (not Broadcast) suffices — a woken
-		// reader drains whatever is available and hands the baton on.
-		if p.blockedReaders > 0 {
-			p.canRead.Signal()
+		// waiting unsignalled, and one signal suffices — a woken reader
+		// drains whatever is available and hands the baton on.
+		if p.waitR > 0 {
+			p.wakeOne(false)
 		}
 	}
 	return written, nil
@@ -408,8 +413,8 @@ func (p *Pipe) writeOne(b []byte, pending *int) (int, error) {
 // *after* releasing the lock — the observability calls are off the
 // critical section of the data hot path.
 func (p *Pipe) finishWrite(pending int) {
-	if p.blockedWriters > 0 && p.n < len(p.buf) {
-		p.canWrit.Signal()
+	if p.waitW > 0 && p.n < len(p.buf) {
+		p.wakeOne(true)
 	}
 	occ := p.n
 	ins := p.ins
@@ -442,6 +447,7 @@ func (p *Pipe) Read(b []byte) (int, error) {
 			return 0, ErrReadClosed
 		}
 		p.blockedReaders++
+		p.waitR++
 		t0 := p.ins.noteBlock(false)
 		if p.observer != nil {
 			p.observer.PipeBlocked(p, false)
@@ -449,9 +455,6 @@ func (p *Pipe) Read(b []byte) (int, error) {
 		p.canRead.Wait()
 		p.blockedReaders--
 		p.ins.noteUnblock(false, t0)
-		if p.observer != nil {
-			p.observer.PipeUnblocked(p, false)
-		}
 	}
 	n := p.n
 	if n > len(b) {
@@ -466,16 +469,16 @@ func (p *Pipe) Read(b []byte) (int, error) {
 	if p.n == 0 {
 		p.r = 0
 	}
-	// Wake-avoidance: skip the cond op unless a writer is actually
-	// parked; Signal one — it fills the freed space and finishWrite
+	// Wake-avoidance: skip the cond op unless a writer is parked
+	// unsignalled; wake one — it fills the freed space and finishWrite
 	// chains the baton to the next writer if space remains.
-	if p.blockedWriters > 0 {
-		p.canWrit.Signal()
+	if p.waitW > 0 {
+		p.wakeOne(true)
 	}
-	// Baton for additional readers: Signal wakes only one, so if bytes
+	// Baton for additional readers: one wake is one reader, so if bytes
 	// remain and another reader is parked, pass the wake along.
-	if p.n > 0 && p.blockedReaders > 0 {
-		p.canRead.Signal()
+	if p.n > 0 && p.waitR > 0 {
+		p.wakeOne(false)
 	}
 	occ := p.n
 	ins := p.ins
@@ -501,8 +504,8 @@ func (p *Pipe) CloseWrite() error {
 		return nil
 	}
 	p.writeClosed = true
-	p.canRead.Broadcast()
-	p.canWrit.Broadcast()
+	p.wakeAll(false)
+	p.wakeAll(true)
 	if p.observer != nil {
 		p.observer.PipeEvent(p)
 	}
@@ -520,12 +523,54 @@ func (p *Pipe) CloseRead() error {
 	p.readClosed = true
 	p.n = 0
 	p.r = 0
-	p.canRead.Broadcast()
-	p.canWrit.Broadcast()
+	p.wakeAll(false)
+	p.wakeAll(true)
 	if p.observer != nil {
 		p.observer.PipeEvent(p)
 	}
 	return nil
+}
+
+// wakeOne signals the longest-parked unsignalled party on one side
+// (writers if write is set), with p.mu held. sync.Cond wakes waiters in
+// the order they parked and never signals one twice, so waitR/waitW
+// mirror exactly the waiters the cond has not woken yet.
+//
+// The observer hears of the wake here rather than when the party runs:
+// from its signal on, a party is making progress. That keeps
+// Blocked() >= Live() — the deadlock monitor's trigger — false for as
+// long as any hand-off is in flight, so a wake is not spent on every
+// one of them.
+func (p *Pipe) wakeOne(write bool) {
+	if write {
+		p.waitW--
+		p.canWrit.Signal()
+	} else {
+		p.waitR--
+		p.canRead.Signal()
+	}
+	if p.observer != nil {
+		p.observer.PipeUnblocked(p, write)
+	}
+}
+
+// wakeAll signals every unsignalled party on one side, reporting each
+// to the observer once. With p.mu held.
+func (p *Pipe) wakeAll(write bool) {
+	cond, waiting := &p.canRead, &p.waitR
+	if write {
+		cond, waiting = &p.canWrit, &p.waitW
+	}
+	if *waiting == 0 {
+		return // every parked party has been signalled already
+	}
+	cond.Broadcast()
+	for *waiting > 0 {
+		*waiting--
+		if p.observer != nil {
+			p.observer.PipeUnblocked(p, write)
+		}
+	}
 }
 
 // ReadClosed reports whether the read end has been closed.

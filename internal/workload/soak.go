@@ -76,39 +76,39 @@ func (c SoakConfig) withDefaults() SoakConfig {
 
 // SoakFamily reports one graph family's share of the soak.
 type SoakFamily struct {
-	Name   string `json:"family"`
-	Graphs int    `json:"graphs"`
-	Tokens int64  `json:"tokens"`
-	// Per-graph wall-time percentiles from the
+	Name   string
+	Graphs int
+	Tokens int64
+	// Per-graph wall-time percentiles, in seconds, from the
 	// dpn_workload_graph_seconds histogram, read back through the
 	// exposition path.
-	P50 float64 `json:"p50_seconds"`
-	P95 float64 `json:"p95_seconds"`
-	P99 float64 `json:"p99_seconds"`
+	P50 float64
+	P95 float64
+	P99 float64
 }
 
 // SoakReport is RunSoak's result: failures, throughput and the latency
 // percentiles read back through the exposition path.
 type SoakReport struct {
-	Graphs   int     `json:"concurrent_graphs"`
-	Servers  int     `json:"servers"`
-	Failures int     `json:"failures"`
-	Elapsed  float64 `json:"elapsed_seconds"`
-	Tokens   int64   `json:"tokens"`
+	Graphs   int // run concurrently
+	Servers  int
+	Failures int
+	Elapsed  float64 // seconds
+	Tokens   int64
 	// TokensPerSec is the sustained aggregate rate: every
 	// dpn_conduit_tokens_total hop across client nodes, servers, and
 	// pool networks over the soak's wall time.
-	TokensPerSec float64 `json:"tokens_per_sec"`
+	TokensPerSec float64
 
-	Stream SoakFamily `json:"stream"`
-	Pool   SoakFamily `json:"pool"`
+	Stream SoakFamily
+	Pool   SoakFamily
 
-	// Task latency percentiles from dpn_pool_latency_seconds
+	// Task latency percentiles, in seconds, from dpn_pool_latency_seconds
 	// {stage="total"} aggregated over every pool graph (intake to
 	// in-order emission).
-	TaskP50 float64 `json:"task_p50_seconds"`
-	TaskP95 float64 `json:"task_p95_seconds"`
-	TaskP99 float64 `json:"task_p99_seconds"`
+	TaskP50 float64
+	TaskP95 float64
+	TaskP99 float64
 
 	// ConduitWaitSeconds sums dpn_conduit_wait_ns_total (reader+writer
 	// blocked time) across all scopes; WaitShare divides it by
@@ -116,10 +116,10 @@ type SoakReport struct {
 	// share because the source metric is a counter, not a histogram.
 	// Many channels block in parallel within one graph, so the share
 	// can exceed 1.
-	ConduitWaitSeconds float64 `json:"conduit_wait_seconds"`
-	WaitShare          float64 `json:"conduit_wait_share"`
+	ConduitWaitSeconds float64
+	WaitShare          float64
 
-	Errors []string `json:"errors,omitempty"`
+	Errors []string
 }
 
 // soakVal is the expected result value of pool task idx.
