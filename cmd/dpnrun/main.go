@@ -194,7 +194,6 @@ func main() {
 		x        = flag.Float64("x", 2, "input for -graph sqrt")
 		workers  = flag.Int("workers", 4, "worker count for -graph factor")
 		static   = flag.Bool("static", false, "use static load balancing for -graph factor")
-		elastic  = flag.Bool("elastic", false, "run -graph factor through the elastic worker pool (local only)")
 		servers  = flag.String("servers", "", "comma-separated compute-server addresses for -graph factor")
 		registry = flag.String("registry", "", "registry address to resolve compute servers from")
 		bits     = flag.Int("bits", 256, "prime size for -graph factor")
@@ -271,7 +270,7 @@ func main() {
 			fmt.Printf("sqrt(%g) = %.17g\n", *x, v)
 		}
 	case "factor":
-		runFactor(*bits, *workers, *static, *elastic, *servers, *registry, *validate, *dot)
+		runFactor(*bits, *workers, *static, *servers, *registry, *validate, *dot)
 	case "cluster":
 		cfg := cluster.PaperConfig()
 		cluster.WriteTable2(os.Stdout, cfg)
@@ -295,19 +294,15 @@ func wait(n *core.Network) {
 	}
 }
 
-func runFactor(bits, workers int, static, elastic bool, serverList, registryAddr string, validate, dot bool) {
+func runFactor(bits, workers int, static bool, serverList, registryAddr string, validate, dot bool) {
 	key, err := factor.GenerateWeakKey(rand.New(rand.NewSource(time.Now().UnixNano())), bits,
 		int64(workers)*8, factor.DefaultBatch)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dpnrun:", err)
 		os.Exit(1)
 	}
-	name := balanceName(static)
-	if elastic {
-		name = "elastic"
-	}
 	fmt.Printf("searching for the factors of a %d-bit modulus with %d workers (%s balancing)\n",
-		key.N.BitLen(), workers, name)
+		key.N.BitLen(), workers, balanceName(static))
 
 	var addrs []string
 	if registryAddr != "" {
@@ -382,22 +377,7 @@ func runFactor(bits, workers int, static, elastic bool, serverList, registryAddr
 	var workerProcs []*meta.Worker
 	var graphProcs []any
 	var spawnRest func()
-	if elastic {
-		if len(addrs) > 0 {
-			fmt.Fprintln(os.Stderr, "dpnrun: -elastic is local-only; drop -servers/-registry")
-			os.Exit(2)
-		}
-		e := meta.NewElastic(net, source, workers, 0, meta.PoolConfig{})
-		if obsCfg.trace != "" {
-			// Pool-level causal sampling: a sampled task's intake,
-			// dispatch, result and in-order emission become span events
-			// in the trace even without a network link in the run.
-			e.Pool.SetTraceSampling(obsCfg.sample)
-		}
-		consumer = e.Consumer
-		graphProcs = []any{e.Producer, e.Pool, e.Consumer}
-		spawnRest = func() { e.Spawn(net) }
-	} else if static {
+	if static {
 		st := meta.NewStatic(net, source, workers, 0)
 		consumer = st.Consumer
 		workerProcs = st.Workers
@@ -410,6 +390,12 @@ func runFactor(bits, workers int, static, elastic bool, serverList, registryAddr
 		}
 	} else {
 		dyn := meta.NewDynamic(net, source, workers, 0)
+		if obsCfg.trace != "" {
+			// Farm-level causal sampling: a sampled task's intake,
+			// dispatch, result and in-order emission become span events
+			// in the trace even without a network link in the run.
+			dyn.Pool.SetTraceSampling(obsCfg.sample)
+		}
 		consumer = dyn.Consumer
 		workerProcs = dyn.Workers
 		graphProcs = []any{dyn.Producer, dyn.Direct, dyn.Turnstile, dyn.IndexCons, dyn.Select, dyn.Consumer}

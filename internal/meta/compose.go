@@ -69,53 +69,11 @@ func NewStatic(n *core.Network, source Task, workers, capacity int) *Static {
 	return st
 }
 
-// Elastic describes the runtime-resizable composition: the Pool plays
-// the roles of Direct, Turnstile and Select at once, over a lane set
-// that can grow and shrink while the run is in flight (Pool.AddWorker,
-// Pool.Retire, Pool.MarkLost). Its merged output is byte-identical to
-// the Dynamic and Static compositions' (§5 determinacy, preserved by
-// the pool's sequence-ordered merge).
-type Elastic struct {
-	Producer *Producer
-	Pool     *Pool
-	Consumer *Consumer
-}
-
-// Spawn starts every process in the composition.
-func (e *Elastic) Spawn(n *core.Network) {
-	n.Spawn(e.Producer)
-	n.Spawn(e.Pool)
-	n.Spawn(e.Consumer)
-}
-
-// NewElastic builds (without spawning) the elastic composition with the
-// given initial worker count — zero is legal: the pool waits for a lane
-// to join. cfg.In/cfg.Out are wired by NewElastic; the remaining fields
-// (MaxInFlight, StragglerDeadline, IdleFail) parameterize scheduling.
-func NewElastic(n *core.Network, source Task, workers, capacity int, cfg PoolConfig) *Elastic {
-	pw := n.NewChannel("tasks", capacity)   // producer → pool intake
-	sc := n.NewChannel("ordered", capacity) // pool merge → consumer
-	cfg.In = pw.Reader()
-	cfg.Out = sc.Writer()
-	if cfg.Capacity == 0 {
-		cfg.Capacity = capacity
-	}
-	e := &Elastic{
-		Producer: &Producer{Source: source, Out: pw.Writer()},
-		Pool:     NewPool(n, cfg),
-		Consumer: &Consumer{In: sc.Reader()},
-	}
-	for i := 0; i < workers; i++ {
-		e.Pool.AddWorker(fmt.Sprintf("w%d", i))
-	}
-	return e
-}
-
 // Dynamic describes the dynamically balanced composition of Figures 17
-// and 18: Direct distributes a new task to a worker for every result
-// collected from that worker; the indexed merge (Turnstile + Select)
-// collects results as they become available while presenting them to
-// the consumer in task order.
+// and 18, the package's one task farm: Direct distributes a new task to
+// a lane for every result collected from it; the Turnstile collects
+// results as they become available while Select presents them to the
+// consumer in task order. Pool is its lane set.
 type Dynamic struct {
 	Producer  *Producer
 	Direct    *Direct
@@ -124,6 +82,7 @@ type Dynamic struct {
 	IndexCons *proclib.Cons
 	Select    *Select
 	Consumer  *Consumer
+	Pool      *Pool
 }
 
 // Spawn starts every process in the composition.
@@ -140,44 +99,64 @@ func (d *Dynamic) Spawn(n *core.Network) {
 }
 
 // NewDynamic builds (without spawning) the dynamic composition with the
-// given worker count.
+// given worker count: the farm's fixed-lane, one-credit case.
 func NewDynamic(n *core.Network, source Task, workers, capacity int) *Dynamic {
 	if workers < 1 {
 		panic("meta: NewDynamic requires at least one worker")
 	}
+	dyn := newFarm(n, source, capacity, PoolConfig{})
+	// The "(n)" process of Figure 18: prime the index stream with one
+	// index per worker so the first batch of tasks is distributed.
+	for i := 0; i < workers; i++ {
+		tw := n.NewChannel(fmt.Sprintf("task%d", i), capacity)
+		wt := n.NewChannel(fmt.Sprintf("result%d", i), capacity)
+		tag := fmt.Sprintf("w%d", i)
+		dyn.Pool.lanes = append(dyn.Pool.lanes, poolLane{tag, tw.Writer(), wt.Reader()})
+		dyn.Direct.Outs = append(dyn.Direct.Outs, tw.Writer())
+		dyn.Turnstile.Ins = append(dyn.Turnstile.Ins, wt.Reader())
+		dyn.Workers = append(dyn.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: tag})
+		dyn.IndexCons.Head = token.AppendInt64(dyn.IndexCons.Head, int64(i))
+	}
+	return dyn
+}
+
+// NewElastic builds (without spawning) the farm with a lane set that
+// can grow and shrink while the run is in flight (Pool.AddWorker,
+// Pool.Retire, Pool.MarkLost), starting from the given worker count —
+// zero is legal: the farm waits for a lane to join. Its merged output is
+// byte-identical to the fixed farm's and the Static composition's.
+func NewElastic(n *core.Network, source Task, workers, capacity int, cfg PoolConfig) *Dynamic {
+	dyn := newFarm(n, source, capacity, cfg)
+	ctl := n.NewChannel("lanes", capacity)
+	ctl.Pipe().Unbound()
+	dyn.Pool.ctl = ctl.Writer()
+	dyn.Turnstile.Ctl = ctl.Reader()
+	for i := 0; i < workers; i++ {
+		dyn.Pool.AddWorker(fmt.Sprintf("w%d", i))
+	}
+	return dyn
+}
+
+// newFarm builds the farm's processes around an empty lane set.
+func newFarm(n *core.Network, source Task, capacity int, cfg PoolConfig) *Dynamic {
+	cfg.MaxInFlight = max(cfg.MaxInFlight, 1)
 	pw := n.NewChannel("tasks", capacity)       // producer → direct
 	sc := n.NewChannel("ordered", capacity)     // select → consumer
 	tPairs := n.NewChannel("tsPairs", capacity) // turnstile → select
 	rawIdx := n.NewChannel("rawIdx", capacity)  // turnstile → cons
 	dirIdx := n.NewChannel("dirIdx", capacity)  // cons (primed) → direct
-
-	dyn := &Dynamic{
-		Producer: &Producer{Source: source, Out: pw.Writer()},
-		Direct:   &Direct{In: pw.Reader(), Index: dirIdx.Reader()},
-		Turnstile: &Turnstile{
-			Out:      tPairs.Writer(),
-			OutIndex: rawIdx.Writer(),
-		},
-		Select: &Select{
-			In:      tPairs.Reader(),
-			Out:     sc.Writer(),
-			Workers: workers,
-		},
-		Consumer: &Consumer{In: sc.Reader()},
+	// direct → select: what is unread is bounded by the tasks in flight
+	// plus those of lanes that died, so it never holds Direct up.
+	log := n.NewChannel("dispatched", capacity)
+	log.Pipe().Unbound()
+	pool := &Pool{net: n, cfg: cfg, capacity: capacity}
+	return &Dynamic{
+		Producer:  &Producer{Source: source, Out: pw.Writer()},
+		Direct:    &Direct{In: pw.Reader(), Index: dirIdx.Reader(), Log: log.Writer(), pool: pool},
+		Turnstile: &Turnstile{Out: tPairs.Writer(), OutIndex: rawIdx.Writer(), pool: pool},
+		IndexCons: &proclib.Cons{In: rawIdx.Reader(), Out: dirIdx.Writer()},
+		Select:    &Select{In: tPairs.Reader(), Log: log.Reader(), Out: sc.Writer()},
+		Consumer:  &Consumer{In: sc.Reader()},
+		Pool:      pool,
 	}
-	// The "(n)" process of Figure 18: prime the index stream with one
-	// index per worker so the first batch of tasks is distributed.
-	var head []byte
-	for i := 0; i < workers; i++ {
-		head = token.AppendInt64(head, int64(i))
-	}
-	dyn.IndexCons = &proclib.Cons{Head: head, In: rawIdx.Reader(), Out: dirIdx.Writer()}
-	for i := 0; i < workers; i++ {
-		tw := n.NewChannel(fmt.Sprintf("task%d", i), capacity)
-		wt := n.NewChannel(fmt.Sprintf("result%d", i), capacity)
-		dyn.Direct.Outs = append(dyn.Direct.Outs, tw.Writer())
-		dyn.Turnstile.Ins = append(dyn.Turnstile.Ins, wt.Reader())
-		dyn.Workers = append(dyn.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: fmt.Sprintf("w%d", i)})
-	}
-	return dyn
 }

@@ -118,13 +118,30 @@ func TestTurnstileToleratesDeadIndexPath(t *testing.T) {
 	}
 }
 
+// writeLog writes Direct's dispatch records: lane l was sent task seq.
+func writeLog(t *testing.T, w *core.WritePort, sends ...[2]int64) {
+	t.Helper()
+	tw := token.NewWriter(w)
+	for _, s := range sends {
+		for _, v := range []int64{s[0], s[1], time.Now().UnixNano(), 0} {
+			if err := tw.WriteInt64(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestSelectReordersByNeedSequence(t *testing.T) {
-	// Two workers; arrivals come in the order w1, w0, w1 — Select must
-	// emit w0's result first (task order), buffering w1's.
+	// Two lanes; arrivals come in the order w1, w0, w1 — Select must
+	// emit w0's result first (task order), buffering w1's. A late copy
+	// of task 1 from a third lane loses to the first result.
 	n := core.NewNetwork()
 	pairs := n.NewChannel("pairs", 1024)
+	log := n.NewChannel("log", 1024)
 	out := n.NewChannel("out", 1024)
-	sel := &Select{In: pairs.Reader(), Out: out.Writer(), Workers: 2}
+	sel := &Select{In: pairs.Reader(), Log: log.Reader(), Out: out.Writer()}
+	writeLog(t, log.Writer(), [2]int64{0, 0}, [2]int64{1, 1}, [2]int64{1, 2}, [2]int64{2, 0})
+	log.Writer().Close()
 
 	w := token.NewWriter(pairs.Writer())
 	write := func(idx int64, data string) {
@@ -137,7 +154,8 @@ func TestSelectReordersByNeedSequence(t *testing.T) {
 	}
 	write(1, "r-of-task2")
 	write(0, "r-of-task1")
-	write(1, "r-of-task3") // w1's next task (task 3) was directed by idx stream
+	write(1, "r-of-task3") // w1's second task was task 3
+	write(2, "copy-of-task1")
 	pairs.Writer().Close()
 	n.Spawn(sel)
 	got, err := readBlocksUntilEOF(out.Reader())
@@ -154,16 +172,18 @@ func TestSelectReordersByNeedSequence(t *testing.T) {
 }
 
 func TestSelectEndsWhenArrivalsStop(t *testing.T) {
-	// Fewer results than the initial need sequence (tasks < workers):
-	// Select must terminate cleanly when the pair stream ends.
+	// Fewer results than tasks sent (tasks < workers, or a cut): Select
+	// must terminate cleanly when the pair stream ends.
 	n := core.NewNetwork()
 	pairs := n.NewChannel("pairs", 1024)
+	log := n.NewChannel("log", 1024)
 	out := n.NewChannel("out", 1024)
+	writeLog(t, log.Writer(), [2]int64{0, 0}, [2]int64{1, 1}, [2]int64{2, 2}, [2]int64{3, 3})
 	w := token.NewWriter(pairs.Writer())
 	w.WriteInt64(0)
 	w.WriteBlock([]byte("only"))
 	pairs.Writer().Close()
-	n.Spawn(&Select{In: pairs.Reader(), Out: out.Writer(), Workers: 4})
+	n.Spawn(&Select{In: pairs.Reader(), Log: log.Reader(), Out: out.Writer()})
 	got, err := readBlocksUntilEOF(out.Reader())
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func waitNet(t *testing.T, n *core.Network) {
 // elasticRun runs tasks through an elastic pool with the given initial
 // worker count, invoking during (if set) once the network is live, and
 // returns the consumer's ordered results.
-func elasticRun(t *testing.T, tasks int64, workers int, cfg PoolConfig, during func(e *Elastic)) []int64 {
+func elasticRun(t *testing.T, tasks int64, workers int, cfg PoolConfig, during func(e *Dynamic)) []int64 {
 	t.Helper()
 	n := core.NewNetwork()
 	e := NewElastic(n, &rangeSource{max: tasks, sleepFn: func(v int64) time.Duration {
@@ -62,7 +62,7 @@ func TestPoolMatchesReference(t *testing.T) {
 // fixed-pool run.
 func TestPoolJoinMidRun(t *testing.T) {
 	const tasks = 120
-	got := elasticRun(t, tasks, 1, PoolConfig{}, func(e *Elastic) {
+	got := elasticRun(t, tasks, 1, PoolConfig{}, func(e *Dynamic) {
 		time.Sleep(2 * time.Millisecond)
 		e.Pool.AddWorker("late1")
 		time.Sleep(2 * time.Millisecond)
@@ -100,7 +100,7 @@ func TestPoolRetireMidRun(t *testing.T) {
 // killableLane adds a lane whose worker can be killed from the test by
 // closing its task-channel reader: the worker observes end of input,
 // its lane dies, and the pool must re-dispatch whatever it still held.
-func killableLane(e *Elastic, tag string) (int, *core.ReadPort) {
+func killableLane(e *Dynamic, tag string) (int, *core.ReadPort) {
 	var in *core.ReadPort
 	id := e.Pool.AddLane(tag, func(r *core.ReadPort, w *core.WritePort) {
 		in = r
@@ -208,7 +208,7 @@ func TestPoolStragglerRedispatch(t *testing.T) {
 	waitNet(t, n)
 	eq(t, got, wantSquares(tasks))
 	reg := n.Obs().Registry()
-	if reg.Counter("dpn_pool_stragglers_total").Value() == 0 {
+	if reg.Counter("dpn_pool_redispatch_total", obs.L("reason", "straggler")).Value() == 0 {
 		t.Fatal("no straggler re-dispatch recorded")
 	}
 }
@@ -338,54 +338,92 @@ func chaosPoolSeed(t *testing.T) int64 {
 	return seed
 }
 
-// TestPoolChaosElasticDeterminacy drives a seeded random schedule of
-// joins, retirements, and kills against the pool and checks the merged
-// output never deviates from the reference — determinacy under elastic
+// TestPoolChaosElasticDeterminacy drives seeded random schedules of
+// joins, retirements, kills and MarkLost calls, with straggler
+// re-dispatch armed, against the elastic farm at one and two tasks in
+// flight per lane, and kills against the fixed farm; every merged output
+// must equal the sequential Pipeline's — determinacy under elastic
 // chaos.
 func TestPoolChaosElasticDeterminacy(t *testing.T) {
 	seed := chaosPoolSeed(t)
-	rng := rand.New(rand.NewSource(seed))
 	const tasks = 300
-
-	n := core.NewNetwork()
-	e := NewElastic(n, &rangeSource{max: tasks, sleepFn: func(v int64) time.Duration {
-		return time.Duration(v%4) * 50 * time.Microsecond
-	}}, 1, 0, PoolConfig{StragglerDeadline: 20 * time.Millisecond})
-	type lane struct {
-		id int
-		in *core.ReadPort
+	source := func() *rangeSource {
+		return &rangeSource{max: tasks, sleepFn: func(v int64) time.Duration {
+			return time.Duration(v%4) * 50 * time.Microsecond
+		}}
 	}
-	var lanes []lane
-	for i := 0; i < 2; i++ {
-		id, in := killableLane(e, "k"+strconv.Itoa(i))
-		lanes = append(lanes, lane{id, in})
-	}
-	got := collectResults(e.Consumer)
-	e.Spawn(n)
-	go func() {
-		for op := 0; op < 12; op++ {
-			time.Sleep(time.Duration(rng.Intn(3)+1) * time.Millisecond)
-			switch rng.Intn(3) {
-			case 0:
-				id, in := killableLane(e, "c"+strconv.Itoa(op))
-				lanes = append(lanes, lane{id, in})
-			case 1:
-				if len(lanes) > 0 {
-					i := rng.Intn(len(lanes))
-					e.Pool.Retire(lanes[i].id)
-					lanes = append(lanes[:i], lanes[i+1:]...)
-				}
-			case 2:
-				if len(lanes) > 0 {
-					i := rng.Intn(len(lanes))
-					lanes[i].in.Close()
-					lanes = append(lanes[:i], lanes[i+1:]...)
-				}
-			}
-		}
+	ref := func() []int64 {
+		n := core.NewNetwork()
+		gate, src := make(chan struct{}), source()
+		got := collectResults(Pipeline(n, FuncSource(func() (Task, error) {
+			<-gate
+			return src.Run()
+		}), 0))
+		close(gate)
+		waitNet(t, n)
+		return *got
 	}()
-	waitNet(t, n)
-	eq(t, *got, wantSquares(tasks))
+	eq(t, ref, wantSquares(tasks))
+
+	for _, inflight := range []int{1, 2} {
+		t.Run("elastic-inflight"+strconv.Itoa(inflight), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed + int64(inflight)))
+			n := core.NewNetwork()
+			e := NewElastic(n, source(), 1, 0, PoolConfig{
+				MaxInFlight: inflight, StragglerDeadline: 20 * time.Millisecond,
+			})
+			type lane struct {
+				id int
+				in *core.ReadPort
+			}
+			var lanes []lane
+			for i := 0; i < 2; i++ {
+				id, in := killableLane(e, "k"+strconv.Itoa(i))
+				lanes = append(lanes, lane{id, in})
+			}
+			got := collectResults(e.Consumer)
+			e.Spawn(n)
+			go func() {
+				// w0 is never in lanes, so one lane always survives.
+				for op := 0; op < 12; op++ {
+					time.Sleep(time.Duration(rng.Intn(3)+1) * time.Millisecond)
+					if k := rng.Intn(4); k == 0 {
+						if id, in := killableLane(e, "c"+strconv.Itoa(op)); id >= 0 {
+							lanes = append(lanes, lane{id, in}) // -1: the run is over
+						}
+					} else if len(lanes) > 0 {
+						i := rng.Intn(len(lanes))
+						switch k {
+						case 1:
+							e.Pool.Retire(lanes[i].id)
+						case 2:
+							lanes[i].in.Close()
+						case 3:
+							e.Pool.MarkLost(lanes[i].id)
+						}
+						lanes = append(lanes[:i], lanes[i+1:]...)
+					}
+				}
+			}()
+			waitNet(t, n)
+			eq(t, *got, ref)
+		})
+	}
+	t.Run("dynamic", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(seed))
+		n := core.NewNetwork()
+		dyn := NewDynamic(n, source(), 4, 0)
+		got := collectResults(dyn.Consumer)
+		dyn.Spawn(n)
+		go func() {
+			for _, w := range rng.Perm(len(dyn.Workers))[:3] {
+				time.Sleep(time.Duration(rng.Intn(4)+1) * time.Millisecond)
+				dyn.Workers[w].In.Close()
+			}
+		}()
+		waitNet(t, n)
+		eq(t, *got, ref)
+	})
 }
 
 // TestPoolTerminalStopsRun checks the Terminal path through the pool:
@@ -393,16 +431,9 @@ func TestPoolChaosElasticDeterminacy(t *testing.T) {
 // fails and the whole composition cascades closed without error.
 func TestPoolTerminalStopsRun(t *testing.T) {
 	n := core.NewNetwork()
-	pw := n.NewChannel("tasks", 0)
-	sc := n.NewChannel("ordered", 0)
-	pool := NewPool(n, PoolConfig{In: pw.Reader(), Out: sc.Writer()})
-	pool.AddWorker("w0")
-	pool.AddWorker("w1")
-	n.Spawn(&Producer{Source: &terminalSource{}, Out: pw.Writer()})
-	n.Spawn(pool)
-	cons := &Consumer{In: sc.Reader()}
-	got := collectResults(cons)
-	n.Spawn(cons)
+	e := NewElastic(n, &terminalSource{}, 2, 0, PoolConfig{})
+	got := collectResults(e.Consumer)
+	e.Spawn(n)
 	waitNet(t, n)
 	if len(*got) < 6 {
 		t.Fatalf("got %v, want at least results 0..5", *got)

@@ -40,35 +40,29 @@ func TestPoolLaneLiveMigration(t *testing.T) {
 
 	const total = 300
 	n := a.Net
-	pw := n.NewChannel("tasks", 256)
-	sc := n.NewChannel("ordered", 256)
-	pool := meta.NewPool(n, meta.PoolConfig{In: pw.Reader(), Out: sc.Writer(), Capacity: 256})
-	pool.AddWorker("local")
-	_, mover := pool.AddWorker("mover")
-	if mover == nil {
-		t.Fatal("AddWorker returned no process handle")
-	}
-
 	var next int64
-	n.Spawn(&meta.Producer{Source: meta.FuncSource(func() (meta.Task, error) {
+	e := meta.NewElastic(n, meta.FuncSource(func() (meta.Task, error) {
 		if next >= total {
 			return nil, nil
 		}
 		v := next
 		next++
 		return &poolSquare{V: v}, nil
-	}), Out: pw.Writer()})
-	n.Spawn(pool)
-	cons := &meta.Consumer{In: sc.Reader()}
+	}), 0, 256, meta.PoolConfig{})
+	e.Pool.AddWorker("local")
+	_, mover := e.Pool.AddWorker("mover")
+	if mover == nil {
+		t.Fatal("AddWorker returned no process handle")
+	}
 	var got []int64
 	var progress atomic.Int64
-	cons.SetOnResult(func(ran, _ meta.Task) {
+	e.Consumer.SetOnResult(func(ran, _ meta.Task) {
 		if r, ok := ran.(*poolSquareRes); ok {
 			got = append(got, r.Sq)
 			progress.Store(int64(len(got)))
 		}
 	})
-	n.Spawn(cons)
+	e.Spawn(n)
 
 	// Let a quarter of the stream flow, then ship the lane's worker to B
 	// while the pool keeps feeding its channels.

@@ -91,14 +91,14 @@ func TestObservabilitySmoke(t *testing.T) {
 		}
 	})
 
-	// A local elastic-pool run with -top must render dpntop frames, and
-	// -trace must leave a valid Chrome trace with the pool's sampled
-	// intake→dispatch→result→emit spans even though no network link is
-	// involved.
+	// A local task-farm run with -top must render dpntop frames with the
+	// farm's lane pane, and -trace must leave a valid Chrome trace with
+	// the farm's sampled intake→dispatch→result→emit spans even though no
+	// network link is involved.
 	t.Run("dpntop-and-trace", func(t *testing.T) {
 		traceFile := filepath.Join(t.TempDir(), "trace.json")
 		out, err := exec.Command(bin+"/dpnrun",
-			"-graph", "factor", "-elastic", "-workers", "2", "-bits", "128",
+			"-graph", "factor", "-workers", "2", "-bits", "128",
 			"-top", "25ms", "-trace", traceFile, "-tracesample", "1").CombinedOutput()
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
@@ -108,6 +108,9 @@ func TestObservabilitySmoke(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "CHANNEL") {
 			t.Fatalf("dpntop never progressed past priming:\n%s", out)
+		}
+		if !strings.Contains(string(out), "LANE") {
+			t.Fatalf("dpntop rendered no lane pane:\n%s", out)
 		}
 		assertTraceFile(t, traceFile, 1)
 	})

@@ -5,8 +5,8 @@
 #
 #   check.sh         vet + build + race-enabled test suite (120 s per
 #                    package, so a hang fails fast), the
-#                    deadlock-resolution, wake-bookkeeping and cut
-#                    tests x20 at GOMAXPROCS 1, 2 and 4, the benchmark
+#                    deadlock-resolution, wake-bookkeeping, cut and
+#                    task-farm tests x20 at GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
 #                    same-run check; none compares against a number
@@ -214,10 +214,13 @@ go test -race -timeout 120s ./...
 # tests that need a resolution run again, 20 times at each of 1, 2, 4 —
 # with the scheduling facts they rest on: the pipe's blocked/unblocked
 # bookkeeping balances (WakeBookkeeping), a Hamming job's monitor
-# passes stay within 3 x its resolutions + 10, and the cut stops only
-# streams nobody reads (Cut).
-go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut' \
-	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib
+# passes stay within 3 x its resolutions + 10, the cut stops only
+# streams nobody reads (Cut), and the task farm — fixed, elastic, under
+# a wake-only monitor and under seeded join/retire/kill schedules —
+# stays determinate and never looks quiescent while a lane computes
+# (Farm|Pool|Dynamic|Turnstile|Select).
+go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
+	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
