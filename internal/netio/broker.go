@@ -3,6 +3,7 @@ package netio
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -33,10 +34,11 @@ var ErrRendezvousTimeout = errors.New("netio: rendezvous timed out")
 var ErrTokenInUse = errors.New("netio: rendezvous token already registered")
 
 // waiter is one registered rendezvous: fire receives the matched
-// connection; cancel (optional) is invoked if the broker shuts down
-// before the peer arrives.
+// connection, under the broker's lock, so it must not block — and a
+// registration withdrawn under that lock never fires late; cancel is
+// invoked instead if the broker shuts down before the peer arrives.
 type waiter struct {
-	fire   func(conn net.Conn, peerAddr string)
+	fire   func(conn io.ReadWriteCloser, peerAddr string)
 	cancel func(error)
 }
 
@@ -55,7 +57,6 @@ type Broker struct {
 	mu         sync.Mutex
 	waiting    map[string]waiter
 	pending    map[string]pendingConn
-	links      map[*Handle]struct{}
 	pendingTTL time.Duration
 	closed     bool
 	// closedCh is closed by Close so long sleeps (reconnect backoff)
@@ -98,7 +99,7 @@ type Broker struct {
 }
 
 type pendingConn struct {
-	conn     net.Conn
+	conn     io.ReadWriteCloser
 	peerAddr string
 	arrived  time.Time
 }
@@ -115,7 +116,6 @@ func NewBroker(listenAddr string) (*Broker, error) {
 		addr:       ln.Addr().String(),
 		waiting:    make(map[string]waiter),
 		pending:    make(map[string]pendingConn),
-		links:      make(map[*Handle]struct{}),
 		muxSess:    make(map[string]*muxEntry),
 		muxAll:     make(map[*mux.Session]struct{}),
 		pendingTTL: rendezvousTimeout,
@@ -137,12 +137,7 @@ func (b *Broker) SetFaults(inj *faults.Injector) {
 
 // injector returns the active fault injector; the zero value is a nil
 // *faults.Injector, whose methods are all no-ops.
-func (b *Broker) injector() *faults.Injector {
-	if inj := b.flt.Load(); inj != nil {
-		return inj
-	}
-	return nil
-}
+func (b *Broker) injector() *faults.Injector { return b.flt.Load() }
 
 // SetResilience sets the retry policy of every link created after the
 // call (how long an outage is ridden out before the link degrades; see
@@ -254,9 +249,7 @@ func (b *Broker) Close() error {
 	// satisfied; notify their owners so serving handles finish and their
 	// watchers exit instead of leaking.
 	for _, w := range wait {
-		if w.cancel != nil {
-			w.cancel(ErrBrokerClosed)
-		}
+		w.cancel(ErrBrokerClosed)
 	}
 	// Sessions are this broker's sockets toward its peers; closing them
 	// is what returns the per-pair FDs to the OS.
@@ -298,16 +291,17 @@ func (b *Broker) handleConn(conn net.Conn) {
 // handleStream reads the HELLO frame that opens every inbound stream
 // and delivers the stream to the channel end waiting for its token, or
 // parks it until that end registers (a dial can win the race against
-// the registration that a redirect triggers on a third node).
-func (b *Broker) handleStream(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout()))
-	f, err := readFrame(conn)
-	if err != nil || f.kind != frameHello {
+// the registration that a redirect triggers on a third node). A stream
+// that stays silent for handshakeTimeout is closed, which fails the
+// read.
+func (b *Broker) handleStream(conn io.ReadWriteCloser) {
+	silent := time.AfterFunc(handshakeTimeout(), func() { conn.Close() })
+	f, err := (&frameReader{r: conn}).next()
+	if !silent.Stop() || err != nil || f.kind != frameHello {
 		conn.Close()
 		return
 	}
-	b.noteFrame(frameHello, false, 0)
-	conn.SetReadDeadline(time.Time{})
+	b.noteFrame(frameHello, false)
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -316,8 +310,8 @@ func (b *Broker) handleStream(conn net.Conn) {
 	}
 	if w, ok := b.waiting[f.token]; ok {
 		delete(b.waiting, f.token)
-		b.mu.Unlock()
 		w.fire(conn, f.addr)
+		b.mu.Unlock()
 		return
 	}
 	now := time.Now()
@@ -332,17 +326,13 @@ func (b *Broker) handleStream(conn net.Conn) {
 	b.mu.Unlock()
 }
 
-// expect registers a handler for the next connection presenting token.
-// If such a connection already arrived, the handler fires immediately.
-func (b *Broker) expect(token string, h func(net.Conn, string)) error {
-	return b.expectCancelable(token, h, nil)
-}
-
-// expectCancelable is expect with a cancellation hook: if the broker
-// shuts down while the registration is still pending, cancel fires with
-// ErrBrokerClosed instead of the handler, so serving link ends (and the
-// wire-layer watchers behind them) terminate rather than wait forever.
-func (b *Broker) expectCancelable(token string, h func(net.Conn, string), cancel func(error)) error {
+// expectCancelable registers a handler for the next connection
+// presenting token; if such a connection already arrived, the handler
+// fires immediately. If the broker shuts down while the registration is
+// still pending, cancel fires with ErrBrokerClosed instead, so serving
+// link ends (and the wire-layer watchers behind them) terminate rather
+// than wait forever.
+func (b *Broker) expectCancelable(token string, h func(io.ReadWriteCloser, string), cancel func(error)) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -350,8 +340,8 @@ func (b *Broker) expectCancelable(token string, h func(net.Conn, string), cancel
 	}
 	if p, ok := b.pending[token]; ok {
 		delete(b.pending, token)
+		h(p.conn, p.peerAddr)
 		b.mu.Unlock()
-		go h(p.conn, p.peerAddr)
 		return nil
 	}
 	if _, dup := b.waiting[token]; dup {
@@ -363,71 +353,43 @@ func (b *Broker) expectCancelable(token string, h func(net.Conn, string), cancel
 	return nil
 }
 
-// cancelExpect withdraws an un-fired expect registration.
-func (b *Broker) cancelExpect(token string) {
-	b.mu.Lock()
-	delete(b.waiting, token)
-	b.mu.Unlock()
-}
-
 // expectWithin waits up to d for a connection presenting token,
 // withdrawing the registration on timeout. Used by the serving side of
 // a link to re-arm its rendezvous during an outage.
-func (b *Broker) expectWithin(token string, d time.Duration) (net.Conn, string, error) {
-	type arrival struct {
-		conn net.Conn
-		peer string
-	}
-	// handleConn can pop the handler just before cancelExpect runs and
-	// invoke it just after, so cancellation alone cannot prevent a late
-	// delivery. The timedOut flag settles the race under mu: a handler
-	// that loses closes the connection itself instead of stranding it in
-	// a channel nobody will ever read.
-	ch := make(chan arrival, 1)
-	canceled := make(chan error, 1)
-	var mu sync.Mutex
-	timedOut := false
-	if err := b.expectCancelable(token, func(conn net.Conn, peer string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if timedOut {
-			conn.Close()
-			return
-		}
-		ch <- arrival{conn, peer} // buffered; at most one handler fires
-	}, func(err error) {
-		canceled <- err // buffered; fires at most once
-	}); err != nil {
-		return nil, "", err
+func (b *Broker) expectWithin(token string, d time.Duration) (io.ReadWriteCloser, error) {
+	arrived := make(chan io.ReadWriteCloser, 1) // the one fire, or nil when the broker closes
+	if err := b.expectCancelable(token, func(conn io.ReadWriteCloser, _ string) { arrived <- conn },
+		func(error) { arrived <- nil }); err != nil {
+		return nil, err
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
+	var conn io.ReadWriteCloser
 	select {
-	case a := <-ch:
-		return a.conn, a.peer, nil
-	case err := <-canceled:
-		return nil, "", err
+	case conn = <-arrived:
 	case <-timer.C:
-		b.cancelExpect(token)
-		mu.Lock()
-		timedOut = true
-		mu.Unlock()
-		// A handler that fired before timedOut was set has already
-		// buffered its arrival; claim it rather than drop the conn.
+		// Once withdrawn the registration cannot fire; one that fired
+		// first has left its connection.
+		b.mu.Lock()
+		delete(b.waiting, token)
+		b.mu.Unlock()
 		select {
-		case a := <-ch:
-			return a.conn, a.peer, nil
+		case conn = <-arrived:
 		default:
-			return nil, "", ErrRendezvousTimeout
+			return nil, ErrRendezvousTimeout
 		}
 	}
+	if conn == nil {
+		return nil, ErrBrokerClosed
+	}
+	return conn, nil
 }
 
 // dial opens a virtual stream toward a peer broker over the pooled
 // per-peer session (whose conn the injector already wraps) and sends
-// the HELLO frame. The HELLO write is deadline-bounded so a
-// black-holed peer cannot block link setup indefinitely.
-func (b *Broker) dial(addr, token string) (net.Conn, error) {
+// the HELLO frame. A fresh stream has a full credit window, so the
+// HELLO write waits only on the session, whose write bound covers it.
+func (b *Broker) dial(addr, token string) (io.ReadWriteCloser, error) {
 	if err := b.injector().DialError(); err != nil {
 		return nil, err
 	}
@@ -435,23 +397,19 @@ func (b *Broker) dial(addr, token string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	helloTimeout := handshakeTimeout()
-	if miss := b.resilience().MissDeadline; miss > 0 {
-		helloTimeout = miss
-	}
-	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if err := writeFrame(conn, frame{kind: frameHello, token: token, addr: b.addr}); err != nil {
+	w := frameWriter{w: conn}
+	w.frame(frame{kind: frameHello, token: token, addr: b.addr})
+	if err := w.flush(); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Time{})
-	b.noteFrame(frameHello, true, 0)
+	b.noteFrame(frameHello, true)
 	return conn, nil
 }
 
 // handshakeTimeoutNs bounds both sides of connection setup: the
 // accept path's session handshake and HELLO read, and the dial path's
-// TCP connect, session handshake and HELLO write. Without it a silent
+// TCP connect and session handshake. Without it a silent
 // or black-holed peer would pin a goroutine (and its connection)
 // forever. Atomic so tests can compress it while brokers from earlier
 // tests still hold live accept goroutines.

@@ -8,7 +8,7 @@ import (
 	"dpn/internal/stream"
 )
 
-// queuedChunk builds an outChunk over a pooled buffer, as startReader
+// queuedChunk builds an outChunk over a pooled buffer, as startSource
 // would produce it.
 func queuedChunk(payload []byte) outChunk {
 	bp := getChunkBuf()
@@ -21,37 +21,36 @@ func queuedChunk(payload []byte) outChunk {
 }
 
 // TestCoalesceMergesQueuedChunks drives coalesce directly: chunks
-// already queued behind pending must merge into its buffer (bumping the
-// coalesced counter), a chunk that overflows the frame cap must park in
-// next, and the merged bytes must stay in order.
+// already queued behind the one taken must merge into its buffer
+// (bumping the coalesced counter), a chunk that overflows the frame cap
+// must park in next, and the merged bytes must stay in order.
 func TestCoalesceMergesQueuedChunks(t *testing.T) {
 	b := newTestBroker(t)
-	o := &outboundLink{
-		h:        &Handle{b: b},
-		frameMax: 64,
+	h := &Handle{
+		b:    b,
+		core: linkCore{frameMax: 64},
 		// Buffered in the test only, to stage "already queued" chunks
 		// deterministically; production keeps this channel unbuffered.
 		chunks: make(chan outChunk, 4),
 	}
-	o.pending = queuedChunk([]byte("aaaa"))
-	o.chunks <- queuedChunk([]byte("bbbb"))
-	o.chunks <- queuedChunk([]byte("cc"))
+	h.chunks <- queuedChunk([]byte("bbbb"))
+	h.chunks <- queuedChunk([]byte("cc"))
 	big := bytes.Repeat([]byte{'z'}, 60) // 4+4+2+60 > frameMax
-	o.chunks <- queuedChunk(big)
+	h.chunks <- queuedChunk(big)
 
 	before := b.ins.Load().framesCoalesced.Value()
-	o.coalesce()
-	if got, want := string(o.pending.data), "aaaabbbbcc"; got != want {
+	pending := h.coalesce(queuedChunk([]byte("aaaa")))
+	if got, want := string(pending.data), "aaaabbbbcc"; got != want {
 		t.Fatalf("pending after coalesce = %q, want %q", got, want)
 	}
-	if o.next.data == nil || !bytes.Equal(o.next.data, big) {
-		t.Fatalf("oversized chunk not parked in next: %q", o.next.data)
+	if h.next.data == nil || !bytes.Equal(h.next.data, big) {
+		t.Fatalf("oversized chunk not parked in next: %q", h.next.data)
 	}
 	if got := b.ins.Load().framesCoalesced.Value() - before; got != 2 {
 		t.Fatalf("coalesced counter rose by %d, want 2", got)
 	}
-	o.pending.release()
-	o.next.release()
+	pending.release()
+	h.next.release()
 }
 
 // TestCoalesceStopsAtBufferEnd checks the merge never writes past the
@@ -59,28 +58,27 @@ func TestCoalesceMergesQueuedChunks(t *testing.T) {
 // is bounded by the buffer, not just frameMax.
 func TestCoalesceStopsAtBufferEnd(t *testing.T) {
 	b := newTestBroker(t)
-	o := &outboundLink{
-		h:        &Handle{b: b},
-		frameMax: coalesceMax,
-		chunks:   make(chan outChunk, 1),
+	h := &Handle{
+		b:      b,
+		core:   linkCore{frameMax: coalesceMax},
+		chunks: make(chan outChunk, 1),
 	}
 	// Simulate a partially-acked chunk: start advanced deep into the
 	// buffer, leaving only a little tail room.
 	bp := getChunkBuf()
 	start := len(*bp) - 8
 	copy((*bp)[start:], "abcd")
-	o.pending = outChunk{data: (*bp)[start : start+4], start: start, orig: bp}
-	o.chunks <- queuedChunk(bytes.Repeat([]byte{'x'}, 16))
+	h.chunks <- queuedChunk(bytes.Repeat([]byte{'x'}, 16))
 
-	o.coalesce()
-	if got := string(o.pending.data); got != "abcd" {
+	pending := h.coalesce(outChunk{data: (*bp)[start : start+4], start: start, orig: bp})
+	if got := string(pending.data); got != "abcd" {
 		t.Fatalf("pending grew past its buffer tail: %q", got)
 	}
-	if got := len(o.next.data); got != 16 {
+	if got := len(h.next.data); got != 16 {
 		t.Fatalf("unfitting chunk should park in next intact; next has %d bytes", got)
 	}
-	o.pending.release()
-	o.next.release()
+	pending.release()
+	h.next.release()
 }
 
 // TestLinkManySmallWritesBatched streams thousands of tiny writes over

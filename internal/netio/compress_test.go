@@ -221,7 +221,7 @@ func TestCorruptCompressedFrameFailsLink(t *testing.T) {
 	conn := dialRawSender(t, b, a.Addr(), tok)
 	defer conn.Close()
 	// 0x90 is no valid encoding tag, so the strict decoder rejects it.
-	if err := writeFrame(conn, frame{kind: frameDataC, payload: []byte{0x90, 0x01, 0xAA}}); err != nil {
+	if err := sendFrame(conn, frame{kind: frameDataC, payload: []byte{0x90, 0x01, 0xAA}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Wait(); !errors.Is(err, ErrBadFrame) {

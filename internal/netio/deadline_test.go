@@ -8,18 +8,22 @@ import (
 	"time"
 )
 
-// acceptGoroutines counts goroutines still inside the accept path.
-func acceptGoroutines() int {
+// goroutinesIn counts goroutines whose stack passes through fn.
+func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "netio.(*Broker).handleConn")
+	return strings.Count(string(buf[:n]), fn)
 }
+
+// acceptGoroutines counts goroutines still inside the accept path.
+func acceptGoroutines() int { return goroutinesIn("netio.(*Broker).handleConn") }
 
 // The acceptor takes a session handshake or nothing: a connection that
 // opens with any byte but mux.Magic — a well-formed per-channel HELLO
 // of the old protocol included — and one that sends nothing at all are
 // both closed within handshakeTimeout, and leave no session, no parked
-// rendezvous and no goroutine behind.
+// rendezvous and no goroutine behind. So is a stream of a session that
+// never says HELLO.
 func TestAcceptRejectsNonSessionConnections(t *testing.T) {
 	old := handshakeTimeout()
 	setHandshakeTimeout(200 * time.Millisecond)
@@ -73,4 +77,35 @@ func TestAcceptRejectsNonSessionConnections(t *testing.T) {
 			}
 		})
 	}
+	t.Run("silent stream", func(t *testing.T) {
+		a, b := newTestBroker(t), newTestBroker(t)
+		st, err := a.muxStream(b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		start := time.Now()
+		closed := make(chan error, 1)
+		go func() {
+			_, err := st.Read(make([]byte, 1))
+			closed <- err
+		}()
+		select {
+		case err := <-closed:
+			if err == nil {
+				t.Fatal("broker answered a stream that never sent HELLO")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("broker kept a silent stream open")
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("stream closed after %v, want within the %v handshake timeout", d, handshakeTimeout())
+		}
+		waitUntil(t, "the stream's HELLO reader exits", func() bool {
+			return goroutinesIn("netio.(*Broker).handleStream") == 0
+		})
+		if n := rendezvousCount(b); n != 0 {
+			t.Fatalf("silent stream left %d rendezvous entries", n)
+		}
+	})
 }

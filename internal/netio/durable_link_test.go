@@ -45,14 +45,15 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 		LinkDeadline:   10 * time.Second,
 		Seed:           1,
 	})
-	h := newHandle(b, true)
-	o := b.newOutbound(h, io.NopCloser(strings.NewReader("")), 0, true, "", "tok")
-	if !o.comp {
+	h := b.newLink(io.NopCloser(strings.NewReader("")), nil, 0, true, "", "tok")
+	if !h.comp {
 		t.Fatal("compression should default on")
 	}
+	o := &h.core
 
 	sender, receiver := net.Pipe()
 	defer sender.Close()
+	h.w = frameWriter{w: sender}
 
 	type recvResult struct {
 		got  []byte
@@ -63,7 +64,7 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 	go func() {
 		var r recvResult
 		for {
-			f, err := readFrame(receiver)
+			f, err := recvFrame(receiver)
 			if err != nil {
 				resCh <- r // EOF/closed pipe ends the collection
 				return
@@ -91,10 +92,12 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 	var want []byte
 	send := func(c outChunk) {
 		t.Helper()
-		if err := o.writeData(sender, c); err != nil {
-			t.Fatalf("writeData: %v", err)
+		if h.send(c, false, ""); h.w.err != nil {
+			t.Fatalf("send: %v", h.w.err)
 		}
-		o.unacked.push(o.sendOff, c, o.frameMax)
+		if o.unacked.push(o.sendOff, c, o.frameMax) {
+			c.release()
+		}
 		o.sendOff += uint64(len(c.data))
 	}
 
@@ -106,15 +109,15 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 	// The receiver acks PART of it, mid-block and non-8-aligned: the
 	// retained remainder must not pretend it is still a sealed block.
 	const midAck = 1003
-	o.acked(midAck)
+	o.acked(midAck, nil)
 	if o.unacked.n != 1 || len(o.unacked.at(0).c.data)%8 == 0 {
 		t.Fatalf("expected one non-aligned remainder chunk, have %d chunks", o.unacked.n)
 	}
 
-	// RESUME replay of the remainder (what resync does).
+	// RESUME replay of the remainder (what the RESUME exchange does).
 	for k := 0; k < o.unacked.n; k++ {
-		if err := o.writeData(sender, o.unacked.at(k).c); err != nil {
-			t.Fatalf("replay writeData: %v", err)
+		if h.send(o.unacked.at(k).c, false, ""); h.w.err != nil {
+			t.Fatalf("replay send: %v", h.w.err)
 		}
 	}
 	want = append(want, first.data[midAck:]...)

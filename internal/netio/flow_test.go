@@ -111,12 +111,9 @@ func TestConnDropPoisonsBothEnds(t *testing.T) {
 	if _, err := io.ReadFull(dst.ReadEnd(), buf); err != nil {
 		t.Fatal(err)
 	}
-	// Abruptly sever the TCP connection under the link (the test lives
-	// in package netio, so it can reach the inbound link's conn).
-	hIn.in.mu.Lock()
-	conn := hIn.in.conn
-	hIn.in.mu.Unlock()
-	conn.Close()
+	// Abruptly sever the connection under the link: kill B's session to
+	// A, and with it the stream the link runs on.
+	b.closeMuxSessions()
 
 	// Writer side: next writes eventually fail.
 	deadline := time.Now().Add(15 * time.Second)

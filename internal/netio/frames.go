@@ -66,125 +66,143 @@ type frame struct {
 	addr    string // HELLO (sender's broker), MOVING (new reader host)
 }
 
+// layout reports what follows kind's byte on the wire: a fixed field
+// of width bytes (a u32 length or count, or a u64 offset), then strs
+// length-prefixed strings. ok is false for an unknown kind.
+func layout(kind byte) (width, strs int, ok bool) {
+	switch kind {
+	case frameData, frameDataC, frameAck:
+		return 4, 0, true
+	case frameResume, frameTrace:
+		return 8, 0, true
+	case frameEOF, frameCloseRead, frameFence, frameBye:
+		return 0, 0, true
+	case frameRedirect:
+		return 0, 1, true
+	case frameHello, frameMoving:
+		return 0, 2, true
+	}
+	return 0, 0, false
+}
+
 // encodeFrame appends f's wire encoding — except a DATA payload, which
 // follows separately — to dst and returns it.
 func encodeFrame(dst []byte, f frame) ([]byte, error) {
-	dst = append(dst, f.kind)
-	switch f.kind {
-	case frameData, frameDataC:
-		if len(f.payload) > maxFramePayload {
-			return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, len(f.payload), maxFramePayload)
-		}
-		return binary.BigEndian.AppendUint32(dst, uint32(len(f.payload))), nil
-	case frameEOF, frameCloseRead, frameFence, frameBye:
-		return dst, nil
-	case frameAck:
-		return binary.BigEndian.AppendUint32(dst, uint32(f.ack)), nil
-	case frameResume, frameTrace:
-		return binary.BigEndian.AppendUint64(dst, f.off), nil
-	case frameRedirect:
-		return appendString(dst, f.token), nil
-	case frameHello, frameMoving:
-		dst = appendString(dst, f.token)
-		return appendString(dst, f.addr), nil
-	default:
+	width, strs, ok := layout(f.kind)
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("%w: unknown frame kind %q", ErrBadFrame, f.kind)
+	case len(f.payload) > maxFramePayload:
+		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, len(f.payload), maxFramePayload)
+	}
+	dst = append(dst, f.kind)
+	switch {
+	case f.kind == frameAck:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(f.ack))
+	case width == 4:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.payload)))
+	case width == 8:
+		dst = binary.BigEndian.AppendUint64(dst, f.off)
+	}
+	if strs > 0 {
+		dst = appendString(dst, f.token)
+	}
+	if strs > 1 {
+		dst = appendString(dst, f.addr)
+	}
+	return dst, nil
+}
+
+// frameWriter encodes frames onto one connection. Control frames
+// collect in buf until flush; a DATA frame goes out after them in one
+// Write of its own (see data). The first error sticks: later writes do
+// nothing and flush returns it, so a driver checks once per step.
+type frameWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// frame stages control frame f; DATA goes through data.
+func (e *frameWriter) frame(f frame) {
+	if e.err == nil {
+		e.buf, e.err = encodeFrame(e.buf, f)
 	}
 }
 
-// writeFrame encodes f onto w. Callers serialize writes per connection
-// direction. Per-connection loops should prefer writeFrameBuf with a
-// reusable scratch buffer (this convenience form allocates the header).
-func writeFrame(w io.Writer, f frame) error {
-	return writeFrameBuf(w, f, nil)
+// data writes one DATA or DATA-C frame whose payload is
+// full[frameHdrLen:]: the header lands in the reserved headroom before
+// it, so header and payload leave in a single Write, with no copy.
+func (e *frameWriter) data(kind byte, full []byte) error {
+	if e.flush() != nil {
+		return e.err
+	}
+	full[0] = kind
+	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(len(full)-frameHdrLen))
+	_, e.err = e.w.Write(full)
+	return e.err
 }
 
-// writeFrameBuf is writeFrame with a caller-provided header scratch, so
-// hot loops pay no per-frame header allocation. DATA frames issue two
-// writes here; the outbound link's data path instead uses the chunk
-// buffer's reserved headroom to leave in a single write.
-func writeFrameBuf(w io.Writer, f frame, scratch []byte) error {
-	hdr, err := encodeFrame(scratch[:0], f)
-	if err != nil {
-		return err
+// flush writes the staged frames and returns the first error.
+func (e *frameWriter) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
 	}
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if (f.kind == frameData || f.kind == frameDataC) && len(f.payload) > 0 {
-		_, err = w.Write(f.payload)
-	}
-	return err
+	e.buf = e.buf[:0]
+	return e.err
 }
 
-// readFrame decodes one frame from r. Per-connection loops should
-// prefer readFrameInto with a reusable scratch buffer.
-func readFrame(r io.Reader) (frame, error) {
-	return readFrameInto(r, nil)
+// frameReader decodes frames from one connection into a reusable
+// scratch. A DATA payload that fits aliases buf[frameHdrLen:] and is
+// valid until the next call, so a reader that consumes each frame
+// before decoding the next allocates nothing per frame.
+type frameReader struct {
+	r   io.Reader
+	buf []byte
 }
 
-// readFrameInto decodes one frame from r, using scratch for the fixed
-// header fields and — when it fits — for the DATA payload, which then
-// aliases scratch[frameHdrLen:]. A session loop that fully consumes
-// each frame before reading the next (the inbound link writes the
-// payload into the local pipe, which copies) therefore reads an entire
-// stream with zero per-frame allocations.
-func readFrameInto(r io.Reader, scratch []byte) (frame, error) {
-	if len(scratch) < 9 {
-		scratch = make([]byte, 16)
+func (d *frameReader) next() (frame, error) {
+	if len(d.buf) < 9 {
+		d.buf = make([]byte, 16)
 	}
-	if _, err := io.ReadFull(r, scratch[:1]); err != nil {
+	if _, err := io.ReadFull(d.r, d.buf[:1]); err != nil {
 		return frame{}, err
 	}
-	f := frame{kind: scratch[0]}
-	switch f.kind {
-	case frameData, frameDataC:
-		if _, err := io.ReadFull(r, scratch[1:5]); err != nil {
-			return frame{}, unexpected(err)
-		}
-		n := int(binary.BigEndian.Uint32(scratch[1:5]))
+	f := frame{kind: d.buf[0]}
+	width, strs, ok := layout(f.kind)
+	if !ok {
+		return frame{}, ErrBadFrame
+	}
+	if _, err := io.ReadFull(d.r, d.buf[1:1+width]); err != nil {
+		return frame{}, unexpected(err)
+	}
+	switch {
+	case f.kind == frameAck:
+		f.ack = int(binary.BigEndian.Uint32(d.buf[1:5]))
+	case width == 8:
+		f.off = binary.BigEndian.Uint64(d.buf[1:9])
+	case width == 4:
+		n := int(binary.BigEndian.Uint32(d.buf[1:5]))
 		if n > maxFramePayload {
 			return frame{}, ErrBadFrame
 		}
-		if n <= len(scratch)-frameHdrLen {
-			f.payload = scratch[frameHdrLen : frameHdrLen+n]
+		if f.payload = d.buf[frameHdrLen:]; n <= len(f.payload) {
+			f.payload = f.payload[:n]
 		} else {
 			f.payload = make([]byte, n)
 		}
-		if _, err := io.ReadFull(r, f.payload); err != nil {
+		if _, err := io.ReadFull(d.r, f.payload); err != nil {
 			return frame{}, unexpected(err)
 		}
-	case frameEOF, frameCloseRead, frameFence, frameBye:
-	case frameAck:
-		if _, err := io.ReadFull(r, scratch[1:5]); err != nil {
-			return frame{}, unexpected(err)
-		}
-		f.ack = int(binary.BigEndian.Uint32(scratch[1:5]))
-	case frameResume, frameTrace:
-		if _, err := io.ReadFull(r, scratch[1:9]); err != nil {
-			return frame{}, unexpected(err)
-		}
-		f.off = binary.BigEndian.Uint64(scratch[1:9])
-	case frameRedirect:
-		tok, err := readString(r)
-		if err != nil {
-			return frame{}, err
-		}
-		f.token = tok
-	case frameHello, frameMoving:
-		tok, err := readString(r)
-		if err != nil {
-			return frame{}, err
-		}
-		addr, err := readString(r)
-		if err != nil {
-			return frame{}, err
-		}
-		f.token, f.addr = tok, addr
-	default:
-		return frame{}, ErrBadFrame
 	}
-	return f, nil
+	var err error
+	if strs > 0 {
+		f.token, err = readString(d.r)
+	}
+	if strs > 1 && err == nil {
+		f.addr, err = readString(d.r)
+	}
+	return f, err
 }
 
 func appendString(b []byte, s string) []byte {
@@ -197,12 +215,9 @@ func readString(r io.Reader) (string, error) {
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return "", unexpected(err)
 	}
-	n := binary.BigEndian.Uint16(lenBuf[:])
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", unexpected(err)
-	}
-	return string(buf), nil
+	buf := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
+	_, err := io.ReadFull(r, buf)
+	return string(buf), unexpected(err)
 }
 
 func unexpected(err error) error {

@@ -7,13 +7,31 @@ import (
 	"testing/quick"
 )
 
+// sendFrame and recvFrame send and decode one frame through the
+// link's frame codec.
+func sendFrame(w io.Writer, f frame) error {
+	e := frameWriter{w: w}
+	if f.kind != frameData && f.kind != frameDataC {
+		e.frame(f)
+		return e.flush()
+	}
+	if _, err := encodeFrame(nil, f); err != nil {
+		return err
+	}
+	return e.data(f.kind, append(make([]byte, frameHdrLen), f.payload...))
+}
+
+func recvFrame(r io.Reader) (frame, error) {
+	return (&frameReader{r: r}).next()
+}
+
 func roundTripFrame(t *testing.T, f frame) frame {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, f); err != nil {
+	if err := sendFrame(&buf, f); err != nil {
 		t.Fatalf("write %c: %v", f.kind, err)
 	}
-	got, err := readFrame(&buf)
+	got, err := recvFrame(&buf)
 	if err != nil {
 		t.Fatalf("read %c: %v", f.kind, err)
 	}
@@ -46,10 +64,10 @@ func TestFrameRoundTrips(t *testing.T) {
 func TestFrameDataProperty(t *testing.T) {
 	f := func(payload []byte) bool {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, frame{kind: frameData, payload: payload}); err != nil {
+		if err := sendFrame(&buf, frame{kind: frameData, payload: payload}); err != nil {
 			return false
 		}
-		got, err := readFrame(&buf)
+		got, err := recvFrame(&buf)
 		if err != nil || got.kind != frameData {
 			return false
 		}
@@ -62,33 +80,33 @@ func TestFrameDataProperty(t *testing.T) {
 
 func TestBadFramesRejected(t *testing.T) {
 	// Unknown kind.
-	if _, err := readFrame(bytes.NewReader([]byte{'Z'})); err == nil {
+	if _, err := recvFrame(bytes.NewReader([]byte{'Z'})); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	// Oversized DATA length prefix.
 	var buf bytes.Buffer
 	buf.WriteByte(frameData)
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); err == nil {
+	if _, err := recvFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 	// Truncated payload.
 	buf.Reset()
 	buf.WriteByte(frameData)
 	buf.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := readFrame(&buf); err != io.ErrUnexpectedEOF {
+	if _, err := recvFrame(&buf); err != io.ErrUnexpectedEOF {
 		t.Fatal("truncated frame not flagged")
 	}
 	// Writing an unknown kind fails too.
-	if err := writeFrame(io.Discard, frame{kind: 'Q'}); err == nil {
+	if err := sendFrame(io.Discard, frame{kind: 'Q'}); err == nil {
 		t.Fatal("unknown write kind accepted")
 	}
 	// Oversized payload on the write side.
-	if err := writeFrame(io.Discard, frame{kind: frameData, payload: make([]byte, maxFramePayload+1)}); err == nil {
+	if err := sendFrame(io.Discard, frame{kind: frameData, payload: make([]byte, maxFramePayload+1)}); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 	// Empty input is a clean EOF.
-	if _, err := readFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := recvFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty input: %v", err)
 	}
 }
@@ -98,7 +116,7 @@ func TestReadFrameGarbageProperty(t *testing.T) {
 	f := func(garbage []byte) bool {
 		r := bytes.NewReader(garbage)
 		for i := 0; i < len(garbage)+1; i++ {
-			if _, err := readFrame(r); err != nil {
+			if _, err := recvFrame(r); err != nil {
 				return true
 			}
 		}

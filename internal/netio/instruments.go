@@ -131,26 +131,30 @@ func (b *Broker) SetObs(s *obs.Scope) {
 	b.ins.Store(newBrokerInstruments(s))
 }
 
+// count bumps kind's frame counter in direction out and names the
+// direction for the trace.
+func (ins *brokerInstruments) count(kind byte, out bool) (dir string) {
+	m, dir := ins.framesIn, "in"
+	if out {
+		m, dir = ins.framesOut, "out"
+	}
+	if c, ok := m[kind]; ok {
+		c.Inc()
+	} else {
+		ins.frameUnknown.Inc()
+	}
+	return dir
+}
+
 // noteFrame counts one protocol frame and traces it; dir is from this
 // node's perspective. DATA-carrying kinds go through noteData instead,
 // which also feeds the byte counters, so BytesIn/BytesOut report
 // channel payload only — heartbeats and other control traffic never
 // move them, which keeps the distributed deadlock detector's
 // quiescence test meaningful on an idle graph.
-func (b *Broker) noteFrame(kind byte, out bool, payload int) {
+func (b *Broker) noteFrame(kind byte, out bool) {
 	ins := b.ins.Load()
-	m := ins.framesIn
-	dir := "in"
-	if out {
-		m = ins.framesOut
-		dir = "out"
-	}
-	c, ok := m[kind]
-	if !ok {
-		c = ins.frameUnknown
-	}
-	c.Inc()
-	ins.tracer.Record(obs.EvFrame, frameKindName(kind), dir, int64(payload))
+	ins.tracer.Record(obs.EvFrame, frameKindName(kind), ins.count(kind, out), 0)
 }
 
 // noteData counts one DATA or DATA-C frame. All flow-control-visible
@@ -162,17 +166,7 @@ func (b *Broker) noteFrame(kind byte, out bool, payload int) {
 // BytesIn/BytesOut (deadlock quiescence, redirect tests) exact.
 func (b *Broker) noteData(kind byte, out bool, wire, logical int) {
 	ins := b.ins.Load()
-	m := ins.framesIn
-	dir := "in"
-	if out {
-		m = ins.framesOut
-		dir = "out"
-	}
-	if c, ok := m[kind]; ok {
-		c.Inc()
-	} else {
-		ins.frameUnknown.Inc()
-	}
+	dir := ins.count(kind, out)
 	if out {
 		ins.bytesOut.Add(int64(logical))
 		ins.logicalOut.Add(int64(logical))
@@ -219,11 +213,6 @@ func (b *Broker) noteSpan(subject, detail string, traceID uint64) {
 	b.ins.Load().tracer.Record(obs.EvSpan, subject, detail, int64(traceID))
 }
 
-// noteCreditStall counts one flow-control wait on an outbound link.
-func (b *Broker) noteCreditStall() {
-	b.ins.Load().creditStalls.Inc()
-}
-
 // noteMuxStreams refreshes the live-stream gauge and the multiplexing
 // factor (streams per live session) from the broker's atomics.
 func (b *Broker) noteMuxStreams(streams int64) {
@@ -234,10 +223,4 @@ func (b *Broker) noteMuxStreams(streams int64) {
 	} else {
 		ins.muxStreamsPer.Set(0)
 	}
-}
-
-// noteCoalesced counts one queued data chunk merged into the frame
-// ahead of it on an outbound link.
-func (b *Broker) noteCoalesced() {
-	b.ins.Load().framesCoalesced.Inc()
 }

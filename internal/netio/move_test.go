@@ -300,3 +300,62 @@ func TestMixedPolicyPeersInteroperate(t *testing.T) {
 		}
 	})
 }
+
+// TestRedirectDuringReaderMove calls Redirect on a link's writer end in
+// a loop while its reader moves: the MOVING re-points the writer at the
+// reader's new host from the link's own goroutine, and Redirect must
+// read that address under the handle's lock — it reports the old host
+// or the new one, never a torn value, and the new one once the re-dial
+// has landed.
+func TestRedirectDuringReaderMove(t *testing.T) {
+	a, b, c := newTestBroker(t), newTestBroker(t), newTestBroker(t)
+	src := stream.NewPipe(1 << 12)
+	dstB, dstC := stream.NewPipe(1<<12), stream.NewPipe(1<<12)
+	tok := a.NewToken()
+	hOut, err := a.ServeOutbound(tok, src.ReadEnd(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hB, err := b.DialInbound(a.Addr(), tok, dstB.WriteEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok2 := c.NewToken()
+	if _, err := c.ServeInbound(tok2, dstC.WriteEnd()); err != nil {
+		t.Fatal(err)
+	}
+	if err := hB.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
+	redirectTo := a.NewToken()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			peer, err := hOut.Redirect(redirectTo)
+			if err != nil {
+				t.Errorf("Redirect: %v", err)
+				return
+			}
+			if peer != b.Addr() && peer != c.Addr() {
+				t.Errorf("Redirect reported %q, want %s or %s", peer, b.Addr(), c.Addr())
+				return
+			}
+		}
+	}()
+	if err := hB.Move(c.Addr(), tok2); err != nil {
+		t.Fatalf("Move: %v", err)
+	}
+	waitUntil(t, "the writer re-points at the new host", func() bool {
+		peer, _ := hOut.Redirect(redirectTo)
+		return peer == c.Addr()
+	})
+	close(stop)
+	<-stopped
+	src.CloseRead()
+}

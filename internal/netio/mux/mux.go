@@ -5,8 +5,8 @@
 // file-descriptor and handshake blowup at production scale (thousands
 // of channels between two hosts). A mux Session runs the X25519
 // challenge/response handshake once (handshake.go) and then carries
-// any number of conduits as virtual streams, each a full net.Conn: the
-// netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME, TRACE, BYE,
+// any number of conduits as virtual streams, each an ordered, credited
+// byte stream with its own half-close: the netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME, TRACE, BYE,
 // REDIRECT — runs over a stream, so resume, compression, durable
 // journaling, and migration never see the session boundary. The
 // session is also the wire's one liveness probe: its keepalive and
@@ -101,21 +101,10 @@ type Hooks struct {
 	CreditStall  func() // a stream write blocked on an empty credit window
 }
 
-func (h Hooks) opened() {
-	if h.StreamOpened != nil {
-		h.StreamOpened()
-	}
-}
-
-func (h Hooks) closed() {
-	if h.StreamClosed != nil {
-		h.StreamClosed()
-	}
-}
-
-func (h Hooks) stall() {
-	if h.CreditStall != nil {
-		h.CreditStall()
+// call runs hook, if set.
+func call(hook func()) {
+	if hook != nil {
+		hook()
 	}
 }
 
@@ -261,9 +250,6 @@ func newSession(conn net.Conn, cfg Config, peer handshakeResult, dialer bool) *S
 // this session for symmetric reuse.
 func (s *Session) PeerAddr() string { return s.peer.peerAddr }
 
-// RemoteAddr is the transport address of the underlying connection.
-func (s *Session) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
-
 // Done is closed when the session dies, however it dies.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
@@ -304,7 +290,7 @@ func (s *Session) OpenStream() (*Stream, error) {
 		s.removeStream(st)
 		return nil, err
 	}
-	s.cfg.Hooks.opened()
+	call(s.cfg.Hooks.StreamOpened)
 	return st, nil
 }
 
@@ -364,7 +350,7 @@ func (s *Session) fail(err error) {
 	s.conn.Close()
 	for _, st := range streams {
 		st.abort(err)
-		s.cfg.Hooks.closed()
+		call(s.cfg.Hooks.StreamClosed)
 	}
 	close(s.done)
 }
@@ -375,7 +361,7 @@ func (s *Session) removeStream(st *Stream) {
 	delete(s.streams, st.id)
 	s.mu.Unlock()
 	if live {
-		s.cfg.Hooks.closed()
+		call(s.cfg.Hooks.StreamClosed)
 	}
 }
 
@@ -501,7 +487,7 @@ func (s *Session) handleSYN(id uint32, n int) error {
 	st := newStream(s, id)
 	s.streams[id] = st
 	s.mu.Unlock()
-	s.cfg.Hooks.opened()
+	call(s.cfg.Hooks.StreamOpened)
 	select {
 	case s.acceptCh <- st:
 	case <-s.done:
@@ -566,8 +552,11 @@ func (s *Session) handleRST(id uint32) {
 	s.removeStream(st)
 }
 
-// Stream is one virtual stream: a full net.Conn (plus CloseWrite)
-// multiplexed over the session.
+// Stream is one virtual stream multiplexed over the session: an
+// io.ReadWriteCloser plus CloseWrite. It has no deadlines — the
+// session's keepalive and write bound are the wire's liveness probe,
+// and Close (or the session's death) wakes a Read or Write waiting on
+// it.
 //
 // Received data lands in a fixed ring the size of the receive window —
 // credit accounting guarantees the peer never sends more than fits, so
@@ -595,9 +584,6 @@ type Stream struct {
 	finSent    bool
 	rstSent    bool
 	resetErr   error // stream aborted (RST or session death)
-
-	rdl, wdl           time.Time // read/write deadlines
-	rdlTimer, wdlTimer *time.Timer
 }
 
 func newStream(s *Session, id uint32) *Stream {
@@ -725,10 +711,6 @@ func (st *Stream) Read(p []byte) (int, error) {
 			st.mu.Unlock()
 			return 0, net.ErrClosed
 		}
-		if !st.rdl.IsZero() && !time.Now().Before(st.rdl) {
-			st.mu.Unlock()
-			return 0, os.ErrDeadlineExceeded
-		}
 		st.readCond.Wait()
 	}
 	n := st.size
@@ -778,16 +760,12 @@ func (st *Stream) Write(p []byte) (int, error) {
 				st.mu.Unlock()
 				return total, net.ErrClosed
 			}
-			if !st.wdl.IsZero() && !time.Now().Before(st.wdl) {
-				st.mu.Unlock()
-				return total, os.ErrDeadlineExceeded
-			}
 			if st.sendCredit > 0 {
 				break
 			}
 			if !stalled {
 				stalled = true
-				st.sess.cfg.Hooks.stall()
+				call(st.sess.cfg.Hooks.CreditStall)
 			}
 			st.sendCond.Wait()
 		}
@@ -843,7 +821,6 @@ func (st *Stream) Close() error {
 	reset := st.resetErr != nil
 	st.readCond.Broadcast()
 	st.sendCond.Broadcast()
-	st.stopTimersLocked()
 	st.mu.Unlock()
 	if sendFIN {
 		st.sess.writeFrame(kindFIN, st.id, nil) // best effort
@@ -851,72 +828,5 @@ func (st *Stream) Close() error {
 	if remoteDone || reset {
 		st.sess.removeStream(st)
 	}
-	return nil
-}
-
-// stopTimersLocked releases deadline timers; st.mu must be held.
-func (st *Stream) stopTimersLocked() {
-	if st.rdlTimer != nil {
-		st.rdlTimer.Stop()
-		st.rdlTimer = nil
-	}
-	if st.wdlTimer != nil {
-		st.wdlTimer.Stop()
-		st.wdlTimer = nil
-	}
-}
-
-func (st *Stream) LocalAddr() net.Addr  { return st.sess.conn.LocalAddr() }
-func (st *Stream) RemoteAddr() net.Addr { return st.sess.conn.RemoteAddr() }
-
-// setTimer arms a wakeup at t so waiters re-check their deadline and
-// return os.ErrDeadlineExceeded (which satisfies net.Error.Timeout(),
-// as the link layer's timeout classification requires).
-func (st *Stream) setTimer(tp **time.Timer, t time.Time) {
-	if *tp != nil {
-		(*tp).Stop()
-		*tp = nil
-	}
-	if t.IsZero() {
-		return
-	}
-	d := time.Until(t)
-	if d < 0 {
-		d = 0
-	}
-	*tp = time.AfterFunc(d, func() {
-		st.mu.Lock()
-		st.readCond.Broadcast()
-		st.sendCond.Broadcast()
-		st.mu.Unlock()
-	})
-}
-
-func (st *Stream) SetDeadline(t time.Time) error {
-	st.mu.Lock()
-	st.rdl, st.wdl = t, t
-	st.setTimer(&st.rdlTimer, t)
-	st.setTimer(&st.wdlTimer, t)
-	st.readCond.Broadcast()
-	st.sendCond.Broadcast()
-	st.mu.Unlock()
-	return nil
-}
-
-func (st *Stream) SetReadDeadline(t time.Time) error {
-	st.mu.Lock()
-	st.rdl = t
-	st.setTimer(&st.rdlTimer, t)
-	st.readCond.Broadcast()
-	st.mu.Unlock()
-	return nil
-}
-
-func (st *Stream) SetWriteDeadline(t time.Time) error {
-	st.mu.Lock()
-	st.wdl = t
-	st.setTimer(&st.wdlTimer, t)
-	st.sendCond.Broadcast()
-	st.mu.Unlock()
 	return nil
 }

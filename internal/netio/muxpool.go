@@ -13,11 +13,11 @@ import (
 // long-lived connection per peer pair, carrying every channel link
 // between the pair as a virtual stream.
 //
-// A mux stream is a full net.Conn, so the link protocol — HELLO
-// rendezvous, DATA/DATA-C, ACK credit, RESUME resync, TRACE, BYE,
-// REDIRECT — runs over it as it would over a socket of its own: dial()
-// opens a stream and writes HELLO; the accept path peels streams off
-// inbound sessions and feeds them to the rendezvous matcher. The
+// A mux stream is an ordered byte stream with its own credit, so the
+// link protocol — HELLO rendezvous, DATA/DATA-C, ACK credit, RESUME,
+// TRACE, BYE, REDIRECT — runs over it as over a socket of its own:
+// dial() opens a stream and writes HELLO; the accept path peels streams
+// off inbound sessions and feeds them to the rendezvous matcher. The
 // session owns liveness: when it dies (peer silent or not draining, see
 // muxConfig), its streams fail, links whose policy retries re-dial, the
 // pool builds (or reuses) a fresh session, and the RESUME offset
@@ -81,7 +81,7 @@ func (b *Broker) muxConfig() mux.Config {
 
 // muxStream opens one virtual stream toward the peer broker at addr,
 // building or reusing the pooled session.
-func (b *Broker) muxStream(addr string) (net.Conn, error) {
+func (b *Broker) muxStream(addr string) (*mux.Stream, error) {
 	for {
 		sess, err := b.muxSession(addr)
 		if err != nil {
@@ -126,9 +126,6 @@ func (b *Broker) muxSession(addr string) (*mux.Session, error) {
 				delete(b.muxSess, addr)
 			}
 			b.muxMu.Unlock()
-			if err == nil {
-				b.watchPooled(addr, sess)
-			}
 			close(e.ready)
 			return sess, err
 		}
@@ -159,16 +156,6 @@ func (b *Broker) muxForget(addr string, sess *mux.Session) {
 		delete(b.muxSess, addr)
 	}
 	b.muxMu.Unlock()
-}
-
-// watchPooled retires the pool entry when its session dies, so the
-// next dial builds a fresh one instead of opening streams into a
-// corpse.
-func (b *Broker) watchPooled(addr string, sess *mux.Session) {
-	go func() {
-		<-sess.Done()
-		b.muxForget(addr, sess)
-	}()
 }
 
 // dialMuxSession opens the TCP connection, wraps it in the fault
@@ -218,15 +205,13 @@ func (b *Broker) adoptSession(sess *mux.Session) {
 		e := &muxEntry{ready: make(chan struct{}), sess: sess}
 		close(e.ready)
 		b.muxSess[addr] = e
-		b.muxMu.Unlock()
-		b.watchPooled(addr, sess)
-		return
 	}
 	b.muxMu.Unlock()
 }
 
-// trackSession records the session for Close teardown and feeds the
-// session metrics.
+// trackSession records the session for Close teardown, feeds the
+// session metrics, and retires its pool entry when it dies, so the next
+// dial builds a fresh one instead of opening streams into a corpse.
 func (b *Broker) trackSession(sess *mux.Session, role string) {
 	ins := b.ins.Load()
 	if role == "dial" {
@@ -250,6 +235,11 @@ func (b *Broker) trackSession(sess *mux.Session, role string) {
 		<-sess.Done()
 		b.muxMu.Lock()
 		delete(b.muxAll, sess)
+		for addr, e := range b.muxSess {
+			if e.sess == sess {
+				delete(b.muxSess, addr)
+			}
+		}
 		b.muxMu.Unlock()
 		n := b.muxLiveSessions.Add(-1)
 		b.ins.Load().muxSessionsLive.Set(n)

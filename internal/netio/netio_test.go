@@ -3,7 +3,6 @@ package netio
 import (
 	"bytes"
 	"io"
-	"net"
 	"os"
 	"testing"
 	"time"
@@ -32,16 +31,16 @@ func newTestBroker(t *testing.T) *Broker {
 // dialRawSender plays the sending half of a link by hand: it dials the
 // inbound link serving tok at addr and performs the RESUME exchange
 // that opens every connection, returning the stream ready for DATA.
-func dialRawSender(t *testing.T, b *Broker, addr, tok string) net.Conn {
+func dialRawSender(t *testing.T, b *Broker, addr, tok string) io.ReadWriteCloser {
 	t.Helper()
 	conn, err := b.dial(addr, tok)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := readFrame(conn); err != nil || f.kind != frameResume || f.off != 0 {
+	if f, err := recvFrame(conn); err != nil || f.kind != frameResume || f.off != 0 {
 		t.Fatalf("opening frame %+v, %v; want RESUME(0)", f, err)
 	}
-	if err := writeFrame(conn, frame{kind: frameResume}); err != nil {
+	if err := sendFrame(conn, frame{kind: frameResume}); err != nil {
 		t.Fatal(err)
 	}
 	return conn

@@ -26,13 +26,15 @@ func (q *replayQueue) at(k int) *sentChunk {
 	return &q.ring[(q.head+k)&(len(q.ring)-1)]
 }
 
-// push retains c, just sent at stream offset off; frameMax caps an
-// entry, because replay re-sends each entry as one frame.
-func (q *replayQueue) push(off uint64, c outChunk, frameMax int) {
+// push retains c, sent at stream offset off; frameMax caps an entry,
+// because replay re-sends each entry as one frame. It reports whether
+// c was folded into the newest entry: then the queue kept a copy, and
+// c's buffer is the caller's to return once its send is done.
+func (q *replayQueue) push(off uint64, c outChunk, frameMax int) (folded bool) {
 	if q.n > 0 {
 		if last := &q.at(q.n - 1).c; last.orig != nil && len(c.data) <= last.room(frameMax) {
 			last.absorb(c)
-			return
+			return true
 		}
 	}
 	if q.n == len(q.ring) {
@@ -44,6 +46,7 @@ func (q *replayQueue) push(off uint64, c outChunk, frameMax int) {
 	}
 	q.n++
 	*q.at(q.n - 1) = sentChunk{off: off, c: c}
+	return false
 }
 
 // trim drops (or slices) entries the receiver has confirmed up to off.
@@ -70,8 +73,8 @@ func (q *replayQueue) trim(off uint64) {
 }
 
 // drop abandons every retained byte (stream offsets rebase, e.g. after
-// a MOVING fence, or a restart rewind in resync) and returns the pooled
-// buffers.
+// a MOVING fence, or a restart rewind in the RESUME exchange) and
+// returns the pooled buffers.
 //
 // Compression audit: a rebase can land mid-chunk (trim slices a
 // partially acked entry, leaving a remainder that may not be

@@ -26,7 +26,9 @@ func TestReplayQueueSlicesAndReusesItsRing(t *testing.T) {
 	var q replayQueue
 	var off uint64
 	push := func(fill byte, n int) {
-		q.push(off, mk(fill, n), coalesceMax)
+		if c := mk(fill, n); q.push(off, c, coalesceMax) {
+			c.release()
+		}
 		off += uint64(n)
 	}
 	push('a', 100)
@@ -114,7 +116,9 @@ func TestStalledReceiverRetainsBoundedBuffers(t *testing.T) {
 	var q replayQueue
 	for off := uint64(0); off < DefaultWindow; off += 8 {
 		bp := getChunkBuf()
-		q.push(off, outChunk{data: (*bp)[frameHdrLen : frameHdrLen+8], start: frameHdrLen, orig: bp}, coalesceMax)
+		if q.push(off, outChunk{data: (*bp)[frameHdrLen : frameHdrLen+8], start: frameHdrLen, orig: bp}, coalesceMax) {
+			putChunkBuf(bp)
+		}
 	}
 	if q.n > limit {
 		t.Fatalf("a window of 8-byte chunks pins %d pooled buffers, want at most %d", q.n, limit)
@@ -159,4 +163,5 @@ func TestStalledReceiverRetainsBoundedBuffers(t *testing.T) {
 		t.Fatalf("the pool minted %d buffers while a stalled receiver held the sender's window, want about %d", n, limit+4)
 	}
 	src.CloseRead()
+	dst.CloseRead() // the receiving link is parked writing into it
 }

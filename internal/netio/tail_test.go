@@ -110,7 +110,7 @@ func TestSessionLinkReportsTruncation(t *testing.T) {
 	}
 	// A sender that delivers a prefix and then vanishes: no EOF frame.
 	conn := dialRawSender(t, b, a.Addr(), tok)
-	if err := writeFrame(conn, frame{kind: frameData, payload: []byte("prefix")}); err != nil {
+	if err := sendFrame(conn, frame{kind: frameData, payload: []byte("prefix")}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 6)

@@ -11,10 +11,10 @@ import (
 
 func TestFrameTraceEncodeDecode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frame{kind: frameTrace, off: 0xdeadbeefcafe}); err != nil {
+	if err := sendFrame(&buf, frame{kind: frameTrace, off: 0xdeadbeefcafe}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(&buf)
+	f, err := recvFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,9 @@
 #   check.sh         vet + build + race-enabled test suite (120 s per
 #                    package, so a hang fails fast), the
 #                    deadlock-resolution, wake-bookkeeping, cut,
-#                    task-farm, parked-link, coordinator and scraped-
-#                    tally tests x20 at GOMAXPROCS 1, 2 and 4, the benchmark
+#                    task-farm, parked-link, coordinator, scraped-
+#                    tally, link-core and Redirect-race tests x20 at
+#                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
 #                    same-run check; none compares against a number
@@ -40,7 +41,10 @@
 #                    port (ports own theirs: port.Tokens()), a check
 #                    that netio holds its retry policy by value (no
 #                    *Resilience: a nil policy was a second protocol),
-#                    and gofmt -l.
+#                    a check that the link core imports neither net
+#                    nor sync nor time (it is the protocol alone; its
+#                    driver owns sockets, goroutines and clocks), and
+#                    gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -151,6 +155,12 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: *Resilience in internal/netio (hold the policy by value)"
 		fail=1
 	fi
+	# The link protocol is a pure state machine (DESIGN.md, "What heals"):
+	# sockets, goroutines and clocks belong to its driver in link.go.
+	if grep -nE '"(net|sync|time)(/[^"]*)?"' internal/netio/linkcore.go; then
+		echo "lint gate: net, sync or time imported by internal/netio/linkcore.go (the driver's, not the core's)"
+		fail=1
+	fi
 	if unformatted=$(gofmt -l .) && [ -n "$unformatted" ]; then
 		echo "$unformatted"
 		echo "lint gate: files above are not gofmt-formatted"
@@ -222,13 +232,16 @@ go test -race -timeout 120s ./...
 # (Farm|Pool|Dynamic|Turnstile|Select). Across nodes, only the new
 # names: a parked transport link is not a blocked process, so neither a
 # node's monitor nor the coordinator acts while a process computes
-# (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), and a
+# (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
 # channel's scraped byte and occupancy series equal the bytes moved
-# while two goroutines stream through it (ScrapedTallies).
+# while two goroutines stream through it (ScrapedTallies), the link
+# core's transitions and bug scripts hold (LinkCore), and Redirect reads
+# the peer a concurrent reader move rewrites under the handle's lock
+# (RedirectDuringReaderMove).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved' \
-	./internal/wire ./internal/server ./internal/conduit
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestLinkCore|TestRedirectDuringReaderMove' \
+	./internal/wire ./internal/server ./internal/conduit ./internal/netio
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
