@@ -6,7 +6,6 @@ import (
 
 	"dpn/internal/faults"
 	"dpn/internal/netio"
-	"dpn/internal/netio/mux"
 	"dpn/internal/stream"
 )
 
@@ -60,20 +59,20 @@ var (
 	ErrNotConnected = netio.ErrNotConnected
 )
 
-// Session-multiplexing states (origin: netio/mux). A mux session is the
-// shared authenticated connection a peer pair runs all its links over;
-// these surface through any conduit bound via the Mux transport.
+// Session states (origin: netio). A session is the shared
+// authenticated connection a peer pair runs all its links over; these
+// surface through any conduit bound via the Mux transport.
 var (
 	// ErrSessionClosed reports an operation on (or a stream orphaned
-	// by) a deliberately closed mux session.
-	ErrSessionClosed = mux.ErrSessionClosed
-	// ErrAuthFailed reports a mux handshake rejected by the pre-shared-
-	// key challenge/response peer authentication.
-	ErrAuthFailed = mux.ErrAuthFailed
-	// ErrStreamLimit reports a session at its virtual-stream capacity.
-	ErrStreamLimit = mux.ErrStreamLimit
-	// ErrStreamReset reports a virtual stream aborted by the peer.
-	ErrStreamReset = mux.ErrStreamReset
+	// by) a deliberately closed session.
+	ErrSessionClosed = netio.ErrSessionClosed
+	// ErrAuthFailed reports a session handshake rejected by the pre-
+	// shared-key challenge/response peer authentication.
+	ErrAuthFailed = netio.ErrAuthFailed
+	// ErrStreamLimit reports a session at its stream capacity.
+	ErrStreamLimit = netio.ErrStreamLimit
+	// ErrStreamReset reports a stream the peer does not know.
+	ErrStreamReset = netio.ErrStreamReset
 )
 
 // ErrInjected marks failures manufactured by the fault-injection

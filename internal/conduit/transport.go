@@ -74,7 +74,7 @@ type Transport interface {
 }
 
 // Mux is the network transport: every link between this node and a
-// given peer is a virtual stream of the one long-lived, authenticated
+// given peer is a stream of the one long-lived, authenticated
 // session the two brokers share, carrying framed, resumable links with
 // credit flow control; how long a link rides out a dead session is the
 // broker's retry policy (netio.Resilience). Fault injection is not a

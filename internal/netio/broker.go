@@ -3,14 +3,12 @@ package netio
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dpn/internal/faults"
-	"dpn/internal/netio/mux"
 	"dpn/internal/obs"
 )
 
@@ -38,18 +36,18 @@ var ErrTokenInUse = errors.New("netio: rendezvous token already registered")
 // registration withdrawn under that lock never fires late; cancel is
 // invoked instead if the broker shuts down before the peer arrives.
 type waiter struct {
-	fire   func(conn io.ReadWriteCloser, peerAddr string)
+	fire   func(conn *muxStream, peerAddr string)
 	cancel func(error)
 }
 
 // Broker is a node's single network endpoint. Its listener accepts one
-// authenticated mux session per peer; every channel link of every
-// distributed graph hosted by the node is a virtual stream of such a
-// session, matched to its waiting channel end by rendezvous token (the
-// Go analog of the automatic connection establishment of §4.2: where
-// Java Object Serialization hooks create a listening socket per
-// stream, the broker carries every rendezvous through one address and
-// one socket per peer pair).
+// authenticated session per peer; every channel link of every
+// distributed graph hosted by the node is a stream of such a session,
+// matched to its waiting channel end by rendezvous token (the Go
+// analog of the automatic connection establishment of §4.2: where Java
+// Object Serialization hooks create a listening socket per stream, the
+// broker carries every rendezvous through one address and one socket
+// per peer pair).
 type Broker struct {
 	ln   net.Listener
 	addr string
@@ -85,13 +83,13 @@ type Broker struct {
 	// always accepts both DATA kinds).
 	cmpOff atomic.Bool
 
-	// psk is the cluster pre-shared key of the session handshake (nil =
+	// psk is the cluster pre-shared key of the session handshake (empty:
 	// any peer speaking the protocol); the pool below keys live sessions
 	// by peer broker address. See muxpool.go.
 	psk             atomic.Pointer[[]byte]
 	muxMu           sync.Mutex
 	muxSess         map[string]*muxEntry
-	muxAll          map[*mux.Session]struct{}
+	muxAll          map[*session]struct{}
 	muxLiveSessions atomic.Int64
 	muxLiveStreams  atomic.Int64
 
@@ -99,7 +97,7 @@ type Broker struct {
 }
 
 type pendingConn struct {
-	conn     io.ReadWriteCloser
+	conn     *muxStream
 	peerAddr string
 	arrived  time.Time
 }
@@ -117,13 +115,14 @@ func NewBroker(listenAddr string) (*Broker, error) {
 		waiting:    make(map[string]waiter),
 		pending:    make(map[string]pendingConn),
 		muxSess:    make(map[string]*muxEntry),
-		muxAll:     make(map[*mux.Session]struct{}),
+		muxAll:     make(map[*session]struct{}),
 		pendingTTL: rendezvousTimeout,
 		closedCh:   make(chan struct{}),
 		acceptDone: make(chan struct{}),
 	}
 	b.ins.Store(newBrokerInstruments(obs.NewScope()))
 	b.res.Store(new(Resilience))
+	b.psk.Store(new([]byte))
 	go b.acceptLoop()
 	return b, nil
 }
@@ -185,12 +184,13 @@ func (b *Broker) SetPendingTTL(ttl time.Duration) {
 }
 
 // expirePending drops parked connections nobody claimed within the
-// TTL; it runs opportunistically whenever a connection is parked.
-// Caller holds b.mu.
+// TTL; it runs opportunistically whenever a connection is parked, on a
+// session's read loop, which must not write: the FINs go out from a
+// goroutine. Caller holds b.mu.
 func (b *Broker) expirePending(now time.Time) {
 	for tok, p := range b.pending {
 		if now.Sub(p.arrived) > b.pendingTTL {
-			p.conn.Close()
+			go p.conn.Close()
 			delete(b.pending, tok)
 		}
 	}
@@ -270,48 +270,41 @@ func (b *Broker) acceptLoop() {
 }
 
 // handleConn runs the accept half of the session handshake on an
-// inbound connection — one that opens with anything but mux.Magic, or
-// with nothing within handshakeTimeout, is closed — then pools the
-// session under the peer's announced address, so outbound links reuse
-// it symmetrically, and serves its streams.
+// inbound connection — one that opens with anything but Magic, or with
+// nothing within handshakeTimeout, is closed — then pools the session
+// under the peer's announced address, so outbound links reuse it
+// symmetrically. Its read loop hands every stream the peer opens to
+// arrive.
 func (b *Broker) handleConn(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout()))
-	sess, err := mux.Accept(conn, b.muxConfig())
+	peer, err := acceptHandshake(conn, *b.psk.Load(), b.addr)
 	if err != nil {
-		if errors.Is(err, mux.ErrAuthFailed) {
+		conn.Close()
+		if errors.Is(err, ErrAuthFailed) {
 			b.ins.Load().muxAuthFail.Inc()
 		}
 		return
 	}
+	sess := b.newSession(conn, peer, false)
 	b.trackSession(sess, "accept")
 	b.adoptSession(sess)
-	b.serveMuxSession(sess)
 }
 
-// handleStream reads the HELLO frame that opens every inbound stream
-// and delivers the stream to the channel end waiting for its token, or
-// parks it until that end registers (a dial can win the race against
-// the registration that a redirect triggers on a third node). A stream
-// that stays silent for handshakeTimeout is closed, which fails the
-// read.
-func (b *Broker) handleStream(conn io.ReadWriteCloser) {
-	silent := time.AfterFunc(handshakeTimeout(), func() { conn.Close() })
-	f, err := (&frameReader{r: conn}).next()
-	if !silent.Stop() || err != nil || f.kind != frameHello {
-		conn.Close()
-		return
-	}
-	b.noteFrame(frameHello, false)
+// arrive delivers a stream whose HELLO presented token to the channel
+// end waiting for it, or parks it until that end registers (a dial can
+// win the race against the registration that a redirect triggers on a
+// third node). It runs on the session's read loop, under b.mu, so it
+// never blocks and never writes.
+func (b *Broker) arrive(st *muxStream, token, peer string) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
-		conn.Close()
+		go st.Close()
 		return
 	}
-	if w, ok := b.waiting[f.token]; ok {
-		delete(b.waiting, f.token)
-		w.fire(conn, f.addr)
-		b.mu.Unlock()
+	if w, ok := b.waiting[token]; ok {
+		delete(b.waiting, token)
+		w.fire(st, peer)
 		return
 	}
 	now := time.Now()
@@ -319,11 +312,10 @@ func (b *Broker) handleStream(conn io.ReadWriteCloser) {
 	// A reconnecting peer may retry the same token before the local end
 	// re-arms; the newest connection wins and the displaced one must be
 	// closed, or it would leak until process exit.
-	if old, ok := b.pending[f.token]; ok {
-		old.conn.Close()
+	if old, ok := b.pending[token]; ok {
+		go old.conn.Close()
 	}
-	b.pending[f.token] = pendingConn{conn: conn, peerAddr: f.addr, arrived: now}
-	b.mu.Unlock()
+	b.pending[token] = pendingConn{conn: st, peerAddr: peer, arrived: now}
 }
 
 // expectCancelable registers a handler for the next connection
@@ -332,7 +324,7 @@ func (b *Broker) handleStream(conn io.ReadWriteCloser) {
 // still pending, cancel fires with ErrBrokerClosed instead, so serving
 // link ends (and the wire-layer watchers behind them) terminate rather
 // than wait forever.
-func (b *Broker) expectCancelable(token string, h func(io.ReadWriteCloser, string), cancel func(error)) error {
+func (b *Broker) expectCancelable(token string, h func(*muxStream, string), cancel func(error)) error {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -356,15 +348,15 @@ func (b *Broker) expectCancelable(token string, h func(io.ReadWriteCloser, strin
 // expectWithin waits up to d for a connection presenting token,
 // withdrawing the registration on timeout. Used by the serving side of
 // a link to re-arm its rendezvous during an outage.
-func (b *Broker) expectWithin(token string, d time.Duration) (io.ReadWriteCloser, error) {
-	arrived := make(chan io.ReadWriteCloser, 1) // the one fire, or nil when the broker closes
-	if err := b.expectCancelable(token, func(conn io.ReadWriteCloser, _ string) { arrived <- conn },
+func (b *Broker) expectWithin(token string, d time.Duration) (*muxStream, error) {
+	arrived := make(chan *muxStream, 1) // the one fire, or nil when the broker closes
+	if err := b.expectCancelable(token, func(conn *muxStream, _ string) { arrived <- conn },
 		func(error) { arrived <- nil }); err != nil {
 		return nil, err
 	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	var conn io.ReadWriteCloser
+	var conn *muxStream
 	select {
 	case conn = <-arrived:
 	case <-timer.C:
@@ -385,33 +377,10 @@ func (b *Broker) expectWithin(token string, d time.Duration) (io.ReadWriteCloser
 	return conn, nil
 }
 
-// dial opens a virtual stream toward a peer broker over the pooled
-// per-peer session (whose conn the injector already wraps) and sends
-// the HELLO frame. A fresh stream has a full credit window, so the
-// HELLO write waits only on the session, whose write bound covers it.
-func (b *Broker) dial(addr, token string) (io.ReadWriteCloser, error) {
-	if err := b.injector().DialError(); err != nil {
-		return nil, err
-	}
-	conn, err := b.muxStream(addr)
-	if err != nil {
-		return nil, err
-	}
-	w := frameWriter{w: conn}
-	w.frame(frame{kind: frameHello, token: token, addr: b.addr})
-	if err := w.flush(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	b.noteFrame(frameHello, true)
-	return conn, nil
-}
-
 // handshakeTimeoutNs bounds both sides of connection setup: the
-// accept path's session handshake and HELLO read, and the dial path's
-// TCP connect and session handshake. Without it a silent
-// or black-holed peer would pin a goroutine (and its connection)
-// forever. Atomic so tests can compress it while brokers from earlier
+// accept path's session handshake, and the dial path's TCP connect and
+// session handshake. Without it a silent or black-holed peer would pin
+// a goroutine (and its connection) forever. Atomic so tests can compress it while brokers from earlier
 // tests still hold live accept goroutines.
 var handshakeTimeoutNs atomic.Int64
 

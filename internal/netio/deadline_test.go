@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -19,20 +20,19 @@ func goroutinesIn(fn string) int {
 func acceptGoroutines() int { return goroutinesIn("netio.(*Broker).handleConn") }
 
 // The acceptor takes a session handshake or nothing: a connection that
-// opens with any byte but mux.Magic — a well-formed per-channel HELLO
-// of the old protocol included — and one that sends nothing at all are
-// both closed within handshakeTimeout, and leave no session, no parked
-// rendezvous and no goroutine behind. So is a stream of a session that
-// never says HELLO.
+// opens with any byte but Magic — a well-formed per-channel HELLO of the
+// old protocol included — and one that sends nothing at all are both
+// closed within handshakeTimeout, and leave no session, no parked
+// rendezvous and no goroutine behind. Within a session, a stream exists
+// once its HELLO arrives: a frame for a stream no HELLO opened (a
+// stream silent on HELLO) is answered with RST and leaves no stream and
+// no rendezvous behind.
 func TestAcceptRejectsNonSessionConnections(t *testing.T) {
 	old := handshakeTimeout()
 	setHandshakeTimeout(200 * time.Millisecond)
 	defer setHandshakeTimeout(old)
 
-	hello, err := encodeFrame(nil, frame{kind: frameHello, token: "tok", addr: "127.0.0.1:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hello := append([]byte{frameHello}, appendString(appendString(nil, "tok"), "127.0.0.1:1")...)
 	for _, tc := range []struct {
 		name  string
 		opens []byte
@@ -79,33 +79,37 @@ func TestAcceptRejectsNonSessionConnections(t *testing.T) {
 	}
 	t.Run("silent stream", func(t *testing.T) {
 		a, b := newTestBroker(t), newTestBroker(t)
-		st, err := a.muxStream(b.Addr())
+		sess, err := a.muxSession(b.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
+		sess.mu.Lock()
+		st := sess.add(sess.nextID) // opened here, never announced
+		sess.nextID += 2
+		sess.mu.Unlock()
 		defer st.Close()
-		start := time.Now()
-		closed := make(chan error, 1)
+		if err := sendFrame(st, frame{kind: frameResume}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
 		go func() {
-			_, err := st.Read(make([]byte, 1))
-			closed <- err
+			_, err := st.next()
+			done <- err
 		}()
 		select {
-		case err := <-closed:
-			if err == nil {
-				t.Fatal("broker answered a stream that never sent HELLO")
+		case err := <-done:
+			if !errors.Is(err, ErrStreamReset) {
+				t.Fatalf("a frame on a stream no HELLO opened: %v, want ErrStreamReset", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("broker kept a silent stream open")
+			t.Fatal("the peer never reset a stream no HELLO opened")
 		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("stream closed after %v, want within the %v handshake timeout", d, handshakeTimeout())
-		}
-		waitUntil(t, "the stream's HELLO reader exits", func() bool {
-			return goroutinesIn("netio.(*Broker).handleStream") == 0
-		})
+		waitUntil(t, "the reset stream leaves the table", func() bool { return streamsOf(sess) == 0 })
 		if n := rendezvousCount(b); n != 0 {
-			t.Fatalf("silent stream left %d rendezvous entries", n)
+			t.Fatalf("a stream no HELLO opened left %d rendezvous entries", n)
+		}
+		if n := b.MuxStreams(); n != 0 {
+			t.Fatalf("a stream no HELLO opened left %d streams at the peer", n)
 		}
 	})
 }

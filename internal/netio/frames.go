@@ -1,12 +1,22 @@
 // Package netio provides the network transport that keeps
 // process-network channels intact when program graphs are distributed
 // across machines (§4 of the paper). Each node runs one Broker with a
-// single TCP listener; every cross-node channel is carried by one
-// framed virtual stream of the session its node shares with the peer
-// (package mux), negotiated through rendezvous tokens. Links pump
-// bytes between a node-local channel pipe and the connection, so
-// processes always operate on ordinary local ports regardless of where
-// their peers execute.
+// single TCP listener and one authenticated session per peer broker
+// (session.go); every cross-node channel is a stream of its pair's
+// session, opened by the HELLO that carries its rendezvous token.
+// Links pump bytes between a node-local channel pipe and their stream,
+// so processes always operate on ordinary local ports regardless of
+// where their peers execute.
+//
+// This file owns the wire format. After the session handshake
+// (handshake.go) a connection carries one frame stream, every frame
+//
+//	[kind u8][stream u32][len u32][body: len bytes]
+//
+// where kind is a link frame kind below, whose body follows, or one of
+// the session's own four (PING, GO, FIN, RST), whose body is empty. A
+// link frame is never split across session frames, so one header per
+// link frame is all the framing there is.
 //
 // The protocol also implements the paper's decentralized redirection
 // (§4.3): when a channel end moves again, an in-band REDIRECT (writer
@@ -22,14 +32,14 @@ import (
 	"io"
 )
 
-// Frame type bytes. DATA/EOF/REDIRECT/FENCE travel in the data
+// Link frame kinds. DATA/EOF/REDIRECT/FENCE travel in the data
 // direction (writer host → reader host); ACK/BYE/CLOSEREAD/MOVING
 // travel in the control direction (reader host → writer host). HELLO
 // opens every stream, and RESUME — once each way, receiver first —
 // every connection of a link. DESIGN.md, "What heals: one link
 // protocol", has the frame × direction × when table.
 const (
-	frameHello     = 'H' // token, brokerAddr — connection rendezvous
+	frameHello     = 'H' // token, brokerAddr — opens a stream: connection rendezvous
 	frameData      = 'D' // payload — channel bytes
 	frameEOF       = 'E' // writer closed; no more data
 	frameRedirect  = 'R' // token — writer end moving; expect a new HELLO(token)
@@ -37,19 +47,34 @@ const (
 	frameMoving    = 'M' // addr, token — reader end moving; reconnect there
 	frameFence     = 'F' // data pauses here; resumes at the reader's new host
 	frameAck       = 'A' // count — receiver consumed payload bytes (flow control)
-	frameResume    = 'S' // off — receiver's delivered offset, then the sender's confirmation; opens every connection
+	frameResume    = 'S' // off, window — the receiver's delivered offset, then the sender's confirmation and credit window; opens every connection
 	frameBye       = 'Y' // reader confirms EOF/REDIRECT receipt
 	frameTrace     = 'T' // id — causal trace mark for the next DATA frame (sampled, best-effort)
 	frameDataC     = 'Z' // payload — channel bytes, sealed as one compressed block (see token/blocks)
 )
 
-// maxFramePayload bounds frame payloads defensively.
-const maxFramePayload = 1 << 26
+// Session frame kinds, disjoint from the link's.
+const (
+	kindPing = 'p' // keepalive
+	kindGo   = 'g' // the session is closing
+	kindFin  = 'f' // this end is done with the stream
+	kindRst  = 'r' // no such stream here
+)
 
-// frameHdrLen is the encoded size of a DATA frame header (kind byte +
-// uint32 payload length). Outbound chunk buffers reserve this much
-// headroom so header and payload leave in a single write.
-const frameHdrLen = 5
+// frameHdrLen is the frame header: kind, stream id, body length.
+// Outbound chunk buffers reserve this much headroom so header and
+// payload leave in a single write.
+const frameHdrLen = 9
+
+// FrameMax bounds a frame's body. It is the session's fairness quantum
+// (a link with a large backlog yields the wire to its neighbours at
+// least every FrameMax bytes) and the link's frame cap: a DATA payload
+// is at most coalesceMax, which it equals.
+const FrameMax = coalesceMax
+
+// ctrlMax bounds the body of a frame that carries no channel bytes:
+// strings are tokens and broker addresses.
+const ctrlMax = 1 << 10
 
 // ErrBadFrame reports a malformed or unexpected protocol frame. It is
 // part of the consolidated sentinel set catalogued in
@@ -59,24 +84,28 @@ var ErrBadFrame = errors.New("netio: malformed frame")
 // frame is one decoded protocol frame.
 type frame struct {
 	kind    byte
-	payload []byte // DATA; its length is the credit amount for ACK writes
+	payload []byte // DATA; aliases the record it was decoded from
 	ack     int    // ACK — bytes consumed by the receiver
 	off     uint64 // RESUME — receiver's delivered stream offset; TRACE — trace ID
+	window  int    // RESUME — the sender's credit window (0 from the receiver)
 	token   string // HELLO, REDIRECT, MOVING
 	addr    string // HELLO (sender's broker), MOVING (new reader host)
 }
 
-// layout reports what follows kind's byte on the wire: a fixed field
-// of width bytes (a u32 length or count, or a u64 offset), then strs
-// length-prefixed strings. ok is false for an unknown kind.
+// layout reports a kind's body: a fixed part of width bytes, then strs
+// length-prefixed strings; DATA kinds are the payload alone. ok is false
+// for an unknown kind.
 func layout(kind byte) (width, strs int, ok bool) {
 	switch kind {
-	case frameData, frameDataC, frameAck:
-		return 4, 0, true
-	case frameResume, frameTrace:
-		return 8, 0, true
-	case frameEOF, frameCloseRead, frameFence, frameBye:
+	case frameData, frameDataC, frameEOF, frameCloseRead, frameFence, frameBye,
+		kindPing, kindGo, kindFin, kindRst:
 		return 0, 0, true
+	case frameAck:
+		return 4, 0, true
+	case frameTrace:
+		return 8, 0, true
+	case frameResume:
+		return 12, 0, true
 	case frameRedirect:
 		return 0, 1, true
 	case frameHello, frameMoving:
@@ -85,40 +114,92 @@ func layout(kind byte) (width, strs int, ok bool) {
 	return 0, 0, false
 }
 
-// encodeFrame appends f's wire encoding — except a DATA payload, which
-// follows separately — to dst and returns it.
-func encodeFrame(dst []byte, f frame) ([]byte, error) {
-	width, strs, ok := layout(f.kind)
-	switch {
-	case !ok:
-		return nil, fmt.Errorf("%w: unknown frame kind %q", ErrBadFrame, f.kind)
-	case len(f.payload) > maxFramePayload:
-		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, len(f.payload), maxFramePayload)
+func putHeader(b []byte, kind byte, id uint32, n int) {
+	b[0] = kind
+	binary.BigEndian.PutUint32(b[1:5], id)
+	binary.BigEndian.PutUint32(b[5:9], uint32(n))
+}
+
+func parseHeader(b []byte) (kind byte, id uint32, n int) {
+	return b[0], binary.BigEndian.Uint32(b[1:5]), int(binary.BigEndian.Uint32(b[5:9]))
+}
+
+// appendFrame appends f's encoding on stream id — except a DATA
+// payload, which leaves from its chunk's headroom (frameWriter.data) —
+// to dst and returns it.
+func appendFrame(dst []byte, id uint32, f frame) ([]byte, error) {
+	if _, _, ok := layout(f.kind); !ok || f.kind == frameData || f.kind == frameDataC {
+		return nil, fmt.Errorf("%w: cannot stage frame kind %q", ErrBadFrame, f.kind)
 	}
-	dst = append(dst, f.kind)
-	switch {
-	case f.kind == frameAck:
+	at := len(dst)
+	dst = append(dst, make([]byte, frameHdrLen)...)
+	switch f.kind {
+	case frameAck:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(f.ack))
-	case width == 4:
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.payload)))
-	case width == 8:
+	case frameTrace:
 		dst = binary.BigEndian.AppendUint64(dst, f.off)
-	}
-	if strs > 0 {
+	case frameResume:
+		dst = binary.BigEndian.AppendUint64(dst, f.off)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(f.window))
+	case frameRedirect:
 		dst = appendString(dst, f.token)
+	case frameHello, frameMoving:
+		dst = appendString(appendString(dst, f.token), f.addr)
 	}
-	if strs > 1 {
-		dst = appendString(dst, f.addr)
-	}
+	putHeader(dst[at:], f.kind, id, len(dst)-at-frameHdrLen)
 	return dst, nil
 }
 
-// frameWriter encodes frames onto one connection. Control frames
-// collect in buf until flush; a DATA frame goes out after them in one
-// Write of its own (see data). The first error sticks: later writes do
-// nothing and flush returns it, so a driver checks once per step.
+// decodeFrame decodes one whole frame, header included. A DATA payload
+// aliases rec.
+func decodeFrame(rec []byte) (frame, error) {
+	kind, _, _ := parseHeader(rec)
+	f, b := frame{kind: kind}, rec[frameHdrLen:]
+	width, strs, ok := layout(kind)
+	switch {
+	case !ok:
+		return frame{}, ErrBadFrame
+	case kind == frameData || kind == frameDataC:
+		f.payload = b
+		return f, nil
+	case len(b) < width:
+		return frame{}, ErrBadFrame
+	}
+	switch kind {
+	case frameAck:
+		f.ack = int(binary.BigEndian.Uint32(b))
+	case frameTrace:
+		f.off = binary.BigEndian.Uint64(b)
+	case frameResume:
+		f.off, f.window = binary.BigEndian.Uint64(b), int(binary.BigEndian.Uint32(b[8:]))
+	}
+	b = b[width:]
+	if strs > 0 {
+		f.token, b, ok = cutString(b)
+	}
+	if strs > 1 && ok {
+		f.addr, b, ok = cutString(b)
+	}
+	if !ok || len(b) > 0 {
+		return frame{}, ErrBadFrame
+	}
+	return f, nil
+}
+
+// foldAck adds the count of ACK frame rec to ACK frame into.
+func foldAck(into, rec []byte) {
+	n := binary.BigEndian.Uint32(into[frameHdrLen:]) + binary.BigEndian.Uint32(rec[frameHdrLen:])
+	binary.BigEndian.PutUint32(into[frameHdrLen:], n)
+}
+
+// frameWriter encodes one stream's frames onto its session. Control
+// frames collect in buf until flush; a DATA frame goes out after them
+// in one Write of its own (see data). The first error sticks: later
+// writes do nothing and flush returns it, so a driver checks once per
+// step.
 type frameWriter struct {
 	w   io.Writer
+	id  uint32
 	buf []byte
 	err error
 }
@@ -126,7 +207,7 @@ type frameWriter struct {
 // frame stages control frame f; DATA goes through data.
 func (e *frameWriter) frame(f frame) {
 	if e.err == nil {
-		e.buf, e.err = encodeFrame(e.buf, f)
+		e.buf, e.err = appendFrame(e.buf, e.id, f)
 	}
 }
 
@@ -137,8 +218,7 @@ func (e *frameWriter) data(kind byte, full []byte) error {
 	if e.flush() != nil {
 		return e.err
 	}
-	full[0] = kind
-	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(len(full)-frameHdrLen))
+	putHeader(full, kind, e.id, len(full)-frameHdrLen)
 	_, e.err = e.w.Write(full)
 	return e.err
 }
@@ -152,77 +232,18 @@ func (e *frameWriter) flush() error {
 	return e.err
 }
 
-// frameReader decodes frames from one connection into a reusable
-// scratch. A DATA payload that fits aliases buf[frameHdrLen:] and is
-// valid until the next call, so a reader that consumes each frame
-// before decoding the next allocates nothing per frame.
-type frameReader struct {
-	r   io.Reader
-	buf []byte
-}
-
-func (d *frameReader) next() (frame, error) {
-	if len(d.buf) < 9 {
-		d.buf = make([]byte, 16)
-	}
-	if _, err := io.ReadFull(d.r, d.buf[:1]); err != nil {
-		return frame{}, err
-	}
-	f := frame{kind: d.buf[0]}
-	width, strs, ok := layout(f.kind)
-	if !ok {
-		return frame{}, ErrBadFrame
-	}
-	if _, err := io.ReadFull(d.r, d.buf[1:1+width]); err != nil {
-		return frame{}, unexpected(err)
-	}
-	switch {
-	case f.kind == frameAck:
-		f.ack = int(binary.BigEndian.Uint32(d.buf[1:5]))
-	case width == 8:
-		f.off = binary.BigEndian.Uint64(d.buf[1:9])
-	case width == 4:
-		n := int(binary.BigEndian.Uint32(d.buf[1:5]))
-		if n > maxFramePayload {
-			return frame{}, ErrBadFrame
-		}
-		if f.payload = d.buf[frameHdrLen:]; n <= len(f.payload) {
-			f.payload = f.payload[:n]
-		} else {
-			f.payload = make([]byte, n)
-		}
-		if _, err := io.ReadFull(d.r, f.payload); err != nil {
-			return frame{}, unexpected(err)
-		}
-	}
-	var err error
-	if strs > 0 {
-		f.token, err = readString(d.r)
-	}
-	if strs > 1 && err == nil {
-		f.addr, err = readString(d.r)
-	}
-	return f, err
-}
-
 func appendString(b []byte, s string) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }
 
-func readString(r io.Reader) (string, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return "", unexpected(err)
+func cutString(b []byte) (string, []byte, bool) {
+	if len(b) < 2 {
+		return "", nil, false
 	}
-	buf := make([]byte, binary.BigEndian.Uint16(lenBuf[:]))
-	_, err := io.ReadFull(r, buf)
-	return string(buf), unexpected(err)
-}
-
-func unexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+	n := int(binary.BigEndian.Uint16(b))
+	if len(b) < 2+n {
+		return "", nil, false
 	}
-	return err
+	return string(b[2 : 2+n]), b[2+n:], true
 }

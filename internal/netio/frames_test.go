@@ -2,27 +2,43 @@ package netio
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"net"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
-// sendFrame and recvFrame send and decode one frame through the
-// link's frame codec.
+// sendFrame and recvFrame send and decode one frame through the wire
+// format: onto and off a stream, or a plain writer and reader (stream
+// id 0). They check nothing the production code does not: a reader
+// takes a body only as long as the bytes that are there.
 func sendFrame(w io.Writer, f frame) error {
 	e := frameWriter{w: w}
+	if st, ok := w.(*muxStream); ok {
+		e.id = st.id
+	}
 	if f.kind != frameData && f.kind != frameDataC {
 		e.frame(f)
 		return e.flush()
 	}
-	if _, err := encodeFrame(nil, f); err != nil {
-		return err
-	}
 	return e.data(f.kind, append(make([]byte, frameHdrLen), f.payload...))
 }
 
-func recvFrame(r io.Reader) (frame, error) {
-	return (&frameReader{r: r}).next()
+func recvFrame(r any) (frame, error) {
+	if st, ok := r.(*muxStream); ok {
+		return st.next()
+	}
+	var rec bytes.Buffer
+	if _, err := io.CopyN(&rec, r.(io.Reader), frameHdrLen); err != nil {
+		return frame{}, err
+	}
+	_, _, n := parseHeader(rec.Bytes())
+	if _, err := io.CopyN(&rec, r.(io.Reader), int64(n)); err != nil {
+		return frame{}, io.ErrUnexpectedEOF
+	}
+	return decodeFrame(rec.Bytes())
 }
 
 func roundTripFrame(t *testing.T, f frame) frame {
@@ -80,34 +96,86 @@ func TestFrameDataProperty(t *testing.T) {
 
 func TestBadFramesRejected(t *testing.T) {
 	// Unknown kind.
-	if _, err := recvFrame(bytes.NewReader([]byte{'Z'})); err == nil {
+	if _, err := recvFrame(bytes.NewReader([]byte{'Q', 0, 0, 0, 1, 0, 0, 0, 0})); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	// Oversized DATA length prefix.
-	var buf bytes.Buffer
-	buf.WriteByte(frameData)
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := recvFrame(&buf); err == nil {
-		t.Fatal("oversized frame accepted")
+	// A control body shorter or longer than its kind's.
+	if _, err := recvFrame(bytes.NewReader([]byte{frameAck, 0, 0, 0, 1, 0, 0, 0, 2, 1, 2})); err == nil {
+		t.Fatal("short ACK accepted")
 	}
-	// Truncated payload.
-	buf.Reset()
-	buf.WriteByte(frameData)
-	buf.Write([]byte{0, 0, 0, 10, 1, 2})
-	if _, err := recvFrame(&buf); err != io.ErrUnexpectedEOF {
-		t.Fatal("truncated frame not flagged")
+	if _, err := recvFrame(bytes.NewReader([]byte{frameEOF, 0, 0, 0, 1, 0, 0, 0, 1, 7})); err == nil {
+		t.Fatal("EOF with a body accepted")
 	}
 	// Writing an unknown kind fails too.
 	if err := sendFrame(io.Discard, frame{kind: 'Q'}); err == nil {
 		t.Fatal("unknown write kind accepted")
 	}
-	// Oversized payload on the write side.
-	if err := sendFrame(io.Discard, frame{kind: frameData, payload: make([]byte, maxFramePayload+1)}); err == nil {
-		t.Fatal("oversized write accepted")
-	}
 	// Empty input is a clean EOF.
 	if _, err := recvFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty input: %v", err)
+	}
+
+	// On the wire, the session's read loop checks every header before it
+	// reads the body: a frame of an unknown kind, or one whose body is
+	// longer than FrameMax — a HELLO's included, whose body the read loop
+	// would otherwise allocate at the length the peer chose — fails the
+	// session with ErrBadFrame, and a body the peer cuts short fails it
+	// with io.ErrUnexpectedEOF. Either way the session takes its open
+	// stream with it and leaves none behind.
+	hdr := func(kind byte, id uint32, n uint32) []byte {
+		return []byte{kind, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id),
+			byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
+	}
+	for _, tc := range []struct {
+		name string
+		send []byte
+		want error
+	}{
+		{"unknown kind", hdr('Q', 1, 0), ErrBadFrame},
+		{"oversized DATA", hdr(frameData, 1, 0xFFFFFFFF), ErrBadFrame},
+		{"oversized HELLO", hdr(frameHello, 3, FrameMax+1), ErrBadFrame},
+		{"truncated DATA", append(hdr(frameData, 1, 10), 1, 2), io.ErrUnexpectedEOF},
+	} {
+		t.Run("session: "+tc.name, func(t *testing.T) {
+			b := newTestBroker(t)
+			conn, err := net.Dial("tcp", b.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := dialHandshake(conn, nil, "raw:1"); err != nil {
+				t.Fatal(err)
+			}
+			// Open stream 1 and give it the writer's RESUME, so a DATA frame
+			// within the window is one the stream takes.
+			tok := b.NewToken()
+			open, _ := appendFrame(nil, 1, frame{kind: frameHello, token: tok, addr: "raw:1"})
+			open, _ = appendFrame(open, 1, frame{kind: frameResume, window: DefaultWindow})
+			if _, err := conn.Write(open); err != nil {
+				t.Fatal(err)
+			}
+			st, err := b.expectWithin(tok, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			sess := st.s
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			conn.(*net.TCPConn).CloseWrite()
+			select {
+			case <-sess.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the session outlived a bad frame")
+			}
+			if err := sess.Err(); !errors.Is(err, tc.want) {
+				t.Fatalf("session failed with %v, want %v", err, tc.want)
+			}
+			waitUntil(t, "the session leaves no stream or session", func() bool {
+				return streamsOf(sess) == 0 && b.MuxStreams() == 0 && b.MuxSessions() == 0
+			})
+		})
 	}
 }
 

@@ -59,7 +59,6 @@ type brokerInstruments struct {
 	muxSessionsLive *obs.Gauge
 	muxStreamsLive  *obs.Gauge
 	muxStreamsPer   *obs.Gauge
-	muxCreditStalls *obs.Counter
 	muxAuthFail     *obs.Counter
 	tracer          *obs.Tracer
 }
@@ -81,9 +80,8 @@ func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 	reg.Help("dpn_conduit_link_failures_total", "Links that exhausted their outage deadline and degraded.")
 	reg.Help("dpn_mux_sessions_total", "Authenticated mux sessions established, by role (dial|accept).")
 	reg.Help("dpn_mux_sessions_live", "Mux sessions currently open (one per connected peer pair).")
-	reg.Help("dpn_mux_streams_live", "Virtual streams currently open across all mux sessions.")
-	reg.Help("dpn_mux_streams_per_session", "Live virtual streams per live mux session (the multiplexing factor).")
-	reg.Help("dpn_mux_credit_stalls_total", "Times a mux stream write waited for per-stream credit.")
+	reg.Help("dpn_mux_streams_live", "Streams currently open across all mux sessions.")
+	reg.Help("dpn_mux_streams_per_session", "Live streams per live mux session (the multiplexing factor).")
 	reg.Help("dpn_mux_auth_failures_total", "Mux session handshakes rejected by peer authentication.")
 	ins := &brokerInstruments{
 		bytesIn:         reg.Counter("dpn_broker_bytes_total", obs.L("dir", "in")),
@@ -106,7 +104,6 @@ func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 		muxSessionsLive: reg.Gauge("dpn_mux_sessions_live"),
 		muxStreamsLive:  reg.Gauge("dpn_mux_streams_live"),
 		muxStreamsPer:   reg.Gauge("dpn_mux_streams_per_session"),
-		muxCreditStalls: reg.Counter("dpn_mux_credit_stalls_total"),
 		muxAuthFail:     reg.Counter("dpn_mux_auth_failures_total"),
 		tracer:          s.Tracer(),
 	}

@@ -21,8 +21,9 @@ const chunkSize = 32 * 1024
 // more data, so only the frame count changes.
 const coalesceMax = 4 * chunkSize
 
-// chunkPool recycles outbound chunk buffers and inbound frame scratch.
-// Each reserves frameHdrLen bytes of headroom before the data region,
+// chunkPool recycles outbound chunk buffers and the buffers of the
+// streams' inboxes. Each holds one frame of the largest size: an
+// outbound chunk reserves frameHdrLen bytes of headroom before its data,
 // so a DATA frame's header and payload leave in a single write.
 var chunkPool = sync.Pool{
 	New: func() any {
@@ -109,7 +110,7 @@ var ErrTruncated = errors.New("netio: stream ended before the sender's final fra
 // outlasts LinkDeadline — under the zero policy, any outage — degrades
 // into the cascading close: the local channel end is poisoned and the
 // process network terminates instead of hanging. HeartbeatEvery and
-// MissDeadline tune the broker's sessions (see muxConfig); zero selects
+// MissDeadline tune the broker's sessions (see newSession); zero selects
 // the session defaults.
 type Resilience struct {
 	// HeartbeatEvery is the session's PING interval, sent in both
@@ -197,7 +198,7 @@ type Handle struct {
 	// out: by the frame reader for a frame, the resume timer, run for a
 	// chunk, Move for its MOVING. It owns the fields below.
 	exec   sync.Mutex
-	conn   io.ReadWriteCloser // the live connection
+	conn   *muxStream // the live connection
 	w      frameWriter
 	timer  *time.Timer // the live connection's resume wait
 	outage time.Time   // when the current outage began
@@ -235,8 +236,10 @@ func (b *Broker) newLink(src io.ReadCloser, dst io.WriteCloser, window int, serv
 	// Coalescing batches up to coalesceMax, but one frame past the
 	// credit window would defeat the in-flight bound the window exists
 	// for; the chunkSize floor keeps a one-chunk slack for windows
-	// smaller than a chunk.
-	h.core.window, h.core.frameMax = window, max(chunkSize, min(coalesceMax, window))
+	// smaller than a chunk. RESUME carries the window, and the reader's
+	// bound on it, in 32 bits.
+	h.core.window = int(min(uint64(window), 1<<32-1-coalesceMax))
+	h.core.frameMax = max(chunkSize, min(coalesceMax, window))
 	return h
 }
 
@@ -384,7 +387,7 @@ func (h *Handle) dial() (*Handle, error) {
 // serve registers a serving link end's rendezvous. A broker that shuts
 // down first closes the local channel end and finishes the handle.
 func (h *Handle) serve() (*Handle, error) {
-	err := h.b.expectCancelable(h.core.token, func(conn io.ReadWriteCloser, peer string) {
+	err := h.b.expectCancelable(h.core.token, func(conn *muxStream, peer string) {
 		go h.run(conn, peer)
 	}, func(err error) {
 		h.end.Close()
@@ -461,7 +464,7 @@ func (h *Handle) Move(addr, token string) error {
 // of the outage's LinkDeadline — nothing, under the zero policy: the
 // dialer re-dials with jittered exponential backoff, the server re-arms
 // its rendezvous token and waits.
-func (b *Broker) reconnect(res Resilience, serve bool, addr, token string, outageStart time.Time) (io.ReadWriteCloser, error) {
+func (b *Broker) reconnect(res Resilience, serve bool, addr, token string, outageStart time.Time) (*muxStream, error) {
 	deadline := outageStart.Add(res.LinkDeadline)
 	backoff := res.RetryBase
 	if backoff <= 0 {
@@ -514,7 +517,7 @@ func (b *Broker) reconnect(res Resilience, serve bool, addr, token string, outag
 // source's chunks, and shuts the link down once it is over. Frames are
 // stepped by the live connection's reader and the resume wait by its
 // timer, each under exec, so an input is carried out where it arrives.
-func (h *Handle) run(conn io.ReadWriteCloser, peer string) {
+func (h *Handle) run(conn *muxStream, peer string) {
 	h.exec.Lock()
 	if conn != nil {
 		h.step(h.attach(conn, peer))
@@ -561,7 +564,7 @@ func (h *Handle) run(conn io.ReadWriteCloser, peer string) {
 // input steps ev under exec and carries out what it calls for. An input
 // of conn (if not nil) is stale once conn is no longer the live
 // connection: it is dropped, and input reports false.
-func (h *Handle) input(ev event, conn io.ReadWriteCloser) bool {
+func (h *Handle) input(ev event, conn *muxStream) bool {
 	h.exec.Lock()
 	defer h.exec.Unlock()
 	if conn != nil && conn != h.conn {
@@ -662,14 +665,14 @@ func (h *Handle) do(a *action) {
 
 // attach makes conn the live connection and starts its reader and its
 // resume wait.
-func (h *Handle) attach(conn io.ReadWriteCloser, peer string) event {
-	h.conn, h.w = conn, frameWriter{w: conn, buf: h.w.buf}
+func (h *Handle) attach(conn *muxStream, peer string) event {
+	h.conn, h.w = conn, frameWriter{w: conn, id: conn.id, buf: h.w.buf}
 	h.timer = time.AfterFunc(h.res.resumeWait(), func() { h.input(event{kind: evExpired}, conn) })
 	go h.readFrames(conn)
 	return event{kind: evUp, f: frame{addr: peer}}
 }
 
-func (h *Handle) connect(conn io.ReadWriteCloser, err error) event {
+func (h *Handle) connect(conn *muxStream, err error) event {
 	if err != nil {
 		return event{kind: evLost, err: err}
 	}
@@ -711,17 +714,15 @@ func (h *Handle) renew(a *action) event {
 }
 
 // readFrames steps each frame of conn, and its loss, under exec, until
-// conn is no longer the live connection. A DATA payload aliases the
-// pooled scratch, which is safe because it is delivered before the next
-// read. A DATA-C block that fails its strict decode is wire corruption,
-// like an unknown frame kind.
-func (h *Handle) readFrames(conn io.ReadWriteCloser) {
-	scratch := getChunkBuf()
-	defer putChunkBuf(scratch)
-	var dec *[]byte // DATA-C output, which cannot alias the block's scratch
-	r := frameReader{r: conn, buf: *scratch}
+// conn is no longer the live connection. A DATA payload aliases conn's
+// inbox, which is safe because it is delivered before the next frame is
+// taken. A DATA-C block that fails its strict decode is wire
+// corruption, like an unknown frame kind.
+func (h *Handle) readFrames(conn *muxStream) {
+	defer conn.release()
+	var dec *[]byte // DATA-C output, which cannot alias the block
 	for {
-		f, err := r.next()
+		f, err := conn.next()
 		switch {
 		case err != nil:
 		case f.kind == frameDataC:

@@ -112,6 +112,12 @@ type linkCore struct {
 	moving    frame  // the MOVING Move announced; kind 0 until then
 }
 
+// dataBound is the most DATA a reader end holds unacknowledged for a
+// writer that announced window in its RESUME: the writer's credit check
+// lets what is in flight reach max(window, one frame), so a writer that
+// keeps the protocol never meets it. Past it is ErrBadFrame.
+func dataBound(window int) int { return window + coalesceMax }
+
 // wantsChunk reports whether the writer end takes a source chunk now.
 func (c *linkCore) wantsChunk() bool {
 	return c.outbound && c.phase == phaseOpen && c.pending.data == nil && c.srcEnd == nil
@@ -246,7 +252,7 @@ func (c *linkCore) resumed(off uint64, out []action) []action {
 		c.sendOff = off
 	}
 	c.phase = phaseOpen
-	out = append(c.acked(off, out), ctrl(frame{kind: frameResume, off: off}))
+	out = append(c.acked(off, out), ctrl(frame{kind: frameResume, off: off, window: c.window}))
 	for k := 0; k < c.unacked.n; k++ {
 		out = append(out, action{kind: actData, c: c.unacked.at(k).c})
 	}

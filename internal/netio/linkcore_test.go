@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -197,6 +198,45 @@ func TestLinkCoreTransitions(t *testing.T) {
 			}
 			if tc.check != nil {
 				tc.check(t, c)
+			}
+		})
+	}
+	// The transitions whose meaning is in an action's fields: the
+	// window a RESUME announces, the error a link finishes with.
+	for _, tc := range []struct {
+		name string
+		core *linkCore
+		ev   event
+		want string
+		act  int // the action checked
+		ok   func(a action) bool
+	}{
+		{"RESUME: the writer announces its credit window", writerAt(phaseResume), frameEv(frame{kind: frameResume}),
+			"acked:0 ctrl:resume", 1, func(a action) bool { return a.f.window == 100 }},
+		{"RESUME: a window past 32 bits is announced as the most its bound fits in them", func() *linkCore {
+			c := &newTestBroker(t).newLink(io.NopCloser(strings.NewReader("")), nil, math.MaxInt, false, "r:1", "t").core
+			c.phase = phaseResume
+			return c
+		}(), frameEv(frame{kind: frameResume}), "acked:0 ctrl:resume", 1, func(a action) bool {
+			rec, err := appendFrame(nil, 1, a.f)
+			if err != nil {
+				return false
+			}
+			f, err := decodeFrame(rec)
+			return err == nil && f.window > 0 && uint64(f.window)+coalesceMax <= 1<<32-1
+		}},
+		{"RESUME: the reader announces none", readerAt(phaseDown), event{kind: evUp},
+			"ctrl:resume", 0, func(a action) bool { return a.f.window == 0 }},
+		{"overrun: the writer sent past its window and one frame", readerAt(phaseOpen), event{kind: evLost, err: errOverrun},
+			"close finish:err", 1, func(a action) bool { return a.err == ErrBadFrame }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := tc.core.step(tc.ev, nil)
+			if got := describe(out); got != tc.want {
+				t.Fatalf("actions %q, want %q", got, tc.want)
+			}
+			if !tc.ok(out[tc.act]) {
+				t.Fatalf("action %d is %+v", tc.act, out[tc.act])
 			}
 		})
 	}

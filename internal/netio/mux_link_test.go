@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dpn/internal/faults"
-	"dpn/internal/netio/mux"
 	"dpn/internal/stream"
 )
 
@@ -166,7 +165,7 @@ func TestMuxAuthMismatchFailsDial(t *testing.T) {
 
 	dst := stream.NewPipe(64)
 	_, err := b.DialInbound(a.Addr(), "tok", dst.WriteEnd())
-	if !errors.Is(err, mux.ErrAuthFailed) {
+	if !errors.Is(err, ErrAuthFailed) {
 		t.Fatalf("dial across PSK mismatch: %v, want ErrAuthFailed", err)
 	}
 }

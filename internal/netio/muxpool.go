@@ -5,25 +5,20 @@ import (
 	"net"
 	"os"
 	"time"
-
-	"dpn/internal/netio/mux"
 )
 
 // This file is the broker's session pool: one authenticated,
 // long-lived connection per peer pair, carrying every channel link
-// between the pair as a virtual stream.
+// between the pair as a stream.
 //
-// A mux stream is an ordered byte stream with its own credit, so the
-// link protocol — HELLO rendezvous, DATA/DATA-C, ACK credit, RESUME,
-// TRACE, BYE, REDIRECT — runs over it as over a socket of its own:
-// dial() opens a stream and writes HELLO; the accept path peels streams
-// off inbound sessions and feeds them to the rendezvous matcher. The
-// session owns liveness: when it dies (peer silent or not draining, see
-// muxConfig), its streams fail, links whose policy retries re-dial, the
-// pool builds (or reuses) a fresh session, and the RESUME offset
-// handshake replays whatever the outage swallowed — durable WAL
-// journaling and block compression ride per-stream and never notice
-// the session boundary.
+// dial() opens a stream with the HELLO that names its rendezvous token;
+// the peer's session read loop hands it to the rendezvous matcher
+// (arrive). The session owns liveness: when it dies (peer silent or not
+// draining, see newSession), its streams fail, links whose policy
+// retries re-dial, the pool builds (or reuses) a fresh session, and the
+// RESUME offset handshake replays whatever the outage swallowed —
+// durable WAL journaling and block compression ride per link and never
+// notice the session boundary.
 //
 // Sessions are pooled under the peer broker's *announced* listen
 // address, and both the dialing and the accepting side register them,
@@ -37,7 +32,7 @@ import (
 // same peer coalesce onto a single handshake.
 type muxEntry struct {
 	ready chan struct{}
-	sess  *mux.Session
+	sess  *session
 	err   error
 }
 
@@ -51,48 +46,29 @@ func (b *Broker) SetPSK(psk []byte) { b.psk.Store(&psk) }
 // holds (the dpn_mux_sessions_live gauge).
 func (b *Broker) MuxSessions() int64 { return b.muxLiveSessions.Load() }
 
-// MuxStreams reports the number of live virtual streams across all
+// MuxStreams reports the number of live streams across all
 // sessions (the dpn_mux_streams_live gauge).
 func (b *Broker) MuxStreams() int64 { return b.muxLiveStreams.Load() }
 
-// muxConfig assembles the session config: the broker's listen address
-// as its announced identity, metric hooks into the active bundle, and
-// the retry policy's heartbeat as the session's PING interval and its
-// miss deadline as the bound on peer silence and on a stalled write
-// (zero selects the session defaults). The session is the wire's only
-// liveness probe: links set no per-frame deadline and send no heartbeat
-// of their own, they see the session's death as their outage.
-func (b *Broker) muxConfig() mux.Config {
-	cfg := mux.Config{
-		Addr: b.addr,
-		Hooks: mux.Hooks{
-			StreamOpened: func() { b.noteMuxStreams(b.muxLiveStreams.Add(1)) },
-			StreamClosed: func() { b.noteMuxStreams(b.muxLiveStreams.Add(-1)) },
-			CreditStall:  func() { b.ins.Load().muxCreditStalls.Inc() },
-		},
+// dial opens a stream toward the peer broker at addr, with the HELLO
+// that presents token, over the pooled per-peer session (whose conn the
+// injector already wraps).
+func (b *Broker) dial(addr, token string) (*muxStream, error) {
+	if err := b.injector().DialError(); err != nil {
+		return nil, err
 	}
-	if psk := b.psk.Load(); psk != nil {
-		cfg.PSK = *psk
-	}
-	res := b.resilience()
-	cfg.KeepAlive, cfg.Timeout = res.HeartbeatEvery, res.MissDeadline
-	return cfg
-}
-
-// muxStream opens one virtual stream toward the peer broker at addr,
-// building or reusing the pooled session.
-func (b *Broker) muxStream(addr string) (*mux.Stream, error) {
 	for {
 		sess, err := b.muxSession(addr)
 		if err != nil {
 			return nil, err
 		}
-		st, err := sess.OpenStream()
-		if err == nil {
+		st, err := sess.open(token, b.addr)
+		switch {
+		case err == nil:
+			b.noteFrame(frameHello, true)
 			return st, nil
-		}
-		if errors.Is(err, mux.ErrStreamLimit) {
-			return nil, err
+		case st != nil || errors.Is(err, ErrStreamLimit):
+			return nil, err // the HELLO failed, or the session is full
 		}
 		// The pooled session died between lookup and open; drop it and
 		// build a fresh one.
@@ -103,7 +79,7 @@ func (b *Broker) muxStream(addr string) (*mux.Stream, error) {
 // muxSession returns the pooled session for addr, dialing and
 // handshaking one if none exists. Concurrent callers coalesce: one
 // dials, the rest wait on the entry and share the outcome.
-func (b *Broker) muxSession(addr string) (*mux.Session, error) {
+func (b *Broker) muxSession(addr string) (*session, error) {
 	for {
 		select {
 		case <-b.closedCh:
@@ -139,7 +115,7 @@ func (b *Broker) muxSession(addr string) (*mux.Session, error) {
 			return nil, e.err
 		}
 		select {
-		case <-e.sess.Done():
+		case <-e.sess.done:
 			// Stale entry from a dead session; retire it and retry.
 			b.muxForget(addr, e.sess)
 			continue
@@ -150,7 +126,7 @@ func (b *Broker) muxSession(addr string) (*mux.Session, error) {
 }
 
 // muxForget drops the pool entry for addr if it still points at sess.
-func (b *Broker) muxForget(addr string, sess *mux.Session) {
+func (b *Broker) muxForget(addr string, sess *session) {
 	b.muxMu.Lock()
 	if e, ok := b.muxSess[addr]; ok && e.sess == sess {
 		delete(b.muxSess, addr)
@@ -161,22 +137,23 @@ func (b *Broker) muxForget(addr string, sess *mux.Session) {
 // dialMuxSession opens the TCP connection, wraps it in the fault
 // injector ONCE (every stream inherits the chaos), and runs the
 // dialer half of the authenticated handshake.
-func (b *Broker) dialMuxSession(addr string) (*mux.Session, error) {
+func (b *Broker) dialMuxSession(addr string) (*session, error) {
 	raw, err := net.DialTimeout("tcp", addr, handshakeTimeout())
 	if err != nil {
 		return nil, err
 	}
 	conn := b.injector().Conn(raw)
 	conn.SetDeadline(time.Now().Add(handshakeTimeout()))
-	sess, err := mux.Dial(conn, b.muxConfig())
+	peer, err := dialHandshake(conn, *b.psk.Load(), b.addr)
 	if err != nil {
-		if errors.Is(err, mux.ErrAuthFailed) {
+		conn.Close()
+		if errors.Is(err, ErrAuthFailed) {
 			b.ins.Load().muxAuthFail.Inc()
 		}
 		return nil, err
 	}
+	sess := b.newSession(conn, peer, true)
 	b.trackSession(sess, "dial")
-	go b.serveMuxSession(sess)
 	return sess, nil
 }
 
@@ -184,8 +161,8 @@ func (b *Broker) dialMuxSession(addr string) (*mux.Session, error) {
 // announced address. An existing live entry wins — simultaneous dials
 // from both sides may briefly yield two sessions for a pair, and the
 // pool just keeps using whichever it already has.
-func (b *Broker) adoptSession(sess *mux.Session) {
-	addr := sess.PeerAddr()
+func (b *Broker) adoptSession(sess *session) {
+	addr := sess.peer
 	if addr == "" {
 		return
 	}
@@ -195,7 +172,7 @@ func (b *Broker) adoptSession(sess *mux.Session) {
 		usable = true
 		if e.sess != nil {
 			select {
-			case <-e.sess.Done():
+			case <-e.sess.done:
 				usable = false // dead entry its watcher hasn't retired yet
 			default:
 			}
@@ -212,7 +189,7 @@ func (b *Broker) adoptSession(sess *mux.Session) {
 // trackSession records the session for Close teardown, feeds the
 // session metrics, and retires its pool entry when it dies, so the next
 // dial builds a fresh one instead of opening streams into a corpse.
-func (b *Broker) trackSession(sess *mux.Session, role string) {
+func (b *Broker) trackSession(sess *session, role string) {
 	ins := b.ins.Load()
 	if role == "dial" {
 		ins.muxSessDial.Inc()
@@ -232,7 +209,7 @@ func (b *Broker) trackSession(sess *mux.Session, role string) {
 	default:
 	}
 	go func() {
-		<-sess.Done()
+		<-sess.done
 		b.muxMu.Lock()
 		delete(b.muxAll, sess)
 		for addr, e := range b.muxSess {
@@ -250,27 +227,15 @@ func (b *Broker) trackSession(sess *mux.Session, role string) {
 	}()
 }
 
-// serveMuxSession feeds every inbound stream of a session to the
-// rendezvous matcher.
-func (b *Broker) serveMuxSession(sess *mux.Session) {
-	for {
-		st, err := sess.AcceptStream()
-		if err != nil {
-			return
-		}
-		go b.handleStream(st)
-	}
-}
-
 // closeMuxSessions tears down every live session; part of Broker.Close,
 // after which the peer-pair sockets are returned to the OS.
 func (b *Broker) closeMuxSessions() {
 	b.muxMu.Lock()
-	sessions := make([]*mux.Session, 0, len(b.muxAll))
+	sessions := make([]*session, 0, len(b.muxAll))
 	for s := range b.muxAll {
 		sessions = append(sessions, s)
 	}
-	b.muxAll = make(map[*mux.Session]struct{})
+	b.muxAll = make(map[*session]struct{})
 	b.muxSess = make(map[string]*muxEntry)
 	b.muxMu.Unlock()
 	for _, s := range sessions {

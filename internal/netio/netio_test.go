@@ -31,7 +31,7 @@ func newTestBroker(t *testing.T) *Broker {
 // dialRawSender plays the sending half of a link by hand: it dials the
 // inbound link serving tok at addr and performs the RESUME exchange
 // that opens every connection, returning the stream ready for DATA.
-func dialRawSender(t *testing.T, b *Broker, addr, tok string) io.ReadWriteCloser {
+func dialRawSender(t *testing.T, b *Broker, addr, tok string) *muxStream {
 	t.Helper()
 	conn, err := b.dial(addr, tok)
 	if err != nil {
@@ -40,7 +40,7 @@ func dialRawSender(t *testing.T, b *Broker, addr, tok string) io.ReadWriteCloser
 	if f, err := recvFrame(conn); err != nil || f.kind != frameResume || f.off != 0 {
 		t.Fatalf("opening frame %+v, %v; want RESUME(0)", f, err)
 	}
-	if err := sendFrame(conn, frame{kind: frameResume}); err != nil {
+	if err := sendFrame(conn, frame{kind: frameResume, window: DefaultWindow}); err != nil {
 		t.Fatal(err)
 	}
 	return conn

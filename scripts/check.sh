@@ -43,8 +43,10 @@
 #                    *Resilience: a nil policy was a second protocol),
 #                    a check that the link core imports neither net
 #                    nor sync nor time (it is the protocol alone; its
-#                    driver owns sockets, goroutines and clocks), and
-#                    gofmt -l.
+#                    driver owns sockets, goroutines and clocks), a
+#                    check that only frames.go and handshake.go encode
+#                    bytes in internal/netio (the wire format has one
+#                    owner), and gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -161,6 +163,12 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: net, sync or time imported by internal/netio/linkcore.go (the driver's, not the core's)"
 		fail=1
 	fi
+	# One owner of the wire format (DESIGN.md, "Session multiplexing"):
+	# frames.go encodes every frame, handshake.go the handshake.
+	if grep -ln '"encoding/binary"' $(ls internal/netio/*.go | grep -v -e '_test\.go$' -e '/frames\.go$' -e '/handshake\.go$'); then
+		echo "lint gate: encoding/binary in internal/netio outside frames.go and handshake.go (the wire format's owners)"
+		fail=1
+	fi
 	if unformatted=$(gofmt -l .) && [ -n "$unformatted" ]; then
 		echo "$unformatted"
 		echo "lint gate: files above are not gofmt-formatted"
@@ -235,12 +243,14 @@ go test -race -timeout 120s ./...
 # (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
 # channel's scraped byte and occupancy series equal the bytes moved
 # while two goroutines stream through it (ScrapedTallies), the link
-# core's transitions and bug scripts hold (LinkCore), and Redirect reads
+# core's transitions and bug scripts hold (LinkCore), Redirect reads
 # the peer a concurrent reader move rewrites under the handle's lock
-# (RedirectDuringReaderMove).
+# (RedirectDuringReaderMove), a peer that overruns its window is cut off
+# within the inbox bound (OverrunningPeerIsCutOff), and a stalled link
+# does not stall its session (StalledLinkDoesNotStallItsSession).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestLinkCore|TestRedirectDuringReaderMove' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
