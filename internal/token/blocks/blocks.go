@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Shape is the advisory element-shape hint a transport-boundary codec
@@ -93,17 +94,62 @@ var (
 // s8bMaxBits is the widest value simple8b can pack (selector 15).
 const s8bMaxBits = 60
 
+// s8bLCM is the least common multiple of the selector counts, the
+// unit of s8bWeight.
+const s8bLCM = 840
+
+// s8bTooWide is the weight of a value wider than s8bMaxBits: larger
+// than any word budget a block can have (at most MaxCount words of
+// s8bLCM each), so adding it refuses the trial at once.
+const s8bTooWide = 1 << 40
+
+// Tables derived from the selector table:
+//
+//   - selByWidth[w]: the densest selector whose width covers w bits
+//     (w is bits.Len64 of a value, or of an OR of values);
+//   - s8bWeight[w]: the least share of a word a value of width w takes,
+//     in s8bLCM-ths: s8bLCM over selByWidth[w]'s count, or s8bTooWide
+//     past 60 bits;
+//   - selByCount[p]: the densest selector holding at most p values;
+//   - maxByLen[m]: the widest value m+1 values in one word may have.
+var selByWidth, s8bWeight, selByCount, maxByLen = s8bTables()
+
+func s8bTables() (selW, weight [65]int, selC [s8bMaxBits + 1]int, maxL [s8bMaxBits]uint64) {
+	for w := range selW {
+		weight[w] = s8bTooWide
+		for sel := 2; sel <= 15; sel++ {
+			if s8bBits[sel] >= w {
+				selW[w], weight[w] = sel, s8bLCM/s8bCount[sel]
+				break
+			}
+		}
+	}
+	for p := 1; p <= s8bMaxBits; p++ {
+		for sel := 2; sel <= 15; sel++ {
+			if s8bCount[sel] <= p {
+				selC[p] = sel
+				break
+			}
+		}
+		for sel := 15; sel >= 2; sel-- {
+			if s8bCount[sel] >= p {
+				maxL[p-1] = 1<<s8bBits[sel] - 1
+				break
+			}
+		}
+	}
+	return
+}
+
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 
 // Encoder holds the reusable scratch an encode pass needs (the delta
-// column and its bit widths), so a long-lived owner — one outbound
-// link — compresses every chunk with zero steady-state allocation.
-// The zero value is ready to use. An Encoder is not safe for
-// concurrent use.
+// column), so a long-lived owner — one outbound link — compresses
+// every chunk with zero steady-state allocation. The zero value is
+// ready to use. An Encoder is not safe for concurrent use.
 type Encoder struct {
 	deltas []uint64
-	widths []uint8
 }
 
 // EncodeBE appends one sealed block encoding of src — a run of
@@ -129,28 +175,31 @@ func (e *Encoder) EncodeBE(dst, src []byte, shape Shape, limit int) ([]byte, boo
 	return e.encodeInt(dst, src, limit)
 }
 
-// encodeInt tries the delta paths: one scan computes the zigzag delta
-// column; a constant delta seals as TagIntRLE, otherwise the deltas
-// are simple8b-packed as TagIntPacked when they fit 60 bits.
+// encodeInt tries the delta paths: a constant delta seals as
+// TagIntRLE; otherwise one pass computes the zigzag delta column and
+// the deltas are simple8b-packed as TagIntPacked, each word with the
+// densest selector that covers its values. The trial refuses as soon
+// as it is decided: on a delta wider than 60 bits, or once a lower
+// bound on the words any packing needs overruns limit.
 func (e *Encoder) encodeInt(dst, src []byte, limit int) ([]byte, bool) {
 	n := len(src) / 8
+	first := binary.BigEndian.Uint64(src)
 	// RLE probe first: one branch-light pass with no scratch traffic.
 	// The shapes this layer exists for — counters, sequence numbers,
 	// zero fill — are constant-delta runs, and on the link hot path the
 	// probe IS the encode cost, so it must not materialize the delta
 	// column it will immediately discard. Non-constant runs exit on the
 	// first mismatching delta, typically within a few elements.
+	constant := true
+	var d0 uint64
 	if n >= 2 {
-		first := binary.BigEndian.Uint64(src)
 		prev := binary.BigEndian.Uint64(src[8:])
-		d0 := prev - first // wraparound-exact mod 2^64
-		var constant bool
+		d0 = prev - first // wraparound-exact mod 2^64
 		if d0 == 0 {
 			// Zero delta means one 8-byte pattern repeated, which a
 			// vectorized shifted-compare verifies at memcmp speed.
 			constant = bytes.Equal(src[8:], src[:len(src)-8])
 		} else {
-			constant = true
 			for i := 2; i < n; i++ {
 				v := binary.BigEndian.Uint64(src[i*8:])
 				if v-prev != d0 {
@@ -160,107 +209,155 @@ func (e *Encoder) encodeInt(dst, src []byte, limit int) ([]byte, bool) {
 				prev = v
 			}
 		}
-		if constant {
-			base := len(dst)
-			dst = append(dst, TagIntRLE)
-			dst = binary.AppendUvarint(dst, uint64(n))
-			dst = binary.BigEndian.AppendUint64(dst, first)
-			dst = binary.AppendUvarint(dst, zigzag(int64(d0)))
-			if len(dst)-base > limit {
-				return dst[:base], false
-			}
-			return dst, true
-		}
 	}
-	if cap(e.deltas) < n {
-		e.deltas = make([]uint64, 0, n)
-		e.widths = make([]uint8, 0, n)
-	}
-	deltas := e.deltas[:0]
-	widths := e.widths[:0]
-	first := binary.BigEndian.Uint64(src)
-	prev := first
-	constant := true
-	maxWidth := 0
-	for i := 1; i < n; i++ {
-		v := binary.BigEndian.Uint64(src[i*8:])
-		z := zigzag(int64(v - prev)) // wraparound-exact mod 2^64
-		prev = v
-		if i > 1 && z != deltas[0] {
-			constant = false
-		}
-		w := bits.Len64(z)
-		if w > maxWidth {
-			maxWidth = w
-		}
-		deltas = append(deltas, z)
-		widths = append(widths, uint8(w))
-	}
-	e.deltas, e.widths = deltas, widths
 	base := len(dst)
 	if constant {
 		dst = append(dst, TagIntRLE)
 		dst = binary.AppendUvarint(dst, uint64(n))
 		dst = binary.BigEndian.AppendUint64(dst, first)
 		if n > 1 {
-			dst = binary.AppendUvarint(dst, deltas[0])
+			dst = binary.AppendUvarint(dst, zigzag(int64(d0)))
 		}
 		if len(dst)-base > limit {
 			return dst[:base], false
 		}
 		return dst, true
 	}
-	if maxWidth > s8bMaxBits {
-		return dst[:base], false
+
+	// The word budget: every word after the header costs 8 bytes, and
+	// no packing needs more words than there are deltas.
+	var count [binary.MaxVarintLen64]byte
+	header := 1 + binary.PutUvarint(count[:], uint64(n)) + 8
+	if limit < header+8 {
+		return dst, false
+	}
+	maxWords := min((limit-header)/8, n-1)
+	if cap(e.deltas) < n-1 {
+		e.deltas = make([]uint64, n-1)
+	}
+	deltas := e.deltas[:n-1]
+	if !deltaColumn(deltas, src, maxWords) {
+		return dst, false
 	}
 	dst = append(dst, TagIntPacked)
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = binary.BigEndian.AppendUint64(dst, first)
-	for len(deltas) > 0 {
-		if len(dst)-base+8 > limit {
-			return dst[:base], false
-		}
-		word, k := packWord(deltas, widths)
-		dst = binary.BigEndian.AppendUint64(dst, word)
-		deltas = deltas[k:]
-		widths = widths[k:]
-	}
-	if len(dst)-base > limit {
+	dst = slices.Grow(dst, 8*maxWords)
+	words := dst[len(dst) : len(dst)+8*maxWords]
+	size, ok := packWords(words, deltas)
+	if !ok {
 		return dst[:base], false
 	}
-	return dst, true
+	return dst[:len(dst)+size], true
 }
 
-// packWord packs a prefix of deltas into one simple8b word, choosing
-// the densest selector whose bit width covers every packed value.
-// Selector 15 (one 60-bit value) always applies, since the caller has
-// verified every width is at most 60.
-func packWord(deltas []uint64, widths []uint8) (word uint64, k int) {
-	for sel := 2; sel <= 15; sel++ {
-		cnt, bw := s8bCount[sel], s8bBits[sel]
-		k = cnt
-		if len(deltas) < k {
-			// Only the final word may pack fewer than its selector's
-			// count; the decoder stops at the block's element count.
-			k = len(deltas)
+// deltaColumn is the trial's one pass over src: it fills deltas with
+// the zigzag deltas of its elements and reports whether they might fit
+// maxWords simple8b words. It keeps an exact lower bound on the words
+// any packing needs — one word holds at most c values of width w,
+// where c is the count of selByWidth[w], so the sum of 1/c over the
+// deltas (s8bWeight, in s8bLCM-ths) never exceeds the word count — and
+// returns false as soon as the bound does. A delta wider than 60 bits
+// weighs s8bTooWide and returns false at once.
+func deltaColumn(deltas []uint64, src []byte, maxWords int) bool {
+	budget := maxWords * s8bLCM
+	weight := 0
+	prev := binary.BigEndian.Uint64(src)
+	src = src[8:]
+	// Four deltas a step, so their chains overlap; the lengths in the
+	// loop conditions let the compiler drop every bounds check.
+	for len(deltas) >= 4 && len(src) >= 32 {
+		v0 := binary.BigEndian.Uint64(src[:8])
+		v1 := binary.BigEndian.Uint64(src[8:16])
+		v2 := binary.BigEndian.Uint64(src[16:24])
+		v3 := binary.BigEndian.Uint64(src[24:32])
+		z0 := zigzag(int64(v0 - prev)) // wraparound-exact mod 2^64
+		z1 := zigzag(int64(v1 - v0))
+		z2 := zigzag(int64(v2 - v1))
+		z3 := zigzag(int64(v3 - v2))
+		prev = v3
+		deltas[0], deltas[1], deltas[2], deltas[3] = z0, z1, z2, z3
+		weight += s8bWeight[bits.Len64(z0)] + s8bWeight[bits.Len64(z1)] +
+			s8bWeight[bits.Len64(z2)] + s8bWeight[bits.Len64(z3)]
+		if weight > budget {
+			return false
 		}
-		fits := true
-		for j := 0; j < k; j++ {
-			if int(widths[j]) > bw {
-				fits = false
-				break
-			}
-		}
-		if !fits {
-			continue
-		}
-		word = uint64(sel) << 60
-		for j := 0; j < k; j++ {
-			word |= deltas[j] << (j * bw)
-		}
-		return word, k
+		deltas, src = deltas[4:], src[32:]
 	}
-	panic("blocks: unpackable delta") // unreachable: selector 15 always fits
+	for len(deltas) > 0 && len(src) >= 8 {
+		v := binary.BigEndian.Uint64(src)
+		z := zigzag(int64(v - prev))
+		prev = v
+		deltas[0] = z
+		weight += s8bWeight[bits.Len64(z)]
+		deltas, src = deltas[1:], src[8:]
+	}
+	return weight <= budget
+}
+
+// packWords writes the simple8b words packing deltas into out and
+// returns their size in bytes, or reports false if they do not fit.
+func packWords(out []byte, deltas []uint64) (int, bool) {
+	free := out
+	for len(deltas) > 0 {
+		if len(free) < 8 {
+			return 0, false
+		}
+		sel, k := selectWord(deltas)
+		// Two values a step into two halves of the word, so the shifts
+		// overlap; j*bw < 60, and the masks drop Go's shift-overflow check.
+		bw := s8bBits[sel]
+		w0, w1 := uint64(sel)<<60, uint64(0)
+		d := deltas[:k]
+		j := 0
+		for ; j+1 < len(d); j += 2 {
+			w0 |= d[j] << (j * bw & 63)
+			w1 |= d[j+1] << ((j + 1) * bw & 63)
+		}
+		if j < len(d) {
+			w0 |= d[j] << (j * bw & 63)
+		}
+		binary.BigEndian.PutUint64(free, w0|w1)
+		free = free[8:]
+		deltas = deltas[k:]
+	}
+	return len(out) - len(free), true
+}
+
+// selectWord picks the selector of the next simple8b word in one scan:
+// it ORs deltas into a running value and stops at the first prefix
+// whose OR exceeds the widest value that many deltas may have in one
+// word (maxByLen). The word then takes the densest selector holding at
+// most the prefix that fit. A prefix reaching the end of deltas takes
+// the densest selector covering its width instead: only the final word
+// packs fewer values than its count (the decoder stops at the block's
+// element count). Every delta must be at most 60 bits wide.
+func selectWord(deltas []uint64) (sel, k int) {
+	scan := deltas[:min(len(deltas), len(maxByLen))]
+	var acc uint64
+	m := 0
+	// Two deltas a step: maxByLen never grows with m, so a pair that
+	// fits means its first delta fit too.
+	for ; m+1 < len(scan); m += 2 {
+		first := acc | scan[m]
+		acc = first | scan[m+1]
+		if acc > maxByLen[m+1] {
+			if first > maxByLen[m] {
+				sel = selByCount[m]
+			} else {
+				sel = selByCount[m+1]
+			}
+			return sel, s8bCount[sel]
+		}
+	}
+	if m < len(scan) {
+		acc |= scan[m]
+		if acc > maxByLen[m] {
+			sel = selByCount[m]
+			return sel, s8bCount[sel]
+		}
+	}
+	return selByWidth[bits.Len64(acc)], len(scan)
 }
 
 // encodeFloat seals src as a TagFloatXOR block: each element's bit
@@ -493,7 +590,7 @@ func AppendFloat64s(dst []byte, vs []float64) []byte {
 
 // DecodeInt64s appends the elements of one sealed block to dst.
 func DecodeInt64s(dst []int64, block []byte) ([]int64, error) {
-	raw, err := DecodeBE(nil, block, MaxCount*8)
+	raw, err := decodeValues(block)
 	if err != nil {
 		return dst, err
 	}
@@ -505,7 +602,7 @@ func DecodeInt64s(dst []int64, block []byte) ([]int64, error) {
 
 // DecodeFloat64s appends the elements of one sealed block to dst.
 func DecodeFloat64s(dst []float64, block []byte) ([]float64, error) {
-	raw, err := DecodeBE(nil, block, MaxCount*8)
+	raw, err := decodeValues(block)
 	if err != nil {
 		return dst, err
 	}
@@ -513,4 +610,14 @@ func DecodeFloat64s(dst []float64, block []byte) ([]float64, error) {
 		dst = append(dst, math.Float64frombits(binary.BigEndian.Uint64(raw[i:])))
 	}
 	return dst, nil
+}
+
+// decodeValues is DecodeBE for the value APIs, which also round-trip
+// an empty run: AppendRaw seals it as a TagRaw block of count 0, which
+// no link sends and DecodeBE rejects.
+func decodeValues(block []byte) ([]byte, error) {
+	if len(block) == 2 && block[0] == TagRaw && block[1] == 0 {
+		return nil, nil
+	}
+	return DecodeBE(nil, block, MaxCount*8)
 }

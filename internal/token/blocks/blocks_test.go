@@ -1,9 +1,12 @@
 package blocks
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -178,6 +181,19 @@ func TestCodecValueAPIs(t *testing.T) {
 			t.Fatalf("float64 %d: got %v want %v", i, gotF[i], v)
 		}
 	}
+	// The empty run round-trips through the value APIs, nil or not.
+	for _, vs := range [][]int64{nil, {}} {
+		got, err := DecodeInt64s(nil, AppendInt64s(nil, vs))
+		if err != nil || len(got) != 0 {
+			t.Fatalf("empty int64 run: got %v, %v", got, err)
+		}
+	}
+	for _, vs := range [][]float64{nil, {}} {
+		got, err := DecodeFloat64s([]float64{1}, AppendFloat64s([]byte{0xEE}, vs)[1:])
+		if err != nil || len(got) != 1 {
+			t.Fatalf("empty float64 run: got %v, %v", got, err)
+		}
+	}
 }
 
 // TestCodecRejectsMalformed drives the decoder through the corruption
@@ -263,4 +279,212 @@ func TestCodecZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("seal+unseal allocated %.1f times per run", allocs)
 	}
+	// The refuse path: 40-bit values give deltas one per simple8b word,
+	// so the trial refuses the 7/8 limit, and a warm Encoder allocates
+	// nothing doing so either.
+	rng := rand.New(rand.NewSource(40))
+	for i := range vs {
+		vs[i] = rng.Int63n(1 << 40)
+	}
+	wide := beInt64s(vs)
+	limit := len(wide) - len(wide)/8
+	e.EncodeBE(enc[:0], wide, ShapeInt64, limit)
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, ok := e.EncodeBE(enc[:0], wide, ShapeInt64, limit); ok {
+			t.Fatal("40-bit values packed within 7/8 of raw")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refusal allocated %.1f times per run", allocs)
+	}
+}
+
+// TestCodecEncodeMatchesReference pins the int64 trial to the encoder
+// it replaced (refEncodeInt): the same bytes and the same verdict on
+// every run and limit, so old peers decode new blocks and a replayed
+// chunk re-seals identically.
+func TestCodecEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	walk := func(n int, step int64) []int64 {
+		vs := make([]int64, n)
+		v := rng.Int63()
+		for i := range vs {
+			d := rng.Int63n(step + 1)
+			if rng.Intn(2) == 0 {
+				d = -d
+			}
+			v += d
+			vs[i] = v
+		}
+		return vs
+	}
+	// mixed walks runs of random length whose deltas share a random
+	// bit width from 0 to 64, so words mix widths at every boundary.
+	mixed := func(n int) []int64 {
+		vs := make([]int64, n)
+		v := rng.Int63()
+		w := 0
+		for i := range vs {
+			if rng.Intn(8) == 0 {
+				w = rng.Intn(65)
+			}
+			d := int64(rng.Uint64() >> (64 - w)) // 0 when w is 0
+			if rng.Intn(2) == 0 {
+				d = -d
+			}
+			v += d
+			vs[i] = v
+		}
+		return vs
+	}
+	// partial ends every selector's deltas one to count-1 values into
+	// its final word: n-1 = q*count + r deltas of exactly its width
+	// (for 1-bit deltas, of either width 0 or 1, or the run would be
+	// constant and seal as RLE).
+	partial := func(sel, q, r int) []int64 {
+		bw := s8bBits[sel]
+		vs := make([]int64, 1+q*s8bCount[sel]+r)
+		for i := 1; i < len(vs); i++ {
+			z := rng.Uint64() >> (64 - bw)
+			if bw > 1 {
+				z |= 1 << (bw - 1)
+			}
+			vs[i] = vs[i-1] + unzigzag(z)
+		}
+		return vs
+	}
+	cases := map[string][]int64{}
+	for _, n := range []int{1, 2, 60, 61, 16384} {
+		for _, step := range []int64{1, 2, 64, 1 << 10, 1 << 30, 1 << 62} {
+			cases[fmt.Sprintf("walk%d/n%d", step, n)] = walk(n, step)
+		}
+		cases[fmt.Sprintf("mixed/n%d", n)] = mixed(n)
+	}
+	for sel := 2; sel <= 15; sel++ {
+		for r := 1; r < s8bCount[sel]; r++ {
+			cases[fmt.Sprintf("partial/sel%d/r%d", sel, r)] = partial(sel, 2, r)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		cases[fmt.Sprintf("mixed/seed%d", i)] = mixed(1 + rng.Intn(700))
+	}
+	var e Encoder
+	for name, vs := range cases {
+		src := beInt64s(vs)
+		n := len(vs)
+		for _, limit := range []int{len(src), len(src) - len(src)/8, 2 * n, 16} {
+			if err := matchReference(&e, src, limit); err != nil {
+				t.Fatalf("%s, limit %d: %v", name, limit, err)
+			}
+		}
+	}
+}
+
+// matchReference runs EncodeBE and refEncodeInt on src under limit,
+// both appending to the same non-empty prefix, and reports any
+// difference in the verdict or the bytes.
+func matchReference(e *Encoder, src []byte, limit int) error {
+	prefix := []byte{0xEE, 0xEF}
+	got, ok := e.EncodeBE(append([]byte(nil), prefix...), src, ShapeInt64, limit)
+	want, wantOK := refEncodeInt(append([]byte(nil), prefix...), src, limit)
+	if ok != wantOK {
+		return fmt.Errorf("ok %v, reference %v", ok, wantOK)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < min(len(got), len(want)) && got[i] == want[i] {
+			i++
+		}
+		return fmt.Errorf("%d bytes, reference %d, first difference at byte %d", len(got), len(want), i)
+	}
+	return nil
+}
+
+// refEncodeInt is the int64 trial as it stood before selectors were
+// chosen in one scan: the full delta and width columns, then per word
+// the first of selectors 2..15 whose width covers its whole prefix.
+// It is the definition the encoder must reproduce byte for byte.
+func refEncodeInt(dst, src []byte, limit int) ([]byte, bool) {
+	n := len(src) / 8
+	if n == 0 || len(src)%8 != 0 || n > MaxCount || limit <= 0 {
+		return dst, false
+	}
+	deltas := make([]uint64, 0, n)
+	widths := make([]uint8, 0, n)
+	first := binary.BigEndian.Uint64(src)
+	prev := first
+	constant := true
+	maxWidth := 0
+	for i := 1; i < n; i++ {
+		v := binary.BigEndian.Uint64(src[i*8:])
+		z := zigzag(int64(v - prev))
+		prev = v
+		if i > 1 && z != deltas[0] {
+			constant = false
+		}
+		w := bits.Len64(z)
+		if w > maxWidth {
+			maxWidth = w
+		}
+		deltas = append(deltas, z)
+		widths = append(widths, uint8(w))
+	}
+	base := len(dst)
+	if constant {
+		dst = append(dst, TagIntRLE)
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = binary.BigEndian.AppendUint64(dst, first)
+		if n > 1 {
+			dst = binary.AppendUvarint(dst, deltas[0])
+		}
+		if len(dst)-base > limit {
+			return dst[:base], false
+		}
+		return dst, true
+	}
+	if maxWidth > s8bMaxBits {
+		return dst[:base], false
+	}
+	dst = append(dst, TagIntPacked)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	dst = binary.BigEndian.AppendUint64(dst, first)
+	for len(deltas) > 0 {
+		if len(dst)-base+8 > limit {
+			return dst[:base], false
+		}
+		word, k := refPackWord(deltas, widths)
+		dst = binary.BigEndian.AppendUint64(dst, word)
+		deltas = deltas[k:]
+		widths = widths[k:]
+	}
+	if len(dst)-base > limit {
+		return dst[:base], false
+	}
+	return dst, true
+}
+
+// refPackWord packs a prefix of deltas into one simple8b word with the
+// densest selector whose bit width covers every packed value; only the
+// final word may pack fewer than its selector's count.
+func refPackWord(deltas []uint64, widths []uint8) (word uint64, k int) {
+	for sel := 2; sel <= 15; sel++ {
+		cnt, bw := s8bCount[sel], s8bBits[sel]
+		k = min(cnt, len(deltas))
+		fits := true
+		for j := 0; j < k; j++ {
+			if int(widths[j]) > bw {
+				fits = false
+				break
+			}
+		}
+		if !fits {
+			continue
+		}
+		word = uint64(sel) << 60
+		for j := 0; j < k; j++ {
+			word |= deltas[j] << (j * bw)
+		}
+		return word, k
+	}
+	panic("blocks: unpackable delta")
 }

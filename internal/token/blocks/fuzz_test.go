@@ -2,6 +2,7 @@ package blocks
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -74,4 +75,46 @@ func fuzzRoundTrip(t *testing.T, raw []byte, shape Shape) {
 	if !bytes.Equal(got, src) {
 		t.Fatalf("round trip diverged at %d bytes (shape %d)", len(src), shape)
 	}
+}
+
+// FuzzCodecInt64MatchesReference requires the int64 trial to match
+// refEncodeInt byte for byte, verdict included, on arbitrary element
+// runs and on walks whose delta widths the input bytes choose, under
+// the link's limits and one the input picks.
+func FuzzCodecInt64MatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3}, uint32(16))
+	f.Add(bytes.Repeat([]byte{7, 40, 9, 1, 61, 2, 0, 33}, 40), uint32(300))
+	f.Fuzz(func(t *testing.T, raw []byte, lim uint32) {
+		if len(raw) > 1<<16 {
+			return
+		}
+		var e Encoder
+		for _, src := range [][]byte{raw[:len(raw)-len(raw)%8], widthWalk(raw)} {
+			if len(src) == 0 {
+				continue
+			}
+			n := len(src) / 8
+			for _, limit := range []int{len(src), len(src) - len(src)/8, 2 * n, 16, int(lim % uint32(len(src)+64))} {
+				if err := matchReference(&e, src, limit); err != nil {
+					t.Fatalf("%d elements, limit %d: %v", n, limit, err)
+				}
+			}
+		}
+	})
+}
+
+// widthWalk renders raw as a walk of len(raw) deltas, one per byte:
+// byte b gives a delta of up to b%62 bits, negative when b is odd.
+func widthWalk(raw []byte) []byte {
+	src := make([]byte, 8, 8*(len(raw)+1))
+	v := uint64(0)
+	for _, b := range raw {
+		d := uint64(b) * 0x9E3779B97F4A7C15 >> (64 - b%62)
+		if b&1 == 1 {
+			d = -d
+		}
+		v += d
+		src = binary.BigEndian.AppendUint64(src, v)
+	}
+	return src
 }

@@ -59,8 +59,9 @@
 #                    compression-floor tests (>= 4x on monotone int64
 #                    runs, raw fallback never worse than 1.02x), the
 #                    compressed-link integration tests, plus a short
-#                    native fuzz burst on the block decoder and the
-#                    token decode paths.
+#                    native fuzz burst on the block decoder, the
+#                    encoder against its byte-for-byte reference, and
+#                    the token decode paths.
 #   check.sh -wal    durability gate: the WAL torture suite (torn
 #                    tails, flipped CRCs, zero-length segments,
 #                    crash-during-truncation recovery) plus a native
@@ -193,8 +194,9 @@ if [ "${1:-}" = "-codec" ]; then
 	echo "codec gate: go test -race -run '$pat' -count=1 ./..."
 	go test -race -run "$pat" -count=1 -timeout 10m ./... || fail=1
 	# A short native fuzz burst per decoder: arbitrary blocks must fail
-	# clean (no panic, no over-read), our own blocks must round-trip.
-	for target in FuzzDecodeBE FuzzCodecInt64RoundTrip FuzzCodecFloat64RoundTrip; do
+	# clean (no panic, no over-read), our own blocks must round-trip,
+	# and the int64 trial must emit the reference encoder's bytes.
+	for target in FuzzDecodeBE FuzzCodecInt64RoundTrip FuzzCodecFloat64RoundTrip FuzzCodecInt64MatchesReference; do
 		echo "codec gate: go test -run ^\$ -fuzz $target -fuzztime 5s ./internal/token/blocks/"
 		go test -run '^$' -fuzz "$target" -fuzztime 5s ./internal/token/blocks/ || fail=1
 	done
