@@ -23,7 +23,7 @@ package conduit
 
 import (
 	"io"
-	"sync"
+	"sync/atomic"
 
 	"dpn/internal/obs"
 	"dpn/internal/stream"
@@ -40,10 +40,7 @@ type Conduit struct {
 	buf   *stream.Pipe
 	entry *stream.SwitchWriter
 	exit  *stream.SequenceReader
-
-	mu       sync.Mutex
-	rebinds  int
-	rebindsC func(dir string) // increments dpn_conduit_rebinds_total, nil until Instrument
+	rec   atomic.Pointer[record] // the name's counts in the registry's collector, nil until Instrument
 }
 
 // New creates an unbound conduit with the given buffer capacity.
@@ -76,43 +73,34 @@ func (c *Conduit) Exit() *stream.SequenceReader { return c.exit }
 // buffer occupancy plus any spliced leftovers ahead of it.
 func (c *Conduit) Buffered() int { return c.exit.Buffered() }
 
-// Instrument homes the conduit's metrics in the scope's registry: the
-// per-channel buffer instruments (dpn_conduit_bytes_total and friends)
-// and the rebind counter. obsv may be nil.
-func (c *Conduit) Instrument(s *obs.Scope, obsv stream.Observer) {
-	if s == nil {
-		return
-	}
-	if obsv != nil {
-		c.buf.SetObserver(obsv)
-	}
-	c.buf.SetInstruments(NewInstruments(s, c.name, c.buf))
+// Instrument homes the conduit's metrics (dpn_conduit_bytes_total and
+// friends) in the scope's registry: the buffer keeps its counts under
+// its own lock, and the registry's one conduit collector reads them at
+// scrape. It returns the typed-element counts of the conduit's name
+// ([0] read, [1] write), which package core adds to through the ports'
+// NoteToken hooks; nil if the scope has no registry or the name is past
+// its series cap. obsv may be nil.
+func (c *Conduit) Instrument(s *obs.Scope, obsv stream.Observer) *[2]atomic.Int64 {
 	reg := s.Registry()
-	lbl := obs.L("channel", c.name)
-	c.mu.Lock()
-	c.rebindsC = func(dir string) {
-		reg.Counter("dpn_conduit_rebinds_total", lbl, obs.L("dir", dir)).Inc()
+	if reg == nil {
+		return nil
 	}
-	c.mu.Unlock()
+	c.buf.SetHooks(obsv, &stream.Instruments{Tracer: s.Tracer(), Name: c.name})
+	col, limit := collectorOf(reg)
+	rec := col.add(c.name, c.buf, limit)
+	if rec == nil {
+		return nil
+	}
+	c.rec.Store(rec)
+	return &rec.tokens
 }
 
-func (c *Conduit) noteRebind(dir string) {
-	c.mu.Lock()
-	c.rebinds++
-	f := c.rebindsC
-	c.mu.Unlock()
-	if f != nil {
-		f(dir)
+// noteRebind counts a rebind of an instrumented conduit: migrations,
+// redirects and import-side reconnects count one each.
+func (c *Conduit) noteRebind(dir int) {
+	if r := c.rec.Load(); r != nil {
+		r.rebinds[dir].Add(1)
 	}
-}
-
-// Rebinds reports how many transport rebinds this conduit has
-// performed (migrations, redirects, and import-side reconnects all
-// count one each).
-func (c *Conduit) Rebinds() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rebinds
 }
 
 // BindSource binds the conduit's producing end to a transport: bytes
@@ -129,7 +117,7 @@ func (c *Conduit) BindSource(t Transport, ep Endpoint) (Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.noteRebind("source")
+	c.noteRebind(0)
 	return l, nil
 }
 
@@ -146,7 +134,7 @@ func (c *Conduit) BindSink(t Transport, ep Endpoint, window int) (Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.noteRebind("sink")
+	c.noteRebind(1)
 	return l, nil
 }
 

@@ -1,9 +1,11 @@
 package conduit
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dpn/internal/obs"
@@ -134,4 +136,150 @@ func TestScrapedTalliesMatchBytesMoved(t *testing.T) {
 			t.Fatalf("final scrape %+v, want %d bytes written and read, none buffered", final, total)
 		}
 	})
+}
+
+// series keys one scraped series: its name and labels.
+func seriesKey(s obs.Sample) string { return fmt.Sprint(s.Name, s.Labels) }
+
+// TestScrapeWhileChannelsComeAndGo streams through 1 000 conduits, under
+// ten reused names, while another goroutine scrapes in a loop: every
+// counter must be monotone across scrapes while conduits are created,
+// parked on, finished and folded, and the final totals must equal the
+// bytes and tokens moved.
+func TestScrapeWhileChannelsComeAndGo(t *testing.T) {
+	const conduits, workers, names = 1000, 4, 10
+	s := obs.NewScope()
+	var wantBytes, wantTokens [names]atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := w; i < conduits; i += workers {
+				name := fmt.Sprintf("c%d", i%names)
+				c := New(name, 32)
+				tokens := c.Instrument(s, nil)
+				k := 1 + rng.Intn(16) // 8-byte tokens: up to four times the buffer, so both sides park
+				done := make(chan struct{})
+				go func() { // the consumer: a token is counted after it is read, as a port counts it
+					defer close(done)
+					var buf [8]byte
+					for {
+						if _, err := io.ReadFull(c.Exit(), buf[:]); err != nil {
+							return
+						}
+						tokens[0].Add(1)
+					}
+				}()
+				for range k {
+					if _, err := c.Entry().Write(make([]byte, 8)); err != nil {
+						t.Error(err)
+						break
+					}
+					tokens[1].Add(1)
+				}
+				c.Entry().Close()
+				<-done
+				wantBytes[i%names].Add(int64(8 * k))
+				wantTokens[i%names].Add(int64(k))
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	go func() { wg.Wait(); close(stop) }()
+	last := map[string]int64{}
+	for scraping := true; scraping; {
+		select {
+		case <-stop:
+			scraping = false
+		default:
+		}
+		for _, smp := range s.Registry().Samples() {
+			v := smp.Value + smp.Count
+			if smp.Kind == obs.KindGauge {
+				continue
+			}
+			if k := seriesKey(smp); v < last[k] {
+				t.Fatalf("%s went backwards: %d after %d", k, v, last[k])
+			} else {
+				last[k] = v
+			}
+		}
+	}
+	got := map[string]int64{}
+	for _, smp := range s.Registry().Samples() {
+		got[seriesKey(smp)] = smp.Value + smp.Count
+	}
+	for i := range names {
+		ch := obs.L("channel", fmt.Sprintf("c%d", i))
+		for _, op := range []string{"read", "write"} {
+			l := []obs.Label{ch, obs.L("op", op)}
+			if b := got[seriesKey(obs.Sample{Name: "dpn_conduit_bytes_total", Labels: l})]; b != wantBytes[i].Load() {
+				t.Errorf("%v: %d bytes scraped, %d moved", l, b, wantBytes[i].Load())
+			}
+			if k := got[seriesKey(obs.Sample{Name: "dpn_conduit_tokens_total", Labels: l})]; k != wantTokens[i].Load() {
+				t.Errorf("%v: %d tokens scraped, %d moved", l, k, wantTokens[i].Load())
+			}
+			if n := got[seriesKey(obs.Sample{Name: "dpn_conduit_blocks_total", Labels: l})]; n != got[seriesKey(obs.Sample{Name: "dpn_conduit_block_seconds", Labels: l})] {
+				t.Errorf("%v: %d blocks scraped, but %d block durations", l, n, got[seriesKey(obs.Sample{Name: "dpn_conduit_block_seconds", Labels: l})])
+			}
+		}
+	}
+}
+
+// A conduit whose name is new past the registry's series cap is not
+// tracked, as a pushed series past the cap was detached: it gets no
+// token counts and is never exposed, however many such conduits live.
+// The cap is the registry's at Instrument, so raising it lets new names
+// in again.
+func TestNamesPastTheCapAreNotTracked(t *testing.T) {
+	s := obs.NewScope()
+	s.Registry().SetSeriesLimit(2)
+	for _, name := range []string{"a", "b", "a"} {
+		if New(name, 8).Instrument(s, nil) == nil {
+			t.Fatalf("%s under the cap got no token counts", name)
+		}
+	}
+	for range 2 {
+		c := New("c", 8)
+		if c.Instrument(s, nil) != nil {
+			t.Fatal("c past the cap got token counts")
+		}
+		c.Entry().Write(make([]byte, 3))
+	}
+	s.Registry().SetSeriesLimit(0)
+	New("d", 8).Instrument(s, nil)[1].Add(1) // exposed, though the collector was built under the cap
+	names := map[string]int{}
+	for _, smp := range s.Registry().Samples() {
+		if smp.Name == "dpn_conduit_capacity_bytes" {
+			names[smp.Label("channel")]++
+		}
+	}
+	if fmt.Sprint(names) != "map[a:1 b:1 d:1]" {
+		t.Fatalf("capacity series by channel %v, want a, b and d once each", names)
+	}
+}
+
+// BenchmarkScrapeChannels measures one scrape of 1 000 instrumented
+// conduits, each under its own name: half of them live, with bytes
+// buffered, and half finished and folded into their names' totals.
+func BenchmarkScrapeChannels(b *testing.B) {
+	s := obs.NewScope()
+	s.Registry().SetSeriesLimit(0)
+	for i := range 1000 {
+		c := New(fmt.Sprintf("c%d", i), 64)
+		c.Instrument(s, nil)
+		c.Entry().Write(make([]byte, 16))
+		if i%2 == 1 {
+			c.Entry().Close()
+			io.ReadAll(c.Exit())
+		}
+	}
+	s.Registry().Samples() // folds the finished half
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		s.Registry().Samples()
+	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"dpn/internal/conduit"
-	"dpn/internal/obs"
 	"dpn/internal/stream"
 )
 
@@ -26,11 +27,10 @@ type Channel struct {
 	ws wstate
 	rs rstate
 
-	// tokensIn/tokensOut count typed elements (not bytes) moving through
-	// the channel; package token bumps them through the ports'
-	// NoteToken hooks.
-	tokensIn  *obs.Counter
-	tokensOut *obs.Counter
+	// tokens counts typed elements (not bytes) moving through the
+	// channel, [0] read and [1] write; package token bumps them through
+	// the ports' NoteToken hooks. Nil unless the channel is registered.
+	tokens *[2]atomic.Int64
 }
 
 // NewChannel creates a channel that is not registered with any network.
@@ -48,8 +48,7 @@ func newChannel(n *Network, name string, capacity int) *Channel {
 	ch.rs = rstate{name: name, seq: cd.Exit(), ch: ch}
 	ch.w.s, ch.r.s = &ch.ws, &ch.rs
 	if n != nil {
-		cd.Instrument(n.Obs(), n)
-		ch.tokensIn, ch.tokensOut = conduit.TokenCounters(n.Obs(), name)
+		ch.tokens = cd.Instrument(n.Obs(), n)
 		n.registerChannel(ch)
 	}
 	return ch

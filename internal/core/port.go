@@ -52,15 +52,11 @@ func (s *rstate) Buffered() int {
 	return s.seq.Buffered()
 }
 
-func (s *rstate) NoteToken() {
-	if s.ch != nil {
-		s.ch.tokensOut.Inc()
-	}
-}
+func (s *rstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *rstate) NoteTokens(k int) {
-	if s.ch != nil {
-		s.ch.tokensOut.Add(int64(k))
+	if s.ch != nil && s.ch.tokens != nil {
+		s.ch.tokens[0].Add(int64(k))
 	}
 }
 
@@ -188,11 +184,7 @@ func (p *ReadPort) Buffered() int {
 // NoteToken records one typed element consumed through this port; it
 // feeds the dpn_conduit_tokens_total counter. Package token calls it
 // after each successfully decoded element.
-func (p *ReadPort) NoteToken() {
-	if p.s != nil {
-		p.s.NoteToken()
-	}
-}
+func (p *ReadPort) NoteToken() { p.NoteTokens(1) }
 
 // NoteTokens records k consumed elements in one counter operation.
 func (p *ReadPort) NoteTokens(k int) {
@@ -232,15 +224,11 @@ func (s *wstate) HintShape(shape uint32) {
 	}
 }
 
-func (s *wstate) NoteToken() {
-	if s.ch != nil {
-		s.ch.tokensIn.Inc()
-	}
-}
+func (s *wstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *wstate) NoteTokens(k int) {
-	if s.ch != nil {
-		s.ch.tokensIn.Add(int64(k))
+	if s.ch != nil && s.ch.tokens != nil {
+		s.ch.tokens[1].Add(int64(k))
 	}
 }
 
@@ -346,11 +334,7 @@ func (p *WritePort) HintShape(s uint32) {
 
 // NoteToken records one typed element produced through this port; it
 // feeds the dpn_conduit_tokens_total counter.
-func (p *WritePort) NoteToken() {
-	if p.s != nil {
-		p.s.NoteToken()
-	}
-}
+func (p *WritePort) NoteToken() { p.NoteTokens(1) }
 
 // NoteTokens records k produced elements in one counter operation.
 func (p *WritePort) NoteTokens(k int) {

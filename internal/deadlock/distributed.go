@@ -235,7 +235,7 @@ func (c *Coordinator) notePeerHealth(snaps []peerSnapshot) bool {
 
 // note emits a coordinator-level event into the observability scope.
 func (c *Coordinator) note(ev Event) {
-	c.Obs.Counter("dpn_deadlock_coord_events_total", obs.L("status", ev.Status.String())).Inc()
+	c.Obs.Registry().Counter("dpn_deadlock_coord_events_total", obs.L("status", ev.Status.String())).Inc()
 	c.Obs.Record(obs.EvDeadlock, ev.Channel, "coord:"+ev.Status.String(), int64(ev.NewCap))
 	if c.OnEvent != nil {
 		c.OnEvent(ev)
@@ -294,7 +294,7 @@ func (c *Coordinator) GatherMetrics() (string, error) {
 
 // Check performs one global detection round.
 func (c *Coordinator) Check() (Status, error) {
-	c.Obs.Counter("dpn_deadlock_coord_rounds_total").Inc()
+	c.Obs.Registry().Counter("dpn_deadlock_coord_rounds_total").Inc()
 	s1, err := c.snapshot()
 	if lost := c.notePeerHealth(s1); err != nil {
 		// A peer is unreachable, so the global quiescence test cannot

@@ -370,7 +370,7 @@ func TestMoveWithFullReaderBuffer(t *testing.T) {
 		srcA.Write(want)
 		srcA.CloseWrite()
 	}()
-	for !dstB.Full() { // the session is now (about to be) parked on a full buffer
+	for dstB.Len() < dstB.Cap() { // the session is now (about to be) parked on a full buffer
 		time.Sleep(time.Millisecond)
 	}
 

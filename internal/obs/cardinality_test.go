@@ -17,6 +17,16 @@ func seriesOf(r *Registry, name string) int {
 	return n
 }
 
+// dropped reads dpn_obs_dropped_series_total.
+func dropped(r *Registry) int64 {
+	for _, s := range r.Samples() {
+		if s.Name == "dpn_obs_dropped_series_total" {
+			return s.Value
+		}
+	}
+	return 0
+}
+
 // The cardinality guard caps the label sets of one family: series
 // beyond the limit come back as detached instruments (safe to use,
 // never exported) and are accounted in dpn_obs_dropped_series_total.
@@ -29,8 +39,8 @@ func TestCardinalityGuardDropsBeyondLimit(t *testing.T) {
 	if got := seriesOf(r, "chatty_total"); got != 2 {
 		t.Fatalf("exported series = %d, want 2", got)
 	}
-	if got := r.DroppedSeries(); got != 3 {
-		t.Fatalf("DroppedSeries = %d, want 3", got)
+	if got := dropped(r); got != 3 {
+		t.Fatalf("dropped = %d, want 3", got)
 	}
 	var found bool
 	for _, s := range r.Samples() {
@@ -72,8 +82,8 @@ func TestCardinalityGuardPerFamily(t *testing.T) {
 	if got := seriesOf(r, "fam_a_total"); got != 1 {
 		t.Fatalf("fam_a series = %d, want 1", got)
 	}
-	if r.DroppedSeries() != 1 {
-		t.Fatalf("DroppedSeries = %d, want 1", r.DroppedSeries())
+	if dropped(r) != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped(r))
 	}
 }
 
@@ -86,7 +96,33 @@ func TestCardinalityGuardDisabled(t *testing.T) {
 	if got := seriesOf(r, "wide_total"); got != 3*DefaultSeriesLimit {
 		t.Fatalf("series = %d, want %d", got, 3*DefaultSeriesLimit)
 	}
-	if r.DroppedSeries() != 0 {
+	if dropped(r) != 0 {
 		t.Fatal("dropped count moved with the guard disabled")
+	}
+}
+
+// Collected series obey the same cap: the first label sets a collector
+// emits keep their places, and each one refused counts once however
+// often it is scraped again.
+func TestCardinalityGuardCollected(t *testing.T) {
+	r := NewRegistry()
+	r.SetSeriesLimit(2)
+	var col testCollector
+	for i := 0; i < 5; i++ {
+		col = append(col, Sample{Name: "collected_total", Kind: KindCounter, Labels: []Label{L("id", fmt.Sprint(i))}, Value: 1})
+	}
+	r.Collector("t", func() Collector { return col })
+	for range 3 {
+		if got := seriesOf(r, "collected_total"); got != 2 {
+			t.Fatalf("exported series = %d, want 2", got)
+		}
+	}
+	if got := dropped(r); got != 3 {
+		t.Fatalf("dropped = %d after three scrapes, want 3", got)
+	}
+	for _, s := range r.Samples() {
+		if s.Name == "collected_total" && s.Label("id") != "0" && s.Label("id") != "1" {
+			t.Fatalf("exported %v; the first two label sets emitted keep the places", s.Labels)
+		}
 	}
 }

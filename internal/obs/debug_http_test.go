@@ -13,7 +13,7 @@ import (
 func TestServeDebugScopeExposesPprof(t *testing.T) {
 	scope := NewScope()
 	scope.SetNode("t1")
-	scope.Counter("dpn_test_total").Inc()
+	scope.Registry().Counter("dpn_test_total").Inc()
 
 	hs, err := ServeDebugScope("127.0.0.1:0", scope)
 	if err != nil {

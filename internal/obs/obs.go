@@ -16,13 +16,17 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Label is one key=value dimension attached to an instrument, e.g.
@@ -83,9 +87,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Scrape implements Source.
-func (c *Counter) Scrape() (int64, bool) { return c.Value(), false }
-
 // Gauge is an atomic instantaneous value.
 type Gauge struct{ v atomic.Int64 }
 
@@ -103,86 +104,12 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Max raises the gauge to v if v is larger (high-water marks).
-func (g *Gauge) Max(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
 	return g.v.Load()
-}
-
-// Scrape implements Source.
-func (g *Gauge) Scrape() (int64, bool) { return g.Value(), false }
-
-// Source is a counter or gauge value the registry reads at scrape time
-// instead of having it pushed. Its owner keeps the value itself — under
-// a lock the owner's hot path already holds, say — so updating it
-// writes to no shared instrument. Counter and Gauge are the Sources of
-// pushed series.
-type Source interface {
-	// Scrape returns the current value and whether it is final: a
-	// source that will never change again, which the registry may fold
-	// into a plain number and stop referencing.
-	Scrape() (v int64, final bool)
-}
-
-// settled is the value of a source that reported itself final.
-type settled int64
-
-func (v settled) Scrape() (int64, bool) { return int64(v), true }
-
-// merged is a series several Sources were registered under — one
-// channel name used again in a registry, say. Counters add and gauges
-// take the largest, as pushed instruments shared by both owners would
-// have. A final source is folded into base and dropped, on every scrape
-// and every registration, so the series pins only the sources still
-// moving. Guarded by the registry's lock.
-type merged struct {
-	sum  bool
-	base int64
-	srcs []Source
-}
-
-func (m *merged) combine(a, b int64) int64 {
-	if m.sum {
-		return a + b
-	}
-	return max(a, b)
-}
-
-func (m *merged) add(src Source) {
-	m.srcs = append(m.srcs, src)
-	m.Scrape()
-}
-
-func (m *merged) Scrape() (int64, bool) {
-	v := m.base
-	live := m.srcs[:0]
-	for _, src := range m.srcs {
-		x, final := src.Scrape()
-		v = m.combine(v, x)
-		if final {
-			m.base = m.combine(m.base, x)
-		} else {
-			live = append(live, src)
-		}
-	}
-	clear(m.srcs[len(live):])
-	m.srcs = live
-	return v, len(live) == 0
 }
 
 // Histogram is a fixed-bucket distribution with atomic bucket counts.
@@ -195,9 +122,46 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-// DurationBuckets is the default bound set for block/latency histograms,
-// in seconds (1µs … 10s).
-var DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
+// durationBounds is the default bound set for block/latency histograms,
+// in seconds (1µs … 10s). It is an array so that DurationCounts has a
+// constant size: changing the table changes both.
+var durationBounds = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
+
+// DurationBuckets is durationBounds as the bounds Histogram takes.
+var DurationBuckets = durationBounds[:]
+
+// DurationCounts is a DurationBuckets histogram kept as plain counts,
+// for an owner that updates it under a lock it already holds and has a
+// Collector read it at scrape.
+type DurationCounts [len(durationBounds) + 1]int64
+
+// Observe counts one duration.
+func (c *DurationCounts) Observe(d time.Duration) {
+	c[sort.SearchFloat64s(DurationBuckets, d.Seconds())]++
+}
+
+// Sample renders c as the histogram series name{labels}, whose
+// durations add up to total.
+func (c *DurationCounts) Sample(name string, total time.Duration, labels []Label) Sample {
+	s := Sample{Name: name, Kind: KindHistogram, Labels: labels, Sum: total.Seconds()}
+	s.Buckets, s.Count = cumulative(DurationBuckets, func(i int) int64 { return c[i] })
+	return s
+}
+
+// cumulative renders per-bucket counts as cumulative Buckets, the last
+// one +Inf, and returns their total.
+func cumulative(bounds []float64, count func(i int) int64) ([]Bucket, int64) {
+	out := make([]Bucket, len(bounds)+1)
+	cum := int64(0)
+	for i := range out {
+		cum += count(i)
+		out[i] = Bucket{UpperBound: math.Inf(1), Count: cum}
+		if i < len(bounds) {
+			out[i].UpperBound = bounds[i]
+		}
+	}
+	return out, cum
+}
 
 func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
@@ -268,11 +232,11 @@ func (s Sample) Label(key string) string {
 	return ""
 }
 
-// series is one labeled child of a metric family: a histogram, or a
-// counter or gauge value read through its Source.
+// series is one pushed, labeled child of a metric family: a histogram,
+// or a counter or gauge.
 type series struct {
 	labels []Label
-	val    Source
+	val    interface{ Value() int64 }
 	hist   *Histogram
 }
 
@@ -286,21 +250,45 @@ type family struct {
 	typed  bool
 	bounds []float64 // histogram families share bounds
 	series map[string]*series
+	// collected marks a family a Collector emits: its label sets are
+	// the collector's, so pushed lookups get a detached instrument.
+	// admitted holds the label keys of the collected series that took a
+	// place under the series cap; refused maps each one refused at the
+	// cap to the scrape that last emitted it (see admit).
+	collected bool
+	admitted  map[string]bool
+	refused   map[string]uint64
+}
+
+// Collector is a source of series the registry reads at scrape time
+// instead of having them pushed: its owner keeps each count where it
+// happens, under a lock it already holds, so counting writes to no
+// shared instrument and registering pays no series lookup.
+type Collector interface {
+	// Collect emits every series the collector owns, once each, with
+	// labels sorted by key. The registry calls it under its own lock,
+	// so Collect must not call back into the registry.
+	Collect(emit func(Sample))
 }
 
 // Registry is a named collection of instruments. Instrument lookup is
 // get-or-create and safe for concurrent use; hot paths should look an
 // instrument up once and keep the pointer.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu         sync.Mutex
+	families   map[string]*family
+	collectors map[string]Collector
 	// seriesLimit caps the distinct label sets per family (see
 	// SetSeriesLimit); dropped counts series refused at the cap, and
 	// warned remembers which families already logged the one-line
-	// warning.
+	// warning. scrapes numbers the scrapes, scraped is the last one's
+	// series count, and key is admit's reused key buffer.
 	seriesLimit int
 	dropped     int64
 	warned      map[string]bool
+	scrapes     uint64
+	scraped     int
+	key         []byte
 }
 
 // DefaultSeriesLimit is the per-family label-set cap applied to new
@@ -312,6 +300,7 @@ const DefaultSeriesLimit = 256
 func NewRegistry() *Registry {
 	return &Registry{
 		families:    make(map[string]*family),
+		collectors:  make(map[string]Collector),
 		seriesLimit: DefaultSeriesLimit,
 		warned:      make(map[string]bool),
 	}
@@ -320,8 +309,9 @@ func NewRegistry() *Registry {
 // SetSeriesLimit changes the per-family cap on distinct label sets
 // (n <= 0 removes the cap). Lookups beyond the cap warn once per family
 // on stderr, count into dpn_obs_dropped_series_total, and hand the
-// caller a detached instrument, so exposition memory stays bounded and
-// callers never fail.
+// caller a detached instrument; collected series beyond it are left out
+// of the exposition and count there once. So exposition memory stays
+// bounded and callers never fail.
 func (r *Registry) SetSeriesLimit(n int) {
 	if r == nil {
 		return
@@ -331,30 +321,12 @@ func (r *Registry) SetSeriesLimit(n int) {
 	r.mu.Unlock()
 }
 
-// DroppedSeries reports how many series lookups were refused by the
-// cardinality cap.
-func (r *Registry) DroppedSeries() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// labelKey renders labels (sorted by key) into a canonical map key.
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
+// appendLabelKey renders labels (sorted by key) into a canonical map key.
+func appendLabelKey(b []byte, labels []Label) []byte {
 	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte('\x00')
-		b.WriteString(l.Value)
-		b.WriteByte('\x00')
+		b = append(append(append(append(b, l.Key...), 0), l.Value...), 0)
 	}
-	return b.String()
+	return b
 }
 
 func sortedLabels(labels []Label) []Label {
@@ -363,70 +335,68 @@ func sortedLabels(labels []Label) []Label {
 	return out
 }
 
-// lookup returns the series for (name, labels), creating family and
-// series as needed. A kind mismatch with an existing family returns nil
-// (the caller then hands out a detached instrument rather than
-// corrupting the exposition). A non-nil src backs the series instead of
-// a pushed instrument; on an existing series it joins the sources
-// already there, and on one a pushed instrument backs it is dropped.
-func (r *Registry) lookup(name string, kind Kind, bounds []float64, labels []Label, src Source) *series {
-	if r == nil {
-		return nil
-	}
-	labels = sortedLabels(labels)
-	key := labelKey(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// family returns the named family, creating it. With r.mu held.
+func (r *Registry) family(name string) *family {
 	f := r.families[name]
 	if f == nil {
 		f = &family{name: name, series: make(map[string]*series)}
 		r.families[name] = f
 	}
+	return f
+}
+
+// room reports whether f has room under the cap for another label set.
+func (r *Registry) room(f *family) bool {
+	return r.seriesLimit <= 0 || len(f.series)+len(f.admitted) < r.seriesLimit
+}
+
+// refuse counts a label set refused at f's cap, warning once per family.
+func (r *Registry) refuse(f *family) {
+	r.dropped++
+	if !r.warned[f.name] {
+		r.warned[f.name] = true
+		fmt.Fprintf(os.Stderr,
+			"obs: family %s hit the %d-series cardinality cap; further label sets are dropped\n",
+			f.name, r.seriesLimit)
+	}
+}
+
+// lookup returns the series for (name, labels), creating family and
+// series as needed. A kind mismatch with an existing family, a family
+// a collector emits, or a new label set beyond the cap, returns nil
+// (the caller then hands out a detached instrument rather than
+// corrupting the exposition).
+func (r *Registry) lookup(name string, kind Kind, bounds []float64, labels []Label) *series {
+	if r == nil {
+		return nil
+	}
+	labels = sortedLabels(labels)
+	key := string(appendLabelKey(nil, labels))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.family(name)
 	if !f.typed {
 		f.kind, f.bounds, f.typed = kind, bounds, true
 	}
-	if f.kind != kind {
+	if f.kind != kind || f.collected {
 		return nil
 	}
 	s := f.series[key]
 	if s == nil {
-		if r.seriesLimit > 0 && len(f.series) >= r.seriesLimit {
-			r.dropped++
-			if r.warned == nil {
-				r.warned = make(map[string]bool)
-			}
-			if !r.warned[name] {
-				r.warned[name] = true
-				fmt.Fprintf(os.Stderr,
-					"obs: family %s hit the %d-series cardinality cap; further label sets are dropped\n",
-					name, r.seriesLimit)
-			}
+		if !r.room(f) {
+			r.refuse(f)
 			return nil
 		}
-		s = &series{labels: labels, val: src}
-		switch {
-		case kind == KindHistogram:
+		s = &series{labels: labels}
+		switch kind {
+		case KindHistogram:
 			s.hist = newHistogram(f.bounds)
-		case src != nil:
-		case kind == KindCounter:
+		case KindCounter:
 			s.val = &Counter{}
 		default:
 			s.val = &Gauge{}
 		}
 		f.series[key] = s
-		return s
-	}
-	if src != nil {
-		switch old := s.val.(type) {
-		case *Counter, *Gauge:
-		case *merged:
-			old.add(src)
-		default:
-			m := &merged{sum: kind == KindCounter}
-			m.add(old)
-			m.add(src)
-			s.val = m
-		}
 	}
 	return s
 }
@@ -434,36 +404,18 @@ func (r *Registry) lookup(name string, kind Kind, bounds []float64, labels []Lab
 // Counter returns the counter registered under name with the given
 // labels, creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if s := r.lookup(name, KindCounter, nil, labels, nil); s != nil {
-		if c, ok := s.val.(*Counter); ok {
-			return c
-		}
+	if s := r.lookup(name, KindCounter, nil, labels); s != nil {
+		return s.val.(*Counter)
 	}
-	return &Counter{} // detached: kind mismatch, cardinality cap, nil registry, or a Source backs the series
+	return &Counter{} // detached: kind mismatch, collected family, cardinality cap, or nil registry
 }
 
 // Gauge returns the gauge registered under name with the given labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if s := r.lookup(name, KindGauge, nil, labels, nil); s != nil {
-		if g, ok := s.val.(*Gauge); ok {
-			return g
-		}
+	if s := r.lookup(name, KindGauge, nil, labels); s != nil {
+		return s.val.(*Gauge)
 	}
 	return &Gauge{}
-}
-
-// CounterFrom registers src as the counter series name{labels}: the
-// registry reads it at scrape time, so whoever moves the count pushes
-// nothing. Sources registered under one series add up.
-func (r *Registry) CounterFrom(src Source, name string, labels ...Label) {
-	r.lookup(name, KindCounter, nil, labels, src)
-}
-
-// GaugeFrom registers src as the gauge series name{labels}, read at
-// scrape time like CounterFrom's. Sources registered under one series
-// read as the largest of them.
-func (r *Registry) GaugeFrom(src Source, name string, labels ...Label) {
-	r.lookup(name, KindGauge, nil, labels, src)
 }
 
 // Histogram returns the histogram registered under name with the given
@@ -473,7 +425,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if bounds == nil {
 		bounds = DurationBuckets
 	}
-	s := r.lookup(name, KindHistogram, bounds, labels, nil)
+	s := r.lookup(name, KindHistogram, bounds, labels)
 	if s == nil {
 		return newHistogram(bounds)
 	}
@@ -487,56 +439,93 @@ func (r *Registry) Help(name, text string) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f := r.families[name]; f != nil {
-		f.help = text
-	} else {
-		r.families[name] = &family{name: name, help: text, series: make(map[string]*series)}
-	}
+	r.family(name).help = text
 }
 
-// Samples returns a point-in-time snapshot of every series, sorted by
-// metric name and then label key, suitable for building summary tables.
+// Collector returns the collector registered under name, registering
+// the one newC builds on first use, and the series cap in force (0:
+// none). newC runs under the registry's lock, so it must not call back
+// into the registry. A nil registry returns nil.
+func (r *Registry) Collector(name string, newC func() Collector) (c Collector, seriesLimit int) {
+	if r == nil {
+		return nil, 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.collectors[name] == nil {
+		r.collectors[name] = newC()
+	}
+	return r.collectors[name], max(r.seriesLimit, 0)
+}
+
+// admit reports whether a collected series may be exposed. A label
+// set keeps the place under the family's cap it takes when first
+// emitted. One refused at the cap counts as dropped when the scrape
+// before did not emit it: once, for a series emitted at every scrape.
+// With r.mu held.
+func (r *Registry) admit(f *family, labels []Label) bool {
+	if r.seriesLimit <= 0 {
+		return true
+	}
+	r.key = appendLabelKey(r.key[:0], labels)
+	if f.admitted[string(r.key)] {
+		return true
+	}
+	if r.room(f) {
+		if f.admitted == nil {
+			f.admitted = make(map[string]bool)
+		}
+		f.admitted[string(r.key)] = true
+		return true
+	}
+	if _, known := f.refused[string(r.key)]; !known {
+		r.refuse(f)
+	}
+	if f.refused == nil {
+		f.refused = make(map[string]uint64)
+	}
+	f.refused[string(r.key)] = r.scrapes
+	return false
+}
+
+// Samples returns a point-in-time snapshot of every series, pushed and
+// collected, sorted by metric name and then label key, suitable for
+// building summary tables.
 func (r *Registry) Samples() []Sample {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	out := make([]Sample, 0, r.scraped)
+	r.scrapes++
+	for _, c := range r.collectors {
+		c.Collect(func(s Sample) {
+			f := r.family(s.Name)
+			if !f.typed {
+				f.kind, f.typed = s.Kind, true
+			}
+			if f.kind != s.Kind {
+				return
+			}
+			f.collected = true
+			if r.admit(f, s.Labels) {
+				out = append(out, s)
+			}
+		})
 	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	var out []Sample
-	for _, f := range fams {
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
+	for _, f := range r.families {
+		maps.DeleteFunc(f.refused, func(_ string, at uint64) bool { return at != r.scrapes }) // no longer emitted
+		if f.collected {
+			continue // a pushed series made before the collector emitted would duplicate one
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
+		for _, s := range f.series {
 			sm := Sample{Name: f.name, Kind: f.kind, Labels: s.labels}
-			switch f.kind {
-			case KindCounter, KindGauge:
-				var final bool
-				sm.Value, final = s.val.Scrape()
-				if _, done := s.val.(settled); final && !done {
-					s.val = settled(sm.Value) // unpin a source that stopped moving
-				}
-			case KindHistogram:
-				sm.Sum = s.hist.Sum()
-				sm.Count = s.hist.Count()
-				cum := int64(0)
-				for i := range s.hist.counts {
-					cum += s.hist.counts[i].Load()
-					ub := math.Inf(1)
-					if i < len(s.hist.bounds) {
-						ub = s.hist.bounds[i]
-					}
-					sm.Buckets = append(sm.Buckets, Bucket{UpperBound: ub, Count: cum})
-				}
+			if s.hist != nil {
+				sm.Sum, sm.Count = s.hist.Sum(), s.hist.Count()
+				sm.Buckets, _ = cumulative(s.hist.bounds, func(i int) int64 { return s.hist.counts[i].Load() })
+			} else {
+				sm.Value = s.val.Value()
 			}
 			out = append(out, sm)
 		}
@@ -546,6 +535,27 @@ func (r *Registry) Samples() []Sample {
 	if r.dropped > 0 {
 		out = append(out, Sample{Name: "dpn_obs_dropped_series_total", Kind: KindCounter, Value: r.dropped})
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	// Sort by index: a Sample is too large to swap cheaply.
+	order := make([]int32, len(out))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &out[i], &out[j]
+		if a.Name != b.Name { // equal names are mostly one string: != is then cheap
+			return strings.Compare(a.Name, b.Name)
+		}
+		return slices.CompareFunc(a.Labels, b.Labels, func(x, y Label) int {
+			if x == y {
+				return 0
+			}
+			return cmp.Or(strings.Compare(x.Key, y.Key), strings.Compare(x.Value, y.Value))
+		})
+	})
+	r.scraped = len(out)
+	sorted := make([]Sample, len(out))
+	for k, i := range order {
+		sorted[k] = out[i]
+	}
+	return sorted
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // The registry's instruments are updated from every process goroutine
@@ -26,7 +28,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 				c.Inc()
 				c.Add(2)
 				g.Add(1)
-				g.Max(int64(i))
 				h.Observe(float64(i%4) / 4)
 				// Concurrent get-or-create of the same series must
 				// return the same instrument.
@@ -39,8 +40,8 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	if got, want := c.Value(), int64(workers*perWorker*4); got != want {
 		t.Errorf("counter = %d, want %d", got, want)
 	}
-	if got := g.Value(); got < workers*perWorker {
-		t.Errorf("gauge = %d, want >= %d (Max must never lower it)", got, workers*perWorker)
+	if got := g.Value(); got != workers*perWorker {
+		t.Errorf("gauge = %d, want %d", got, workers*perWorker)
 	}
 	if got, want := h.Count(), int64(workers*perWorker); got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
@@ -72,11 +73,10 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	c.Add(1)
 	g.Set(1)
 	g.Add(1)
-	g.Max(1)
 	h.Observe(1)
 	tr.Record(EvRead, "ch", "", 1)
 	s.Record(EvRead, "ch", "", 1)
-	s.Counter("x").Inc()
+	s.Registry().Counter("x").Inc()
 	s.SetNode("n")
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Total() != 0 {
 		t.Error("nil instruments must read as zero")
@@ -158,64 +158,52 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-// testSource is a Source a test sets by hand.
-type testSource struct {
-	v     int64
-	final bool
+// testCollector emits a fixed set of series.
+type testCollector []Sample
+
+func (c testCollector) Collect(emit func(Sample)) {
+	for _, s := range c {
+		emit(s)
+	}
 }
 
-func (s *testSource) Scrape() (int64, bool) { return s.v, s.final }
-
-// Sources registered under one series combine — counters add, gauges
-// take the largest — and one that reports itself final is folded into a
-// number, on the next registration or scrape, so a name reused round
-// after round (a long-lived node's channels) pins only its live owner.
-func TestSourcesFoldWhenFinal(t *testing.T) {
+// A collector's series are read at every scrape and sorted in among the
+// pushed ones by name and then label key; the registry keeps one
+// collector per name. A family a collector emits exposes only the
+// collector's series, so a pushed lookup in it cannot duplicate one.
+func TestCollectedSeriesSortWithPushed(t *testing.T) {
 	r := NewRegistry()
-	value := func(name string) int64 {
-		for _, s := range r.Samples() {
-			if s.Name == name {
-				return s.Value
-			}
-		}
-		t.Fatalf("no %s series", name)
-		return 0
+	r.Counter("bb_total", L("k", "2")).Add(2)
+	r.Counter("b_total", L("k", "1")).Add(5) // made before the collector first emits b_total
+	var counts DurationCounts
+	counts.Observe(5 * time.Microsecond)
+	counts.Observe(2 * time.Second)
+	col := testCollector{
+		{Name: "b_total", Kind: KindCounter, Labels: []Label{L("k", "3")}, Value: 3},
+		{Name: "b_total", Kind: KindCounter, Labels: []Label{L("k", "1")}, Value: 1},
+		{Name: "a_total", Kind: KindCounter, Value: 7},
+		{Name: "b_total", Kind: KindGauge, Labels: []Label{L("k", "4")}, Value: 4}, // kind mismatch: left out
+		counts.Sample("c_seconds", 2*time.Second+5*time.Microsecond, nil),
 	}
-	pinned := func(name string) int {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		switch v := r.families[name].series[""].val.(type) {
-		case *merged:
-			return len(v.srcs)
-		case settled:
-			return 0
-		default:
-			return 1
-		}
+	if got, limit := r.Collector("t", func() Collector { return col }); got == nil || limit != DefaultSeriesLimit {
+		t.Fatalf("Collector returned %v, limit %d", got, limit)
 	}
-	var last *testSource
-	for round := 1; round <= 100; round++ {
-		if last != nil {
-			last.final = true // the previous round's channel is done
-		}
-		last = &testSource{v: int64(round)}
-		r.CounterFrom(last, "bytes_total")
-		r.GaugeFrom(last, "peak_bytes")
-		if n := pinned("bytes_total"); n != 1 {
-			t.Fatalf("round %d: the series pins %d sources, want only the live one", round, n)
-		}
+	if got, _ := r.Collector("t", func() Collector { return testCollector{} }); len(got.(testCollector)) != len(col) {
+		t.Fatal("Collector built a second collector under one name")
 	}
-	if got, want := value("bytes_total"), int64(100*101/2); got != want {
-		t.Fatalf("counter = %d, want the sum %d", got, want)
+	var got []string
+	for _, s := range r.Samples() {
+		got = append(got, fmt.Sprintf("%s%v=%d", s.Name, s.Labels, s.Value+s.Count))
 	}
-	if got := value("peak_bytes"); got != 100 {
-		t.Fatalf("gauge = %d, want the largest, 100", got)
+	want := []string{"a_total[]=7", "b_total[{k 1}]=1", "b_total[{k 3}]=3", "bb_total[{k 2}]=2", "c_seconds[]=2"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("samples %v, want %v", got, want)
 	}
-	last.final = true
-	if got := value("bytes_total"); got != 100*101/2 || pinned("bytes_total") != 0 {
-		t.Fatalf("after the last source finished: counter %d, %d sources pinned", got, pinned("bytes_total"))
+	if r.Counter("b_total", L("k", "4")) == r.Counter("b_total", L("k", "4")) {
+		t.Fatal("a pushed lookup in a collected family got a series, not a detached counter")
 	}
-	if c := r.Counter("bytes_total"); c.Value() != 0 {
-		t.Fatal("Counter handed out the instrument of a series a Source backs")
+	h := r.Samples()[4]
+	if h.Buckets[1].Count != 1 || h.Buckets[6].Count != 1 || h.Buckets[7].Count != 2 || h.Buckets[8].Count != 2 || math.Abs(h.Sum-2.000005) > 1e-12 {
+		t.Fatalf("collected histogram %+v", h)
 	}
 }

@@ -61,7 +61,7 @@ func ParseProm(text string) []Sample {
 				}
 			}
 			labels = dropLabel(labels, "le")
-			key := base + "\x00" + labelKey(labels)
+			key := base + "\x00" + string(appendLabelKey(nil, labels))
 			i, seen := index[key]
 			if !seen {
 				i = len(out)

@@ -15,26 +15,19 @@ import (
 // is applied uniformly without baking it into every instrument.
 func (r *Registry) WriteProm(w io.Writer, base ...Label) error {
 	bw := bufio.NewWriter(w)
+	samples := r.Samples()
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
+	help := make(map[string]string, len(r.families))
+	for name, f := range r.families {
+		help[name] = f.help
 	}
 	r.mu.Unlock()
-	// Samples() re-locks, so snapshot via the public API after listing
-	// families for help/kind metadata.
-	byName := make(map[string]*family, len(fams))
-	for _, f := range fams {
-		byName[f.name] = f
-	}
-	samples := r.Samples()
 
 	var last string
 	for _, s := range samples {
 		if s.Name != last {
-			f := byName[s.Name]
-			if f != nil && f.help != "" {
-				fmt.Fprintf(bw, "# HELP %s %s\n", s.Name, escapeHelp(f.help))
+			if h := help[s.Name]; h != "" {
+				fmt.Fprintf(bw, "# HELP %s %s\n", s.Name, escapeHelp(h))
 			}
 			fmt.Fprintf(bw, "# TYPE %s %s\n", s.Name, s.Kind)
 			last = s.Name

@@ -62,21 +62,6 @@ func (s *Scope) Node() string {
 	return s.node
 }
 
-// Counter is a nil-safe pass-through to the scope's registry.
-func (s *Scope) Counter(name string, labels ...Label) *Counter {
-	return s.Registry().Counter(name, labels...)
-}
-
-// Gauge is a nil-safe pass-through to the scope's registry.
-func (s *Scope) Gauge(name string, labels ...Label) *Gauge {
-	return s.Registry().Gauge(name, labels...)
-}
-
-// Histogram is a nil-safe pass-through to the scope's registry.
-func (s *Scope) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	return s.Registry().Histogram(name, bounds, labels...)
-}
-
 // Record is a nil-safe pass-through to the scope's tracer.
 func (s *Scope) Record(typ EventType, name, detail string, arg int64) {
 	s.Tracer().Record(typ, name, detail, arg)

@@ -171,11 +171,6 @@ func (t *Tracer) Disable() {
 	}
 }
 
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool {
-	return t != nil && t.enabled.Load()
-}
-
 // Record appends one event if the tracer is enabled. It is safe for
 // concurrent use and on a nil tracer.
 func (t *Tracer) Record(typ EventType, name, detail string, arg int64) {

@@ -182,7 +182,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 func (s *Server) handle(req *Request) *Response {
 	scope := s.node.Obs()
-	scope.Counter("dpn_server_rpcs_total", obs.L("kind", req.Kind)).Inc()
+	scope.Registry().Counter("dpn_server_rpcs_total", obs.L("kind", req.Kind)).Inc()
 	scope.Record(obs.EvRPC, req.Kind, "", 0)
 	switch req.Kind {
 	case "metrics":

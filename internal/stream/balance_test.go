@@ -82,7 +82,7 @@ func runBalanceSeed(t *testing.T, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	p := NewPipe(1 + rng.Intn(16))
 	o := &balanceObserver{}
-	p.SetObserver(o)
+	p.SetHooks(o, nil)
 
 	// Each party runs a seeded script of operations and stops at its
 	// first error (EOF, a closed end) or after 200 operations; a rare

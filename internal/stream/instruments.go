@@ -6,91 +6,77 @@ import (
 	"dpn/internal/obs"
 )
 
-// Instruments aggregates the pushed observability hooks of one pipe:
-// block counters, the capacity gauge, block-duration histograms, and the
-// event tracer. They fire on parks, growths and traced events only; the
-// byte and occupancy accounting of every hand-off stays in the pipe (see
-// Pipe.Tallies). Every field may be nil; a pipe with a nil *Instruments
-// pays a single branch per operation. The instruments are created by
-// whoever registers the pipe (core.Network.NewChannel) so this package
+// Instruments is the block a registered pipe gets: the event tracer and
+// the park and growth counts, plain fields the pipe updates under the
+// lock every park and growth already holds and a collector reads at
+// scrape (see Pipe.Counts). A pipe with nil Instruments pays a single
+// branch per operation and counts none of them. Whoever registers the
+// pipe creates the block (conduit.Conduit.Instrument), so this package
 // stays free of naming policy.
 type Instruments struct {
-	Capacity    *obs.Gauge
-	Grows       *obs.Counter
-	ReadBlocks  *obs.Counter
-	WriteBlocks *obs.Counter
-	// ReadBlockSeconds and WriteBlockSeconds observe how long each
-	// blocked channel operation waited, in seconds.
-	ReadBlockSeconds  *obs.Histogram
-	WriteBlockSeconds *obs.Histogram
-	// ReadWaitNanos and WriteWaitNanos accumulate the same stalls as
-	// monotonic nanosecond totals — the backpressure watermarks: the
-	// read counter grows while the consumer starves, the write counter
-	// while the producer is throttled by a full buffer. Deltas over a
-	// scrape interval yield the blocked-time % dpntop renders.
-	ReadWaitNanos  *obs.Counter
-	WriteWaitNanos *obs.Counter
-	Tracer         *obs.Tracer
-	Name           string // trace subject, normally the channel name
+	Tracer *obs.Tracer
+	Name   string // trace subject, normally the channel name
+	parks  Parks
 }
 
-// noteWrite traces nw bytes entering the pipe.
-func (m *Instruments) noteWrite(nw int) {
-	if m == nil {
-		return
+// Parks is the park and growth accounting of a registered pipe. The
+// arrays are indexed by op: [0] read, [1] write. WaitNanos adds up how
+// long parked parties stayed parked — the backpressure watermarks: the
+// read total grows while the consumer starves, the write total while
+// the producer is throttled by a full buffer — and Durations counts the
+// same stalls by length.
+type Parks struct {
+	Grows     int64
+	WaitNanos [2]int64
+	Durations [2]obs.DurationCounts
+}
+
+// epoch anchors the park clock: time.Since on a monotonic time reads
+// the monotonic clock once, where time.Now also reads the wall clock.
+var epoch = time.Now()
+
+var opName = [2]string{"read", "write"}
+
+func opOf(write bool) int {
+	if write {
+		return 1
 	}
-	m.Tracer.Record(obs.EvWrite, m.Name, "", int64(nw))
+	return 0
 }
 
-// noteRead traces nr bytes leaving the pipe.
-func (m *Instruments) noteRead(nr int) {
-	if m == nil {
-		return
+// trace records n bytes entering (EvWrite) or leaving (EvRead) the pipe.
+func (m *Instruments) trace(typ obs.EventType, n int) {
+	if m != nil {
+		m.Tracer.Record(typ, m.Name, "", int64(n))
 	}
-	m.Tracer.Record(obs.EvRead, m.Name, "", int64(nr))
 }
 
-// noteGrow records a capacity growth.
+// noteGrow records a capacity growth. The pipe's lock is held.
 func (m *Instruments) noteGrow(newCap int) {
-	if m == nil {
-		return
+	if m != nil {
+		m.parks.Grows++
+		m.Tracer.Record(obs.EvGrow, m.Name, "", int64(newCap))
 	}
-	m.Grows.Inc()
-	m.Capacity.Set(int64(newCap))
-	m.Tracer.Record(obs.EvGrow, m.Name, "", int64(newCap))
 }
 
-// noteBlock records a goroutine blocking on the pipe and returns the
-// wall-clock start used to measure the stall. The zero time means "not
-// instrumented" and makes noteUnblock a no-op.
-func (m *Instruments) noteBlock(write bool) time.Time {
+// noteBlock traces a party parking on the pipe and returns the park
+// clock's reading, from which noteUnblock measures the stall. The pipe's
+// lock is held.
+func (m *Instruments) noteBlock(write bool) time.Duration {
 	if m == nil {
-		return time.Time{}
+		return 0
 	}
-	if write {
-		m.WriteBlocks.Inc()
-		m.Tracer.Record(obs.EvBlock, m.Name, "write", 0)
-	} else {
-		m.ReadBlocks.Inc()
-		m.Tracer.Record(obs.EvBlock, m.Name, "read", 0)
-	}
-	return time.Now()
+	m.Tracer.Record(obs.EvBlock, m.Name, opName[opOf(write)], 0)
+	return time.Since(epoch)
 }
 
-// noteUnblock records the blocked operation resuming after the stall
-// that began at t0.
-func (m *Instruments) noteUnblock(write bool, t0 time.Time) {
-	if m == nil || t0.IsZero() {
-		return
-	}
-	d := time.Since(t0)
-	if write {
-		m.WriteBlockSeconds.Observe(d.Seconds())
-		m.WriteWaitNanos.Add(d.Nanoseconds())
-		m.Tracer.Record(obs.EvUnblock, m.Name, "write", d.Nanoseconds())
-	} else {
-		m.ReadBlockSeconds.Observe(d.Seconds())
-		m.ReadWaitNanos.Add(d.Nanoseconds())
-		m.Tracer.Record(obs.EvUnblock, m.Name, "read", d.Nanoseconds())
+// noteUnblock records the parked party resuming after the stall that
+// began at t0. The pipe's lock is held.
+func (m *Instruments) noteUnblock(write bool, t0 time.Duration) {
+	if m != nil {
+		d, op := time.Since(epoch)-t0, opOf(write)
+		m.parks.Durations[op].Observe(d)
+		m.parks.WaitNanos[op] += d.Nanoseconds()
+		m.Tracer.Record(obs.EvUnblock, m.Name, opName[op], d.Nanoseconds())
 	}
 }

@@ -75,7 +75,7 @@ type Pipe struct {
 	// The data accounting — bytes ever written and read, and the most
 	// ever buffered — is plain fields under mu, the lock every operation
 	// already holds, so moving data writes to nothing shared with other
-	// pipes. A registry reads them at scrape time (see Tallies).
+	// pipes. A collector reads them at scrape time (see Counts).
 	written, read int64
 	peak          int
 
@@ -134,30 +134,13 @@ func NewPipe(capacity int) *Pipe {
 	return p
 }
 
-// SetObserver installs the scheduling observer. It must be called before
-// the pipe is shared between goroutines.
-func (p *Pipe) SetObserver(o Observer) {
+// SetHooks installs the scheduling observer and the metrics block;
+// either may be nil. It must be called before the pipe is shared
+// between goroutines.
+func (p *Pipe) SetHooks(o Observer, ins *Instruments) {
 	p.mu.Lock()
-	p.observer = o
+	p.observer, p.ins = o, ins
 	p.mu.Unlock()
-}
-
-// SetInstruments installs the metrics hooks. Like SetObserver it must
-// be called before the pipe is shared between goroutines.
-func (p *Pipe) SetInstruments(ins *Instruments) {
-	p.mu.Lock()
-	p.ins = ins
-	p.mu.Unlock()
-	if ins != nil {
-		ins.Capacity.Set(int64(p.Cap()))
-	}
-}
-
-// Instruments returns the installed metrics hooks, or nil.
-func (p *Pipe) Instruments() *Instruments {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ins
 }
 
 // Link marks one side of the pipe (the writing side if write is set) as
@@ -195,46 +178,36 @@ func (p *Pipe) watcher(write bool) Observer {
 	return p.observer
 }
 
-// Tallies returns the pipe's data accounting as series a registry reads
-// at scrape time: bytes written, bytes read, bytes buffered now and the
-// most ever buffered. Each reports itself final once the pipe can move
-// no more bytes.
-func (p *Pipe) Tallies() (written, read, buffered, peak obs.Source) {
-	return (*writtenTally)(p), (*readTally)(p), (*bufferedTally)(p), (*peakTally)(p)
+// Counts is a pipe's accounting at one instant. Blocks and Parks are
+// zero unless the pipe has Instruments.
+type Counts struct {
+	Written, Read            int64 // bytes ever written and read
+	Buffered, Peak, Capacity int64 // bytes buffered now, at most, and room for
+	// Blocks counts the parties that ever parked, by op: those whose
+	// park ended, which Parks.Durations counts, and those parked now.
+	Blocks [2]int64
+	Parks
 }
 
-// The Tallies sources: each is the pipe itself, so handing one out
-// allocates nothing.
-type (
-	writtenTally  Pipe
-	readTally     Pipe
-	bufferedTally Pipe
-	peakTally     Pipe
-)
-
-func (t *writtenTally) Scrape() (int64, bool) {
-	return (*Pipe)(t).tally(func(p *Pipe) int64 { return p.written })
-}
-
-func (t *readTally) Scrape() (int64, bool) {
-	return (*Pipe)(t).tally(func(p *Pipe) int64 { return p.read })
-}
-
-func (t *bufferedTally) Scrape() (int64, bool) {
-	return (*Pipe)(t).tally(func(p *Pipe) int64 { return int64(p.n) })
-}
-
-func (t *peakTally) Scrape() (int64, bool) {
-	return (*Pipe)(t).tally(func(p *Pipe) int64 { return int64(p.peak) })
-}
-
-// tally reads one accounting value under the lock, and whether it is
-// final: the pipe can move no more bytes once its read end is closed, or
-// its write end is closed and nothing is left.
-func (p *Pipe) tally(value func(*Pipe) int64) (int64, bool) {
+// Counts reads the pipe's accounting under its lock, and whether the
+// pipe has settled: it can move no more bytes — its read end is closed,
+// or its write end is closed and nothing is left — and no party is
+// parked on it, so no count will change again.
+func (p *Pipe) Counts() (c Counts, settled bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return value(p), p.readClosed || p.writeClosed && p.n == 0
+	c = Counts{Written: p.written, Read: p.read, Buffered: int64(p.n), Peak: int64(p.peak), Capacity: int64(len(p.buf))}
+	if p.ins != nil {
+		c.Parks = p.ins.parks
+		c.Blocks = [2]int64{int64(p.blockedReaders), int64(p.blockedWriters)}
+		for op := range c.Blocks {
+			for _, n := range c.Durations[op] {
+				c.Blocks[op] += n
+			}
+		}
+	}
+	finished := p.readClosed || p.writeClosed && p.n == 0
+	return c, finished && p.blockedReaders == 0 && p.blockedWriters == 0
 }
 
 // Cap reports the current buffer capacity.
@@ -257,13 +230,6 @@ func (p *Pipe) Len() int {
 // consumed state behind (migration safety: everything taken from the
 // pipe in one call is fully converted before the call returns).
 func (p *Pipe) Buffered() int { return p.Len() }
-
-// Full reports whether the buffer is at capacity.
-func (p *Pipe) Full() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.n == len(p.buf)
-}
 
 // BlockedWriters reports how many goroutines are currently blocked in
 // Write waiting for space.
@@ -379,7 +345,7 @@ func (p *Pipe) Drain() []byte {
 	p.wakeAll(true)
 	ins := p.ins
 	p.mu.Unlock()
-	ins.noteRead(len(out))
+	ins.trace(obs.EvRead, len(out))
 	return out
 }
 
@@ -486,7 +452,7 @@ func (p *Pipe) finishWrite(written int) {
 	ins := p.ins
 	p.mu.Unlock()
 	if written > 0 {
-		ins.noteWrite(written)
+		ins.trace(obs.EvWrite, written)
 	}
 }
 
@@ -547,7 +513,7 @@ func (p *Pipe) Read(b []byte) (int, error) {
 	}
 	ins := p.ins
 	p.mu.Unlock()
-	ins.noteRead(n) // the trace, off the critical section
+	ins.trace(obs.EvRead, n) // off the critical section
 	return n, nil
 }
 

@@ -310,7 +310,7 @@ func (c *countObserver) PipeUnblocked(*Pipe, bool) {
 func TestPipeObserverCallbacks(t *testing.T) {
 	p := NewPipe(1)
 	o := &countObserver{}
-	p.SetObserver(o)
+	p.SetHooks(o, nil)
 	p.Write([]byte{1})
 	done := make(chan struct{})
 	go func() {

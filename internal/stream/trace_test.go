@@ -61,16 +61,16 @@ func TestTraceMarkThroughEndsAndSequence(t *testing.T) {
 	}
 }
 
-// Blocking reads and writes must feed the wait-ns watermark counters
-// that back dpntop's blocked-time percentages.
+// Blocking reads and writes must feed the wait-ns watermark counts
+// that back dpntop's blocked-time percentages, and count each park
+// once, by length.
 func TestWaitNanosCounters(t *testing.T) {
 	p := NewPipe(4)
-	reg := obs.NewRegistry()
-	ins := &Instruments{
-		ReadWaitNanos:  reg.Counter("wait", obs.L("op", "read")),
-		WriteWaitNanos: reg.Counter("wait", obs.L("op", "write")),
+	p.SetHooks(nil, &Instruments{Tracer: obs.NewTracer(0), Name: "p"})
+	parks := func() Counts {
+		c, _ := p.Counts()
+		return c
 	}
-	p.SetInstruments(ins)
 
 	// Blocked write: fill the pipe, then unblock from a reader.
 	if _, err := p.Write([]byte("abcd")); err != nil {
@@ -87,7 +87,7 @@ func TestWaitNanosCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	if got := ins.WriteWaitNanos.Value(); got < int64(10*time.Millisecond) {
+	if got := parks().WaitNanos[1]; got < int64(10*time.Millisecond) {
 		t.Fatalf("write wait = %dns, want >= 10ms", got)
 	}
 
@@ -103,7 +103,16 @@ func TestWaitNanosCounters(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	p.Write([]byte("y"))
 	<-done
-	if got := ins.ReadWaitNanos.Value(); got < int64(10*time.Millisecond) {
+	if got := parks().WaitNanos[0]; got < int64(10*time.Millisecond) {
 		t.Fatalf("read wait = %dns, want >= 10ms", got)
+	}
+	for op, pk := 0, parks(); op < 2; op++ {
+		var slow int64 // parks of 10 ms or more
+		for _, n := range pk.Durations[op][5:] {
+			slow += n
+		}
+		if pk.Blocks[op] != 1 || slow != 1 || pk.Durations[op][4] != 0 {
+			t.Fatalf("op %d: %d blocks, durations %v; want one park of 10 ms or more", op, pk.Blocks[op], pk.Durations[op])
+		}
 	}
 }

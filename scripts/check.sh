@@ -7,7 +7,8 @@
 #                    package, so a hang fails fast), the
 #                    deadlock-resolution, wake-bookkeeping, cut,
 #                    task-farm, parked-link, coordinator, scraped-
-#                    tally, link-core and Redirect-race tests x20 at
+#                    tally, scrape-churn, golden-exposition,
+#                    link-core and Redirect-race tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -244,7 +245,12 @@ go test -race -timeout 120s ./...
 # node's monitor nor the coordinator acts while a process computes
 # (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
 # channel's scraped byte and occupancy series equal the bytes moved
-# while two goroutines stream through it (ScrapedTallies), the link
+# while two goroutines stream through it (ScrapedTallies), every
+# scraped counter stays monotone and ends equal to the bytes and tokens
+# moved while 1 000 conduits are created, streamed through, finished
+# and folded (ScrapeWhileChannelsComeAndGo), a fixed graph's
+# dpn_conduit_* exposition matches its golden text, before and after
+# its finished channel is folded (ConduitExpositionGolden), the link
 # core's transitions and bug scripts hold (LinkCore), Redirect reads
 # the peer a concurrent reader move rewrites under the handle's lock
 # (RedirectDuringReaderMove), a peer that overruns its window is cut off
@@ -252,8 +258,8 @@ go test -race -timeout 120s ./...
 # does not stall its session (StalledLinkDoesNotStallItsSession).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession' \
-	./internal/wire ./internal/server ./internal/conduit ./internal/netio
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession' \
+	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
