@@ -28,9 +28,11 @@ import (
 	// application must be available on the local file system of each
 	// server" (§6.2). The Go analog: every process and task type a
 	// client may ship must be compiled into the server binary and
-	// registered with gob. The standard library of processes and the
-	// factorization workload are linked in here; applications with new
-	// task types build their own server binary with the same three
+	// registered with gob. These imports are the server's codebase: the
+	// process library, the image-block and factorization tasks, and the
+	// streaming-analytics stages, each package registering only the
+	// types a graph can ship (main_test.go pins the set). Applications
+	// with new task types build their own server binary with these
 	// lines plus their packages.
 	_ "dpn/internal/blockcodec"
 	_ "dpn/internal/factor"

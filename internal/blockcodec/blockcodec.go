@@ -55,9 +55,6 @@ func Synthetic(w, h int, seed int64) *Image {
 	return img
 }
 
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) byte { return im.Pix[y*im.W+x] }
-
 // Block is one rectangular tile of an image.
 type Block struct {
 	Index int // position in row-major block order

@@ -523,7 +523,7 @@ func TestPortGobTransferRoundTrip(t *testing.T) {
 		t.Fatalf("decoded In not rebound: %v %v", b, err)
 	}
 	c2.Out.Write([]byte{7})
-	if got := dst2.Pipe().Snapshot(); len(got) != 1 || got[0] != 7 {
+	if got := dst2.Pipe().Drain(); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("decoded Out not rebound: %v", got)
 	}
 }

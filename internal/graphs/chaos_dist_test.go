@@ -195,6 +195,14 @@ func exportSink(t *testing.T, a, b *wire.Node, sink *proclib.Collect) *proclib.C
 	return remote
 }
 
+// linkSeries sums the nodes' dpn_conduit_link_<event>_total counter.
+func linkSeries(event string, nodes ...*wire.Node) (n int64) {
+	for _, nd := range nodes {
+		n += nd.Obs().Registry().Counter("dpn_conduit_link_" + event + "_total").Value()
+	}
+	return n
+}
+
 // partitionWhenFlowing starts a partition once payload has crossed to
 // b, so the outage interleaves with an established, active link.
 func partitionWhenFlowing(b *wire.Node, inj *faults.Injector, d time.Duration) {
@@ -238,13 +246,13 @@ func TestChaosPrimesPartitionHealsByteIdentical(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Fatal("fault injector never fired; the partition missed the stream")
 	}
-	if heals := a.Broker.PartitionHeals() + b.Broker.PartitionHeals(); heals == 0 {
+	if heals := linkSeries("partition_heal", a, b); heals == 0 {
 		t.Fatal("stream completed without a link reconnect; partition was not exercised")
 	}
 	t.Logf("injected=%d heals=%d misses=%d retries=%d", inj.Injected(),
-		a.Broker.PartitionHeals()+b.Broker.PartitionHeals(),
-		a.Broker.HeartbeatMisses()+b.Broker.HeartbeatMisses(),
-		a.Broker.LinkRetries()+b.Broker.LinkRetries())
+		linkSeries("partition_heal", a, b),
+		linkSeries("heartbeat_miss", a, b),
+		linkSeries("retries", a, b))
 }
 
 // The degrade half of the acceptance scenario: the same split run with
@@ -279,7 +287,7 @@ func TestChaosPrimesPermanentPartitionCascades(t *testing.T) {
 	if len(got) == 0 || len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
 		t.Fatalf("degraded output is not a non-empty prefix of the fault-free stream: %v", got)
 	}
-	if fails := a.Broker.LinkFailures() + b.Broker.LinkFailures(); fails == 0 {
+	if fails := linkSeries("failures", a, b); fails == 0 {
 		t.Fatal("network terminated without any link degrading")
 	}
 	// Everything must wind down: link goroutines, heartbeats, processes.
@@ -312,7 +320,7 @@ func runChaosPrimes(t *testing.T, seed int64, cfg faults.Config) {
 		t.Fatalf("seed %d diverged from the fault-free output:\n got %v\nwant %v", seed, got, want)
 	}
 	t.Logf("injected=%d heals=%d", inj.Injected(),
-		a.Broker.PartitionHeals()+b.Broker.PartitionHeals())
+		linkSeries("partition_heal", a, b))
 }
 
 // Property-style determinacy sweep: N seeded schedules of drops, short
@@ -369,7 +377,7 @@ func runChaosHamming(t *testing.T, seed int64, cfg faults.Config) {
 		t.Fatal("expected the coordinator to grow at least one channel")
 	}
 	t.Logf("resolutions=%d injected=%d heals=%d", coord.Resolutions(),
-		inj.Injected(), a.Broker.PartitionHeals()+b.Broker.PartitionHeals())
+		inj.Injected(), linkSeries("partition_heal", a, b))
 }
 
 // Distributed determinacy for the Hamming graph: seeded fault

@@ -175,14 +175,6 @@ func (b *Broker) SetCompression(on bool) { b.cmpOff.Store(!on) }
 // compression reports whether new outbound links compress.
 func (b *Broker) compression() bool { return !b.cmpOff.Load() }
 
-// SetPendingTTL adjusts how long an early connection (one whose token
-// has no registered endpoint yet) is parked before being dropped.
-func (b *Broker) SetPendingTTL(ttl time.Duration) {
-	b.mu.Lock()
-	b.pendingTTL = ttl
-	b.mu.Unlock()
-}
-
 // expirePending drops parked connections nobody claimed within the
 // TTL; it runs opportunistically whenever a connection is parked, on a
 // session's read loop, which must not write: the FINs go out from a
@@ -201,31 +193,14 @@ func (b *Broker) expirePending(now time.Time) {
 func (b *Broker) Addr() string { return b.addr }
 
 // BytesIn reports the total channel payload bytes received by this
-// node, as a thin wrapper over the registry-backed
-// dpn_broker_bytes_total{dir="in"} counter. The §4.3 redirection test
-// uses these counters to prove that no traffic relays through the
-// original host after a second move.
-func (b *Broker) BytesIn() int64 { return b.ins.Load().bytesIn.Value() }
+// node: dpn_conduit_link_logical_bytes_total{dir="in"}. The §4.3
+// redirection test uses these counts to prove that no traffic relays
+// through the original host after a second move.
+func (b *Broker) BytesIn() int64 { return b.ins.Load().logicalIn.Value() }
 
 // BytesOut reports the total channel payload bytes sent by this node
-// (dpn_broker_bytes_total{dir="out"}).
-func (b *Broker) BytesOut() int64 { return b.ins.Load().bytesOut.Value() }
-
-// LinkRetries reports reconnect attempts that failed and backed off
-// (dpn_conduit_link_retries_total).
-func (b *Broker) LinkRetries() int64 { return b.ins.Load().linkRetries.Value() }
-
-// HeartbeatMisses reports sessions declared dead because the peer went
-// silent or stopped draining (dpn_conduit_link_heartbeat_miss_total).
-func (b *Broker) HeartbeatMisses() int64 { return b.ins.Load().heartbeatMiss.Value() }
-
-// PartitionHeals reports successful link reconnects after an outage
-// (dpn_conduit_link_partition_heal_total).
-func (b *Broker) PartitionHeals() int64 { return b.ins.Load().partitionHeal.Value() }
-
-// LinkFailures reports links that exhausted their outage deadline and
-// degraded into a cascading close (dpn_conduit_link_failures_total).
-func (b *Broker) LinkFailures() int64 { return b.ins.Load().linkFailures.Value() }
+// (dpn_conduit_link_logical_bytes_total{dir="out"}).
+func (b *Broker) BytesOut() int64 { return b.ins.Load().logicalOut.Value() }
 
 // Close shuts the listener down and closes pending connections.
 func (b *Broker) Close() error {

@@ -77,8 +77,8 @@ func TestCompressedLinkRoundTrip(t *testing.T) {
 	if wire >= logical {
 		t.Fatalf("wire bytes %d did not shrink below logical %d", wire, logical)
 	}
-	if ins.bytesOut.Value() != logical {
-		t.Fatalf("dpn_broker_bytes_total %d must stay logical (%d)", ins.bytesOut.Value(), logical)
+	if a.BytesOut() != logical {
+		t.Fatalf("BytesOut %d must stay logical (%d)", a.BytesOut(), logical)
 	}
 	if ratio := ins.compRatio.Value(); ratio < 1000 {
 		t.Fatalf("compressed ratio gauge %d permille, want > 1000", ratio)

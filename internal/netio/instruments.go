@@ -38,8 +38,6 @@ func frameKindName(kind byte) string {
 // whole bundle is swapped atomically by SetObs, so the hot paths load
 // one pointer and never race with re-instrumentation.
 type brokerInstruments struct {
-	bytesIn         *obs.Counter
-	bytesOut        *obs.Counter
 	logicalIn       *obs.Counter
 	logicalOut      *obs.Counter
 	wireIn          *obs.Counter
@@ -67,7 +65,6 @@ type brokerInstruments struct {
 // registry, precreating the per-kind frame counters at zero.
 func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 	reg := s.Registry()
-	reg.Help("dpn_broker_bytes_total", "Channel-link bytes through the broker, by dir (in|out).")
 	reg.Help("dpn_broker_frames_total", "Protocol frames through the broker, by kind and dir (in|out).")
 	reg.Help("dpn_broker_credit_stalls_total", "Times an outbound link waited for flow-control credit.")
 	reg.Help("dpn_conduit_link_logical_bytes_total", "Uncompressed channel payload bytes carried by link DATA frames, by dir (in|out).")
@@ -84,8 +81,6 @@ func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 	reg.Help("dpn_mux_streams_per_session", "Live streams per live mux session (the multiplexing factor).")
 	reg.Help("dpn_mux_auth_failures_total", "Mux session handshakes rejected by peer authentication.")
 	ins := &brokerInstruments{
-		bytesIn:         reg.Counter("dpn_broker_bytes_total", obs.L("dir", "in")),
-		bytesOut:        reg.Counter("dpn_broker_bytes_total", obs.L("dir", "out")),
 		logicalIn:       reg.Counter("dpn_conduit_link_logical_bytes_total", obs.L("dir", "in")),
 		logicalOut:      reg.Counter("dpn_conduit_link_logical_bytes_total", obs.L("dir", "out")),
 		wireIn:          reg.Counter("dpn_conduit_link_wire_bytes_total", obs.L("dir", "in")),
@@ -154,8 +149,7 @@ func (b *Broker) noteFrame(kind byte, out bool) {
 	ins.tracer.Record(obs.EvFrame, frameKindName(kind), ins.count(kind, out), 0)
 }
 
-// noteData counts one DATA or DATA-C frame. All flow-control-visible
-// byte counters (dpn_broker_bytes_total and the logical family) move
+// noteData counts one DATA or DATA-C frame. The logical family moves
 // by the LOGICAL payload length — what the channel's processes see —
 // while the wire family records the framed (possibly compressed)
 // length, and the ratio gauge publishes their quotient in permille.
@@ -165,11 +159,9 @@ func (b *Broker) noteData(kind byte, out bool, wire, logical int) {
 	ins := b.ins.Load()
 	dir := ins.count(kind, out)
 	if out {
-		ins.bytesOut.Add(int64(logical))
 		ins.logicalOut.Add(int64(logical))
 		ins.wireOut.Add(int64(wire))
 	} else {
-		ins.bytesIn.Add(int64(logical))
 		ins.logicalIn.Add(int64(logical))
 		ins.wireIn.Add(int64(wire))
 	}

@@ -263,7 +263,7 @@ func TestMixedPolicyPeersInteroperate(t *testing.T) {
 		hOut, hIn, src, dst := start(t, w, r, true)
 		cut(t, src, dst, r)
 		finish(t, hOut, hIn, src, dst, prefix)
-		if r.PartitionHeals() == 0 {
+		if r.ins.Load().partitionHeal.Value() == 0 {
 			t.Fatal("no heal recorded on the dialer")
 		}
 	})

@@ -469,7 +469,9 @@ func TestHandleAccessors(t *testing.T) {
 func TestBrokerExpiresUnclaimedPendingConns(t *testing.T) {
 	a := newTestBroker(t)
 	b := newTestBroker(t)
-	a.SetPendingTTL(10 * time.Millisecond)
+	a.mu.Lock()
+	a.pendingTTL = 10 * time.Millisecond
+	a.mu.Unlock()
 	// Dial with a token nobody will ever claim: the conn parks.
 	src1 := stream.NewPipe(8)
 	if _, err := b.DialOutbound(a.Addr(), "never-claimed", src1.ReadEnd(), 0); err != nil {

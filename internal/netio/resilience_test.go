@@ -104,7 +104,7 @@ func TestResilientLinkSurvivesConnectionDrops(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Fatalf("drop schedule injected nothing — fault wrapper not wired into the link path")
 	}
-	if a.PartitionHeals()+b.PartitionHeals() == 0 {
+	if a.ins.Load().partitionHeal.Value()+b.ins.Load().partitionHeal.Value() == 0 {
 		t.Fatalf("connections were dropped but no reconnect was recorded")
 	}
 }
@@ -154,10 +154,10 @@ func TestResilientLinkHealsStallPartition(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("stream corrupted across partition: got %d bytes want %d", len(got), len(payload))
 	}
-	if a.HeartbeatMisses()+b.HeartbeatMisses() == 0 {
+	if a.ins.Load().heartbeatMiss.Value()+b.ins.Load().heartbeatMiss.Value() == 0 {
 		t.Fatalf("stall partition produced no heartbeat misses")
 	}
-	if a.PartitionHeals()+b.PartitionHeals() == 0 {
+	if a.ins.Load().partitionHeal.Value()+b.ins.Load().partitionHeal.Value() == 0 {
 		t.Fatalf("no partition heal recorded")
 	}
 }
@@ -223,7 +223,7 @@ func TestResilientLinkDegradesOnPermanentPartition(t *testing.T) {
 	if _, err := src.Write([]byte("after")); err == nil {
 		t.Fatalf("sender source still writable after link degraded")
 	}
-	if a.LinkFailures()+b.LinkFailures() == 0 {
+	if a.ins.Load().linkFailures.Value()+b.ins.Load().linkFailures.Value() == 0 {
 		t.Fatalf("no link failure recorded for a permanent partition")
 	}
 }
@@ -259,7 +259,7 @@ func TestResilientDialRoleDegradesWhenPeerEndpointNeverArrives(t *testing.T) {
 		if _, err := src.Write([]byte("x")); err == nil {
 			t.Fatalf("sender source still writable after link degraded")
 		}
-		if a.LinkFailures() == 0 {
+		if a.ins.Load().linkFailures.Value() == 0 {
 			t.Fatalf("no link failure recorded")
 		}
 	})
@@ -294,7 +294,7 @@ func TestResilientDialRoleDegradesWhenPeerEndpointNeverArrives(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("receiver pipe not poisoned: local read hung")
 		}
-		if a.LinkFailures() == 0 {
+		if a.ins.Load().linkFailures.Value() == 0 {
 			t.Fatalf("no link failure recorded")
 		}
 	})
@@ -330,7 +330,7 @@ func TestResilientDialRetriesUntilServerArrives(t *testing.T) {
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if b.LinkRetries() == 0 {
+	if b.ins.Load().linkRetries.Value() == 0 {
 		t.Fatalf("no dial retries recorded")
 	}
 }
@@ -368,9 +368,9 @@ func TestResilientLinkIdleSurvivesMissDeadline(t *testing.T) {
 	if err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if a.PartitionHeals()+b.PartitionHeals() != 0 {
+	if a.ins.Load().partitionHeal.Value()+b.ins.Load().partitionHeal.Value() != 0 {
 		t.Fatalf("idle link reconnected %d times — heartbeats not keeping it alive",
-			a.PartitionHeals()+b.PartitionHeals())
+			a.ins.Load().partitionHeal.Value()+b.ins.Load().partitionHeal.Value())
 	}
 }
 

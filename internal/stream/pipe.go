@@ -320,19 +320,6 @@ func (p *Pipe) copyOut(dst []byte) {
 	}
 }
 
-// Snapshot returns a copy of the currently buffered bytes in FIFO order
-// without consuming them. It is used when a channel is serialized and
-// moved to another machine: unconsumed data must travel with the channel
-// (§3.3 of the paper: "Care must be taken to preserve any unconsumed
-// data").
-func (p *Pipe) Snapshot() []byte {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]byte, p.n)
-	p.copyOut(out)
-	return out
-}
-
 // Drain atomically removes and returns all buffered bytes. Writers blocked
 // on a full buffer are woken. It is used when migrating a channel.
 func (p *Pipe) Drain() []byte {

@@ -245,16 +245,9 @@ func TestPipeGrowUnblocksWriter(t *testing.T) {
 	}
 }
 
-func TestPipeSnapshotAndDrain(t *testing.T) {
+func TestPipeDrain(t *testing.T) {
 	p := NewPipe(8)
 	p.Write([]byte{9, 8, 7})
-	snap := p.Snapshot()
-	if !bytes.Equal(snap, []byte{9, 8, 7}) {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-	if p.Len() != 3 {
-		t.Fatalf("Snapshot consumed data: Len = %d", p.Len())
-	}
 	got := p.Drain()
 	if !bytes.Equal(got, []byte{9, 8, 7}) {
 		t.Fatalf("Drain = %v", got)

@@ -180,22 +180,3 @@ func (s *SequenceReader) Close() error {
 	}
 	return nil
 }
-
-// Pending reports how many sources (including the current one) remain.
-func (s *SequenceReader) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.queue)
-	if s.current != nil {
-		n++
-	}
-	return n
-}
-
-// Current returns the current underlying source, or nil. Intended for
-// introspection by the migration machinery.
-func (s *SequenceReader) Current() io.ReadCloser {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.current
-}

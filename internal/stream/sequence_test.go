@@ -114,22 +114,6 @@ func TestSequenceReaderRetarget(t *testing.T) {
 	}
 }
 
-func TestSequenceReaderPendingAndCurrent(t *testing.T) {
-	s := NewSequenceReader(nil)
-	if s.Pending() != 0 || s.Current() != nil {
-		t.Fatal("fresh nil sequence should be empty")
-	}
-	end := pipeWith(nil, true).ReadEnd()
-	s.Append(end)
-	if s.Pending() != 1 || s.Current() == nil {
-		t.Fatal("Append to empty should set current")
-	}
-	s.Append(pipeWith(nil, true).ReadEnd())
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
-	}
-}
-
 // Property: splitting a byte string across any number of sources yields
 // the concatenation.
 func TestSequenceReaderConcatenationProperty(t *testing.T) {
@@ -164,15 +148,9 @@ func TestSwitchWriterBasics(t *testing.T) {
 	if got := string(p2.Drain()); got != "two" {
 		t.Fatalf("p2 got %q", got)
 	}
-	if sw.Current() == nil {
-		t.Fatal("Current is nil")
-	}
 	sw.Close()
 	if !p2.WriteClosed() {
 		t.Fatal("Close did not close current sink")
-	}
-	if !sw.Closed() {
-		t.Fatal("Closed() false after Close")
 	}
 	if _, err := sw.Write([]byte("x")); err != ErrWriteClosed {
 		t.Fatalf("Write after Close = %v", err)

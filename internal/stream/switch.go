@@ -97,13 +97,6 @@ func (s *SwitchWriter) Retarget(w io.WriteCloser) io.WriteCloser {
 	return old
 }
 
-// Current returns the current sink without changing it.
-func (s *SwitchWriter) Current() io.WriteCloser {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w
-}
-
 // Close closes the switch writer and the current sink.
 func (s *SwitchWriter) Close() error {
 	s.mu.Lock()
@@ -119,11 +112,4 @@ func (s *SwitchWriter) Close() error {
 		return w.Close()
 	}
 	return nil
-}
-
-// Closed reports whether Close has been called.
-func (s *SwitchWriter) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }

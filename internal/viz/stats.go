@@ -36,8 +36,8 @@ func StatsLine(reg *obs.Registry) string {
 		"procs live=%d blocked=%d spawned=%d | chan tokens=%d bytes=%d grows=%d | net in=%dB out=%dB | tasks=%d rpcs=%d | deadlock checks=%d resolved=%d",
 		a["dpn_net_procs_live"], a["dpn_net_procs_blocked"], a["dpn_net_procs_spawned_total"],
 		a["dpn_conduit_tokens_total"], a["dpn_conduit_bytes_total"], a["dpn_conduit_grows_total"],
-		aggLabel(reg, "dpn_broker_bytes_total", "dir", "in"),
-		aggLabel(reg, "dpn_broker_bytes_total", "dir", "out"),
+		aggLabel(reg, "dpn_conduit_link_logical_bytes_total", "dir", "in"),
+		aggLabel(reg, "dpn_conduit_link_logical_bytes_total", "dir", "out"),
 		a["dpn_meta_tasks_total"], a["dpn_server_rpcs_total"],
 		a["dpn_deadlock_checks_total"],
 		aggLabel(reg, "dpn_deadlock_events_total", "status", "resolved"))

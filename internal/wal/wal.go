@@ -423,9 +423,6 @@ func (l *Log) ReaderAt(off uint64) (*Reader, error) {
 	return &Reader{l: l, off: off}, nil
 }
 
-// Offset returns the logical offset of the next byte Read will return.
-func (r *Reader) Offset() uint64 { return r.off }
-
 // open positions the reader's file state at r.off.
 func (r *Reader) open() error {
 	r.l.mu.Lock()

@@ -106,9 +106,6 @@ func (n *Node) SetTransport(tr conduit.Transport) { n.tr = tr }
 // Obs returns the node's unified observability scope.
 func (n *Node) Obs() *obs.Scope { return n.Net.Obs() }
 
-// WriteMetrics writes the node's metrics in Prometheus text format.
-func (n *Node) WriteMetrics(w io.Writer) error { return n.Obs().WriteProm(w) }
-
 // MetricsText renders the node's metrics as Prometheus text. It is the
 // method the deadlock coordinator's metric scrape looks for on a peer.
 func (n *Node) MetricsText() (string, error) { return n.Obs().MetricsText(), nil }

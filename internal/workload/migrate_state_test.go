@@ -23,7 +23,7 @@ import (
 // migrateMidStream spawns everything in procs on node a, waits until
 // the collector has seen a quarter of want, migrates victim to a fresh
 // node b, and checks the final output against want.
-func migrateMidStream(t *testing.T, a *wire.Node, procs []any, victim any, tail *Collector, want []int64) {
+func migrateMidStream(t *testing.T, a *wire.Node, procs []any, victim any, tail *collector, want []int64) {
 	t.Helper()
 	b, err := newNode()
 	if err != nil {
@@ -37,9 +37,9 @@ func migrateMidStream(t *testing.T, a *wire.Node, procs []any, victim any, tail 
 		}
 	}
 	deadline := time.Now().Add(20 * time.Second)
-	for tail.Progress() < int64(len(want)/4) {
+	for tail.progress() < int64(len(want)/4) {
 		if time.Now().After(deadline) {
-			t.Fatalf("no progress before migration (at %d of %d)", tail.Progress(), len(want))
+			t.Fatalf("no progress before migration (at %d of %d)", tail.progress(), len(want))
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
@@ -47,7 +47,7 @@ func migrateMidStream(t *testing.T, a *wire.Node, procs []any, victim any, tail 
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if at := tail.Progress(); at >= int64(len(want)) {
+	if at := tail.progress(); at >= int64(len(want)) {
 		t.Fatalf("migration did not land mid-stream: collector already at %d of %d", at, len(want))
 	}
 	shipped, err := ship(parcel)
@@ -137,6 +137,6 @@ func TestMigrateOrderedMergeMidStream(t *testing.T) {
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	out := a.Net.NewChannel("merged", 256)
 	merge.Out = out.Writer()
-	tail := &Collector{In: out.Reader()}
+	tail := &collector{In: out.Reader()}
 	migrateMidStream(t, a, append(procs, tail), merge, tail, want)
 }

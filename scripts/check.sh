@@ -47,7 +47,10 @@
 #                    driver owns sockets, goroutines and clocks), a
 #                    check that only frames.go and handshake.go encode
 #                    bytes in internal/netio (the wire format has one
-#                    owner), and gofmt -l.
+#                    owner), a check that no binary under cmd/ links
+#                    os/exec or testing (a server links only what a
+#                    graph can run; harnesses and crash children live
+#                    in _test.go files), and gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -169,6 +172,13 @@ if [ "${1:-}" = "-lint" ]; then
 	# frames.go encodes every frame, handshake.go the handshake.
 	if grep -ln '"encoding/binary"' $(ls internal/netio/*.go | grep -v -e '_test\.go$' -e '/frames\.go$' -e '/handshake\.go$'); then
 		echo "lint gate: encoding/binary in internal/netio outside frames.go and handshake.go (the wire format's owners)"
+		fail=1
+	fi
+	# A server's codebase is the process types a graph can ship
+	# (DESIGN.md, "Dynamic code loading is not reproduced"): no binary
+	# spawns processes or carries the test framework.
+	if go list -deps ./cmd/... | grep -xE 'os/exec|testing'; then
+		echo "lint gate: a binary under cmd/ links os/exec or testing (harnesses belong in _test.go files)"
 		fail=1
 	fi
 	if unformatted=$(gofmt -l .) && [ -n "$unformatted" ]; then
