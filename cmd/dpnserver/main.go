@@ -105,21 +105,18 @@ func main() {
 		fmt.Printf("causal trace sampling: every %d outbound data frames\n", *sample)
 	}
 
+	// Parks' buffer management (§3.5) runs on every server: a graph
+	// shipped here may artificially deadlock on its own channels. On a
+	// true-deadlock verdict the monitor dumps the channel watermarks and
+	// a goroutine profile to stderr, so a wedged server explains itself.
+	mon := deadlock.New(s.Node().Net, 5*time.Millisecond)
+	mon.DumpTo = os.Stderr
+	mon.Start()
+	defer mon.Stop()
+
 	if *metrics != "" {
 		scope := s.Node().Obs()
 		scope.Tracer().Enable()
-		// A deadlock monitor gives /metrics the §3.5 buffer-management
-		// stats. It is driven by our own loop rather than Start() so it
-		// keeps watching across idle periods (Start's loop retires when
-		// the network has no live processes). Like Start's loop, ours
-		// checks when the network signals quiescence, with the ticker
-		// as a backstop, and it is that signal's one consumer. On a
-		// true-deadlock verdict the monitor dumps the channel
-		// watermarks and a goroutine profile to stderr, so a wedged
-		// server explains itself.
-		net := s.Node().Net
-		mon := deadlock.New(net, 5*time.Millisecond)
-		mon.DumpTo = os.Stderr
 		endpoints := "/metrics, /trace"
 		var hs *obs.HTTPServer
 		if *pprofF {
@@ -137,19 +134,12 @@ func main() {
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
-			check := time.NewTicker(mon.Poll)
-			defer check.Stop()
 			logLine := time.NewTicker(*statsEvery)
 			defer logLine.Stop()
-			quiet := net.Quiescent()
 			for {
 				select {
 				case <-stop:
 					return
-				case <-quiet:
-					mon.Check()
-				case <-check.C:
-					mon.Check()
 				case <-logLine.C:
 					fmt.Printf("stats: %s\n", viz.StatsLine(scope.Registry()))
 				}

@@ -5,12 +5,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dpn/internal/core"
 )
 
-// fakePeer is a scriptable Peer for coordinator unit tests.
+// fakePeer is a scriptable Peer for the unit tests of a monitor that
+// watches peers.
 type fakePeer struct {
 	mu     sync.Mutex
 	status NodeStatus
+	then   []NodeStatus // the statuses later polls see, one per poll
 	err    error
 	grown  map[string]int
 	growFn func(name string, newCap int) (int, error)
@@ -19,7 +23,11 @@ type fakePeer struct {
 func (p *fakePeer) DeadlockStatus() (NodeStatus, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.status, p.err
+	st := p.status
+	if len(p.then) > 0 {
+		p.status, p.then = p.then[0], p.then[1:]
+	}
+	return st, p.err
 }
 
 func (p *fakePeer) GrowChannel(name string, newCap int) (int, error) {
@@ -47,95 +55,104 @@ func (p *fakePeer) setErr(err error) {
 	p.mu.Unlock()
 }
 
-func quietCoordinator(peers ...Peer) *Coordinator {
-	c := NewCoordinator(peers...)
-	c.Settle = 100 * time.Microsecond
-	return c
+// watching is a monitor of an empty network that watches peers; Check
+// drives it.
+func watching(peers ...Peer) *Monitor {
+	return New(core.NewNetwork(), time.Hour, peers...)
+}
+
+// check runs one pass of m and fails the test unless it ends in want.
+func check(t *testing.T, m *Monitor, want Status) {
+	t.Helper()
+	if st := m.Check(); st != want {
+		t.Fatalf("pass ended %v, want %v", st, want)
+	}
+}
+
+// peerLost counts the StatusPeerLost events among evs.
+func peerLost(evs []Event) (n int) {
+	for _, ev := range evs {
+		if ev.Status == StatusPeerLost {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCoordinatorTerminated(t *testing.T) {
-	c := quietCoordinator(&fakePeer{}, &fakePeer{})
-	st, err := c.Check()
-	if err != nil || st != StatusTerminated {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	check(t, watching(&fakePeer{}, &fakePeer{}), StatusTerminated)
 }
 
 func TestCoordinatorRunningWhenUnblocked(t *testing.T) {
-	c := quietCoordinator(&fakePeer{status: NodeStatus{Live: 2, Blocked: 0}})
-	st, err := c.Check()
-	if err != nil || st != StatusRunning {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	check(t, watching(&fakePeer{status: NodeStatus{Live: 2, Blocked: 0}}), StatusRunning)
 }
 
 func TestCoordinatorRunningWhenCountersMove(t *testing.T) {
-	p := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1, Generation: 1}}
-	c := quietCoordinator(p)
-	c.Settle = 5 * time.Millisecond
-	go func() {
-		time.Sleep(time.Millisecond)
-		p.set(NodeStatus{Live: 1, Blocked: 1, Generation: 2})
-	}()
-	st, err := c.Check()
-	if err != nil || st != StatusRunning {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	p := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1, Generation: 1},
+		then: []NodeStatus{{Live: 1, Blocked: 1, Generation: 2}}}
+	check(t, watching(p), StatusRunning)
 }
 
 func TestCoordinatorRunningWhenWakePending(t *testing.T) {
 	p := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1, WakePending: true}}
-	st, err := quietCoordinator(p).Check()
-	if err != nil || st != StatusRunning {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	check(t, watching(p), StatusRunning)
 }
 
+// Parks' rule runs over every node's full channels: the peers' and the
+// watched network's own.
 func TestCoordinatorGrowsGloballySmallest(t *testing.T) {
+	n := core.NewNetwork()
+	mid := n.NewChannel("mid", 64)
+	n.Spawn(&source{Out: mid.Writer()}) // writes until its channel is full
+	t.Cleanup(func() { mid.Reader().Close(); n.Wait() })
+	waitFor(t, "the writer to block on a full channel", func() bool { return n.Blocked() == 1 })
+
 	p1 := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "big", Cap: 1024}}}}
 	p2 := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "small", Cap: 16}}}}
 	var events []Event
-	c := quietCoordinator(p1, p2)
-	c.OnEvent = func(e Event) { events = append(events, e) }
-	st, err := c.Check()
-	if err != nil || st != StatusResolved {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	m := New(n, time.Hour, p1, p2)
+	m.OnEvent = func(e Event) { events = append(events, e) }
+	check(t, m, StatusResolved)
 	if p2.grown["small"] != 32 {
 		t.Fatalf("grown = %v / %v", p1.grown, p2.grown)
 	}
-	if len(p1.grown) != 0 {
-		t.Fatalf("grew the wrong peer: %v", p1.grown)
+	if len(p1.grown) != 0 || mid.Pipe().Cap() != 64 {
+		t.Fatalf("grew the wrong channel: %v, mid at %d", p1.grown, mid.Pipe().Cap())
 	}
-	if c.Resolutions() != 1 || len(events) != 1 || events[0].Channel != "small" {
+	if m.Resolutions() != 1 || len(events) != 1 || events[0].Channel != "small" {
 		t.Fatalf("events = %v", events)
+	}
+
+	// With "small" drained, the network's own channel is the smallest.
+	p2.set(NodeStatus{Live: 1, Blocked: 1})
+	waitFor(t, "the local channel to grow", func() bool { return m.Check() == StatusResolved })
+	if got := mid.Pipe().Cap(); got != 128 || len(p1.grown) != 0 {
+		t.Fatalf("mid at %d, peers grew %v; want mid at 128", got, p1.grown)
 	}
 }
 
 func TestCoordinatorTrueDeadlock(t *testing.T) {
 	p := &fakePeer{status: NodeStatus{Live: 2, Blocked: 2}}
 	var events []Event
-	c := quietCoordinator(p)
-	c.OnEvent = func(e Event) { events = append(events, e) }
-	st, err := c.Check()
-	if err != nil || st != StatusTrueDeadlock {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	m := watching(p)
+	m.OnEvent = func(e Event) { events = append(events, e) }
+	check(t, m, StatusTrueDeadlock)
+	check(t, m, StatusTrueDeadlock)
 	if len(events) != 1 || events[0].Status != StatusTrueDeadlock {
-		t.Fatalf("events = %v", events)
+		t.Fatalf("events = %v, want one true deadlock", events)
 	}
 }
 
 func TestCoordinatorMaxCapacityExhausted(t *testing.T) {
 	p := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "c", Cap: 64}}}}
-	c := quietCoordinator(p)
-	c.MaxCapacity = 64 // cannot grow past current capacity
-	st, err := c.Check()
-	if err != nil || st != StatusTrueDeadlock {
-		t.Fatalf("got %v, %v", st, err)
+	m := watching(p)
+	m.MaxCapacity = 64 // cannot grow past current capacity
+	check(t, m, StatusTrueDeadlock)
+	if len(p.grown) != 0 {
+		t.Fatalf("grew %v past MaxCapacity", p.grown)
 	}
 }
 
@@ -147,177 +164,75 @@ func TestCoordinatorSkipsFailingGrowth(t *testing.T) {
 	}
 	ok := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "fine", Cap: 16}}}}
-	c := quietCoordinator(bad, ok)
-	st, err := c.Check()
-	if err != nil || st != StatusResolved {
-		t.Fatalf("got %v, %v", st, err)
-	}
+	check(t, watching(bad, ok), StatusResolved)
 	if ok.grown["fine"] != 32 {
 		t.Fatalf("fallback growth missing: %v", ok.grown)
 	}
 }
 
 func TestCoordinatorPeerErrorSurfaces(t *testing.T) {
-	p := &fakePeer{err: errors.New("peer down")}
-	if _, err := quietCoordinator(p).Check(); err == nil {
-		t.Fatal("peer error swallowed")
+	m := watching(&fakePeer{err: errors.New("peer down")})
+	check(t, m, StatusPeerLost)
+	if evs := m.Events(); len(evs) != 1 || evs[0].Status != StatusPeerLost || evs[0].Channel != "peer[0]" {
+		t.Fatalf("events = %v, want peer[0] lost", evs)
 	}
 }
 
+// A peer that fails a poll is reported lost at once — its client does
+// not redial, so every later poll fails too — and once per outage, not
+// once per poll.
 func TestCoordinatorPeerLostAfterStreak(t *testing.T) {
 	ok := &fakePeer{status: NodeStatus{Live: 1, Blocked: 0}}
 	down := &fakePeer{err: errors.New("peer down")}
-	c := quietCoordinator(ok, down)
-	c.PeerFailureLimit = 3
-	var events []Event
-	c.OnEvent = func(ev Event) { events = append(events, ev) }
-
-	// Below the limit: the error surfaces but the status stays Running.
-	for i := 0; i < 2; i++ {
-		st, err := c.Check()
-		if err == nil || st != StatusRunning {
-			t.Fatalf("round %d: got %v, %v", i, st, err)
-		}
+	m := watching(ok, down)
+	for range 3 {
+		check(t, m, StatusPeerLost)
 	}
-	// The third consecutive failure crosses the limit.
-	if st, err := c.Check(); err == nil || st != StatusPeerLost {
-		t.Fatalf("got %v, %v", st, err)
-	}
-	// Further rounds keep reporting the status but not the event: one
-	// event per outage, not one per poll.
-	c.Check()
-	c.Check()
-	lost := 0
-	for _, ev := range events {
-		if ev.Status == StatusPeerLost {
-			lost++
-		}
-	}
-	if lost != 1 {
-		t.Fatalf("want exactly one peer-lost event per streak, got %d", lost)
+	if lost := peerLost(m.Events()); lost != 1 {
+		t.Fatalf("want exactly one peer-lost event per outage, got %d", lost)
 	}
 
-	// Recovery resets the streak and detection resumes normally.
+	// Recovery ends the outage and detection resumes normally.
 	down.setErr(nil)
 	down.set(NodeStatus{Live: 1, Blocked: 0})
-	if st, err := c.Check(); err != nil || st != StatusRunning {
-		t.Fatalf("after heal: got %v, %v", st, err)
-	}
-	// A fresh outage is a fresh streak: it reports once more.
+	check(t, m, StatusRunning)
+	// A fresh outage reports once more.
 	down.setErr(errors.New("peer down again"))
-	for i := 0; i < 3; i++ {
-		c.Check()
+	for range 3 {
+		check(t, m, StatusPeerLost)
 	}
-	lost = 0
-	for _, ev := range events {
-		if ev.Status == StatusPeerLost {
-			lost++
-		}
-	}
-	if lost != 2 {
+	if lost := peerLost(m.Events()); lost != 2 {
 		t.Fatalf("want a second peer-lost event after re-outage, got %d", lost)
 	}
 }
 
 func TestCoordinatorSkipsQuiescenceWhilePeerUnreachable(t *testing.T) {
 	// The reachable peer looks deadlocked (blocked with a full channel),
-	// but the coordinator must not grow anything while the other peer
+	// but the monitor must not grow anything while the other peer
 	// cannot be polled — partial information could mask a true deadlock.
 	blocked := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "x", Cap: 4}}}}
 	down := &fakePeer{err: errors.New("peer down")}
-	c := quietCoordinator(blocked, down)
-	for i := 0; i < 4; i++ {
-		st, _ := c.Check()
-		if st == StatusResolved || st == StatusTrueDeadlock {
-			t.Fatalf("round %d: decided %v with a peer unreachable", i, st)
-		}
+	m := watching(blocked, down)
+	for range 4 {
+		check(t, m, StatusPeerLost)
 	}
 	if len(blocked.grown) != 0 {
 		t.Fatalf("grew %v while a peer was unreachable", blocked.grown)
 	}
 	// Once the peer answers, the artificial deadlock resolves.
 	down.setErr(nil)
-	if st, err := c.Check(); err != nil || st != StatusResolved {
-		t.Fatalf("after heal: got %v, %v", st, err)
-	}
+	check(t, m, StatusResolved)
 }
 
 func TestCoordinatorBackgroundLoop(t *testing.T) {
 	p := &fakePeer{status: NodeStatus{Live: 1, Blocked: 1,
 		FullChannels: []ChannelRef{{Name: "x", Cap: 4}}}}
-	c := quietCoordinator(p)
-	c.Poll = time.Millisecond
-	c.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Resolutions() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("loop never resolved")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Simulate completion: the loop should exit on its own.
+	m := New(core.NewNetwork(), time.Millisecond, p)
+	m.Start()
+	waitFor(t, "the loop to resolve", func() bool { return m.Resolutions() > 0 })
+	// The loop outlives termination; only Stop ends it.
 	p.set(NodeStatus{})
-	c.Stop()
-	c.Stop() // idempotent
-}
-
-func TestSubscribeChainsObservers(t *testing.T) {
-	ok := &fakePeer{status: NodeStatus{Live: 1, Blocked: 0}}
-	down := &fakePeer{err: errors.New("peer down")}
-	c := quietCoordinator(ok, down)
-	c.PeerFailureLimit = 2
-	var mu sync.Mutex
-	var order []string
-	c.OnEvent = func(ev Event) {
-		mu.Lock()
-		order = append(order, "legacy:"+ev.Status.String())
-		mu.Unlock()
-	}
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		order = append(order, "pool:"+ev.Status.String())
-		mu.Unlock()
-	})
-	c.Subscribe(func(ev Event) {
-		mu.Lock()
-		order = append(order, "alert:"+ev.Status.String())
-		mu.Unlock()
-	})
-	for i := 0; i < 3; i++ {
-		c.Check()
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"legacy:peer-lost", "pool:peer-lost", "alert:peer-lost"}
-	if len(order) != len(want) {
-		t.Fatalf("observers saw %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("observers saw %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSubscribeWithoutLegacyHook(t *testing.T) {
-	down := &fakePeer{err: errors.New("peer down")}
-	c := quietCoordinator(down)
-	c.PeerFailureLimit = 1
-	got := make(chan Event, 1)
-	c.Subscribe(func(ev Event) {
-		select {
-		case got <- ev:
-		default:
-		}
-	})
-	c.Check()
-	select {
-	case ev := <-got:
-		if ev.Status != StatusPeerLost {
-			t.Fatalf("event = %v, want StatusPeerLost", ev.Status)
-		}
-	default:
-		t.Fatal("subscriber saw no event")
-	}
+	m.Stop()
+	m.Stop() // idempotent
 }

@@ -2,83 +2,12 @@ package deadlock
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"dpn/internal/core"
 )
-
-// metricsPeer is a fakePeer that also serves a metrics exposition, like
-// wire.Node / server.Client do.
-type metricsPeer struct {
-	fakePeer
-	text    string
-	textErr error
-}
-
-func (p *metricsPeer) MetricsText() (string, error) { return p.text, p.textErr }
-
-// A lost peer must not take the whole gather down: its failure becomes
-// a stale-comment line and the healthy fleet's series still merge.
-func TestGatherMetricsToleratesLostPeer(t *testing.T) {
-	ok := &metricsPeer{text: "# TYPE dpn_net_procs_live gauge\ndpn_net_procs_live{node=\"a\"} 3\n"}
-	down := &metricsPeer{textErr: errors.New("connection refused")}
-	down.err = errors.New("peer down")
-	c := quietCoordinator(ok, down)
-	c.PeerFailureLimit = 3
-
-	// Drive the peer into StatusPeerLost — the exact condition under
-	// which a dashboard most needs the gather to keep working.
-	var lost bool
-	c.Subscribe(func(ev Event) {
-		if ev.Status == StatusPeerLost {
-			lost = true
-		}
-	})
-	for i := 0; i < 3; i++ {
-		c.Check()
-	}
-	if !lost {
-		t.Fatal("peer never reported lost")
-	}
-
-	doc, err := c.GatherMetrics()
-	if err != nil {
-		t.Fatalf("gather failed with a healthy peer present: %v", err)
-	}
-	if !strings.Contains(doc, "# dpn:stale peer[1]: connection refused") {
-		t.Fatalf("stale marker missing:\n%s", doc)
-	}
-	if !strings.Contains(doc, `dpn_net_procs_live{node="a"} 3`) {
-		t.Fatalf("healthy peer's series missing:\n%s", doc)
-	}
-}
-
-// When every scrapeable peer fails, an empty-but-successful document
-// would read as a healthy idle fleet — that case must error instead.
-func TestGatherMetricsAllPeersFailing(t *testing.T) {
-	d1 := &metricsPeer{textErr: errors.New("refused")}
-	d2 := &metricsPeer{textErr: errors.New("refused")}
-	c := quietCoordinator(d1, d2)
-	if _, err := c.GatherMetrics(); err == nil {
-		t.Fatal("all-stale gather returned no error")
-	}
-}
-
-// Peers without metrics support are skipped silently — a fleet of
-// status-only peers gathers an empty document without error.
-func TestGatherMetricsSkipsNonSources(t *testing.T) {
-	c := quietCoordinator(&fakePeer{}, &fakePeer{})
-	doc, err := c.GatherMetrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(doc, "dpn:stale") {
-		t.Fatalf("status-only peers marked stale:\n%s", doc)
-	}
-}
 
 // On the first true-deadlock verdict the monitor must explain itself:
 // per-channel occupancy/blocked-party watermarks and a goroutine

@@ -73,11 +73,14 @@ func newChaosNode(t *testing.T, inj *faults.Injector, res netio.Resilience) *wir
 
 // pacedSeq writes From..From+N-1, sleeping Every between elements, so
 // the cross-node stream stays live long enough for a mid-run partition
-// to interleave with it. It never migrates, so it needs no gob
+// to interleave with it. If Hold is set, it writes its first element
+// and then waits for Hold to close, so a fault can start at a point
+// the stream cannot pass. It never migrates, so it needs no gob
 // registration.
 type pacedSeq struct {
 	From, N int64
 	Every   time.Duration
+	Hold    <-chan struct{}
 	Out     *core.WritePort
 	i       int64
 }
@@ -85,6 +88,9 @@ type pacedSeq struct {
 func (s *pacedSeq) Step(env *core.Env) error {
 	if s.i >= s.N {
 		return io.EOF
+	}
+	if s.i == 1 && s.Hold != nil {
+		<-s.Hold
 	}
 	if s.Every > 0 {
 		time.Sleep(s.Every)
@@ -94,21 +100,22 @@ func (s *pacedSeq) Step(env *core.Env) error {
 	return token.NewWriter(s.Out).WriteInt64(v)
 }
 
-// splitPrimes spawns the paced integer source and the sieve on node a
-// and returns the still-unspawned collector, ready for export to
-// another node — the examples/primes graph cut at its output channel.
-func splitPrimes(a *wire.Node, limit int64, pace time.Duration) *proclib.Collect {
+// splitPrimes spawns the paced integer source (held at hold, if set;
+// see pacedSeq) and the sieve on node a and returns the still-unspawned
+// collector, ready for export to another node — the examples/primes
+// graph cut at its output channel.
+func splitPrimes(a *wire.Node, limit int64, pace time.Duration, hold <-chan struct{}) *proclib.Collect {
 	src := a.Net.NewChannel("ints", 0)
 	out := a.Net.NewChannel("primes", 0)
-	a.Net.Spawn(&pacedSeq{From: 2, N: limit - 2, Every: pace, Out: src.Writer()})
+	a.Net.Spawn(&pacedSeq{From: 2, N: limit - 2, Every: pace, Hold: hold, Out: src.Writer()})
 	a.Net.Spawn(&proclib.Sift{In: src.Reader(), Out: out.Writer()})
 	return &proclib.Collect{In: out.Reader()}
 }
 
 // splitHamming wires the Figure 12 Hamming graph on node a — identical
 // to Hamming() — but returns the collector unspawned for export. The
-// graph is unbounded, so a distributed run needs the §6.2 coordinator
-// to grow channels.
+// graph is unbounded, so a distributed run needs a monitor that watches
+// both nodes (§6.2) to grow channels.
 func splitHamming(a *wire.Node, count int64, capacity int) *proclib.Collect {
 	n := a.Net
 	seed := n.NewChannel("seed", capacity)
@@ -204,14 +211,17 @@ func linkSeries(event string, nodes ...*wire.Node) (n int64) {
 }
 
 // partitionWhenFlowing starts a partition once payload has crossed to
-// b, so the outage interleaves with an established, active link.
-func partitionWhenFlowing(b *wire.Node, inj *faults.Injector, d time.Duration) {
+// b, so the outage interleaves with an established, active link, and
+// then closes release, letting the source held there (splitPrimes) run
+// on into the outage.
+func partitionWhenFlowing(b *wire.Node, inj *faults.Injector, d time.Duration, release chan struct{}) {
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for b.Broker.BytesIn() < 8 && time.Now().Before(deadline) {
 			time.Sleep(500 * time.Microsecond)
 		}
 		inj.PartitionNow(d)
+		close(release)
 	}()
 }
 
@@ -234,9 +244,10 @@ func TestChaosPrimesPartitionHealsByteIdentical(t *testing.T) {
 	a := newChaosNode(t, inj, res)
 	b := newChaosNode(t, inj, res)
 
-	sink := splitPrimes(a, limit, 2*time.Millisecond)
+	hold := make(chan struct{})
+	sink := splitPrimes(a, limit, 2*time.Millisecond, hold)
 	remote := exportSink(t, a, b, sink)
-	partitionWhenFlowing(b, inj, 500*time.Millisecond)
+	partitionWhenFlowing(b, inj, 500*time.Millisecond, hold)
 
 	waitNetChaos(t, a.Net, "origin node", 60*time.Second, true)
 	waitNetChaos(t, b.Net, "remote node", 60*time.Second, true)
@@ -276,9 +287,10 @@ func TestChaosPrimesPermanentPartitionCascades(t *testing.T) {
 	a := newChaosNode(t, inj, res)
 	b := newChaosNode(t, inj, res)
 
-	sink := splitPrimes(a, limit, time.Millisecond)
+	hold := make(chan struct{})
+	sink := splitPrimes(a, limit, time.Millisecond, hold)
 	remote := exportSink(t, a, b, sink)
-	partitionWhenFlowing(b, inj, 0) // never heals
+	partitionWhenFlowing(b, inj, 0, hold) // never heals
 
 	waitNetChaos(t, a.Net, "origin node", 30*time.Second, false)
 	waitNetChaos(t, b.Net, "remote node", 30*time.Second, false)
@@ -287,8 +299,14 @@ func TestChaosPrimesPermanentPartitionCascades(t *testing.T) {
 	if len(got) == 0 || len(got) > len(want) || !reflect.DeepEqual(got, want[:len(got)]) {
 		t.Fatalf("degraded output is not a non-empty prefix of the fault-free stream: %v", got)
 	}
-	if fails := linkSeries("failures", a, b); fails == 0 {
-		t.Fatal("network terminated without any link degrading")
+	// A degrading link closes its channel end, which starts the cascade,
+	// before it counts the failure: the networks can finish first.
+	deadline := time.Now().Add(10 * time.Second)
+	for linkSeries("failures", a, b) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("network terminated without any link degrading")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// Everything must wind down: link goroutines, heartbeats, processes.
 	a.Close()
@@ -312,7 +330,7 @@ func runChaosPrimes(t *testing.T, seed int64, cfg faults.Config) {
 	res := chaosResilience(seed)
 	a := newChaosNode(t, inj, res)
 	b := newChaosNode(t, inj, res)
-	sink := splitPrimes(a, limit, 200*time.Microsecond)
+	sink := splitPrimes(a, limit, 200*time.Microsecond, nil)
 	remote := exportSink(t, a, b, sink)
 	waitNetChaos(t, a.Net, "origin node", 60*time.Second, true)
 	waitNetChaos(t, b.Net, "remote node", 60*time.Second, true)
@@ -347,9 +365,9 @@ func TestChaosPrimesManySchedules(t *testing.T) {
 }
 
 // runChaosHamming runs the distributed Hamming graph — unbounded, so
-// it artificially deadlocks until the §6.2 coordinator grows channels
-// — under one seeded fault schedule, with the coordinator polling both
-// nodes throughout.
+// it artificially deadlocks until the §6.2 distributed detection grows
+// channels — under one seeded fault schedule, with a monitor on a
+// watching b as its peer throughout.
 func runChaosHamming(t *testing.T, seed int64, cfg faults.Config) {
 	t.Helper()
 	t.Logf("chaos seed %d", seed)
@@ -362,27 +380,25 @@ func runChaosHamming(t *testing.T, seed int64, cfg faults.Config) {
 	sink := splitHamming(a, count, 16)
 	remote := exportSink(t, a, b, sink)
 
-	coord := deadlock.NewCoordinator(a, b)
-	coord.Settle = 3 * time.Millisecond
-	coord.Poll = 4 * time.Millisecond
-	coord.Start()
-	defer coord.Stop()
+	mon := deadlock.New(a.Net, 4*time.Millisecond, b)
+	mon.Start()
+	defer mon.Stop()
 
 	waitNetChaos(t, a.Net, "origin node", 120*time.Second, true)
 	waitNetChaos(t, b.Net, "remote node", 120*time.Second, true)
 	if got := remote.Values(); !reflect.DeepEqual(got, want[:len(want)]) {
 		t.Fatalf("seed %d diverged from the fault-free output:\n got %v\nwant %v", seed, got, want)
 	}
-	if coord.Resolutions() == 0 {
-		t.Fatal("expected the coordinator to grow at least one channel")
+	if mon.Resolutions() == 0 {
+		t.Fatal("expected the monitor to grow at least one channel")
 	}
-	t.Logf("resolutions=%d injected=%d heals=%d", coord.Resolutions(),
+	t.Logf("resolutions=%d injected=%d heals=%d", mon.Resolutions(),
 		inj.Injected(), linkSeries("partition_heal", a, b))
 }
 
 // Distributed determinacy for the Hamming graph: seeded fault
-// schedules with the distributed deadlock coordinator keeping the
-// unbounded graph alive across both nodes.
+// schedules with a monitor that watches both nodes keeping the
+// unbounded graph alive.
 func TestChaosHammingDistributedCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run")

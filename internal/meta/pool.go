@@ -96,7 +96,7 @@ func (p *Pool) AddLane(tag string, start func(in *core.ReadPort, out *core.Write
 func (p *Pool) Retire(id int) { p.locked(recRetire, id) }
 
 // MarkLost reports a lane's worker unreachable (for example the
-// deadlock coordinator saw StatusPeerLost for its node): the lane gets
+// deadlock monitor saw StatusPeerLost for its node): the lane gets
 // no further tasks and what only it holds is sent again at once. If the
 // lane is alive after all, its late results lose to the copies.
 func (p *Pool) MarkLost(id int) { p.locked(recLost, id) }

@@ -214,7 +214,7 @@ func TestPoolStragglerRedispatch(t *testing.T) {
 }
 
 // TestPoolMarkLostRedispatchAndDedup marks the stuck lane lost (the
-// deadlock coordinator's StatusPeerLost path), forcing immediate
+// deadlock monitor's StatusPeerLost path), forcing immediate
 // re-dispatch; the lane then turns out to be alive and answers late.
 // The duplicate must be dropped and the output must stay exact.
 func TestPoolMarkLostRedispatchAndDedup(t *testing.T) {
@@ -275,9 +275,9 @@ func (downPeer) DeadlockStatus() (deadlock.NodeStatus, error) {
 
 func (downPeer) GrowChannel(string, int) (int, error) { return 0, errors.New("peer down") }
 
-// TestPoolCoordinatorPeerLostRedispatch wires PR 2's resilience signal
-// into scheduling: the deadlock coordinator reports StatusPeerLost for
-// the node hosting the stuck lane, a Subscribe hook marks that lane
+// TestPoolCoordinatorPeerLostRedispatch wires the resilience signal
+// into scheduling: a deadlock monitor that watches the node hosting the
+// stuck lane reports StatusPeerLost, its OnEvent hook marks that lane
 // lost, and the pool re-dispatches its hostage task so the run
 // completes with the exact reference output.
 func TestPoolCoordinatorPeerLostRedispatch(t *testing.T) {
@@ -289,17 +289,15 @@ func TestPoolCoordinatorPeerLostRedispatch(t *testing.T) {
 		n.Spawn(&stickyProc{In: r, Out: w, Release: release})
 	})
 
-	// The coordinator polls the (gone) peer hosting the "remote" lane;
-	// after the failure streak it reports StatusPeerLost and the
-	// subscription turns the resilience signal into a scheduling action.
-	coord := deadlock.NewCoordinator(downPeer{})
-	coord.Poll = time.Millisecond
-	coord.PeerFailureLimit = 3
-	coord.Subscribe(func(ev deadlock.Event) {
+	// The monitor polls the (gone) peer hosting the "remote" lane; it
+	// reports StatusPeerLost and the hook turns the resilience signal
+	// into a scheduling action.
+	mon := deadlock.New(n, time.Millisecond, downPeer{})
+	mon.OnEvent = func(ev deadlock.Event) {
 		if ev.Status == deadlock.StatusPeerLost {
 			e.Pool.MarkLost(stuckID)
 		}
-	})
+	}
 
 	var got []int64
 	released := false
@@ -313,8 +311,8 @@ func TestPoolCoordinatorPeerLostRedispatch(t *testing.T) {
 		}
 	})
 	e.Spawn(n)
-	coord.Start()
-	defer coord.Stop()
+	mon.Start()
+	defer mon.Stop()
 	waitNet(t, n)
 	eq(t, got, wantSquares(tasks))
 	if v := n.Obs().Registry().Counter("dpn_pool_lost_total").Value(); v != 1 {

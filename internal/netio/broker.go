@@ -263,6 +263,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 	sess := b.newSession(conn, peer, false)
 	b.trackSession(sess, "accept")
 	b.adoptSession(sess)
+	sess.start()
 }
 
 // arrive delivers a stream whose HELLO presented token to the channel

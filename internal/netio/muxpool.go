@@ -154,6 +154,7 @@ func (b *Broker) dialMuxSession(addr string) (*session, error) {
 	}
 	sess := b.newSession(conn, peer, true)
 	b.trackSession(sess, "dial")
+	sess.start()
 	return sess, nil
 }
 

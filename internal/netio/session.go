@@ -82,10 +82,9 @@ type session struct {
 	done     chan struct{}
 }
 
-// newSession starts the session of a handshaken conn: its read loop,
-// and unless the policy disables it, its keepalive. The broker's retry
-// policy sets the PING interval and the bound on peer silence and on a
-// stalled write (zero selects the defaults).
+// newSession builds the session of a handshaken conn; start runs it.
+// The broker's retry policy sets the PING interval and the bound on
+// peer silence and on a stalled write (zero selects the defaults).
 func (b *Broker) newSession(conn net.Conn, peer string, dialer bool) *session {
 	res := b.resilience()
 	s := &session{b: b, conn: conn, peer: peer, timeout: res.MissDeadline,
@@ -96,18 +95,25 @@ func (b *Broker) newSession(conn net.Conn, peer string, dialer bool) *session {
 	if dialer {
 		s.nextID = 1 // the peer's ids have the other parity
 	}
+	return s
+}
+
+// start runs the session: its read loop, and unless the policy disables
+// it, its keepalive. An accepted session is pooled first, so no stream
+// the peer opens can finish before this broker's own dials can find the
+// session.
+func (s *session) start() {
 	// The handshake was bounded by a conn deadline; from here the session
 	// bounds each write, and the keepalive the silence.
-	conn.SetDeadline(time.Time{})
+	s.conn.SetDeadline(time.Time{})
 	s.lastRcv.Store(time.Now().UnixNano())
 	go s.readLoop()
-	if ka := res.HeartbeatEvery; ka >= 0 {
+	if ka := s.b.resilience().HeartbeatEvery; ka >= 0 {
 		if ka == 0 {
 			ka = defaultKeepAlive
 		}
 		go s.keepalive(ka)
 	}
-	return s
 }
 
 // Err reports why the session died (nil while alive).

@@ -327,6 +327,7 @@ func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := b.newSession(conn, peer, true)
+	sess.start()
 	defer sess.Close()
 	select {
 	case <-sess.done:

@@ -85,29 +85,3 @@ func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
-
-// MergeProm concatenates several Prometheus text expositions (e.g. one
-// per node of a distributed graph) into one valid exposition: repeated
-// # HELP / # TYPE header lines for the same metric are emitted once.
-// Series lines pass through untouched, so each input should already
-// carry a distinguishing label (the node label added by Scope).
-func MergeProm(w io.Writer, texts ...string) error {
-	bw := bufio.NewWriter(w)
-	seen := make(map[string]bool)
-	for _, text := range texts {
-		for _, line := range strings.Split(text, "\n") {
-			if line == "" {
-				continue
-			}
-			if strings.HasPrefix(line, "# ") {
-				if seen[line] {
-					continue
-				}
-				seen[line] = true
-			}
-			bw.WriteString(line)
-			bw.WriteByte('\n')
-		}
-	}
-	return bw.Flush()
-}

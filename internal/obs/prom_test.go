@@ -52,31 +52,32 @@ func TestPromEscaping(t *testing.T) {
 	}
 }
 
-// MergeProm joins several node expositions, deduplicating repeated
-// HELP/TYPE headers — the multi-node scrape of Coordinator.
-// GatherMetrics depends on this producing one valid document.
-func TestMergeProm(t *testing.T) {
-	mk := func(node string) string {
-		r := NewRegistry()
-		r.Help("live", "Live processes.")
-		r.Gauge("live").Set(3)
-		var b strings.Builder
-		if err := r.WriteProm(&b, L("node", node)); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
+// Golden check for the new histogram families' exposition: the exact
+// lines dashboards grep for.
+func TestNewFamiliesGoldenExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Help("dpn_pool_latency_seconds", "Task latency distribution, by stage.")
+	h := r.Histogram("dpn_pool_latency_seconds", []float64{0.5}, L("stage", "total"))
+	h.Observe(0.25)
+	r.Help("dpn_conduit_wait_ns_total", "Total nanoseconds blocked on the conduit.")
+	r.Counter("dpn_conduit_wait_ns_total", L("channel", "c"), L("op", "write")).Add(42)
+
 	var b strings.Builder
-	if err := MergeProm(&b, mk("n1"), mk("n2")); err != nil {
+	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
-	if strings.Count(got, "# HELP live") != 1 || strings.Count(got, "# TYPE live") != 1 {
-		t.Errorf("headers not deduplicated:\n%s", got)
-	}
-	for _, series := range []string{`live{node="n1"} 3`, `live{node="n2"} 3`} {
-		if !strings.Contains(got, series) {
-			t.Errorf("merged exposition missing %q:\n%s", series, got)
+	for _, want := range []string{
+		"# TYPE dpn_conduit_wait_ns_total counter\n",
+		`dpn_conduit_wait_ns_total{channel="c",op="write"} 42` + "\n",
+		"# TYPE dpn_pool_latency_seconds histogram\n",
+		`dpn_pool_latency_seconds_bucket{stage="total",le="0.5"} 1` + "\n",
+		`dpn_pool_latency_seconds_bucket{stage="total",le="+Inf"} 1` + "\n",
+		`dpn_pool_latency_seconds_sum{stage="total"} 0.25` + "\n",
+		`dpn_pool_latency_seconds_count{stage="total"} 1` + "\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("exposition missing %q:\n%s", want, got)
 		}
 	}
 }

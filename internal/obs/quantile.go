@@ -5,10 +5,7 @@ import "math"
 // Quantile estimates the p-quantile (0 <= p <= 1) of a histogram
 // sample from its cumulative buckets, interpolating linearly within
 // the bucket that contains the target rank — the same estimator
-// Prometheus's histogram_quantile uses. It works identically on
-// samples from Registry.Samples and on samples reconstructed from
-// exposition text by ParseProm, which is what lets the soak driver
-// report p50/p95/p99 from a scrape.
+// Prometheus's histogram_quantile uses.
 //
 // Observations are assumed non-negative (every histogram in this
 // repository measures a duration), so the first bucket interpolates

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -98,51 +97,5 @@ func TestQuantileDegenerate(t *testing.T) {
 	s := findSample(t, reg.Samples(), "q_empty")
 	if q := s.Quantile(0.5); !math.IsNaN(q) {
 		t.Fatalf("empty histogram quantile = %v, want NaN", q)
-	}
-}
-
-// TestParsePromHistogramBuckets: ParseProm must reconstruct the
-// cumulative bucket sequence (including +Inf) from exposition text so
-// that quantiles computed from a scrape match those computed from the
-// in-memory registry — the property the soak driver's percentile
-// report rests on.
-func TestParsePromHistogramBuckets(t *testing.T) {
-	scope := NewScope()
-	reg := scope.Registry()
-	h := reg.Histogram("dpn_test_latency_seconds", nil, L("stage", "total"))
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i) * 1e-5) // 10µs .. 10ms, uniform
-	}
-	mem := findSample(t, reg.Samples(), "dpn_test_latency_seconds", "stage", "total")
-
-	var b strings.Builder
-	if err := scope.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	parsed := findSample(t, ParseProm(b.String()), "dpn_test_latency_seconds", "stage", "total")
-
-	if len(parsed.Buckets) != len(mem.Buckets) {
-		t.Fatalf("parsed %d buckets, want %d", len(parsed.Buckets), len(mem.Buckets))
-	}
-	for i := range mem.Buckets {
-		p, m := parsed.Buckets[i], mem.Buckets[i]
-		if p.Count != m.Count {
-			t.Fatalf("bucket %d count %d, want %d", i, p.Count, m.Count)
-		}
-		if !(math.IsInf(p.UpperBound, 1) && math.IsInf(m.UpperBound, 1)) && p.UpperBound != m.UpperBound {
-			t.Fatalf("bucket %d bound %v, want %v", i, p.UpperBound, m.UpperBound)
-		}
-	}
-	if !math.IsInf(parsed.Buckets[len(parsed.Buckets)-1].UpperBound, 1) {
-		t.Fatal("last parsed bucket is not +Inf")
-	}
-	if parsed.Count != mem.Count {
-		t.Fatalf("parsed count %d, want %d", parsed.Count, mem.Count)
-	}
-	for _, p := range []float64{0.5, 0.95, 0.99} {
-		pm, pp := mem.Quantile(p), parsed.Quantile(p)
-		if math.Abs(pm-pp) > 1e-12 {
-			t.Fatalf("quantile %v diverged: memory %v vs parsed %v", p, pm, pp)
-		}
 	}
 }

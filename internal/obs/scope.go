@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"strings"
 	"sync"
 )
 
@@ -77,13 +76,6 @@ func (s *Scope) WriteProm(w io.Writer) error {
 		return s.reg.WriteProm(w, L("node", node))
 	}
 	return s.reg.WriteProm(w)
-}
-
-// MetricsText renders WriteProm into a string (for the metrics RPC).
-func (s *Scope) MetricsText() string {
-	var b strings.Builder
-	s.WriteProm(&b)
-	return b.String()
 }
 
 // WriteTrace writes the scope's trace ring as Chrome trace_event JSON.

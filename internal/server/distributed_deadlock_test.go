@@ -18,9 +18,10 @@ import (
 // buffer N−1 elements per round, and its capacity — local pipe + TCP
 // buffers + remote pipe — is deliberately overwhelmed, so the
 // distributed graph write-blocks into an artificial deadlock that no
-// single node can see in full. The coordinator (the §6.2 future work)
-// detects global quiescence over the RPC and grows channels until the
-// graph completes.
+// single node can see in full. A deadlock monitor on the local node
+// that watches the server as a peer (the §6.2 future work) detects
+// global quiescence over the RPC and grows channels until the graph
+// completes.
 func TestDistributedDeadlockResolution(t *testing.T) {
 	srv := newTestServer(t, "merge-host")
 	cl := newTestClient(t, srv)
@@ -48,11 +49,9 @@ func TestDistributedDeadlockResolution(t *testing.T) {
 	local.Net.Spawn(seq)
 	local.Net.Spawn(split)
 
-	coord := deadlock.NewCoordinator(local, cl)
-	coord.Settle = 5 * time.Millisecond
-	coord.Poll = 5 * time.Millisecond
-	coord.Start()
-	defer coord.Stop()
+	mon := deadlock.New(local.Net, 5*time.Millisecond, cl)
+	mon.Start()
+	defer mon.Stop()
 
 	done := make(chan error, 1)
 	go func() {
@@ -68,12 +67,12 @@ func TestDistributedDeadlockResolution(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(120 * time.Second):
-		t.Fatalf("distributed deadlock unresolved (resolutions so far: %d)", coord.Resolutions())
+		t.Fatalf("distributed deadlock unresolved (resolutions so far: %d)", mon.Resolutions())
 	}
-	if coord.Resolutions() == 0 {
-		t.Fatal("expected the coordinator to grow at least one channel")
+	if mon.Resolutions() == 0 {
+		t.Fatal("expected the monitor to grow at least one channel")
 	}
-	t.Logf("coordinator resolutions: %d", coord.Resolutions())
+	t.Logf("monitor resolutions: %d", mon.Resolutions())
 	if errs, _ := cl.Errors(); len(errs) != 0 {
 		t.Fatalf("remote failures: %v", errs)
 	}
@@ -107,13 +106,13 @@ func (m *roundMerge) Step(env *core.Env) error {
 }
 
 // TestCoordinatorIgnoresComputingConsumer runs a graph that never
-// deadlocks under the default coordinator: a capacity-8 channel feeds a
-// consumer on the server that computes 10 ms per element. The local
-// producer is parked on the full channel most of the time, and the
-// server's inbound link is parked on the full imported one; neither
-// node's counters move while the consumer computes. The server is still
-// not quiescent — its one process is running — so the coordinator must
-// grow nothing and report nothing.
+// deadlocks under a monitor that watches both nodes: a capacity-8
+// channel feeds a consumer on the server that computes 10 ms per
+// element. The local producer is parked on the full channel most of
+// the time, and the server's inbound link is parked on the full
+// imported one; neither node's counters move while the consumer
+// computes. The server is still not quiescent — its one process is
+// running — so the monitor must grow nothing and report nothing.
 func TestCoordinatorIgnoresComputingConsumer(t *testing.T) {
 	srv := newTestServer(t, "consumer-host")
 	cl := newTestClient(t, srv)
@@ -126,23 +125,23 @@ func TestCoordinatorIgnoresComputingConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	coord := deadlock.NewCoordinator(local, cl)
+	mon := deadlock.New(local.Net, 5*time.Millisecond, cl)
 	var events atomic.Int64
-	coord.Subscribe(func(deadlock.Event) { events.Add(1) })
+	mon.OnEvent = func(deadlock.Event) { events.Add(1) }
 	local.Net.Spawn(seq)
-	coord.Start()
+	mon.Start()
 	if err := local.Net.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	coord.Stop()
-	if n := coord.Resolutions(); n != 0 {
-		t.Errorf("coordinator grew %d channels; the consumer was computing", n)
+	mon.Stop()
+	if n := mon.Resolutions(); n != 0 {
+		t.Errorf("monitor grew %d channels; the consumer was computing", n)
 	}
 	if n := events.Load(); n != 0 {
-		t.Errorf("coordinator reported %d events; the consumer was computing", n)
+		t.Errorf("monitor reported %d events; the consumer was computing", n)
 	}
 	if errs, _ := cl.Errors(); len(errs) != 0 {
 		t.Fatalf("remote failures: %v", errs)
@@ -166,23 +165,19 @@ func (c *computingConsumer) Step(*core.Env) error {
 }
 
 func TestCoordinatorTerminatedAndRunningStates(t *testing.T) {
+	srv := newTestServer(t, "idle-host")
 	local := localNode(t)
-	coord := deadlock.NewCoordinator(local)
-	st, err := coord.Check()
-	if err != nil || st != deadlock.StatusTerminated {
-		t.Fatalf("empty: %v, %v", st, err)
+	mon := deadlock.New(local.Net, time.Hour, newTestClient(t, srv))
+	if st := mon.Check(); st != deadlock.StatusTerminated {
+		t.Fatalf("empty: %v", st)
 	}
 	ch := local.Net.NewChannel("c", 1024)
 	s := &proclib.Sequence{From: 0, Out: ch.Writer()}
 	s.Iterations = 1_000_000
 	local.Net.Spawn(s)
 	local.Net.Spawn(&proclib.Discard{In: ch.Reader()})
-	st, err = coord.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st == deadlock.StatusTrueDeadlock {
-		t.Fatal("busy network misreported as deadlocked")
+	if st := mon.Check(); st == deadlock.StatusTrueDeadlock || st == deadlock.StatusPeerLost {
+		t.Fatalf("busy network misreported as %v", st)
 	}
 	local.Net.Wait()
 }

@@ -32,7 +32,7 @@ import (
 
 // Request is one RPC request.
 type Request struct {
-	Kind     string // "ping", "info", "run", "call", "live", "errors", "dstatus", "grow", "metrics", "trace"
+	Kind     string // "ping", "info", "run", "call", "live", "errors", "dstatus", "grow", "trace"
 	Parcel   *wire.Parcel
 	TaskBlob []byte
 	Channel  string // "grow": channel name
@@ -49,8 +49,6 @@ type Response struct {
 	ProcNames  []string
 	Status     *deadlock.NodeStatus
 	GrownCap   int
-	// MetricsText carries the node's Prometheus exposition ("metrics").
-	MetricsText string
 	// Events carries the node's trace-ring snapshot ("trace"), used by
 	// the multi-node Chrome-trace merge (obs.WriteMergedTrace).
 	Events []obs.Event
@@ -185,12 +183,6 @@ func (s *Server) handle(req *Request) *Response {
 	scope.Registry().Counter("dpn_server_rpcs_total", obs.L("kind", req.Kind)).Inc()
 	scope.Record(obs.EvRPC, req.Kind, "", 0)
 	switch req.Kind {
-	case "metrics":
-		txt, err := s.node.MetricsText()
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		return &Response{MetricsText: txt}
 	case "trace":
 		return &Response{Events: s.node.TraceEvents()}
 	case "ping":
@@ -421,7 +413,8 @@ func (c *Client) Migrate(local *wire.Node, proc *core.Proc) ([]string, error) {
 }
 
 // DeadlockStatus implements deadlock.Peer over the RPC, letting a
-// coordinator on one machine watch compute servers on others (§6.2).
+// deadlock monitor on one machine watch compute servers on others
+// (§6.2).
 func (c *Client) DeadlockStatus() (deadlock.NodeStatus, error) {
 	resp, err := c.roundTrip(&Request{Kind: "dstatus"})
 	if err != nil {
@@ -440,18 +433,6 @@ func (c *Client) GrowChannel(name string, newCap int) (int, error) {
 		return 0, err
 	}
 	return resp.GrownCap, nil
-}
-
-// MetricsText implements deadlock.MetricsSource over the RPC: it
-// returns the remote node's Prometheus exposition, so a coordinator can
-// merge the metrics of a whole distributed graph (Coordinator.
-// GatherMetrics).
-func (c *Client) MetricsText() (string, error) {
-	resp, err := c.roundTrip(&Request{Kind: "metrics"})
-	if err != nil {
-		return "", err
-	}
-	return resp.MetricsText, nil
 }
 
 // TraceEvents returns a snapshot of the remote node's trace ring. A

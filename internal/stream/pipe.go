@@ -247,30 +247,25 @@ func (p *Pipe) BlockedReaders() int {
 	return int(p.blockedReaders)
 }
 
-// WriteBlockedOnFull reports whether some writer is blocked and the
-// buffer is full — the signature of artificial deadlock that capacity
-// growth can resolve.
-func (p *Pipe) WriteBlockedOnFull() bool {
+// Waits reads at one instant what a deadlock detector's channel walk
+// needs. pending: some blocked reader or writer has already been
+// signaled (its wake condition holds) but has not yet been
+// rescheduled, so the pipe is still running — the blocked counters
+// alone cannot tell a goroutine waiting on a condition from one about
+// to resume. full: a writer is blocked and the buffer is full, the
+// signature of artificial deadlock that capacity growth can resolve.
+// capacity: the buffer's. onLink: a process is parked on the pipe
+// while a transport link drives its other side — a reader waiting for
+// bytes a link delivers, or a writer waiting for a link to take them.
+// Whether that wait ends depends on another node, so a detector that
+// sees only this one cannot judge it.
+func (p *Pipe) Waits() (pending, full bool, capacity int, onLink bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.blockedWriters > 0 && p.n == len(p.buf)
-}
-
-// WakePending reports whether some blocked reader or writer has
-// already been signaled (its wake condition holds) but has not yet
-// been rescheduled. A deadlock detector must treat such a pipe as
-// "still running": the blocked counters alone cannot distinguish a
-// goroutine waiting on a condition from one that is about to resume.
-func (p *Pipe) WakePending() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.blockedWriters > 0 && (p.n < len(p.buf) || p.readClosed || p.writeClosed) {
-		return true
-	}
-	if p.blockedReaders > 0 && (p.n > 0 || p.writeClosed || p.readClosed) {
-		return true
-	}
-	return false
+	pending = p.blockedWriters > 0 && (p.n < len(p.buf) || p.readClosed || p.writeClosed) ||
+		p.blockedReaders > 0 && (p.n > 0 || p.writeClosed || p.readClosed)
+	onLink = p.linked == writeSide && p.blockedReaders > 0 || p.linked == readSide && p.blockedWriters > 0
+	return pending, p.blockedWriters > 0 && p.n == len(p.buf), len(p.buf), onLink
 }
 
 // Grow increases the buffer capacity to newCap and wakes blocked writers.

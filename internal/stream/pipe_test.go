@@ -231,7 +231,7 @@ func TestPipeGrowUnblocksWriter(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if !p.WriteBlockedOnFull() {
+	if _, full, _, _ := p.Waits(); !full {
 		t.Fatal("writer should be blocked on full pipe")
 	}
 	p.Grow(8)
@@ -277,8 +277,8 @@ func TestPipeBlockedCounts(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !p.WriteBlockedOnFull() {
-		t.Fatal("WriteBlockedOnFull should be true")
+	if _, full, _, _ := p.Waits(); !full {
+		t.Fatal("Waits should report a writer blocked on a full buffer")
 	}
 	p.CloseRead()
 }

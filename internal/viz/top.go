@@ -11,12 +11,11 @@ import (
 	"dpn/internal/obs"
 )
 
-// TopView renders a live, periodically refreshing cluster view — the
-// dpntop mode of cmd/dpnrun. Each Render call takes one metrics
-// snapshot (a local registry's Samples, or a multi-node exposition from
-// Coordinator.GatherMetrics parsed with obs.ParseProm), diffs it
-// against the previous call, and prints per-channel rates alongside the
-// elastic pool's lane table. Rates and blocked-time percentages are
+// TopView renders a live, periodically refreshing view of one registry
+// — the dpntop mode of cmd/dpnrun. Each Render call takes one metrics
+// snapshot (the registry's Samples), diffs it against the previous
+// call, and prints per-channel rates alongside the elastic pool's lane
+// table. Rates and blocked-time percentages are
 // therefore *interval* figures, not run totals: a channel whose writer
 // spent the whole last interval throttled by a full buffer shows
 // WR-BLK 100% even if the run as a whole has been smooth.
@@ -60,15 +59,6 @@ type topRow struct {
 	depth, capacity     int64
 	readWait, writeWait float64 // interval blocked ns
 	blocks              float64
-}
-
-// RenderProm parses a Prometheus exposition (typically the merged
-// multi-node document from Coordinator.GatherMetrics) and renders one
-// frame from it. Lines the parser does not understand are ignored, so
-// "# dpn:stale peer[i]" markers from a partial gather pass through
-// harmlessly; the stale node's series simply freeze.
-func (t *TopView) RenderProm(text string, now time.Time) {
-	t.Render(obs.ParseProm(text), now)
 }
 
 // Render diffs samples against the previous frame and writes the view.
@@ -117,11 +107,7 @@ func (t *TopView) Render(samples []obs.Sample, now time.Time) {
 
 	for _, s := range samples {
 		if ch := s.Label("channel"); ch != "" {
-			name := ch
-			if node := s.Label("node"); node != "" {
-				name = node + " " + ch
-			}
-			r := rowFor(name)
+			r := rowFor(ch)
 			write := s.Label("op") == "write"
 			switch s.Name {
 			case "dpn_conduit_tokens_total":

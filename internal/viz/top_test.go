@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"fmt"
 	"math/big"
 	"strings"
 	"testing"
@@ -75,33 +74,6 @@ func TestTopViewRatesAndBlockedPct(t *testing.T) {
 	}
 	if !strings.Contains(out, "queue=1.0ms") {
 		t.Fatalf("latency line missing or wrong:\n%s", out)
-	}
-}
-
-// The multi-node path: samples arriving via a merged Prometheus
-// exposition keep their node labels, and stale-peer comment lines from
-// a partial gather pass through the parser harmlessly.
-func TestTopViewRenderPromMultiNode(t *testing.T) {
-	exp := func(tokens int) string {
-		var sb strings.Builder
-		sb.WriteString("# dpn:stale peer[2]: connection refused\n")
-		sb.WriteString("# TYPE dpn_conduit_tokens_total counter\n")
-		for _, node := range []string{"n1:7001", "n2:7002"} {
-			fmt.Fprintf(&sb, "dpn_conduit_tokens_total{node=%q,channel=\"ab\",op=\"write\"} %d\n", node, tokens)
-		}
-		return sb.String()
-	}
-	var b strings.Builder
-	tv := NewTopView(&b)
-	t0 := time.Unix(200, 0)
-	tv.RenderProm(exp(0), t0)
-	b.Reset()
-	tv.RenderProm(exp(500), t0.Add(time.Second))
-	out := b.String()
-	for _, want := range []string{"n1:7001 ab", "n2:7002 ab", "500"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("multi-node frame missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/gob"
 	"io"
 	"testing"
@@ -77,9 +78,8 @@ func sample(stop <-chan struct{}, probe func()) <-chan struct{} {
 // outbound link parks reading an empty pipe while the only process
 // computes, and a wake-only monitor there must see nothing to do. On
 // the reader's node the inbound link parks writing the full imported
-// pipe while the only process computes. (A monitor there would still
-// report the sink waiting for its first bytes: no local monitor sees
-// across a link, which is what the coordinator is for.)
+// pipe while the only process computes. (The sink waiting for bytes
+// is the other half: see TestLocalMonitorLeavesLinkWaitUndecided.)
 func TestLinkIsNotAProcess(t *testing.T) {
 	t.Run("writer node", func(t *testing.T) {
 		a, b := newTestNode(t), newTestNode(t)
@@ -146,6 +146,43 @@ func TestLinkIsNotAProcess(t *testing.T) {
 			t.Errorf("Blocked() read %d while the inbound link was parked and the only process computed", got)
 		}
 	})
+}
+
+// TestLocalMonitorLeavesLinkWaitUndecided: a sink shipped to node b
+// waits, between elements, on a channel its inbound link feeds from a
+// source computing on node a. Every process on b is then blocked
+// reading, which is all a monitor that sees only b can count — but the
+// data is on its way. Only a monitor that also sees a can judge, so b's
+// own monitor must record nothing and dump nothing.
+func TestLocalMonitorLeavesLinkWaitUndecided(t *testing.T) {
+	a, b := newTestNode(t), newTestNode(t)
+	ch := a.Net.NewChannel("ab", 64)
+	src := &computingSource{N: 10, Pace: 20 * time.Millisecond, Out: ch.Writer()}
+	sink := &proclib.Collect{In: ch.Reader()}
+	procs, err := Import(b, ship(t, mustExport(t, a, b, sink)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := deadlock.New(b.Net, time.Hour) // checks on the quiescence wake only
+	var dump bytes.Buffer
+	mon.DumpTo = &dump
+	mon.Start()
+	for _, p := range procs {
+		b.Net.Spawn(p)
+	}
+	a.Net.Spawn(src)
+	waitNet(t, a.Net, "writer node")
+	waitNet(t, b.Net, "reader node")
+	mon.Stop()
+	if got := len(procs[0].(*proclib.Collect).Values()); got != 10 {
+		t.Fatalf("sink collected %d elements, want 10", got)
+	}
+	if ev := mon.Events(); len(ev) != 0 {
+		t.Errorf("monitor recorded %v while the sink waited on its link", ev)
+	}
+	if dump.Len() != 0 {
+		t.Errorf("monitor dumped %d bytes while the sink waited on its link", dump.Len())
+	}
 }
 
 func mustExport(t *testing.T, from, to *Node, procs ...any) *Parcel {

@@ -106,10 +106,6 @@ func (n *Node) SetTransport(tr conduit.Transport) { n.tr = tr }
 // Obs returns the node's unified observability scope.
 func (n *Node) Obs() *obs.Scope { return n.Net.Obs() }
 
-// MetricsText renders the node's metrics as Prometheus text. It is the
-// method the deadlock coordinator's metric scrape looks for on a peer.
-func (n *Node) MetricsText() (string, error) { return n.Obs().MetricsText(), nil }
-
 // TraceEvents snapshots the node's trace ring, oldest first. The
 // compute-server "trace" RPC serves this to remote collectors; a
 // driver merging a cluster trace pairs each node's events with its
@@ -556,26 +552,10 @@ func Migrate(n *Node, destAddr string, proc *core.Proc) (*Parcel, error) {
 }
 
 // DeadlockStatus implements deadlock.Peer: a snapshot of this node's
-// scheduling state for the distributed deadlock coordinator (§6.2).
+// scheduling state for a deadlock monitor on another node (§6.2).
 func (n *Node) DeadlockStatus() (deadlock.NodeStatus, error) {
-	st := deadlock.NodeStatus{
-		Live:       n.Net.Live(),
-		Blocked:    n.Net.Blocked(),
-		Generation: n.Net.Generation(),
-		BytesIn:    n.Broker.BytesIn(),
-		BytesOut:   n.Broker.BytesOut(),
-	}
-	for _, ch := range n.Net.Channels() {
-		if ch.Pipe().WakePending() {
-			st.WakePending = true
-		}
-		if ch.Pipe().WriteBlockedOnFull() {
-			st.FullChannels = append(st.FullChannels, deadlock.ChannelRef{
-				Name: ch.Name(),
-				Cap:  ch.Pipe().Cap(),
-			})
-		}
-	}
+	st := deadlock.Survey(n.Net)
+	st.BytesIn, st.BytesOut = n.Broker.BytesIn(), n.Broker.BytesOut()
 	return st, nil
 }
 

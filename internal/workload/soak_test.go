@@ -26,9 +26,9 @@ import (
 // client-side, like the paper's RSA demo keeps its consumer at home);
 // the other half are elastic task pools stressing the scheduler. Every
 // graph is seeded and verified against its oracle, and the report's
-// latency percentiles come from the Prometheus exposition path —
-// MetricsText → ParseProm → Sample.Quantile — so the soak also proves
-// the telemetry a production operator would read.
+// latency percentiles come from the shared scope's histograms
+// (Registry.Samples → Sample.Quantile), the series an operator
+// scraping /metrics reads.
 
 // soakConfig parameterizes runSoak. Zero fields take defaults.
 type soakConfig struct {
@@ -270,10 +270,9 @@ func runSoak(cfg soakConfig) (*soakReport, error) {
 	tokens += sumSamples(st.scope, "dpn_conduit_tokens_total")
 	waitNs += sumSamples(st.scope, "dpn_conduit_wait_ns_total")
 
-	// Percentiles travel the exposition path end to end: serialize the
-	// shared scope, parse it back, and interrogate the histograms — the
-	// same view `dpnbench` or an operator scraping /metrics would get.
-	samples := obs.ParseProm(st.scope.MetricsText())
+	// Percentiles come from the shared scope's histograms, the series
+	// /metrics exposes.
+	samples := st.scope.Registry().Samples()
 	streamQ := findHistogram(samples, "dpn_workload_graph_seconds", "family", "stream")
 	poolQ := findHistogram(samples, "dpn_workload_graph_seconds", "family", "pool")
 	taskQ := findHistogram(samples, "dpn_pool_latency_seconds", "stage", "total")
@@ -431,7 +430,7 @@ func findHistogram(samples []obs.Sample, name, key, value string) obs.Sample {
 
 // TestSoakSmoke runs the many-client soak at gate scale: a few dozen
 // concurrent graphs against two shared servers, every graph verified
-// against its oracle, percentiles readable from the exposition path.
+// against its oracle, percentiles readable from the shared histograms.
 // SOAK_GRAPHS scales it up for manual soaks (SOAK_GRAPHS=120 is the
 // full configuration).
 func TestSoakSmoke(t *testing.T) {

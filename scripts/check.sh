@@ -6,9 +6,10 @@
 #   check.sh         vet + build + race-enabled test suite (120 s per
 #                    package, so a hang fails fast), the
 #                    deadlock-resolution, wake-bookkeeping, cut,
-#                    task-farm, parked-link, coordinator, scraped-
-#                    tally, scrape-churn, golden-exposition,
-#                    link-core and Redirect-race tests x20 at
+#                    task-farm, parked-link, link-wait, multi-node
+#                    monitor, scraped-tally, scrape-churn,
+#                    golden-exposition, link-core, Redirect-race,
+#                    shared-session and permanent-partition tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -191,7 +192,7 @@ if [ "${1:-}" = "-lint" ]; then
 fi
 
 if [ "${1:-}" = "-scenarios" ]; then
-	pat='(Scenario|Quantile|PromHistogram|GraphFuzz|FuzzPlan|StreamOracle|SoakSmoke|RegistryConcurrent|RendezvousStorm)'
+	pat='(Scenario|Quantile|GraphFuzz|FuzzPlan|StreamOracle|SoakSmoke|RegistryConcurrent|RendezvousStorm)'
 	seed_gate scenario "$pat" 1
 fi
 
@@ -252,8 +253,10 @@ go test -race -timeout 120s ./...
 # stays determinate and never looks quiescent while a lane computes
 # (Farm|Pool|Dynamic|Turnstile|Select). Across nodes, only the new
 # names: a parked transport link is not a blocked process, so neither a
-# node's monitor nor the coordinator acts while a process computes
-# (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
+# node's monitor nor one that watches its peers acts while a process
+# computes (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
+# monitor that sees one node makes no verdict while a process waits on
+# a link (LocalMonitorLeavesLinkWaitUndecided), a
 # channel's scraped byte and occupancy series equal the bytes moved
 # while two goroutines stream through it (ScrapedTallies), every
 # scraped counter stays monotone and ends equal to the bytes and tokens
@@ -264,12 +267,16 @@ go test -race -timeout 120s ./...
 # core's transitions and bug scripts hold (LinkCore), Redirect reads
 # the peer a concurrent reader move rewrites under the handle's lock
 # (RedirectDuringReaderMove), a peer that overruns its window is cut off
-# within the inbox bound (OverrunningPeerIsCutOff), and a stalled link
-# does not stall its session (StalledLinkDoesNotStallItsSession).
+# within the inbox bound (OverrunningPeerIsCutOff), a stalled link
+# does not stall its session (StalledLinkDoesNotStallItsSession), an
+# accepted session is pooled before its read loop runs
+# (MuxSessionSharedAcrossLinksBothDirections), and a partition started
+# at a point the stream cannot pass cascades the close
+# (ChaosPrimesPermanentPartitionCascades).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession' \
-	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades' \
+	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
