@@ -212,7 +212,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 }
 
 // BenchmarkChannelInt64Elements measures typed element transfer through
-// a full channel (port + sequence reader + pipe), the unit cost behind
+// a full channel (port + pipe), the unit cost behind
 // every arithmetic process.
 func BenchmarkChannelInt64Elements(b *testing.B) {
 	ch := core.NewChannel("bench", 4096)

@@ -2,10 +2,10 @@
 // process-network runtime. A Conduit layers one logical FIFO out of two
 // separable planes:
 //
-//   - a buffer core: the bounded in-memory pipe (stream.Pipe) with its
-//     retargetable entry (stream.SwitchWriter) and spliceable exit
-//     (stream.SequenceReader), giving blocking Kahn semantics, capacity
-//     growth, and the §3.4 close cascade;
+//   - a buffer core: the bounded in-memory pipe (stream.Pipe), which
+//     the channel's ports write and read directly and whose read end
+//     takes a spliced continuation, giving blocking Kahn semantics,
+//     capacity growth, and the §3.4 close cascade;
 //   - an optional Transport binding: when one end of the channel lives
 //     on another node, the conduit's entry or exit is bound to a Link
 //     that carries the bytes (mux streams via the netio broker,
@@ -31,27 +31,18 @@ import (
 
 // Conduit is one logical channel FIFO: a bounded buffer plus the
 // bookkeeping to bind either end to a Transport. The hot path is
-// untouched by the abstraction — entry and exit are the same
-// SwitchWriter/SequenceReader values the ports write and read through,
-// so an unbound (in-proc) conduit costs exactly what the bare pipe
-// cost.
+// untouched by the abstraction — the channel's ports write and read
+// the buffer itself, so an unbound (in-proc) conduit costs exactly what
+// the bare pipe costs.
 type Conduit struct {
-	name  string
-	buf   *stream.Pipe
-	entry *stream.SwitchWriter
-	exit  *stream.SequenceReader
-	rec   atomic.Pointer[record] // the name's counts in the registry's collector, nil until Instrument
+	name string
+	buf  *stream.Pipe
+	rec  atomic.Pointer[record] // the name's counts in the registry's collector, nil until Instrument
 }
 
 // New creates an unbound conduit with the given buffer capacity.
 func New(name string, capacity int) *Conduit {
-	p := stream.NewPipe(capacity)
-	return &Conduit{
-		name:  name,
-		buf:   p,
-		entry: stream.NewSwitchWriter(p.WriteEnd()),
-		exit:  stream.NewSequenceReader(p.ReadEnd()),
-	}
+	return &Conduit{name: name, buf: stream.NewPipe(capacity)}
 }
 
 // Name returns the conduit's diagnostic name.
@@ -61,17 +52,13 @@ func (c *Conduit) Name() string { return c.name }
 // introspection (deadlock detection, migration).
 func (c *Conduit) Buffer() *stream.Pipe { return c.buf }
 
-// Entry is the conduit's producing endpoint: the retargetable writer
-// the channel's WritePort writes through.
-func (c *Conduit) Entry() *stream.SwitchWriter { return c.entry }
+// Entry is the conduit's producing endpoint: the buffer's write end,
+// which the channel's WritePort writes too.
+func (c *Conduit) Entry() io.WriteCloser { return c.buf.WriteEnd() }
 
-// Exit is the conduit's consuming endpoint: the spliceable reader the
-// channel's ReadPort reads through.
-func (c *Conduit) Exit() *stream.SequenceReader { return c.exit }
-
-// Buffered reports the bytes immediately readable from the exit —
-// buffer occupancy plus any spliced leftovers ahead of it.
-func (c *Conduit) Buffered() int { return c.exit.Buffered() }
+// Exit is the conduit's consuming endpoint: the buffer's read end,
+// which the channel's ReadPort reads too, continuation included.
+func (c *Conduit) Exit() io.ReadCloser { return c.buf.ReadEnd() }
 
 // Instrument homes the conduit's metrics (dpn_conduit_bytes_total and
 // friends) in the scope's registry: the buffer keeps its counts under
@@ -130,7 +117,7 @@ func (c *Conduit) BindSource(t Transport, ep Endpoint) (Link, error) {
 // when it parks on an empty one.
 func (c *Conduit) BindSink(t Transport, ep Endpoint, window int) (Link, error) {
 	c.buf.Link(false)
-	l, err := t.BindOutbound(ep, c.exit, window)
+	l, err := t.BindOutbound(ep, c.buf.ReadEnd(), window)
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +126,15 @@ func (c *Conduit) BindSink(t Transport, ep Endpoint, window int) (Link, error) {
 }
 
 // SealAndDrain closes the buffer's write side and drains every byte
-// still reachable through the exit (buffer contents plus spliced
-// leftovers). It is the first half of a live-endpoint rebind: the
+// still reachable through the exit (buffer contents, then its spliced
+// continuation). It is the first half of a live-endpoint rebind: the
 // drained bytes travel inside the migration parcel and are restored
 // into the destination conduit, after which the stream resumes at that
 // offset on the new binding. The local process must be suspended or
 // detached; reads here race with nothing.
 func (c *Conduit) SealAndDrain() ([]byte, error) {
 	c.buf.CloseWrite()
-	b, err := io.ReadAll(c.exit)
+	b, err := io.ReadAll(c.buf.ReadEnd())
 	if err != nil && !IsBenignClose(err) {
 		return b, err
 	}

@@ -208,7 +208,7 @@ func TestSealDrainRestoreRoundTrip(t *testing.T) {
 	if _, err := src.Entry().Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.Buffered(); got != len(payload) {
+	if got := src.Buffer().Buffered(); got != len(payload) {
 		t.Fatalf("Buffered = %d, want %d", got, len(payload))
 	}
 	leftover, err := src.SealAndDrain()

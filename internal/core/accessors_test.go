@@ -1,11 +1,8 @@
 package core
 
 import (
-	"io"
 	"strings"
 	"testing"
-
-	"dpn/internal/stream"
 )
 
 // envProbe records what its Env exposes.
@@ -75,42 +72,6 @@ func TestPortStringAndNames(t *testing.T) {
 	}
 	if nilR.Detach() != nil || nilW.Detach() != nil {
 		t.Fatal("zero port Detach should be nil")
-	}
-}
-
-func TestRetargetSourceAndSink(t *testing.T) {
-	ch := NewChannel("main", 16)
-	alt := stream.NewPipe(16)
-	alt.Write([]byte("alt!"))
-	alt.CloseWrite()
-	if err := ch.Reader().RetargetSource(alt.ReadEnd()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(ch.Reader())
-	if err != nil || string(got) != "alt!" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-
-	sink := stream.NewPipe(16)
-	old, err := ch.Writer().RetargetSink(sink.WriteEnd())
-	if err != nil || old == nil {
-		t.Fatalf("retarget sink: %v", err)
-	}
-	ch.Writer().Write([]byte("zz"))
-	if got := sink.Drain(); string(got) != "zz" {
-		t.Fatalf("sink got %q", got)
-	}
-
-	// Detached ports refuse retargeting.
-	r := NewChannel("d", 8).Reader()
-	r.Detach()
-	if err := r.RetargetSource(alt.ReadEnd()); err != ErrDetached {
-		t.Fatalf("got %v", err)
-	}
-	w := NewChannel("e", 8).Writer()
-	w.Detach()
-	if _, err := w.RetargetSink(sink.WriteEnd()); err != ErrDetached {
-		t.Fatalf("got %v", err)
 	}
 }
 

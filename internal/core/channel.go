@@ -44,8 +44,8 @@ func NewChannel(name string, capacity int) *Channel {
 func newChannel(n *Network, name string, capacity int) *Channel {
 	cd := conduit.New(name, capacity)
 	ch := &Channel{name: name, cd: cd, net: n}
-	ch.ws = wstate{name: name, sw: cd.Entry(), ch: ch}
-	ch.rs = rstate{name: name, seq: cd.Exit(), ch: ch}
+	ch.ws = wstate{name: name, p: cd.Buffer(), ch: ch}
+	ch.rs = rstate{name: name, p: cd.Buffer(), ch: ch}
 	ch.w.s, ch.r.s = &ch.ws, &ch.rs
 	if n != nil {
 		ch.tokens = cd.Instrument(n.Obs(), n)

@@ -382,16 +382,11 @@ func TestSpliceOutErrors(t *testing.T) {
 		t.Fatal("nil ports accepted")
 	}
 	ch := NewChannel("x", 4)
-	foreign := AttachForeignWrite("f", nopWC{})
+	foreign := AttachForeignWrite("f", stream.NewPipe(1))
 	if err := SpliceOut(ch.Reader(), foreign); err == nil {
 		t.Fatal("foreign output accepted")
 	}
 }
-
-type nopWC struct{}
-
-func (nopWC) Write(b []byte) (int, error) { return len(b), nil }
-func (nopWC) Close() error                { return nil }
 
 func TestDetachedPortOperations(t *testing.T) {
 	ch := NewChannel("x", 4)
@@ -620,8 +615,8 @@ func TestSpawnRejectsNonProcess(t *testing.T) {
 
 func TestForeignPorts(t *testing.T) {
 	p := stream.NewPipe(8)
-	w := AttachForeignWrite("fw", p.WriteEnd())
-	r := AttachForeignRead("fr", p.ReadEnd())
+	w := AttachForeignWrite("fw", p)
+	r := AttachForeignRead("fr", p)
 	if w.Name() != "fw" || r.Name() != "fr" {
 		t.Fatal("names wrong")
 	}

@@ -185,7 +185,7 @@ func (n *Network) cuttable(w *Proc) bool {
 // so the source of a long chain is the first to stop.
 func closeConsumers(closing []*Channel) {
 	for i := len(closing) - 1; i >= 0; i-- {
-		closing[i].cd.Exit().Close()
+		closing[i].cd.Buffer().CloseRead()
 	}
 }
 

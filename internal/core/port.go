@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"dpn/internal/conduit"
 	"dpn/internal/stream"
@@ -32,24 +31,24 @@ var ErrDetached = conduit.ErrDetached
 // InsertUpstream, gob decode, migration — installs fresh state and the
 // old codec goes with the old state.
 type rstate struct {
-	name string // the channel's name when ch is set, the port's otherwise
-	seq  *stream.SequenceReader
+	name string        // the channel's name when ch is set, the port's otherwise
+	p    *stream.Pipe  // nil once detached
 	ch   *Channel      // nil when the port is not attached to a local channel
 	tok  *token.Reader // built by Tokens on first use; scratch only
 }
 
 func (s *rstate) Read(b []byte) (int, error) {
-	if s.seq == nil {
+	if s.p == nil {
 		return 0, ErrDetached
 	}
-	return s.seq.Read(b)
+	return s.p.Read(b)
 }
 
 func (s *rstate) Buffered() int {
-	if s.seq == nil {
+	if s.p == nil {
 		return 0
 	}
-	return s.seq.Buffered()
+	return s.p.Buffered()
 }
 
 func (s *rstate) NoteToken() { s.NoteTokens(1) }
@@ -62,8 +61,9 @@ func (s *rstate) NoteTokens(k int) {
 
 // ReadPort is the consuming end of a channel. It corresponds to the
 // paper's ChannelInputStream: reads block until data is available, and
-// the port contains a sequence reader so that upstream processes can
-// splice themselves out of the graph without losing data (§3.3).
+// the channel's pipe takes a spliced continuation so that upstream
+// processes can splice themselves out of the graph without losing data
+// (§3.3).
 type ReadPort struct {
 	s *rstate
 }
@@ -104,10 +104,10 @@ func (p *ReadPort) Tokens() *token.Reader {
 // cut from it (see cut.go): a writer whose every output has lost its
 // consumer stops at once instead of on its next write.
 func (p *ReadPort) Close() error {
-	if p.s == nil || p.s.seq == nil {
+	if p.s == nil || p.s.p == nil {
 		return nil
 	}
-	err := p.s.seq.Close()
+	err := p.s.p.CloseRead()
 	if ch := p.s.ch; ch != nil && ch.net != nil {
 		ch.net.consumerClosed(ch)
 	}
@@ -134,41 +134,21 @@ func (p *ReadPort) Name() string {
 	return p.s.name
 }
 
-// Detach removes and returns the port's byte source. Subsequent reads
-// fail with ErrDetached and Close becomes a no-op, so a terminating
-// process cannot poison a stream it has handed to its consumer. Detach
-// is the first half of a splice-out (Figure 10 of the paper).
-func (p *ReadPort) Detach() io.ReadCloser {
+// Detach removes and returns the pipe the port reads; the caller owns
+// its read end from now on. Subsequent reads fail with ErrDetached and
+// Close becomes a no-op, so a terminating process cannot poison a
+// stream it has handed to its consumer. Detach is the first half of a
+// splice-out (Figure 10 of the paper).
+func (p *ReadPort) Detach() *stream.Pipe {
 	if p.s == nil {
 		return nil
 	}
 	if ch := p.s.ch; ch != nil && ch.net != nil {
 		ch.net.forget(ch, false)
 	}
-	seq := p.s.seq
+	src := p.s.p
 	p.s = &rstate{name: p.Name() + "<detached>"}
-	return seq
-}
-
-// appendSource splices an additional byte source after the port's
-// current contents. Used by SpliceOut.
-func (p *ReadPort) appendSource(src io.ReadCloser) error {
-	if p.s == nil || p.s.seq == nil {
-		return ErrDetached
-	}
-	p.s.seq.Append(src)
-	return nil
-}
-
-// RetargetSource replaces the port's transport wholesale, closing the
-// displaced one. Used when a migrated process's channel is reconnected
-// over the network.
-func (p *ReadPort) RetargetSource(src io.ReadCloser) error {
-	if p.s == nil || p.s.seq == nil {
-		return ErrDetached
-	}
-	p.s.seq.Retarget(src)
-	return nil
+	return src
 }
 
 // Buffered reports how many bytes are immediately readable without
@@ -198,29 +178,29 @@ func (p *ReadPort) String() string { return fmt.Sprintf("ReadPort(%s)", p.Name()
 // wstate is the shared state behind a *WritePort handle and, like
 // rstate, the sink its token codec writes.
 type wstate struct {
-	name string // the channel's name when ch is set, the port's otherwise
-	sw   *stream.SwitchWriter
+	name string       // the channel's name when ch is set, the port's otherwise
+	p    *stream.Pipe // nil once detached
 	ch   *Channel
 	tok  *token.Writer // built by Tokens on first use; scratch only
 }
 
 func (s *wstate) Write(b []byte) (int, error) {
-	if s.sw == nil {
+	if s.p == nil {
 		return 0, ErrDetached
 	}
-	return s.sw.Write(b)
+	return s.p.Write(b)
 }
 
 func (s *wstate) WriteVec(bufs ...[]byte) (int, error) {
-	if s.sw == nil {
+	if s.p == nil {
 		return 0, ErrDetached
 	}
-	return s.sw.WriteVec(bufs...)
+	return s.p.WriteVec(bufs...)
 }
 
 func (s *wstate) HintShape(shape uint32) {
-	if s.sw != nil {
-		s.sw.HintShape(shape)
+	if s.p != nil {
+		s.p.HintShape(shape)
 	}
 }
 
@@ -263,8 +243,8 @@ func (p *WritePort) Tokens() *token.Writer {
 }
 
 // WriteVec appends a multi-part element to the channel as one
-// operation (see stream.SwitchWriter.WriteVec): one lock round trip,
-// at most one consumer wakeup, and no torn element on any transport.
+// operation (see stream.Pipe.WriteVec): one lock round trip and at most
+// one consumer wakeup.
 func (p *WritePort) WriteVec(bufs ...[]byte) (int, error) {
 	if p.s == nil {
 		return 0, ErrDetached
@@ -275,10 +255,10 @@ func (p *WritePort) WriteVec(bufs ...[]byte) (int, error) {
 // Close closes the producing end. The consumer drains buffered data and
 // then observes io.EOF.
 func (p *WritePort) Close() error {
-	if p.s == nil || p.s.sw == nil {
+	if p.s == nil || p.s.p == nil {
 		return nil
 	}
-	return p.s.sw.Close()
+	return p.s.p.CloseWrite()
 }
 
 // Channel returns the local channel this port belongs to, or nil.
@@ -300,26 +280,19 @@ func (p *WritePort) Name() string {
 	return p.s.name
 }
 
-// Detach removes and returns the port's sink. Subsequent writes fail
-// with ErrDetached and Close becomes a no-op.
-func (p *WritePort) Detach() io.WriteCloser {
+// Detach removes and returns the pipe the port writes; the caller owns
+// its write end from now on. Subsequent writes fail with ErrDetached and
+// Close becomes a no-op.
+func (p *WritePort) Detach() *stream.Pipe {
 	if p.s == nil {
 		return nil
 	}
 	if ch := p.s.ch; ch != nil && ch.net != nil {
 		ch.net.forget(ch, true)
 	}
-	sw := p.s.sw
+	dst := p.s.p
 	p.s = &wstate{name: p.Name() + "<detached>"}
-	return sw
-}
-
-// RetargetSink replaces the port's sink, returning the displaced one.
-func (p *WritePort) RetargetSink(w io.WriteCloser) (io.WriteCloser, error) {
-	if p.s == nil || p.s.sw == nil {
-		return nil, ErrDetached
-	}
-	return p.s.sw.Retarget(w), nil
+	return dst
 }
 
 // HintShape forwards an advisory element-shape hint (token/blocks

@@ -22,10 +22,11 @@ func noteReconfig(n *Network, kind, subject string) {
 }
 
 // SpliceOut removes the calling process from the program graph by
-// splicing its input channel onto the front of its consumer's pending
+// splicing its input channel onto the end of its consumer's pending
 // input, exactly as in Figure 10 of the paper: the process's input
-// stream is appended to the SequenceReader inside the consumer's read
-// port, and the process's output is then closed. The consumer drains
+// pipe becomes the continuation of the pipe the consumer reads (the
+// paper's SequenceInputStream; see stream.Pipe.Splice), and the
+// process's output is then closed. The consumer drains
 // whatever the process had already produced, observes the end of that
 // stream, and continues seamlessly with the data the process would have
 // copied — no data element is lost or duplicated.
@@ -47,12 +48,14 @@ func SpliceOut(in *ReadPort, out *WritePort) error {
 	if src == nil {
 		return ErrDetached
 	}
-	// Order matters: the continuation must be queued before the output
+	// Order matters: the continuation must be in place before the output
 	// closes, so the consumer can never observe a spurious end of
 	// stream.
-	if err := ch.Reader().appendSource(src); err != nil {
-		return err
+	dst := ch.Reader().s
+	if dst == nil || dst.p == nil {
+		return ErrDetached
 	}
+	dst.p.Splice(src)
 	noteReconfig(ch.Network(), "splice-out", ch.Name())
 	return out.Close()
 }

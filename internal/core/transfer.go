@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"dpn/internal/stream"
@@ -153,13 +152,14 @@ func (p *ReadPort) GobDecode(b []byte) error {
 	return nil
 }
 
-// AttachForeignRead builds a read port over an arbitrary transport (for
-// example a network stream) that is not part of any local channel.
-func AttachForeignRead(name string, src io.ReadCloser) *ReadPort {
-	return &ReadPort{s: &rstate{name: name, seq: stream.NewSequenceReader(src)}}
+// AttachForeignRead builds a read port over the read end of a pipe that
+// is not a channel of any network (a detached port's, for example).
+func AttachForeignRead(name string, src *stream.Pipe) *ReadPort {
+	return &ReadPort{s: &rstate{name: name, p: src}}
 }
 
-// AttachForeignWrite builds a write port over an arbitrary transport.
-func AttachForeignWrite(name string, dst io.WriteCloser) *WritePort {
-	return &WritePort{s: &wstate{name: name, sw: stream.NewSwitchWriter(dst)}}
+// AttachForeignWrite builds a write port over the write end of a pipe
+// that is not a channel of any network.
+func AttachForeignWrite(name string, dst *stream.Pipe) *WritePort {
+	return &WritePort{s: &wstate{name: name, p: dst}}
 }

@@ -178,51 +178,25 @@ func TestManyWritersManyReadersLiveness(t *testing.T) {
 	}
 }
 
-// countingWriteCloser counts underlying Write calls; it does not
-// implement VecWriter, so SwitchWriter.WriteVec must fall back to a
-// single joined write.
-type countingWriteCloser struct {
-	bytes.Buffer
-	writes int
-}
-
-func (c *countingWriteCloser) Write(b []byte) (int, error) {
-	c.writes++
-	return c.Buffer.Write(b)
-}
-
-func (c *countingWriteCloser) Close() error { return nil }
-
-// TestSwitchWriterVecFallbackIsOneWrite checks that a multi-part
-// element forwarded to a non-vectored sink still reaches it as exactly
-// one write — the property that prevents torn elements on migrated
-// (network) transports.
-func TestSwitchWriterVecFallbackIsOneWrite(t *testing.T) {
-	sink := &countingWriteCloser{}
-	sw := NewSwitchWriter(sink)
-	if _, err := sw.WriteVec([]byte{0, 0, 0, 3}, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	if sink.writes != 1 {
-		t.Fatalf("non-vec sink saw %d writes for one element, want 1", sink.writes)
-	}
-	if got := sink.Buffer.Bytes(); !bytes.Equal(got, []byte{0, 0, 0, 3, 'a', 'b', 'c'}) {
-		t.Fatalf("sink got %v", got)
-	}
-}
-
-// TestSequenceReaderBuffered checks the batch-drain bound: a pipe
-// source reports its buffered bytes, an opaque source reports zero.
-func TestSequenceReaderBuffered(t *testing.T) {
+// TestSpliceBuffered checks the batch-drain bound: a pipe reports its
+// own buffered bytes while it has any, and its continuation's once it
+// has drained into it.
+func TestSpliceBuffered(t *testing.T) {
 	p := NewPipe(64)
 	p.Write([]byte{1, 2, 3})
-	s := NewSequenceReader(p.ReadEnd())
-	if got := s.Buffered(); got != 3 {
+	p.Splice(pipeWith([]byte{4, 5}, true))
+	if got := p.Buffered(); got != 3 {
 		t.Fatalf("Buffered() = %d, want 3", got)
 	}
-	opaque := io.NopCloser(bytes.NewReader([]byte{9, 9}))
-	s2 := NewSequenceReader(opaque)
-	if got := s2.Buffered(); got != 0 {
-		t.Fatalf("opaque source Buffered() = %d, want 0", got)
+	p.CloseWrite()
+	if got := p.Buffered(); got != 3 {
+		t.Fatalf("Buffered() after CloseWrite = %d, want 3 (own bytes first)", got)
+	}
+	p.Read(make([]byte, 3))
+	if got := p.Buffered(); got != 2 {
+		t.Fatalf("Buffered() once drained = %d, want the continuation's 2", got)
+	}
+	if got := p.ReadEnd().(BufferedReader).Buffered(); got != 2 {
+		t.Fatalf("read end Buffered() = %d, want 2", got)
 	}
 }

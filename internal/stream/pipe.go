@@ -1,7 +1,6 @@
 // Package stream provides the byte-transport layer for process-network
-// channels: a bounded in-memory FIFO pipe with blocking reads and writes,
-// a sequence reader that can splice several sources end to end, and a
-// retargetable writer.
+// channels: a bounded in-memory FIFO pipe with blocking reads and writes
+// whose read end can go on, once drained, from a spliced continuation.
 //
 // The semantics mirror the Java implementation described in "Distributed
 // Process Networks in Java" (Parks, Roberts, Millman; IPPS 2003):
@@ -16,6 +15,10 @@
 //     then observe io.EOF (the paper's graceful downstream termination).
 //   - The capacity can be grown at run time, which is how artificial
 //     deadlock introduced by bounded buffers is resolved (§3.5, §6.2).
+//   - A pipe can be given a continuation (Splice): once its write end is
+//     closed and it has drained, reads go on from the continuation
+//     instead of ending. This is the paper's SequenceInputStream, the
+//     mechanism by which a process splices itself out (§3.3, Figure 10).
 package stream
 
 import (
@@ -105,6 +108,12 @@ type Pipe struct {
 	writeClosed bool
 	unbounded   bool // see Unbound
 	linked      side // the sides a transport link drives; see Link
+
+	// next is the continuation (see Splice): set once, under mu, and
+	// read from once the write end is closed and the buffer is empty.
+	// It is atomic so that the trace and shape paths of a pipe with no
+	// continuation take no lock.
+	next atomic.Pointer[Pipe]
 }
 
 // side is a set of a pipe's ends.
@@ -224,12 +233,57 @@ func (p *Pipe) Len() int {
 	return p.n
 }
 
-// Buffered reports the number of buffered, unconsumed bytes. It is the
-// BufferedReader-facing alias of Len: batch decoders use it to size a
+// Buffered reports the number of bytes a Read can deliver without
+// blocking: the buffered ones, or, once the pipe has drained into its
+// continuation, the continuation's. Batch decoders use it to size a
 // drain that is guaranteed not to block and not to leave partially
 // consumed state behind (migration safety: everything taken from the
 // pipe in one call is fully converted before the call returns).
-func (p *Pipe) Buffered() int { return p.Len() }
+func (p *Pipe) Buffered() int {
+	if next := p.continuation(); next != nil {
+		return next.Buffered()
+	}
+	return p.Len()
+}
+
+// continuation returns the pipe reads go on from now: the spliced one,
+// once the write end is closed and the buffer has drained; nil before
+// that, or if none is spliced on.
+func (p *Pipe) continuation() *Pipe {
+	next := p.next.Load()
+	if next == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n == 0 && p.writeClosed && !p.readClosed {
+		return next
+	}
+	return nil
+}
+
+// Splice makes src the pipe's continuation: once the write end is
+// closed and every buffered byte has been read, Read goes on from src
+// instead of returning io.EOF. A pipe that already has a continuation
+// passes src on to it, so successive splices queue up end to end, each
+// behind the one before. Splicing onto a pipe whose read end is closed
+// closes src's read end at once, poisoning its writer (§3.4). The
+// continuation must be in place before the write end closes, or a
+// reader may see io.EOF first; core.SpliceOut keeps that order.
+func (p *Pipe) Splice(src *Pipe) {
+	p.mu.Lock()
+	closed, next := p.readClosed, p.next.Load()
+	if !closed && next == nil {
+		p.next.Store(src)
+	}
+	p.mu.Unlock()
+	switch {
+	case closed:
+		src.CloseRead()
+	case next != nil:
+		next.Splice(src)
+	}
+}
 
 // BlockedWriters reports how many goroutines are currently blocked in
 // Write waiting for space.
@@ -440,23 +494,29 @@ func (p *Pipe) finishWrite(written int) {
 
 // Read fills b with up to len(b) buffered bytes, blocking until at least
 // one byte is available. When the write end has been closed and the
-// buffer is empty it returns io.EOF. Reads never return (0, nil): the
-// blocking-read rule of Kahn's model is enforced here. A read that finds
-// data tells the observer nothing: only parking and being signalled are
-// scheduling transitions.
+// buffer is empty it goes on from the continuation (see Splice), or
+// returns io.EOF if there is none; after CloseRead it returns
+// ErrReadClosed. Reads never return (0, nil): the blocking-read rule of
+// Kahn's model is enforced here. A read that finds data tells the
+// observer nothing: only parking and being signalled are scheduling
+// transitions.
 func (p *Pipe) Read(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, nil
 	}
 	p.mu.Lock()
 	for p.n == 0 {
-		if p.writeClosed {
-			p.mu.Unlock()
-			return 0, io.EOF
-		}
 		if p.readClosed {
 			p.mu.Unlock()
 			return 0, ErrReadClosed
+		}
+		if p.writeClosed {
+			next := p.next.Load()
+			p.mu.Unlock()
+			if next != nil {
+				return next.Read(b)
+			}
+			return 0, io.EOF
 		}
 		p.blockedReaders++
 		p.waitR++
@@ -513,12 +573,14 @@ func (p *Pipe) CloseWrite() error {
 	return nil
 }
 
-// CloseRead closes the read end. Subsequent and blocked writes fail with
-// ErrReadClosed; buffered data is discarded. Closing twice is a no-op.
+// CloseRead closes the read end, and the continuation's if one is
+// spliced on. Subsequent and blocked writes fail with ErrReadClosed,
+// and reads with it too; buffered data is discarded. Closing twice is a
+// no-op.
 func (p *Pipe) CloseRead() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.readClosed {
+		p.mu.Unlock()
 		return nil
 	}
 	p.readClosed = true
@@ -526,6 +588,11 @@ func (p *Pipe) CloseRead() error {
 	p.r = 0
 	p.wakeAll(false)
 	p.wakeAll(true)
+	next := p.next.Load()
+	p.mu.Unlock()
+	if next != nil {
+		return next.CloseRead()
+	}
 	return nil
 }
 
@@ -597,13 +664,18 @@ func (p *Pipe) MarkTrace(id uint64) {
 	}
 }
 
-// TakeTraceMark removes and returns the pending trace mark, or 0. The
-// unmarked case — virtually every call — is one atomic load.
+// TakeTraceMark removes and returns the pending trace mark, or 0. Once
+// the pipe has drained into its continuation, an unmarked pipe hands
+// the continuation's mark on. The unmarked case of a pipe with no
+// continuation — virtually every call — is two atomic loads.
 func (p *Pipe) TakeTraceMark() uint64 {
-	if p.trace.Load() == 0 {
-		return 0
+	if p.trace.Load() != 0 {
+		return p.trace.Swap(0)
 	}
-	return p.trace.Swap(0)
+	if next := p.continuation(); next != nil {
+		return next.TakeTraceMark()
+	}
+	return 0
 }
 
 // HintShape records an advisory hint about the shape of the elements
@@ -615,8 +687,14 @@ func (p *Pipe) TakeTraceMark() uint64 {
 // stale or missing hint merely costs compression ratio, never data.
 func (p *Pipe) HintShape(s uint32) { p.shape.Store(s) }
 
-// ShapeHint returns the current advisory element-shape hint.
-func (p *Pipe) ShapeHint() uint32 { return p.shape.Load() }
+// ShapeHint returns the current advisory element-shape hint: the
+// continuation's once the pipe has drained into one.
+func (p *Pipe) ShapeHint() uint32 {
+	if next := p.continuation(); next != nil {
+		return next.ShapeHint()
+	}
+	return p.shape.Load()
+}
 
 // ShapeHinter is implemented by sinks that can carry an advisory
 // element-shape hint toward a transport binding.

@@ -39,10 +39,10 @@ func TestPipeTraceMarkLatestWins(t *testing.T) {
 	}
 }
 
-// The pipe's reader/writer end adapters and the SequenceReader forward
-// the trace-mark interfaces, so a transport holding only an
-// io.ReadCloser can still pick marks up.
-func TestTraceMarkThroughEndsAndSequence(t *testing.T) {
+// The pipe's reader/writer end adapters forward the trace-mark
+// interfaces, so a transport holding only an io.ReadCloser can still
+// pick marks up, and a drained pipe hands on its continuation's.
+func TestTraceMarkThroughEndsAndSplice(t *testing.T) {
 	p := NewPipe(16)
 	if _, ok := any(p.WriteEnd()).(TraceMarker); !ok {
 		t.Fatal("writer end does not expose MarkTrace")
@@ -52,12 +52,25 @@ func TestTraceMarkThroughEndsAndSequence(t *testing.T) {
 	}
 	any(p.WriteEnd()).(TraceMarker).MarkTrace(11)
 
-	sr := NewSequenceReader(p.ReadEnd())
-	if got := sr.TakeTraceMark(); got != 11 {
-		t.Fatalf("sequence reader mark = %d, want 11", got)
+	head := spliced(p)
+	if got := head.ReadEnd().(TraceTaker).TakeTraceMark(); got != 11 {
+		t.Fatalf("mark through a splice = %d, want 11", got)
 	}
-	if got := sr.TakeTraceMark(); got != 0 {
-		t.Fatalf("sequence reader mark taken twice: %d", got)
+	if got := head.TakeTraceMark(); got != 0 {
+		t.Fatalf("mark through a splice taken twice: %d", got)
+	}
+
+	// A pipe that still has bytes of its own keeps its continuation's
+	// mark back until it has drained.
+	own := pipeWith([]byte("x"), true)
+	own.Splice(p)
+	p.MarkTrace(12)
+	if got := own.TakeTraceMark(); got != 0 {
+		t.Fatalf("undrained pipe handed on its continuation's mark %d", got)
+	}
+	own.Read(make([]byte, 1))
+	if got := own.TakeTraceMark(); got != 12 {
+		t.Fatalf("drained pipe's mark = %d, want the continuation's 12", got)
 	}
 }
 

@@ -294,10 +294,10 @@ func Export(n *Node, destAddr string, procs ...any) (*Parcel, error) {
 			// Both ends now live in the parcel; close the emptied local
 			// buffer so the network can let the channel go.
 			if src := s.reader.Detach(); src != nil {
-				src.Close()
+				src.CloseRead()
 			}
 			if sink := s.writer.Detach(); sink != nil {
-				sink.Close()
+				sink.CloseWrite()
 			}
 			parcel.Internal = append(parcel.Internal, cd)
 
@@ -423,7 +423,7 @@ func exportWriter(n *Node, t *core.Transfer, ch *core.Channel, w *core.WritePort
 			return pd, fmt.Errorf("wire: redirecting writer of %s: %w", ch.Name(), err)
 		}
 		if sink := w.Detach(); sink != nil {
-			sink.Close() // lets the outbound link drain to the redirect frame
+			sink.CloseWrite() // lets the outbound link drain to the redirect frame
 		}
 		if err := l.Wait(); err != nil {
 			return pd, err

@@ -9,7 +9,8 @@
 #                    task-farm, parked-link, link-wait, multi-node
 #                    monitor, scraped-tally, scrape-churn,
 #                    golden-exposition, link-core, Redirect-race,
-#                    shared-session and permanent-partition tests x20 at
+#                    shared-session, permanent-partition and splice
+#                    (stream, proclib, core, graphs) tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -270,13 +271,18 @@ go test -race -timeout 120s ./...
 # within the inbox bound (OverrunningPeerIsCutOff), a stalled link
 # does not stall its session (StalledLinkDoesNotStallItsSession), an
 # accepted session is pooled before its read loop runs
-# (MuxSessionSharedAcrossLinksBothDirections), and a partition started
+# (MuxSessionSharedAcrossLinksBothDirections), a partition started
 # at a point the stream cannot pass cascades the close
-# (ChaosPrimesPermanentPartitionCascades).
+# (ChaosPrimesPermanentPartitionCascades), and a splice loses, repeats
+# and reorders nothing: a pipe's continuation spliced on while its
+# reader reads (SpliceConcurrentStress), a Cons splicing itself out
+# (ConsSelfRemove, SpliceOutPreservesEveryElement,
+# FibonacciWithSelfRemovingCons), and a cut that leaves a spliced
+# Cons's stream to its live reader (CutLeavesSplicedConsStreamIntact).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades' \
-	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact' \
+	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
