@@ -90,9 +90,22 @@ type namedProc struct{}
 func (p *namedProc) ProcessName() string { return "custom-name" }
 func (p *namedProc) Run(env *Env) error  { return nil }
 
+// A zero Iterations is no limit: the process steps until its channel
+// ends, and Done still counts every element it moved.
 func TestIterativeZeroMeansUnlimited(t *testing.T) {
-	var it Iterative
-	if it.IterationLimit() != 0 {
-		t.Fatal("zero Iterative should report 0 (unlimited)")
+	n := NewNetwork()
+	ch := n.NewChannel("c", 8)
+	vals := make([]int64, 300)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	n.Spawn(&emitter{Out: ch.Writer(), Values: vals})
+	sk := &limitedSink{In: ch.Reader()}
+	n.Spawn(sk)
+	if err := n.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sk.got) != len(vals) || sk.Done != int64(len(vals)) {
+		t.Fatalf("read %d values, Done %d; want %d", len(sk.got), sk.Done, len(vals))
 	}
 }

@@ -37,23 +37,25 @@ type Stopper interface {
 	OnStop(env *Env)
 }
 
-// Limited is implemented by processes with a fixed iteration limit
-// (§3.4: "Any process can have a fixed iteration limit imposed upon
-// it"). A non-positive limit means unlimited.
-type Limited interface {
-	IterationLimit() int64
-}
-
 // Iterative can be embedded in a process struct to give it a
-// configurable iteration limit.
+// configurable iteration limit (§3.4: "Any process can have a fixed
+// iteration limit imposed upon it") and a count of its progress.
 type Iterative struct {
-	// Iterations is the maximum number of Step calls; <= 0 means no
-	// limit (run until a channel terminates the process).
+	// Iterations is the maximum number of elements the process moves;
+	// <= 0 means no limit (run until a channel terminates the process).
 	Iterations int64
+	// Done counts the elements moved so far. A Step that moves a run
+	// adds the run's length itself; the step loop counts any other
+	// Step as one element. Done is stream state: it ships with a
+	// migrating process, so a moved process neither repeats its
+	// position nor runs its whole limit again.
+	Done int64
 }
 
-// IterationLimit implements Limited.
-func (it Iterative) IterationLimit() int64 { return it.Iterations }
+func (it *Iterative) iterative() *Iterative { return it }
+
+// iterated is implemented by every process that embeds Iterative.
+type iterated interface{ iterative() *Iterative }
 
 // PortHolder can be implemented to override the reflective discovery of
 // a process's ports. The runtime closes every returned closer when the
@@ -96,7 +98,9 @@ func runBody(p any, env *Env) error {
 
 // runSteps is the Go transcription of IterativeProcess.run (Figure 4 of
 // the paper): onStart once, step until the iteration limit is reached or
-// a stream exception occurs, onStop once.
+// a stream exception occurs, onStop once. The limit counts elements, not
+// Step calls (see Iterative.Done), and a process that migrated resumes
+// its count where the origin left it.
 func runSteps(s Stepper, env *Env) (err error) {
 	if st, ok := s.(Stopper); ok {
 		defer st.OnStop(env)
@@ -109,35 +113,29 @@ func runSteps(s Stepper, env *Env) (err error) {
 			return err
 		}
 	}
-	var limit int64 = -1
-	if l, ok := s.(Limited); ok {
-		limit = l.IterationLimit()
+	// A process without Iterative is counted in a local it, so the loop
+	// has one shape.
+	var local Iterative
+	it := &local
+	if i, ok := s.(iterated); ok {
+		it = i.iterative()
 	}
-	if limit > 0 {
-		for i := int64(0); i < limit; i++ {
-			if env.proc.park.checkpoint() {
-				return errEjected
-			}
-			if err := s.Step(env); err != nil {
-				if IsTermination(err) {
-					return nil
-				}
-				return err
-			}
-		}
-		return nil
-	}
-	for {
+	for it.Iterations <= 0 || it.Done < it.Iterations {
 		if env.proc.park.checkpoint() {
 			return errEjected
 		}
+		done := it.Done
 		if err := s.Step(env); err != nil {
 			if IsTermination(err) {
 				return nil
 			}
 			return err
 		}
+		if it.Done == done {
+			it.Done++
+		}
 	}
+	return nil
 }
 
 // PortsOf discovers the channel ports a process holds, by reflection

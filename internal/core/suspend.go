@@ -54,8 +54,9 @@ type parkState struct {
 	cond *sync.Cond
 
 	// requested is atomic so the step loop can test it without the
-	// mutex: with one element per Step, the step boundary is per-token
-	// cost. It is only ever written under mu.
+	// mutex: it is tested between every two Steps, and a process that
+	// moves one element per Step pays that test per element (a run
+	// process pays it once per run). It is only ever written under mu.
 	requested atomic.Bool
 	parked    bool
 	action    parkAction

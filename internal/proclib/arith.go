@@ -30,21 +30,32 @@ func (a *Add) Step(env *core.Env) error {
 }
 
 // Scale multiplies each int64 element by Factor — the multiplier of the
-// Hamming network (Figure 12).
+// Hamming network (Figure 12). It is a run process (see runLen).
 type Scale struct {
 	core.Iterative
 	Factor int64
 	In     *core.ReadPort
 	Out    *core.WritePort
+
+	buf [runLen]int64
 }
 
 // Step implements core.Stepper.
 func (s *Scale) Step(env *core.Env) error {
-	v, err := s.In.Tokens().ReadInt64()
+	vs := s.buf[:runOf(&s.Iterative)]
+	n, err := s.In.Tokens().ReadInt64s(vs)
 	if err != nil {
 		return err
 	}
-	return s.Out.Tokens().WriteInt64(v * s.Factor)
+	vs = vs[:n]
+	for i := range vs {
+		vs[i] *= s.Factor
+	}
+	if err := s.Out.Tokens().WriteInt64s(vs); err != nil {
+		return err
+	}
+	s.Done += int64(n)
+	return nil
 }
 
 // Divide reads one float64 from each input and writes InA/InB — the

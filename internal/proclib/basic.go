@@ -12,6 +12,26 @@ import (
 // chunks preserves FIFO order per output while being far cheaper.
 const defaultChunk = 1024
 
+// runLen is the most int64 elements a run process (Scale, Modulo,
+// OrderedMerge, Sequence, Collect, Count) moves in one Step. Moving one
+// element per step, as the paper's processes do (§3.1, Figure 5), costs
+// each 8-byte element a pipe lock pair, a codec call, a token count and
+// a step-boundary check on both sides of every hop. A run process reads
+// with ReadInt64s, which blocks for the first element only and then
+// takes what is already buffered, and writes what it decided with one
+// WriteInt64s before it can block on a read again; nothing it has taken
+// is held past the Step unless it is exported state.
+const runLen = 32
+
+// runOf returns how many elements the next Step of a run process may
+// move: runLen, capped at what is left of its iteration limit.
+func runOf(it *core.Iterative) int {
+	if left := it.Iterations - it.Done; it.Iterations > 0 && left < runLen {
+		return int(left)
+	}
+	return runLen
+}
+
 // PassThrough copies bytes from In to Out unchanged — an identity
 // process, the behaviour of Cons after its head element is delivered.
 type PassThrough struct {
@@ -90,9 +110,11 @@ type Cons struct {
 	In         *core.ReadPort
 	Out        *core.WritePort
 	SelfRemove bool
+	// Primed records that the head has been delivered; it ships with a
+	// migrating Cons, which does not deliver its head again.
+	Primed bool
 
-	primed bool
-	buf    []byte
+	buf []byte
 }
 
 // NewConsInt64 builds a Cons whose head is one encoded int64 element.
@@ -109,6 +131,9 @@ func NewConsFloat64(head float64, in *core.ReadPort, out *core.WritePort, selfRe
 // OnStart implements core.Starter: the head is delivered before any
 // input is consumed, so cons(x, ⊥) = [x].
 func (c *Cons) OnStart(env *core.Env) error {
+	if c.Primed {
+		return nil
+	}
 	if len(c.Head) > 0 {
 		if _, err := c.Out.Write(c.Head); err != nil {
 			return err
@@ -121,7 +146,7 @@ func (c *Cons) OnStart(env *core.Env) error {
 		c.HeadIn.Close()
 		c.HeadIn = nil
 	}
-	c.primed = true
+	c.Primed = true
 	return nil
 }
 
@@ -174,20 +199,21 @@ func (d *Discard) Step(env *core.Env) error {
 
 // Take copies exactly N elements of Width bytes from In to Out and then
 // stops, closing both channels: a data-bounded window over an infinite
-// stream.
+// stream. Copied counts the elements copied so far; it ships with a
+// migrating Take, which does not copy its whole window again.
 type Take struct {
-	N     int64
-	Width int
-	In    *core.ReadPort
-	Out   *core.WritePort
+	N      int64
+	Width  int
+	In     *core.ReadPort
+	Out    *core.WritePort
+	Copied int64
 
-	done int64
-	buf  []byte
+	buf []byte
 }
 
 // Step implements core.Stepper.
 func (t *Take) Step(env *core.Env) error {
-	if t.done >= t.N {
+	if t.Copied >= t.N {
 		return io.EOF
 	}
 	w := t.Width
@@ -203,6 +229,6 @@ func (t *Take) Step(env *core.Env) error {
 	if _, err := t.Out.Write(t.buf); err != nil {
 		return err
 	}
-	t.done++
+	t.Copied++
 	return nil
 }

@@ -11,10 +11,20 @@
 //   - Channels carry bytes; these processes layer typed elements on top
 //     with package token (int64 and float64 elements are 8 bytes,
 //     variable-size elements are length-prefixed blocks).
-//   - Every process type has exported fields only, is registered with
-//     encoding/gob, and holds its ports in exported fields so the
-//     runtime can discover and close them when the process stops — and
-//     so graphs can be serialized to remote compute servers.
+//   - Every process type is registered with encoding/gob and keeps its
+//     stream state — its ports, and whatever it must remember between
+//     steps to go on (a position, a count, queued heads, a filter
+//     history, a round-robin lane, a delivered head) — in exported
+//     fields, so the runtime can discover and close its ports when it
+//     stops, and a process serialized to a remote compute server,
+//     before it starts or mid-stream, goes on exactly where it was.
+//     Unexported fields hold scratch (read buffers, runs), which is
+//     empty at every step boundary, and local observation (Collect's
+//     record, Print's writer).
 //   - Processes with a natural iteration count embed core.Iterative;
-//     setting Iterations imposes the fixed iteration limit of §3.4.
+//     setting Iterations imposes the fixed iteration limit of §3.4,
+//     counted in elements, and Done counts the elements moved so far.
+//   - Scale, Modulo, OrderedMerge, Sequence, Collect and Count move a
+//     run of up to runLen elements per step (see runLen); the others
+//     move one element, or one chunk of bytes, per step.
 package proclib

@@ -21,34 +21,34 @@ type FIR struct {
 	In   *core.ReadPort
 	Out  *core.WritePort
 
-	history []float64 // ring of the last len(Taps) inputs
-	pos     int
-	primed  bool
+	// History is the ring of the last len(Taps) inputs and Pos the
+	// slot the next input goes to; both ship with a migrating filter.
+	History []float64
+	Pos     int
 }
 
 // Step implements core.Stepper.
 func (f *FIR) Step(env *core.Env) error {
-	if !f.primed {
-		f.history = make([]float64, len(f.Taps))
-		f.primed = true
+	if len(f.History) != len(f.Taps) {
+		f.History = make([]float64, len(f.Taps))
 	}
 	x, err := f.In.Tokens().ReadFloat64()
 	if err != nil {
 		return err
 	}
-	f.history[f.pos] = x
+	f.History[f.Pos] = x
 	acc := 0.0
-	idx := f.pos
+	idx := f.Pos
 	for _, tap := range f.Taps {
-		acc += tap * f.history[idx]
+		acc += tap * f.History[idx]
 		idx--
 		if idx < 0 {
-			idx = len(f.history) - 1
+			idx = len(f.History) - 1
 		}
 	}
-	f.pos++
-	if f.pos == len(f.history) {
-		f.pos = 0
+	f.Pos++
+	if f.Pos == len(f.History) {
+		f.Pos = 0
 	}
 	return f.Out.Tokens().WriteFloat64(acc)
 }
@@ -62,20 +62,24 @@ type Delay struct {
 	Initial []float64
 	In      *core.ReadPort
 	Out     *core.WritePort
-
-	emitted bool
+	// Emitted records that Initial has been produced; it ships with a
+	// migrating Delay, which does not produce it again.
+	Emitted bool
 }
 
 // OnStart implements core.Starter: the initial samples are produced
 // before any input is consumed.
 func (d *Delay) OnStart(env *core.Env) error {
+	if d.Emitted {
+		return nil
+	}
 	w := d.Out.Tokens()
 	for _, v := range d.Initial {
 		if err := w.WriteFloat64(v); err != nil {
 			return err
 		}
 	}
-	d.emitted = true
+	d.Emitted = true
 	return nil
 }
 

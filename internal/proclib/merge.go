@@ -12,61 +12,91 @@ import (
 // network (Figure 12). An input that reaches end of stream simply drops
 // out of the merge; the merge itself ends when every input has ended.
 //
-// Heads, Loaded and Done are elements already taken from the inputs and
-// not yet emitted; they are exported so they ship with a migrating
-// process instead of being lost with it.
+// It is a run process (see runLen) built like workload.MergeByTag.
+// Heads[i] queues the elements already taken from input i and not yet
+// emitted; Ended[i] records that input i has ended. Both ship with a
+// migrating process. A Step reloads every empty live queue (blocking,
+// as Kahn requires, and then taking only what is buffered), then emits
+// the least head for as long as it is decidable, i.e. until some live
+// input's queue runs dry, in one write. Equal heads are consumed
+// together, so the output order and de-duplication are those of an
+// element-at-a-time merge; its limit counts the elements it emits.
 type OrderedMerge struct {
 	core.Iterative
 	Ins []*core.ReadPort
 	Out *core.WritePort
 
-	Heads  []int64
-	Loaded []bool
-	Done   []bool
+	Heads [][]int64
+	Ended []bool
+
+	bufs [][runLen]int64 // Heads[i] windows bufs[i] between reloads
+	out  [runLen]int64
 }
 
-// Step implements core.Stepper. Each step emits one element.
+// Step implements core.Stepper.
 func (m *OrderedMerge) Step(env *core.Env) error {
 	if len(m.Heads) != len(m.Ins) {
-		m.Heads = make([]int64, len(m.Ins))
-		m.Loaded = make([]bool, len(m.Ins))
-		m.Done = make([]bool, len(m.Ins))
+		m.Heads = make([][]int64, len(m.Ins))
+		m.Ended = make([]bool, len(m.Ins))
 	}
-	// Fill every head slot.
-	for i := range m.Ins {
-		if m.Loaded[i] || m.Done[i] {
+	if len(m.bufs) != len(m.Ins) {
+		m.bufs = make([][runLen]int64, len(m.Ins))
+	}
+	for i, in := range m.Ins {
+		if len(m.Heads[i]) > 0 || m.Ended[i] {
 			continue
 		}
-		v, err := m.Ins[i].Tokens().ReadInt64()
+		buf := m.bufs[i][:]
+		n, err := in.Tokens().ReadInt64s(buf)
 		if err == io.EOF {
-			m.Done[i] = true
+			m.Ended[i] = true
 			continue
 		}
 		if err != nil {
 			return err
 		}
-		m.Heads[i] = v
-		m.Loaded[i] = true
+		m.Heads[i] = buf[:n]
 	}
-	// Find the minimum head.
-	var minV int64
+	out := m.out[:0]
+	for k := runOf(&m.Iterative); len(out) < k; {
+		v, ok := m.least()
+		if !ok {
+			break
+		}
+		for i, h := range m.Heads {
+			if len(h) > 0 && h[0] == v {
+				m.Heads[i] = h[1:]
+			}
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return io.EOF // every input ended and every queue is empty
+	}
+	if err := m.Out.Tokens().WriteInt64s(out); err != nil {
+		return err
+	}
+	m.Done += int64(len(out))
+	return nil
+}
+
+// least returns the smallest queued head, or false when that is not
+// decidable: a live input's queue is empty (it could still deliver a
+// smaller head) or every input is exhausted.
+func (m *OrderedMerge) least() (int64, bool) {
+	var v int64
 	found := false
-	for i := range m.Ins {
-		if m.Loaded[i] && (!found || m.Heads[i] < minV) {
-			minV = m.Heads[i]
-			found = true
+	for i, h := range m.Heads {
+		switch {
+		case len(h) > 0:
+			if !found || h[0] < v {
+				v, found = h[0], true
+			}
+		case !m.Ended[i]:
+			return 0, false
 		}
 	}
-	if !found {
-		return io.EOF // every input ended
-	}
-	// Consume the minimum from every input that carries it (dedup).
-	for i := range m.Ins {
-		if m.Loaded[i] && m.Heads[i] == minV {
-			m.Loaded[i] = false
-		}
-	}
-	return m.Out.Tokens().WriteInt64(minV)
+	return v, found
 }
 
 // ModSplit is the "mod" process of Figure 13: values divisible by N go
@@ -112,21 +142,20 @@ type Scatter struct {
 	In   *core.ReadPort
 	Outs []*core.WritePort
 
-	next int
-	done []bool
-	live int
-	buf  []byte
-	init bool
+	// Next is the lane the next block goes to and Retired marks the
+	// lanes whose consumer has gone; both ship with a migrating process.
+	Next    int
+	Retired []bool
+
+	buf []byte
 }
 
 // Step implements core.Stepper.
 func (s *Scatter) Step(env *core.Env) error {
-	if !s.init {
-		s.done = make([]bool, len(s.Outs))
-		s.live = len(s.Outs)
-		s.init = true
+	if len(s.Retired) != len(s.Outs) {
+		s.Retired = make([]bool, len(s.Outs))
 	}
-	if s.live == 0 {
+	if live(s.Retired) == 0 {
 		return io.EOF
 	}
 	b, err := s.In.Tokens().ReadBlockBuf(s.buf)
@@ -137,13 +166,13 @@ func (s *Scatter) Step(env *core.Env) error {
 		return err
 	}
 	s.buf = b[:0]
-	for s.live > 0 {
-		for s.done[s.next] {
-			s.next = (s.next + 1) % len(s.Outs)
+	for live(s.Retired) > 0 {
+		for s.Retired[s.Next] {
+			s.Next = (s.Next + 1) % len(s.Outs)
 		}
-		out := s.Outs[s.next]
-		s.next = (s.next + 1) % len(s.Outs)
-		err := out.Tokens().WriteBlock(b)
+		i := s.Next
+		s.Next = (s.Next + 1) % len(s.Outs)
+		err := s.Outs[i].Tokens().WriteBlock(b)
 		if err == nil {
 			return nil
 		}
@@ -152,19 +181,21 @@ func (s *Scatter) Step(env *core.Env) error {
 		}
 		// This lane's consumer is gone: retire it and redeliver the
 		// block to the next live lane.
-		s.retire(out)
+		s.Retired[i] = true
+		s.Outs[i].Close()
 	}
 	return io.EOF // every lane retired with a block in hand
 }
 
-func (s *Scatter) retire(out *core.WritePort) {
-	for i, o := range s.Outs {
-		if o == out && !s.done[i] {
-			s.done[i] = true
-			s.live--
-			o.Close()
+// live counts the lanes not retired.
+func live(retired []bool) int {
+	n := 0
+	for _, r := range retired {
+		if !r {
+			n++
 		}
 	}
+	return n
 }
 
 // Gather collects length-prefixed blocks from its inputs in round-robin
@@ -185,37 +216,34 @@ type Gather struct {
 	Ins []*core.ReadPort
 	Out *core.WritePort
 
-	next int
-	done []bool
-	live int
-	init bool
+	// Next is the lane the next block is read from and Retired marks
+	// the lanes that have ended; both ship with a migrating process.
+	Next    int
+	Retired []bool
 }
 
 // Step implements core.Stepper. Each step forwards one block.
 func (g *Gather) Step(env *core.Env) error {
-	if !g.init {
-		g.done = make([]bool, len(g.Ins))
-		g.live = len(g.Ins)
-		g.init = true
+	if len(g.Retired) != len(g.Ins) {
+		g.Retired = make([]bool, len(g.Ins))
 	}
-	for g.live > 0 {
-		for g.done[g.next] {
-			g.next = (g.next + 1) % len(g.Ins)
+	for live(g.Retired) > 0 {
+		for g.Retired[g.Next] {
+			g.Next = (g.Next + 1) % len(g.Ins)
 		}
-		in := g.Ins[g.next]
+		in := g.Ins[g.Next]
 		b, err := in.Tokens().ReadBlock()
 		if err == nil {
-			g.next = (g.next + 1) % len(g.Ins)
+			g.Next = (g.Next + 1) % len(g.Ins)
 			return g.Out.Tokens().WriteBlock(b)
 		}
 		if !errors.Is(err, io.EOF) {
 			return err // torn block or transport fault: not a clean close
 		}
 		// This lane ended: retire it and keep rotating.
-		g.done[g.next] = true
-		g.live--
+		g.Retired[g.Next] = true
 		in.Close()
-		g.next = (g.next + 1) % len(g.Ins)
+		g.Next = (g.Next + 1) % len(g.Ins)
 	}
 	return io.EOF // all inputs ended; cascade the close
 }

@@ -9,24 +9,35 @@ import (
 
 // Modulo filters multiples of P out of an int64 stream — the filter
 // stage of the Sieve of Eratosthenes (Figure 7). Values divisible by P
-// are discarded; everything else passes through.
+// are discarded; everything else passes through. It is a run process
+// (see runLen); its limit counts the elements it reads.
 type Modulo struct {
 	core.Iterative
 	P   int64
 	In  *core.ReadPort
 	Out *core.WritePort
+
+	buf [runLen]int64
 }
 
 // Step implements core.Stepper.
 func (m *Modulo) Step(env *core.Env) error {
-	v, err := m.In.Tokens().ReadInt64()
+	vs := m.buf[:runOf(&m.Iterative)]
+	n, err := m.In.Tokens().ReadInt64s(vs)
 	if err != nil {
 		return err
 	}
-	if v%m.P == 0 {
+	m.Done += int64(n)
+	kept := vs[:0]
+	for _, v := range vs[:n] {
+		if v%m.P != 0 {
+			kept = append(kept, v)
+		}
+	}
+	if len(kept) == 0 {
 		return nil
 	}
-	return m.Out.Tokens().WriteInt64(v)
+	return m.Out.Tokens().WriteInt64s(kept)
 }
 
 // Sift is the iterative self-modifying sieve process of Figure 8: each

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"dpn/internal/core"
 )
@@ -67,24 +68,28 @@ func (p *Print) Step(env *core.Env) error {
 
 // Collect reads int64 elements and records them in memory. It is the
 // standard observable sink for tests and examples; Values is safe to
-// call after the network has finished (or concurrently).
+// call after the network has finished (or concurrently). It is a run
+// process (see runLen).
 type Collect struct {
 	core.Iterative
 	In *core.ReadPort
 
 	mu   sync.Mutex
 	vals []int64
+	buf  [runLen]int64
 }
 
 // Step implements core.Stepper.
 func (c *Collect) Step(env *core.Env) error {
-	v, err := c.In.Tokens().ReadInt64()
+	vs := c.buf[:runOf(&c.Iterative)]
+	n, err := c.In.Tokens().ReadInt64s(vs)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.vals = append(c.vals, v)
+	c.vals = append(c.vals, vs[:n]...)
 	c.mu.Unlock()
+	c.Done += int64(n)
 	return nil
 }
 
@@ -124,28 +129,26 @@ func (c *CollectFloat) Values() []float64 {
 }
 
 // Count consumes int64 elements and counts them without storing values.
+// It is a run process (see runLen).
 type Count struct {
 	core.Iterative
 	In *core.ReadPort
 
-	mu sync.Mutex
-	n  int64
+	n   atomic.Int64
+	buf [runLen]int64
 }
 
 // Step implements core.Stepper.
 func (c *Count) Step(env *core.Env) error {
-	if _, err := c.In.Tokens().ReadInt64(); err != nil {
+	n, err := c.In.Tokens().ReadInt64s(c.buf[:runOf(&c.Iterative)])
+	if err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
+	c.n.Add(int64(n))
+	c.Done += int64(n)
 	return nil
 }
 
-// N returns the number of elements consumed so far.
-func (c *Count) N() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
+// N returns the number of elements consumed so far; it is safe to call
+// while the process runs.
+func (c *Count) N() int64 { return c.n.Load() }

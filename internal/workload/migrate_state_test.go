@@ -140,3 +140,44 @@ func TestMigrateOrderedMergeMidStream(t *testing.T) {
 	tail := &collector{In: out.Reader()}
 	migrateMidStream(t, a, append(procs, tail), merge, tail, want)
 }
+
+// pacedCopy forwards int64 elements with a pause between them; it stays
+// on the origin node and keeps the stream flowing slowly enough that a
+// fast source upstream of it is still mid-stream when it moves.
+type pacedCopy struct {
+	In  *core.ReadPort
+	Out *core.WritePort
+}
+
+func (p *pacedCopy) Step(*core.Env) error {
+	v, err := p.In.Tokens().ReadInt64()
+	if err != nil {
+		return err
+	}
+	time.Sleep(100 * time.Microsecond)
+	return p.Out.Tokens().WriteInt64(v)
+}
+
+// TestMigrateSequenceMidStream: a bounded source keeps its position and
+// its count of elements written in shipped state. One that arrives with
+// them zeroed starts its sequence again and writes its whole limit a
+// second time.
+func TestMigrateSequenceMidStream(t *testing.T) {
+	a, err := newNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	const n = 1000
+	ints := a.Net.NewChannel("ints", 64)
+	paced := a.Net.NewChannel("paced", 64)
+	seq := &proclib.Sequence{From: 1, Out: ints.Writer()}
+	seq.Iterations = n
+	tail := &collector{In: paced.Reader()}
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i + 1)
+	}
+	procs := []any{seq, &pacedCopy{In: ints.Reader(), Out: paced.Writer()}, tail}
+	migrateMidStream(t, a, procs, seq, tail, want)
+}

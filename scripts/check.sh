@@ -9,8 +9,9 @@
 #                    task-farm, parked-link, link-wait, multi-node
 #                    monitor, scraped-tally, scrape-churn,
 #                    golden-exposition, link-core, Redirect-race,
-#                    shared-session, permanent-partition and splice
-#                    (stream, proclib, core, graphs) tests x20 at
+#                    shared-session, permanent-partition, splice
+#                    (stream, proclib, core, graphs) and run-process
+#                    (graphs, proclib, workload) tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -279,10 +280,21 @@ go test -race -timeout 120s ./...
 # (ConsSelfRemove, SpliceOutPreservesEveryElement,
 # FibonacciWithSelfRemovingCons), and a cut that leaves a spliced
 # Cons's stream to its live reader (CutLeavesSplicedConsStreamIntact).
+# Run processes (proclib's Scale, Modulo, OrderedMerge, Sequence,
+# Collect, Count move what is buffered in one step) keep the streams
+# the element-at-a-time processes made: Hamming and the sieve stay
+# determinate under perturbed capacities
+# (HammingDeterminateUnderCapacityPerturbation,
+# SieveDeterminateUnderCapacityPerturbation), the merge emits what an
+# element merge emits (OrderedMergeProperty,
+# OrderedMergeRunsMatchElementMerge), a limit moves exactly its count
+# of elements (RunProcessesHonourElementLimits), and a merge or a
+# bounded source moved mid-stream goes on where it stopped
+# (MigrateOrderedMergeMidStream, MigrateSequenceMidStream).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact' \
-	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream' \
+	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
 (cd benchmark && go test ./...)
