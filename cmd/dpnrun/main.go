@@ -394,7 +394,7 @@ func runFactor(bits, workers int, static bool, serverList, registryAddr string, 
 			// Farm-level causal sampling: a sampled task's intake,
 			// dispatch, result and in-order emission become span events
 			// in the trace even without a network link in the run.
-			dyn.Pool.SetTraceSampling(obsCfg.sample)
+			dyn.SetTraceSampling(obsCfg.sample)
 		}
 		consumer = dyn.Consumer
 		workerProcs = dyn.Workers

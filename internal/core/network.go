@@ -94,16 +94,6 @@ func WithDefaultCapacity(c int) Option {
 	return func(n *Network) { n.defaultCap = c }
 }
 
-// WithObs runs the network under the given observability scope, so a
-// node's network, broker, and monitor share one registry and tracer.
-func WithObs(s *obs.Scope) Option {
-	return func(n *Network) {
-		if s != nil {
-			n.scope = s
-		}
-	}
-}
-
 // NewNetwork creates an empty execution context.
 func NewNetwork(opts ...Option) *Network {
 	n := &Network{

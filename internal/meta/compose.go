@@ -4,22 +4,10 @@ import (
 	"fmt"
 
 	"dpn/internal/core"
+	"dpn/internal/obs"
 	"dpn/internal/proclib"
 	"dpn/internal/token"
 )
-
-// Pipeline wires the simple Producer→Worker→Consumer pipeline of
-// Figure 1 and returns the consumer for observation. source produces
-// the work; capacity sets channel buffer sizes (0 = network default).
-func Pipeline(n *core.Network, source Task, capacity int) *Consumer {
-	pw := n.NewChannel("tasks", capacity)
-	wc := n.NewChannel("results", capacity)
-	n.Spawn(&Producer{Source: source, Out: pw.Writer()})
-	n.Spawn(&Worker{In: pw.Reader(), Out: wc.Writer()})
-	consumer := &Consumer{In: wc.Reader()}
-	n.Spawn(consumer)
-	return consumer
-}
 
 // Static describes the statically balanced parallel composition of
 // Figure 16 before it is spawned: a Scatter distributing equal numbers
@@ -64,7 +52,7 @@ func NewStatic(n *core.Network, source Task, workers, capacity int) *Static {
 		wt := n.NewChannel(fmt.Sprintf("result%d", i), capacity)
 		st.Scatter.Outs = append(st.Scatter.Outs, tw.Writer())
 		st.Gather.Ins = append(st.Gather.Ins, wt.Reader())
-		st.Workers = append(st.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: fmt.Sprintf("w%d", i)})
+		st.Workers = append(st.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: laneTag(i)})
 	}
 	return st
 }
@@ -73,7 +61,9 @@ func NewStatic(n *core.Network, source Task, workers, capacity int) *Static {
 // and 18, the package's one task farm: Direct distributes a new task to
 // a lane for every result collected from it; the Turnstile collects
 // results as they become available while Select presents them to the
-// consumer in task order. Pool is its lane set.
+// consumer in task order. Lane i is Workers[i], between task<i> and
+// result<i>; a process with the same port signature may run in its
+// place, local or shipped to a compute server.
 type Dynamic struct {
 	Producer  *Producer
 	Direct    *Direct
@@ -82,7 +72,6 @@ type Dynamic struct {
 	IndexCons *proclib.Cons
 	Select    *Select
 	Consumer  *Consumer
-	Pool      *Pool
 }
 
 // Spawn starts every process in the composition.
@@ -98,48 +87,19 @@ func (d *Dynamic) Spawn(n *core.Network) {
 	n.Spawn(d.Consumer)
 }
 
+// SetTraceSampling turns on causal tracing for every Nth task (0 or
+// negative turns it off): span events at intake, dispatch, result and
+// emission, and a trace mark on the lane's task pipe that a netio
+// transport forwards as a TRACE frame, so obs.WriteMergedTrace can
+// follow the task across nodes. Call it before Spawn.
+func (d *Dynamic) SetTraceSampling(every int) { d.Direct.smp = obs.NewSampler(every) }
+
 // NewDynamic builds (without spawning) the dynamic composition with the
-// given worker count: the farm's fixed-lane, one-credit case.
+// given worker count.
 func NewDynamic(n *core.Network, source Task, workers, capacity int) *Dynamic {
 	if workers < 1 {
 		panic("meta: NewDynamic requires at least one worker")
 	}
-	dyn := newFarm(n, source, capacity, PoolConfig{})
-	// The "(n)" process of Figure 18: prime the index stream with one
-	// index per worker so the first batch of tasks is distributed.
-	for i := 0; i < workers; i++ {
-		tw := n.NewChannel(fmt.Sprintf("task%d", i), capacity)
-		wt := n.NewChannel(fmt.Sprintf("result%d", i), capacity)
-		tag := fmt.Sprintf("w%d", i)
-		dyn.Pool.lanes = append(dyn.Pool.lanes, poolLane{tag, tw.Writer(), wt.Reader()})
-		dyn.Direct.Outs = append(dyn.Direct.Outs, tw.Writer())
-		dyn.Turnstile.Ins = append(dyn.Turnstile.Ins, wt.Reader())
-		dyn.Workers = append(dyn.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: tag})
-		dyn.IndexCons.Head = token.AppendInt64(dyn.IndexCons.Head, int64(i))
-	}
-	return dyn
-}
-
-// NewElastic builds (without spawning) the farm with a lane set that
-// can grow and shrink while the run is in flight (Pool.AddWorker,
-// Pool.Retire, Pool.MarkLost), starting from the given worker count —
-// zero is legal: the farm waits for a lane to join. Its merged output is
-// byte-identical to the fixed farm's and the Static composition's.
-func NewElastic(n *core.Network, source Task, workers, capacity int, cfg PoolConfig) *Dynamic {
-	dyn := newFarm(n, source, capacity, cfg)
-	ctl := n.NewChannel("lanes", capacity)
-	ctl.Pipe().Unbound()
-	dyn.Pool.ctl = ctl.Writer()
-	dyn.Turnstile.Ctl = ctl.Reader()
-	for i := 0; i < workers; i++ {
-		dyn.Pool.AddWorker(fmt.Sprintf("w%d", i))
-	}
-	return dyn
-}
-
-// newFarm builds the farm's processes around an empty lane set.
-func newFarm(n *core.Network, source Task, capacity int, cfg PoolConfig) *Dynamic {
-	cfg.MaxInFlight = max(cfg.MaxInFlight, 1)
 	pw := n.NewChannel("tasks", capacity)       // producer → direct
 	sc := n.NewChannel("ordered", capacity)     // select → consumer
 	tPairs := n.NewChannel("tsPairs", capacity) // turnstile → select
@@ -149,14 +109,23 @@ func newFarm(n *core.Network, source Task, capacity int, cfg PoolConfig) *Dynami
 	// plus those of lanes that died, so it never holds Direct up.
 	log := n.NewChannel("dispatched", capacity)
 	log.Pipe().Unbound()
-	pool := &Pool{net: n, cfg: cfg, capacity: capacity}
-	return &Dynamic{
+	dyn := &Dynamic{
 		Producer:  &Producer{Source: source, Out: pw.Writer()},
-		Direct:    &Direct{In: pw.Reader(), Index: dirIdx.Reader(), Log: log.Writer(), pool: pool},
-		Turnstile: &Turnstile{Out: tPairs.Writer(), OutIndex: rawIdx.Writer(), pool: pool},
+		Direct:    &Direct{In: pw.Reader(), Index: dirIdx.Reader(), Log: log.Writer()},
+		Turnstile: &Turnstile{Out: tPairs.Writer(), OutIndex: rawIdx.Writer()},
 		IndexCons: &proclib.Cons{In: rawIdx.Reader(), Out: dirIdx.Writer()},
 		Select:    &Select{In: tPairs.Reader(), Log: log.Reader(), Out: sc.Writer()},
 		Consumer:  &Consumer{In: sc.Reader()},
-		Pool:      pool,
 	}
+	// The "(n)" process of Figure 18: prime the index stream with one
+	// index per worker so the first batch of tasks is distributed.
+	for i := 0; i < workers; i++ {
+		tw := n.NewChannel(fmt.Sprintf("task%d", i), capacity)
+		wt := n.NewChannel(fmt.Sprintf("result%d", i), capacity)
+		dyn.Direct.Outs = append(dyn.Direct.Outs, tw.Writer())
+		dyn.Turnstile.Ins = append(dyn.Turnstile.Ins, wt.Reader())
+		dyn.Workers = append(dyn.Workers, &Worker{In: tw.Reader(), Out: wt.Writer(), Tag: laneTag(i)})
+		dyn.IndexCons.Head = token.AppendInt64(dyn.IndexCons.Head, int64(i))
+	}
+	return dyn
 }

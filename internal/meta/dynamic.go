@@ -1,46 +1,41 @@
 package meta
 
 import (
-	"cmp"
 	"errors"
 	"io"
-	"slices"
+	"strconv"
 	"time"
 
 	"dpn/internal/conduit"
 	"dpn/internal/core"
 	"dpn/internal/obs"
-	"dpn/internal/token"
 )
 
 // Index records (Figure 18's index stream, as int64 tokens). A record
 // L >= 0 is the paper's bare worker index: lane L returned a result, so
-// its oldest task is answered and it gets the credit back. A negative
-// record is followed by the lane it names (a join also by its credits).
-// The pool's control stream carries join, retire and lost records.
-const (
-	recJoin      = -1 - iota // lane, credits
-	recRetire                // no new tasks: the lane drains what it holds
-	recLost                  // presumed gone: what only it holds is sent again
-	recGone                  // its results ended: what only it holds is sent again
-	recStraggler             // silent past the deadline: what only it holds gets a copy
-)
+// its oldest task is answered and it gets the credit back. The one
+// negative record, recGone, is followed by the lane whose results
+// ended: what that lane holds is sent again.
+const recGone = -1
+
+// laneTag names lane i in the lane label of the dpn_pool_* series and
+// in the Worker's tag.
+func laneTag(i int) string { return "w" + strconv.Itoa(i) }
 
 // Direct distributes tasks on demand (Figure 17): it reads the index
 // stream — primed with one index per worker, the "(n)" of Figure 18 —
 // and spends each credit on the next task, so a lane receives a task
 // exactly when it finishes one. It numbers tasks 0, 1, 2, … as it reads
-// them, logs every dispatch to Select, and keeps each task until a lane
-// answers it, so work held by a lane that is lost, dies or straggles is
-// sent again, before fresh intake. Direct is a function of the streams
-// it reads.
+// them, logs every dispatch to Select, and keeps each task until its
+// lane answers it, so work held by a lane that dies is sent again,
+// before fresh intake. Direct is a function of the streams it reads.
 type Direct struct {
 	In    *core.ReadPort
 	Index *core.ReadPort
 	Outs  []*core.WritePort
 	Log   *core.WritePort // (lane, seq, intake, trace) per dispatch; nil: no Select
 
-	pool    *Pool
+	smp     *obs.Sampler // causal trace sampling (Dynamic.SetTraceSampling); nil: off
 	lanes   []directLane
 	pending map[int64]*heldTask // read and not yet answered
 	queue   []int64             // tasks to send again
@@ -55,7 +50,7 @@ type Direct struct {
 type directLane struct {
 	fifo   []int64 // tasks sent and not yet answered, oldest first
 	credit int
-	closed string // "" while it takes tasks, else the reason its tasks are sent again
+	dead   bool // its tasks are sent again and it gets no more
 	tag    string
 	tasks  *obs.Counter
 }
@@ -64,16 +59,10 @@ type heldTask struct {
 	block      []byte
 	intake, at time.Time // read; latest dispatch
 	trace      uint64    // sampled causal trace ID (0 = unsampled)
-	holders    int       // open lanes holding a copy
-	queued     bool
 }
 
 // Run implements core.Process.
 func (d *Direct) Run(env *core.Env) error {
-	if d.pool == nil {
-		d.pool = &Pool{} // a Direct built outside a farm: a fixed, unnamed lane set
-	}
-	defer d.pool.end()
 	d.scope = poolScope(env)
 	reg := d.scope.Registry()
 	d.inflight = reg.Gauge("dpn_pool_inflight")
@@ -81,7 +70,9 @@ func (d *Direct) Run(env *core.Env) error {
 	d.latServe = reg.Histogram("dpn_pool_latency_seconds", nil, obs.L("stage", "service"))
 	d.pending = make(map[int64]*heldTask)
 	for i := range d.Outs {
-		d.addLane(i)
+		tag := laneTag(i)
+		d.lanes = append(d.lanes, directLane{tag: tag,
+			tasks: reg.Counter("dpn_pool_tasks_total", obs.L("lane", tag))})
 	}
 	defer func() {
 		for _, ln := range d.lanes {
@@ -97,110 +88,63 @@ func (d *Direct) Run(env *core.Env) error {
 			return nil // all answered: closing Outs ends the lanes
 		}
 		rec, err := idx.ReadInt64()
-		if err != nil {
-			return err
-		}
-		if err := d.apply(rec, idx); err != nil {
-			return err
-		}
-	}
-}
-
-func (d *Direct) addLane(i int) {
-	tag := d.pool.tag(i)
-	d.lanes = append(d.lanes, directLane{tag: tag,
-		tasks: d.scope.Registry().Counter("dpn_pool_tasks_total", obs.L("lane", tag))})
-}
-
-// apply reads the rest of one index record and applies it. A record for
-// a lane Direct does not have (a stale index) ends Direct with io.EOF: a
-// clean cascading close (§3.4), not a failure stranding every buffered
-// token, after which Select emits what was computed.
-func (d *Direct) apply(rec int64, idx *token.Reader) error {
-	l, credits := rec, int64(0)
-	if rec < 0 {
-		var err error
-		if l, err = idx.ReadInt64(); err == nil && rec == recJoin {
-			credits, err = idx.ReadInt64()
+		gone := err == nil && rec == recGone
+		if gone {
+			rec, err = idx.ReadInt64()
 		}
 		if err != nil {
 			return err
 		}
-		if ln, ok := d.pool.lane(int(l)); ok && rec == recJoin && int(l) == len(d.Outs) {
-			d.Outs = append(d.Outs, ln.task)
-			d.addLane(int(l))
-		}
-	}
-	if l < 0 || l >= int64(len(d.lanes)) {
-		return io.EOF
-	}
-	ln := &d.lanes[l]
-	switch rec {
-	case recJoin:
-		ln.credit += int(credits)
-	case recRetire:
-		ln.closed = "lane-retired"
-		d.Outs[l].Close() // the lane drains what it holds, then ends
-	case recLost:
-		d.drop(ln, int(l), "lane-lost")
-	case recGone:
-		d.drop(ln, int(l), cmp.Or(ln.closed, "lane-dead"))
-	case recStraggler:
-		for _, seq := range ln.fifo {
-			if h := d.pending[seq]; h != nil && !h.queued && h.holders == 1 {
-				d.requeue(seq, h, "straggler")
-			}
-		}
-	default:
-		if rec < 0 {
+		if rec < 0 || rec >= int64(len(d.lanes)) {
+			// A record for a lane Direct does not have ends Direct with
+			// io.EOF: a clean cascading close (§3.4), not a failure
+			// stranding every buffered token, after which Select emits
+			// what was computed.
 			return io.EOF
 		}
+		if gone {
+			d.drop(int(rec))
+			continue
+		}
+		ln := &d.lanes[rec]
 		if len(ln.fifo) > 0 {
-			if h := d.pending[ln.fifo[0]]; h != nil {
-				d.latServe.Observe(time.Since(h.at).Seconds())
-				delete(d.pending, ln.fifo[0])
-			}
+			d.latServe.Observe(time.Since(d.pending[ln.fifo[0]].at).Seconds())
+			delete(d.pending, ln.fifo[0])
 			ln.fifo = ln.fifo[1:]
 			d.inflight.Add(-1)
 		}
 		ln.credit++
 	}
-	return nil
 }
 
-// drop closes lane l and queues each unanswered task no other lane
-// holds. The lane's later answers are ignored here; Select still pairs
-// them, and there the first answer for a task wins.
-func (d *Direct) drop(ln *directLane, l int, reason string) {
-	ln.closed = reason
+// drop closes lane l and queues every task it holds. A task has one
+// holder, so what the lane held is now held by no lane.
+func (d *Direct) drop(l int) {
+	ln := &d.lanes[l]
+	ln.dead = true
 	d.Outs[l].Close()
 	d.inflight.Add(-int64(len(ln.fifo)))
 	for _, seq := range ln.fifo {
-		if h := d.pending[seq]; h != nil {
-			if h.holders--; h.holders == 0 && !h.queued {
-				d.requeue(seq, h, reason)
-			}
-		}
+		d.queue = append(d.queue, seq)
+		d.scope.Registry().Counter("dpn_pool_redispatch_total", obs.L("reason", "lane-dead")).Inc()
 	}
 	ln.fifo = nil
 }
 
-func (d *Direct) requeue(seq int64, h *heldTask, reason string) {
-	h.queued = true
-	d.queue = append(d.queue, seq)
-	d.scope.Registry().Counter("dpn_pool_redispatch_total", obs.L("reason", reason)).Inc()
-}
-
-// dispatch spends lane credits, on queued tasks first. A queued task no
-// lane holds finds any lane with a credit, so what stays queued is
-// copies, which do not hold up fresh intake.
+// dispatch spends lane credits, on queued tasks first.
 func (d *Direct) dispatch() error {
 	for {
-		seq, l := d.nextQueued()
+		l := d.pick()
 		if l < 0 {
-			if l = d.pick(-1); l < 0 || d.inDone {
-				return nil
-			}
+			return nil
+		}
+		var seq int64
+		switch {
+		case len(d.queue) > 0:
+			seq, d.queue = d.queue[0], d.queue[1:]
+		case d.inDone:
+			return nil
+		default:
 			b, err := d.In.Tokens().ReadBlock()
 			if errors.Is(err, io.EOF) {
 				d.inDone = true
@@ -210,7 +154,7 @@ func (d *Direct) dispatch() error {
 			}
 			seq = d.seq
 			d.seq++
-			h := &heldTask{block: b, intake: time.Now(), trace: d.pool.smp.Load().Sample()}
+			h := &heldTask{block: b, intake: time.Now(), trace: d.smp.Sample()}
 			if h.trace != 0 {
 				d.scope.Record(obs.EvSpan, "pool", "intake", int64(h.trace))
 			}
@@ -222,35 +166,14 @@ func (d *Direct) dispatch() error {
 	}
 }
 
-// nextQueued takes the first queued task some lane can take; l is -1
-// when there is none.
-func (d *Direct) nextQueued() (seq int64, l int) {
-	for i := 0; i < len(d.queue); i++ {
-		seq = d.queue[i]
-		h := d.pending[seq]
-		if h == nil { // answered while it waited
-			d.queue = slices.Delete(d.queue, i, i+1)
-			i--
-		} else if l = d.pick(seq); l >= 0 {
-			d.queue = slices.Delete(d.queue, i, i+1)
-			h.queued = false
-			return seq, l
-		}
-	}
-	return 0, -1
-}
-
-// pick returns the open lane with a credit, not holding task seq, that
-// holds the fewest tasks (the lowest index on a tie), or -1.
-func (d *Direct) pick(seq int64) int {
-	best := -1
+// pick returns the first live lane with a credit, or -1.
+func (d *Direct) pick() int {
 	for i, ln := range d.lanes {
-		if ln.closed == "" && ln.credit > 0 && !slices.Contains(ln.fifo, seq) &&
-			(best < 0 || len(ln.fifo) < len(d.lanes[best].fifo)) {
-			best = i
+		if !ln.dead && ln.credit > 0 {
+			return i
 		}
 	}
-	return best
+	return -1
 }
 
 // send logs task seq and writes it to lane l. A lane whose task channel
@@ -261,7 +184,6 @@ func (d *Direct) send(l int, seq int64) error {
 		d.latQueue.Observe(now.Sub(h.intake).Seconds())
 	}
 	h.at = now
-	h.holders++
 	ln.credit--
 	ln.fifo = append(ln.fifo, seq)
 	d.inflight.Add(1)
@@ -280,7 +202,7 @@ func (d *Direct) send(l int, seq int64) error {
 		d.scope.Record(obs.EvSpan, "pool:"+ln.tag, "dispatch", int64(h.trace))
 	}
 	if d.Outs[l].Tokens().WriteBlock(h.block) != nil {
-		d.drop(ln, l, "lane-dead")
+		d.drop(l)
 	}
 	return nil
 }
@@ -288,10 +210,11 @@ func (d *Direct) send(l int, seq int64) error {
 // Turnstile merges lane results in the order they become available
 // (Figure 18): each goes to Out as an (index, block) pair and its bare
 // index to OutIndex, returning the credit to Direct. It is the one
-// deliberately nondeterministic process (§5) and owns every decision
-// that depends on timing — joins, retirements, losses, stragglers —
-// writing each as a record on the index stream. They change which lane
-// computes a task, never which result Select emits at a position.
+// deliberately nondeterministic process (§5) and owns the decisions
+// that depend on timing — which lane answered next, and that a lane's
+// results ended — writing each as a record on the index stream. They
+// change which lane computes a task, never which result Select emits at
+// a position.
 //
 // Each input is read by a process the Turnstile spawns, so a reader
 // waiting on its lane counts as live and as blocked in the deadlock
@@ -302,31 +225,19 @@ type Turnstile struct {
 	Ins      []*core.ReadPort
 	Out      *core.WritePort
 	OutIndex *core.WritePort
-	Ctl      *core.ReadPort // the pool's control records; nil: a fixed lane set
 
-	pool    *Pool
-	lanes   []turnLane
 	idxOpen bool
 }
 
-type turnLane struct {
-	tag      string
-	up, lost bool
-	since    time.Time     // last result, join or straggler record
-	wait     time.Duration // silence that makes it a straggler
-	results  *obs.Counter
-}
-
-// arrival is what a reader hands the Turnstile: a result block, a
-// control record (lane < 0), or the end of its stream (err != nil).
+// arrival is what a reader hands the Turnstile: a result block, or the
+// end of its lane's results (err != nil).
 type arrival struct {
-	lane, rec, arg int64
-	block          []byte
-	err            error
+	lane  int64
+	block []byte
+	err   error
 }
 
-// laneReader reads one Turnstile input: a lane's results, or with
-// lane < 0 the pool's control records.
+// laneReader reads one lane's results for the Turnstile.
 type laneReader struct {
 	In   *core.ReadPort
 	lane int64
@@ -338,18 +249,13 @@ type laneReader struct {
 func (r *laneReader) Run(env *core.Env) error {
 	tr := r.In.Tokens()
 	for {
-		a := arrival{lane: r.lane}
-		if r.lane >= 0 {
-			a.block, a.err = tr.ReadBlock()
-		} else if a.rec, a.err = tr.ReadInt64(); a.err == nil {
-			a.arg, a.err = tr.ReadInt64()
-		}
+		b, err := tr.ReadBlock()
 		select {
-		case r.to <- a:
+		case r.to <- arrival{r.lane, b, err}:
 		case <-r.quit:
 			return nil
 		}
-		if a.err != nil {
+		if err != nil {
 			return nil
 		}
 	}
@@ -357,104 +263,47 @@ func (r *laneReader) Run(env *core.Env) error {
 
 // Run implements core.Process.
 func (t *Turnstile) Run(env *core.Env) error {
-	if t.pool == nil {
-		t.pool = &Pool{}
-	}
 	scope := poolScope(env)
 	reg := scope.Registry()
-	lanesG := reg.Gauge("dpn_pool_lanes")
+	lanes := reg.Gauge("dpn_pool_lanes")
 	t.idxOpen = t.OutIndex != nil
 	hand, quit := make(chan arrival), make(chan struct{})
 	defer close(quit)
-	open := 0
-	deadline := t.pool.cfg.StragglerDeadline
-	join := func(in *core.ReadPort, l int) {
-		tag := t.pool.tag(l)
-		t.lanes = append(t.lanes, turnLane{tag: tag, up: true, since: time.Now(), wait: deadline,
-			results: reg.Counter("dpn_pool_results_total", obs.L("lane", tag))})
-		lanesG.Add(1)
-		reg.Counter("dpn_pool_joins_total").Inc()
-		t.pool.live.Add(1)
-		scope.Record(obs.EvTask, "pool:"+tag, "join", int64(l))
-		env.Spawn(&laneReader{In: in, lane: int64(l), to: hand, quit: quit})
-		open++
-	}
+	results := make([]*obs.Counter, len(t.Ins))
 	for i, in := range t.Ins {
-		join(in, i)
-	}
-	if t.Ctl != nil {
-		env.Spawn(&laneReader{In: t.Ctl, lane: -1, to: hand, quit: quit})
-		open++
-	}
-	var tick <-chan time.Time
-	if deadline > 0 {
-		tk := time.NewTicker(max(deadline/4, time.Millisecond))
-		defer tk.Stop()
-		tick = tk.C
+		tag := laneTag(i)
+		results[i] = reg.Counter("dpn_pool_results_total", obs.L("lane", tag))
+		lanes.Add(1)
+		reg.Counter("dpn_pool_joins_total").Inc()
+		scope.Record(obs.EvTask, "pool:"+tag, "join", int64(i))
+		env.Spawn(&laneReader{In: in, lane: int64(i), to: hand, quit: quit})
 	}
 
 	pairs := t.Out.Tokens()
-	for open > 0 {
-		var a arrival
-		select {
-		case now := <-tick:
-			// The wait doubles until the lane answers: a lane that is
-			// idle rather than stuck costs a few records, not one a tick.
-			for l := range t.lanes {
-				if ln := &t.lanes[l]; ln.up && !ln.lost && now.Sub(ln.since) >= ln.wait {
-					ln.since, ln.wait = now, 2*ln.wait
-					t.index(recStraggler, int64(l))
-				}
-			}
-			continue
-		case a = <-hand:
-		}
-		switch {
-		case a.err != nil && a.lane >= 0:
+	for open := len(t.Ins); open > 0; {
+		a := <-hand
+		if a.err != nil {
 			// An orderly close is a leave; anything else — an exhausted
 			// link, an injected fault — is a degrade. Either way Direct
-			// sends again what only the lane held.
-			ln, what := &t.lanes[a.lane], "leave"
+			// sends again what the lane held.
+			what := "leave"
 			if !conduit.IsBenignClose(a.err) {
 				what = "degraded"
 			}
-			ln.up = false
-			lanesG.Add(-1)
-			t.pool.live.Add(-1)
+			lanes.Add(-1)
 			t.index(recGone, a.lane)
-			scope.Record(obs.EvTask, "pool:"+ln.tag, what, a.lane)
+			scope.Record(obs.EvTask, "pool:"+laneTag(int(a.lane)), what, a.lane)
 			open--
-		case a.err != nil:
-			open--
-		case a.lane < 0 && a.rec == recJoin:
-			if ln, ok := t.pool.lane(int(a.arg)); ok && int(a.arg) == len(t.lanes) {
-				t.Ins = append(t.Ins, ln.result) // closed with the Turnstile's ports
-				join(ln.result, int(a.arg))
-				t.index(recJoin, a.arg, int64(t.pool.cfg.MaxInFlight))
-			}
-		case a.lane < 0:
-			if a.arg < 0 || a.arg >= int64(len(t.lanes)) || !t.lanes[a.arg].up || t.lanes[a.arg].lost {
-				continue
-			}
-			what := "retire"
-			if a.rec == recLost {
-				what, t.lanes[a.arg].lost = "lost", true
-				reg.Counter("dpn_pool_lost_total").Inc()
-			}
-			t.index(a.rec, a.arg)
-			scope.Record(obs.EvTask, "pool:"+t.lanes[a.arg].tag, what, a.arg)
-		default:
-			ln := &t.lanes[a.lane]
-			ln.since, ln.wait = time.Now(), deadline
-			ln.results.Inc()
-			if err := pairs.WriteInt64(a.lane); err != nil {
-				return err
-			}
-			if err := pairs.WriteBlock(a.block); err != nil {
-				return err
-			}
-			t.index(a.lane)
+			continue
 		}
+		results[a.lane].Inc()
+		if err := pairs.WriteInt64(a.lane); err != nil {
+			return err
+		}
+		if err := pairs.WriteBlock(a.block); err != nil {
+			return err
+		}
+		t.index(a.lane)
 	}
 	return nil
 }
@@ -467,6 +316,22 @@ func (t *Turnstile) index(rec ...int64) {
 			t.idxOpen = false
 		}
 	}
+}
+
+// poolScope returns the network's scope with the farm's dpn_pool_*
+// families described; each farm process binds the series it updates.
+func poolScope(env *core.Env) *obs.Scope {
+	s := env.Network().Obs()
+	reg := s.Registry()
+	reg.Help("dpn_pool_lanes", "Live worker lanes in the task farm.")
+	reg.Help("dpn_pool_inflight", "Tasks dispatched to a lane and not yet answered.")
+	reg.Help("dpn_pool_joins_total", "Lanes that joined the farm.")
+	reg.Help("dpn_pool_tasks_total", "Tasks dispatched, by lane.")
+	reg.Help("dpn_pool_results_total", "Results returned, by lane.")
+	reg.Help("dpn_pool_redispatch_total", "Tasks sent again, by reason (lane-dead: the lane's results ended while it held them).")
+	reg.Help("dpn_pool_emitted_total", "Results emitted in task order.")
+	reg.Help("dpn_pool_latency_seconds", "Task latency distribution, by stage (queue = intake to first dispatch, service = latest dispatch to result, total = intake to in-order emission).")
+	return s
 }
 
 // Select restores task order (Figure 18). Results arrive from the

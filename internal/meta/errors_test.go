@@ -31,7 +31,7 @@ func (s *failingSource) Run() (Task, error) {
 
 func TestWorkerTaskFailurePropagates(t *testing.T) {
 	n := core.NewNetwork()
-	Pipeline(n, &failingSource{}, 0)
+	pipeline(n, &failingSource{}, 0)
 	done := make(chan error, 1)
 	go func() { done <- n.Wait() }()
 	select {
@@ -55,7 +55,7 @@ func (s *failingProducerSource) Run() (Task, error) {
 
 func TestProducerSourceFailurePropagates(t *testing.T) {
 	n := core.NewNetwork()
-	Pipeline(n, &failingProducerSource{}, 0)
+	pipeline(n, &failingProducerSource{}, 0)
 	err := n.Wait()
 	if err == nil || !strings.Contains(err.Error(), "producer source broke") {
 		t.Fatalf("got %v", err)
@@ -89,7 +89,7 @@ func init() {
 
 func TestConsumerTaskFailurePropagates(t *testing.T) {
 	n := core.NewNetwork()
-	Pipeline(n, &okThenConsumerFail{}, 0)
+	pipeline(n, &okThenConsumerFail{}, 0)
 	err := n.Wait()
 	if err == nil || !strings.Contains(err.Error(), "consumer choke") {
 		t.Fatalf("got %v", err)
@@ -149,7 +149,7 @@ func TestSingleTaskSingleWorkerDynamic(t *testing.T) {
 
 func TestConsumedCount(t *testing.T) {
 	n := core.NewNetwork()
-	c := Pipeline(n, &rangeSource{max: 7}, 0)
+	c := pipeline(n, &rangeSource{max: 7}, 0)
 	if err := n.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -19,75 +19,46 @@ import (
 // counts as blocked without counting as live.
 func TestFarmUnderMonitorDoesNotGrowWhileALaneComputes(t *testing.T) {
 	const tasks = 60
-	source := func() *rangeSource {
-		return &rangeSource{max: tasks, sleepFn: func(v int64) time.Duration {
-			if v%10 == 0 {
-				return 30 * time.Millisecond
+	source := &rangeSource{max: tasks, sleepFn: func(v int64) time.Duration {
+		if v%10 == 0 {
+			return 30 * time.Millisecond
+		}
+		return 0
+	}}
+	t.Run("fixed", func(t *testing.T) {
+		n := core.NewNetwork()
+		dyn := NewDynamic(n, source, 3, 0)
+		got := collectResults(dyn.Consumer)
+		initial := map[string]int{}
+		watched := map[string]*core.Channel{}
+		for _, ch := range n.Channels() {
+			if ch.Name() == "tasks" || ch.Name() == "ordered" {
+				initial[ch.Name()] = ch.Pipe().Cap()
+				watched[ch.Name()] = ch
 			}
-			return 0
-		}}
-	}
-	cases := []struct {
-		name  string
-		build func(n *core.Network) (spawn func(), cons *Consumer)
-	}{
-		{"fixed", func(n *core.Network) (func(), *Consumer) {
-			dyn := NewDynamic(n, source(), 3, 0)
-			return func() { dyn.Spawn(n) }, dyn.Consumer
-		}},
-		{"elastic", func(n *core.Network) (func(), *Consumer) {
-			e := NewElastic(n, source(), 3, 0, PoolConfig{})
-			return func() { e.Spawn(n) }, e.Consumer
-		}},
-		{"elastic-join-retire", func(n *core.Network) (func(), *Consumer) {
-			e := NewElastic(n, source(), 3, 0, PoolConfig{})
-			return func() {
-				e.Spawn(n)
-				go func() {
-					time.Sleep(10 * time.Millisecond)
-					e.Pool.AddWorker("late")
-					time.Sleep(10 * time.Millisecond)
-					e.Pool.Retire(0)
-				}()
-			}, e.Consumer
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			n := core.NewNetwork()
-			spawn, cons := tc.build(n)
-			got := collectResults(cons)
-			initial := map[string]int{}
-			watched := map[string]*core.Channel{}
-			for _, ch := range n.Channels() {
-				if ch.Name() == "tasks" || ch.Name() == "ordered" {
-					initial[ch.Name()] = ch.Pipe().Cap()
-					watched[ch.Name()] = ch
-				}
+		}
+		if len(watched) != 2 {
+			t.Fatalf("farm has no tasks/ordered channels: %v", watched)
+		}
+		mon := deadlock.New(n, time.Hour)
+		dyn.Spawn(n)
+		mon.Start()
+		waitNet(t, n)
+		mon.Stop()
+		eq(t, *got, wantSquares(tasks))
+		var events int64
+		for _, s := range n.Obs().Registry().Samples() {
+			if s.Name == "dpn_deadlock_events_total" {
+				events += s.Value
 			}
-			if len(watched) != 2 {
-				t.Fatalf("farm has no tasks/ordered channels: %v", watched)
+		}
+		if events != 0 {
+			t.Errorf("dpn_deadlock_events_total = %d while a lane was computing: %+v", events, mon.Events())
+		}
+		for name, ch := range watched {
+			if c := ch.Pipe().Cap(); c != initial[name] {
+				t.Errorf("%s grew from %d to %d bytes", name, initial[name], c)
 			}
-			mon := deadlock.New(n, time.Hour)
-			spawn()
-			mon.Start()
-			waitNet(t, n)
-			mon.Stop()
-			eq(t, *got, wantSquares(tasks))
-			var events int64
-			for _, s := range n.Obs().Registry().Samples() {
-				if s.Name == "dpn_deadlock_events_total" {
-					events += s.Value
-				}
-			}
-			if events != 0 {
-				t.Errorf("dpn_deadlock_events_total = %d while a lane was computing: %+v", events, mon.Events())
-			}
-			for name, ch := range watched {
-				if c := ch.Pipe().Cap(); c != initial[name] {
-					t.Errorf("%s grew from %d to %d bytes", name, initial[name], c)
-				}
-			}
-		})
-	}
+		}
+	})
 }

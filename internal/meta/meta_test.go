@@ -64,6 +64,25 @@ func (s *rangeSource) Run() (Task, error) {
 	return t, nil
 }
 
+// pipeline wires the simple Producer→Worker→Consumer pipeline of
+// Figure 1, the sequential reference the compositions are checked
+// against, and returns the consumer.
+func pipeline(n *core.Network, source Task, capacity int) *Consumer {
+	pw := n.NewChannel("tasks", capacity)
+	wc := n.NewChannel("results", capacity)
+	n.Spawn(&Producer{Source: source, Out: pw.Writer()})
+	n.Spawn(&Worker{In: pw.Reader(), Out: wc.Writer()})
+	consumer := &Consumer{In: wc.Reader()}
+	n.Spawn(consumer)
+	return consumer
+}
+
+// funcSource adapts a closure to the Task interface for a local
+// producer.
+type funcSource func() (Task, error)
+
+func (f funcSource) Run() (Task, error) { return f() }
+
 // collectResults attaches an ordered collector to a consumer.
 func collectResults(c *Consumer) *[]int64 {
 	out := &[]int64{}
@@ -97,7 +116,7 @@ func eq(t *testing.T, got, want []int64) {
 
 func TestPipelineOrdered(t *testing.T) {
 	n := core.NewNetwork()
-	c := Pipeline(n, &rangeSource{max: 20}, 0)
+	c := pipeline(n, &rangeSource{max: 20}, 0)
 	got := collectResults(c)
 	if err := n.Wait(); err != nil {
 		t.Fatal(err)
@@ -143,7 +162,7 @@ func TestAllThreeCompositionsAgree(t *testing.T) {
 	results := make([][]int64, 3)
 
 	n1 := core.NewNetwork()
-	c1 := Pipeline(n1, &rangeSource{max: 30}, 0)
+	c1 := pipeline(n1, &rangeSource{max: 30}, 0)
 	r1 := collectResults(c1)
 
 	n2 := core.NewNetwork()
@@ -214,7 +233,7 @@ func init() { gob.Register(&FlagTask{}) }
 func TestTerminalResultStopsNetwork(t *testing.T) {
 	// Unbounded producer; only the terminal result ends the run.
 	n := core.NewNetwork()
-	c := Pipeline(n, &terminalSource{}, 0)
+	c := pipeline(n, &terminalSource{}, 0)
 	got := collectResults(c)
 	done := make(chan error, 1)
 	go func() { done <- n.Wait() }()
@@ -453,9 +472,11 @@ func TestDynamicWorkerKilledMidStream(t *testing.T) {
 	eq(t, *got, want[:len(*got)])
 }
 
+// TestFuncSource checks that a source whose Run returns nil ends the
+// producer: three tasks, three results.
 func TestFuncSource(t *testing.T) {
 	calls := 0
-	src := FuncSource(func() (Task, error) {
+	src := funcSource(func() (Task, error) {
 		calls++
 		if calls > 3 {
 			return nil, nil
@@ -463,7 +484,7 @@ func TestFuncSource(t *testing.T) {
 		return &SquareTask{V: int64(calls)}, nil
 	})
 	n := core.NewNetwork()
-	c := Pipeline(n, src, 0)
+	c := pipeline(n, src, 0)
 	got := collectResults(c)
 	if err := n.Wait(); err != nil {
 		t.Fatal(err)

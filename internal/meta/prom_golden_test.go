@@ -8,7 +8,7 @@ import (
 )
 
 // TestPromGoldenLatencyFamilies pins the Prometheus exposition of the
-// telemetry families this layer registers: after a real elastic run
+// telemetry families this layer registers: after a real farm run
 // the scraped document must carry dpn_pool_latency_seconds as a proper
 // histogram family (HELP + TYPE once, _bucket/_sum/_count expansion,
 // deterministic counts) and dpn_conduit_wait_ns_total as a labelled
@@ -17,9 +17,9 @@ import (
 func TestPromGoldenLatencyFamilies(t *testing.T) {
 	const tasks = 40
 	n := core.NewNetwork()
-	e := NewElastic(n, &rangeSource{max: tasks}, 2, 0, PoolConfig{})
-	got := collectResults(e.Consumer)
-	e.Spawn(n)
+	dyn := NewDynamic(n, &rangeSource{max: tasks}, 2, 0)
+	got := collectResults(dyn.Consumer)
+	dyn.Spawn(n)
 	waitNet(t, n)
 	eq(t, *got, wantSquares(tasks))
 

@@ -210,11 +210,3 @@ func isTerminal(t Task) bool {
 	term, ok := t.(Terminal)
 	return ok && term.Terminal()
 }
-
-// FuncSource adapts a closure to the Task interface for local producers.
-// It is not serializable; use a concrete task type for producers that
-// must migrate.
-type FuncSource func() (Task, error)
-
-// Run implements Task.
-func (f FuncSource) Run() (Task, error) { return f() }

@@ -14,9 +14,9 @@ import (
 func TestPoolLatencyHistograms(t *testing.T) {
 	const tasks = 40
 	n := core.NewNetwork()
-	e := NewElastic(n, &rangeSource{max: tasks}, 2, 0, PoolConfig{})
-	got := collectResults(e.Consumer)
-	e.Spawn(n)
+	dyn := NewDynamic(n, &rangeSource{max: tasks}, 2, 0)
+	got := collectResults(dyn.Consumer)
+	dyn.Spawn(n)
 	waitNet(t, n)
 	eq(t, *got, wantSquares(tasks))
 
@@ -41,10 +41,10 @@ func TestPoolTraceSampling(t *testing.T) {
 	const tasks = 20
 	n := core.NewNetwork()
 	n.Obs().Tracer().Enable()
-	e := NewElastic(n, &rangeSource{max: tasks}, 2, 0, PoolConfig{})
-	e.Pool.SetTraceSampling(1)
-	got := collectResults(e.Consumer)
-	e.Spawn(n)
+	dyn := NewDynamic(n, &rangeSource{max: tasks}, 2, 0)
+	dyn.SetTraceSampling(1)
+	got := collectResults(dyn.Consumer)
+	dyn.Spawn(n)
 	waitNet(t, n)
 	eq(t, *got, wantSquares(tasks))
 
@@ -92,10 +92,10 @@ func TestPoolTraceSamplingEveryNth(t *testing.T) {
 	const tasks = 40
 	n := core.NewNetwork()
 	n.Obs().Tracer().Enable()
-	e := NewElastic(n, &rangeSource{max: tasks}, 2, 0, PoolConfig{})
-	e.Pool.SetTraceSampling(4)
-	got := collectResults(e.Consumer)
-	e.Spawn(n)
+	dyn := NewDynamic(n, &rangeSource{max: tasks}, 2, 0)
+	dyn.SetTraceSampling(4)
+	got := collectResults(dyn.Consumer)
+	dyn.Spawn(n)
 	waitNet(t, n)
 	eq(t, *got, wantSquares(tasks))
 

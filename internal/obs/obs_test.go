@@ -78,7 +78,7 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	s.Record(EvRead, "ch", "", 1)
 	s.Registry().Counter("x").Inc()
 	s.SetNode("n")
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Total() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || tr.Count(EvRead) != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 }

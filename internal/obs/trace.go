@@ -201,15 +201,6 @@ func (t *Tracer) Count(typ EventType) uint64 {
 	return t.counts[typ].Load()
 }
 
-// Total reports how many events have ever been recorded (including
-// ones the ring has since overwritten).
-func (t *Tracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.cursor.Load()
-}
-
 // Events returns the ring contents, oldest first. With concurrent
 // writers the snapshot is approximate at the ring edges; slots claimed
 // but not yet published are skipped.

@@ -13,22 +13,19 @@ import (
 func TestTracerDisabledByDefault(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Record(EvRead, "ch", "", 1)
-	if tr.Total() != 0 || len(tr.Events()) != 0 {
+	if tr.Count(EvRead) != 0 || len(tr.Events()) != 0 {
 		t.Error("disabled tracer must record nothing")
 	}
 }
 
-// The ring must wrap: Total keeps counting, Events returns the newest
-// ring-size events oldest-first.
+// The ring must wrap: the per-type counts keep counting, Events returns
+// the newest ring-size events oldest-first.
 func TestTracerRingWraparound(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Enable()
 	const total = 8*3 + 5
 	for i := 0; i < total; i++ {
 		tr.Record(EvWrite, "ch", "", int64(i))
-	}
-	if got := tr.Total(); got != total {
-		t.Fatalf("Total = %d, want %d", got, total)
 	}
 	if got := tr.Count(EvWrite); got != total {
 		t.Fatalf("Count(EvWrite) = %d, want %d (counts must survive eviction)", got, total)
@@ -66,8 +63,8 @@ func TestTracerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Total(); got != 16000 {
-		t.Fatalf("Total = %d, want 16000", got)
+	if got := tr.Count(EvRead); got != 16000 {
+		t.Fatalf("Count(EvRead) = %d, want 16000", got)
 	}
 }
 

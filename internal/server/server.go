@@ -272,7 +272,7 @@ type Client struct {
 	enc  *gob.Encoder
 	dec  *gob.Decoder
 
-	brokerAddr string
+	brokerAddr string // cached by BrokerAddr, under mu
 }
 
 // Dial connects to the compute server at addr.
@@ -290,6 +290,11 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.exchange(req)
+}
+
+// exchange sends one request and reads its response, with c.mu held.
+func (c *Client) exchange(req *Request) (*Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return nil, err
 	}
@@ -314,15 +319,16 @@ func (c *Client) Ping() (string, error) {
 
 // BrokerAddr returns (and caches) the server's channel broker address.
 func (c *Client) BrokerAddr() (string, error) {
-	if c.brokerAddr != "" {
-		return c.brokerAddr, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.brokerAddr == "" {
+		resp, err := c.exchange(&Request{Kind: "info"})
+		if err != nil {
+			return "", err
+		}
+		c.brokerAddr = resp.BrokerAddr
 	}
-	resp, err := c.roundTrip(&Request{Kind: "info"})
-	if err != nil {
-		return "", err
-	}
-	c.brokerAddr = resp.BrokerAddr
-	return resp.BrokerAddr, nil
+	return c.brokerAddr, nil
 }
 
 // Live reports how many processes are currently executing remotely.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -65,6 +66,30 @@ func TestPingAndInfo(t *testing.T) {
 	addr2, err := c.BrokerAddr()
 	if err != nil || addr2 != addr {
 		t.Fatal("cached BrokerAddr differs")
+	}
+}
+
+// TestBrokerAddrConcurrentCallers calls BrokerAddr from two goroutines
+// on one fresh client, as two RunProcs or Migrate calls that share a
+// client do. Under -race it fails if the cached address is read or
+// written outside the client's lock.
+func TestBrokerAddrConcurrentCallers(t *testing.T) {
+	s := newTestServer(t, "alpha")
+	c := newTestClient(t, s)
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			addr, err := c.BrokerAddr()
+			if err == nil && addr != s.BrokerAddr() {
+				err = fmt.Errorf("BrokerAddr = %q, want %q", addr, s.BrokerAddr())
+			}
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

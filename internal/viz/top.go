@@ -14,7 +14,7 @@ import (
 // TopView renders a live, periodically refreshing view of one registry
 // — the dpntop mode of cmd/dpnrun. Each Render call takes one metrics
 // snapshot (the registry's Samples), diffs it against the previous
-// call, and prints per-channel rates alongside the elastic pool's lane
+// call, and prints per-channel rates alongside the task farm's lane
 // table. Rates and blocked-time percentages are
 // therefore *interval* figures, not run totals: a channel whose writer
 // spent the whole last interval throttled by a full buffer shows

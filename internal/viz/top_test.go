@@ -77,19 +77,19 @@ func TestTopViewRatesAndBlockedPct(t *testing.T) {
 	}
 }
 
-// The acceptance check: a real elastic-pool run rendered live. The
+// The acceptance check: a real task-farm run rendered live. The
 // frame after the run must show the per-channel table, the pool's lane
 // activity, and the latency summary, all sourced from the run's own
 // registry.
 func TestTopViewElasticPoolRun(t *testing.T) {
 	n := core.NewNetwork()
 	src := &factor.SearchSpace{N: big.NewInt(101 * 103), Batch: 4, MaxTasks: 30}
-	e := meta.NewElastic(n, src, 2, 0, meta.PoolConfig{})
+	dyn := meta.NewDynamic(n, src, 2, 0)
 	var b strings.Builder
 	tv := NewTopView(&b)
 	t0 := time.Now()
 	tv.Render(n.Obs().Registry().Samples(), t0)
-	e.Spawn(n)
+	dyn.Spawn(n)
 	if err := n.Wait(); err != nil {
 		t.Fatal(err)
 	}

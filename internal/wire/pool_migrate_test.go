@@ -10,7 +10,7 @@ import (
 	"dpn/internal/meta"
 )
 
-// poolSquare is the task shipped through the elastic pool in the lane
+// poolSquare is the task shipped through the task farm in the lane
 // migration test; the brief sleep paces the run so the migration lands
 // mid-stream.
 type poolSquare struct{ V int64 }
@@ -25,35 +25,37 @@ func (t *poolSquare) Run() (meta.Task, error) {
 
 func (t *poolSquareRes) Run() (meta.Task, error) { return nil, nil }
 
+// poolSquares produces poolSquare tasks 0..max-1.
+type poolSquares struct{ next, max int64 }
+
+func (s *poolSquares) Run() (meta.Task, error) {
+	if s.next >= s.max {
+		return nil, nil
+	}
+	s.next++
+	return &poolSquare{V: s.next - 1}, nil
+}
+
 func init() {
 	gob.Register(&poolSquare{})
 	gob.Register(&poolSquareRes{})
 }
 
-// TestPoolLaneLiveMigration moves a live worker lane of a running
-// elastic pool from node A to node B mid-run: the lane's generic Worker
-// process migrates over the wire while the pool keeps dispatching to
-// it, and the merged output must stay exactly the reference sequence.
+// TestPoolLaneLiveMigration moves a live worker lane of a running task
+// farm from node A to node B mid-run: the lane's generic Worker process
+// migrates over the wire while the farm keeps dispatching to it, and the
+// merged output must stay exactly the reference sequence.
 func TestPoolLaneLiveMigration(t *testing.T) {
 	a := newTestNode(t)
 	b := newTestNode(t)
 
 	const total = 300
 	n := a.Net
-	var next int64
-	e := meta.NewElastic(n, meta.FuncSource(func() (meta.Task, error) {
-		if next >= total {
-			return nil, nil
-		}
-		v := next
-		next++
-		return &poolSquare{V: v}, nil
-	}), 0, 256, meta.PoolConfig{})
-	e.Pool.AddWorker("local")
-	_, mover := e.Pool.AddWorker("mover")
-	if mover == nil {
-		t.Fatal("AddWorker returned no process handle")
-	}
+	e := meta.NewDynamic(n, &poolSquares{max: total}, 2, 256)
+	// Spawn the lane that moves here, for its handle; Spawn starts the rest.
+	worker := e.Workers[1]
+	e.Workers = e.Workers[:1]
+	mover := n.Spawn(worker)
 	var got []int64
 	var progress atomic.Int64
 	e.Consumer.SetOnResult(func(ran, _ meta.Task) {
@@ -65,11 +67,11 @@ func TestPoolLaneLiveMigration(t *testing.T) {
 	e.Spawn(n)
 
 	// Let a quarter of the stream flow, then ship the lane's worker to B
-	// while the pool keeps feeding its channels.
+	// while the farm keeps feeding its channels.
 	deadline := time.Now().Add(10 * time.Second)
 	for progress.Load() < total/4 {
 		if time.Now().After(deadline) {
-			t.Fatal("pool made no progress")
+			t.Fatal("farm made no progress")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -81,7 +83,7 @@ func TestPoolLaneLiveMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitNet(t, a.Net, "pool node")
+	waitNet(t, a.Net, "farm node")
 	waitNet(t, b.Net, "lane destination node")
 	want := make([]int64, total)
 	for i := range want {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,9 +25,9 @@ import (
 // streaming pipelines whose shard/reduce/merge cut is shipped to a
 // server via the RPC client (the generator and collector stay
 // client-side, like the paper's RSA demo keeps its consumer at home);
-// the other half are elastic task pools stressing the scheduler. Every
+// the other half are task farms stressing the scheduler. Every
 // graph is seeded and verified against its oracle, and the report's
-// latency percentiles come from the shared scope's histograms
+// latency percentiles come from the graphs' histograms
 // (Registry.Samples → Sample.Quantile), the series an operator
 // scraping /metrics reads.
 
@@ -188,12 +189,15 @@ type soakState struct {
 	streamHist *obs.Histogram
 	poolHist   *obs.Histogram
 
-	tokens atomic.Int64 // stream-family client-node tokens
-	waitNs atomic.Int64 // stream-family client-node blocked ns
+	tokens     atomic.Int64 // stream-family client-node tokens
+	waitNs     atomic.Int64 // stream-family client-node blocked ns
+	poolTokens atomic.Int64 // pool-family network tokens
+	poolWaitNs atomic.Int64 // pool-family network blocked ns
 
 	mu       sync.Mutex
 	failures int
 	errs     []string
+	taskLat  obs.Sample // dpn_pool_latency_seconds{stage="total"}, summed over pool graphs
 }
 
 func (st *soakState) fail(err error) {
@@ -267,15 +271,15 @@ func runSoak(cfg soakConfig) (*soakReport, error) {
 		tokens += sumSamples(sv.Node().Obs(), "dpn_conduit_tokens_total")
 		waitNs += sumSamples(sv.Node().Obs(), "dpn_conduit_wait_ns_total")
 	}
-	tokens += sumSamples(st.scope, "dpn_conduit_tokens_total")
-	waitNs += sumSamples(st.scope, "dpn_conduit_wait_ns_total")
+	tokens += st.poolTokens.Load()
+	waitNs += st.poolWaitNs.Load()
 
-	// Percentiles come from the shared scope's histograms, the series
-	// /metrics exposes.
+	// Percentiles come from the histograms /metrics exposes: the soak
+	// scope's graph times and the pool graphs' summed task latencies.
 	samples := st.scope.Registry().Samples()
 	streamQ := findHistogram(samples, "dpn_workload_graph_seconds", "family", "stream")
 	poolQ := findHistogram(samples, "dpn_workload_graph_seconds", "family", "pool")
-	taskQ := findHistogram(samples, "dpn_pool_latency_seconds", "stage", "total")
+	taskQ := st.taskLat
 
 	graphSeconds := streamQ.Sum + poolQ.Sum
 	rep := &soakReport{
@@ -297,7 +301,7 @@ func runSoak(cfg soakConfig) (*soakReport, error) {
 		Pool: soakFamily{
 			Name:   "pool",
 			Graphs: cfg.Graphs / 2,
-			Tokens: sumSamples(st.scope, "dpn_conduit_tokens_total"),
+			Tokens: st.poolTokens.Load(),
 			P50:    poolQ.Quantile(0.50),
 			P95:    poolQ.Quantile(0.95),
 			P99:    poolQ.Quantile(0.99),
@@ -369,15 +373,14 @@ func (st *soakState) runStreamGraph(cfg soakConfig, g int, registryAddr string) 
 	}
 }
 
-// runPoolGraph runs one pool-family graph: an elastic task pool on a
-// network bound to the shared soak scope, so every graph's latency
-// lands in one dpn_pool_latency_seconds family. The consumer hook
-// verifies value and in-order emission (§5 determinacy).
+// runPoolGraph runs one pool-family graph: a task farm on a network of
+// its own, whose token, wait and task-latency series it adds to the
+// soak's totals. The consumer hook verifies value and in-order emission
+// (§5 determinacy).
 func (st *soakState) runPoolGraph(cfg soakConfig, g int) {
 	seed := cfg.Seed + int64(g)
-	n := core.NewNetwork(core.WithObs(st.scope))
-	e := meta.NewElastic(n, &soakSource{Seed: seed, N: cfg.Tasks, Spin: cfg.Spin},
-		cfg.Lanes, 1<<12, meta.PoolConfig{MaxInFlight: 2})
+	n := core.NewNetwork()
+	e := meta.NewDynamic(n, &soakSource{Seed: seed, N: cfg.Tasks, Spin: cfg.Spin}, cfg.Lanes, 1<<12)
 	var bad atomic.Int64
 	var nextIdx atomic.Int64
 	e.Consumer.SetOnResult(func(ran, _ meta.Task) {
@@ -395,9 +398,29 @@ func (st *soakState) runPoolGraph(cfg soakConfig, g int) {
 		return
 	}
 	st.poolHist.Observe(time.Since(begin).Seconds())
+	st.poolTokens.Add(sumSamples(n.Obs(), "dpn_conduit_tokens_total"))
+	st.poolWaitNs.Add(sumSamples(n.Obs(), "dpn_conduit_wait_ns_total"))
+	st.addTaskLatency(findHistogram(n.Obs().Registry().Samples(), "dpn_pool_latency_seconds", "stage", "total"))
 	if got := e.Consumer.Consumed(); got != cfg.Tasks || bad.Load() != 0 {
 		st.fail(fmt.Errorf("pool graph %d (seed %d): consumed %d of %d, %d bad results",
 			g, seed, got, cfg.Tasks, bad.Load()))
+	}
+}
+
+// addTaskLatency adds one pool graph's task-latency histogram to the
+// soak's; every graph's histogram has the registry's default buckets.
+func (st *soakState) addTaskLatency(h obs.Sample) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.taskLat.Buckets == nil {
+		st.taskLat = h
+		st.taskLat.Buckets = slices.Clone(h.Buckets)
+		return
+	}
+	st.taskLat.Sum += h.Sum
+	st.taskLat.Count += h.Count
+	for i, b := range h.Buckets {
+		st.taskLat.Buckets[i].Count += b.Count
 	}
 }
 

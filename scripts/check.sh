@@ -10,8 +10,9 @@
 #                    monitor, scraped-tally, scrape-churn,
 #                    golden-exposition, link-core, Redirect-race,
 #                    shared-session, permanent-partition, splice
-#                    (stream, proclib, core, graphs) and run-process
-#                    (graphs, proclib, workload) tests x20 at
+#                    (stream, proclib, core, graphs), run-process
+#                    (graphs, proclib, workload) and client-cache
+#                    (server) tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -53,7 +54,11 @@
 #                    owner), a check that no binary under cmd/ links
 #                    os/exec or testing (a server links only what a
 #                    graph can run; harnesses and crash children live
-#                    in _test.go files), and gofmt -l.
+#                    in _test.go files), a check that internal/meta
+#                    has no go statement, time.NewTicker or
+#                    time.AfterFunc (the farm has no second scheduler;
+#                    its timing decisions are its lanes' results), and
+#                    gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -177,6 +182,14 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: encoding/binary in internal/netio outside frames.go and handshake.go (the wire format's owners)"
 		fail=1
 	fi
+	# The task farm is one network over a fixed lane set (DESIGN.md,
+	# "Load balancing"): no second scheduler, and every decision that
+	# depends on timing is a lane's result, never a clock of its own.
+	if grep -nE '(^[[:space:]]*|[;{][[:space:]]*)go [[:alnum:]_(]|time\.(NewTicker|AfterFunc)' \
+		$(ls internal/meta/*.go | grep -v '_test\.go$'); then
+		echo "lint gate: a go statement, time.NewTicker or time.AfterFunc in internal/meta (the farm's timing is its lanes' results)"
+		fail=1
+	fi
 	# A server's codebase is the process types a graph can ship
 	# (DESIGN.md, "Dynamic code loading is not reproduced"): no binary
 	# spawns processes or carries the test framework.
@@ -250,9 +263,10 @@ go test -race -timeout 120s ./...
 # with the scheduling facts they rest on: the pipe's blocked/unblocked
 # bookkeeping balances (WakeBookkeeping), a Hamming job's monitor
 # passes stay within 3 x its resolutions + 10, the cut stops only
-# streams nobody reads (Cut), and the task farm — fixed, elastic, under
-# a wake-only monitor and under seeded join/retire/kill schedules —
-# stays determinate and never looks quiescent while a lane computes
+# streams nobody reads (Cut), and the task farm — its fixed lane set
+# under a wake-only monitor and under seeded schedules that kill lanes
+# mid-run, with its dpn_pool_* series pinned by a golden — stays
+# determinate and never looks quiescent while a lane computes
 # (Farm|Pool|Dynamic|Turnstile|Select). Across nodes, only the new
 # names: a parked transport link is not a blocked process, so neither a
 # node's monitor nor one that watches its peers acts while a process
@@ -290,10 +304,12 @@ go test -race -timeout 120s ./...
 # OrderedMergeRunsMatchElementMerge), a limit moves exactly its count
 # of elements (RunProcessesHonourElementLimits), and a merge or a
 # bounded source moved mid-stream goes on where it stopped
-# (MigrateOrderedMergeMidStream, MigrateSequenceMidStream).
+# (MigrateOrderedMergeMidStream, MigrateSequenceMidStream). Two callers
+# of one compute-server client read its cached broker address under
+# the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestBrokerAddrConcurrentCallers' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
