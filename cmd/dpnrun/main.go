@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"dpn/internal/cluster"
 	"dpn/internal/conduit"
 	"dpn/internal/core"
 	"dpn/internal/deadlock"
@@ -189,7 +188,7 @@ func writeTraceFile(path string, nodes []obs.NodeTrace) {
 
 func main() {
 	var (
-		graph    = flag.String("graph", "fib", "fib | primes | primes-below | hamming | sqrt | factor | cluster")
+		graph    = flag.String("graph", "fib", "fib | primes | primes-below | hamming | sqrt | factor")
 		n        = flag.Int64("n", 20, "element count / bound for the chosen graph")
 		x        = flag.Float64("x", 2, "input for -graph sqrt")
 		workers  = flag.Int("workers", 4, "worker count for -graph factor")
@@ -206,7 +205,7 @@ func main() {
 		pprofF   = flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof/ on the observability endpoint")
 		mutexF   = flag.Int("mutexprofile", 0, "mutex profile sampling fraction passed to runtime.SetMutexProfileFraction (0 leaves profiling off)")
 		traceOut = flag.String("trace", "", "write a merged multi-node Chrome trace (JSON) to this file after the run")
-		sample   = flag.Int("tracesample", 64, "with -trace: carry a causal trace mark on every Nth outbound data frame")
+		sample   = flag.Int("tracesample", 64, "with -trace: trace the 1st, (N+1)th, … task of the -graph factor farm, and carry a causal trace mark on the 1st, (N+1)th, … outbound data frame")
 		faultsF  = flag.String("faults", "", "inject network faults on this node's broker, e.g. seed=7,drop=0.01,latency=2ms,partition=1s:500ms,mode=stall")
 		resil    = flag.Bool("resilient", false, "retry policy: this node's links ride out a dead session (re-dial with backoff, resume where the stream stopped) for up to 15s instead of ending the channel at once; nodes may differ, but a link heals only when both its ends retry")
 		durableF = flag.String("durable", "", "journal boundary channels to a WAL under this directory, truncated as the peer acknowledges: a node restarted after kill -9 resumes its streams from the journal (a surviving peer waits out the restart only under -resilient)")
@@ -271,9 +270,6 @@ func main() {
 		}
 	case "factor":
 		runFactor(*bits, *workers, *static, *servers, *registry, *validate, *dot)
-	case "cluster":
-		cfg := cluster.PaperConfig()
-		cluster.WriteTable2(os.Stdout, cfg)
 	default:
 		fmt.Fprintf(os.Stderr, "dpnrun: unknown graph %q\n", *graph)
 		os.Exit(2)

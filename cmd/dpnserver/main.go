@@ -52,7 +52,7 @@ func main() {
 		resil      = flag.Bool("resilient", false, "retry policy: this node's links ride out a dead session (re-dial with backoff, resume where the stream stopped) for up to 15s instead of ending the channel at once; nodes may differ, but a link heals only when both its ends retry")
 		pprofF     = flag.Bool("pprof", false, "with -metrics: also serve /debug/pprof/ on the observability endpoint")
 		mutexF     = flag.Int("mutexprofile", 0, "mutex profile sampling fraction passed to runtime.SetMutexProfileFraction (0 leaves profiling off)")
-		sample     = flag.Int("tracesample", 0, "carry a causal trace mark on every Nth outbound data frame and record span events (0 disables)")
+		sample     = flag.Int("tracesample", 0, "carry a causal trace mark on the 1st, (N+1)th, … outbound data frame and record span events (0 disables); a task farm's tasks are sampled by dpnrun -tracesample")
 		durableF   = flag.String("durable", "", "journal boundary channels to a WAL under this directory, truncated as the peer acknowledges: a node restarted after kill -9 resumes its streams from the journal (a surviving peer waits out the restart only under -resilient)")
 		muxKeyF    = flag.String("muxkey", "", "cluster pre-shared key for session peer authentication (empty accepts any peer; set the same key on every node)")
 	)

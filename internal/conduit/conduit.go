@@ -17,15 +17,16 @@
 // drain the buffered bytes (SealAndDrain), move them with the parcel,
 // and bind the endpoint to a new Link (BindSource/BindSink) — the
 // paper's decentralized redirection (§4.3) is a second rebind over the
-// same surface. Close-cascade, credit accounting, and the
-// dpn_conduit_* instrumentation are defined once at this layer.
+// same surface. Close-cascade and credit accounting are defined once at
+// this layer. The conduit keeps its counts where they happen (the
+// buffer's in the pipe, its rebinds here) and exposes no series: the
+// network that registers a channel reads them at scrape.
 package conduit
 
 import (
 	"io"
 	"sync/atomic"
 
-	"dpn/internal/obs"
 	"dpn/internal/stream"
 )
 
@@ -35,9 +36,9 @@ import (
 // the buffer itself, so an unbound (in-proc) conduit costs exactly what
 // the bare pipe costs.
 type Conduit struct {
-	name string
-	buf  *stream.Pipe
-	rec  atomic.Pointer[record] // the name's counts in the registry's collector, nil until Instrument
+	name    string
+	buf     *stream.Pipe
+	rebinds [2]atomic.Int64 // by dir: [0] source, [1] sink
 }
 
 // New creates an unbound conduit with the given buffer capacity.
@@ -60,34 +61,12 @@ func (c *Conduit) Entry() io.WriteCloser { return c.buf.WriteEnd() }
 // which the channel's ReadPort reads too, continuation included.
 func (c *Conduit) Exit() io.ReadCloser { return c.buf.ReadEnd() }
 
-// Instrument homes the conduit's metrics (dpn_conduit_bytes_total and
-// friends) in the scope's registry: the buffer keeps its counts under
-// its own lock, and the registry's one conduit collector reads them at
-// scrape. It returns the typed-element counts of the conduit's name
-// ([0] read, [1] write), which package core adds to through the ports'
-// NoteToken hooks; nil if the scope has no registry or the name is past
-// its series cap. obsv may be nil.
-func (c *Conduit) Instrument(s *obs.Scope, obsv stream.Observer) *[2]atomic.Int64 {
-	reg := s.Registry()
-	if reg == nil {
-		return nil
-	}
-	c.buf.SetHooks(obsv, &stream.Instruments{Tracer: s.Tracer(), Name: c.name})
-	col, limit := collectorOf(reg)
-	rec := col.add(c.name, c.buf, limit)
-	if rec == nil {
-		return nil
-	}
-	c.rec.Store(rec)
-	return &rec.tokens
-}
-
-// noteRebind counts a rebind of an instrumented conduit: migrations,
-// redirects and import-side reconnects count one each.
-func (c *Conduit) noteRebind(dir int) {
-	if r := c.rec.Load(); r != nil {
-		r.rebinds[dir].Add(1)
-	}
+// Rebinds returns the transport rebinds begun on the conduit, by dir:
+// [0] source (BindSource), [1] sink (BindSink). Migrations, redirects
+// and import-side reconnects count one each. A rebind counts before its
+// link starts, so it is in before the link can settle the buffer.
+func (c *Conduit) Rebinds() [2]int64 {
+	return [2]int64{c.rebinds[0].Load(), c.rebinds[1].Load()}
 }
 
 // BindSource binds the conduit's producing end to a transport: bytes
@@ -99,13 +78,9 @@ func (c *Conduit) noteRebind(dir int) {
 // buffer, the deadlock monitor does not count it blocked. The side is
 // marked before the link starts, so not even its first park is counted.
 func (c *Conduit) BindSource(t Transport, ep Endpoint) (Link, error) {
+	c.rebinds[0].Add(1)
 	c.buf.Link(true)
-	l, err := t.BindInbound(ep, c.buf.WriteEnd())
-	if err != nil {
-		return nil, err
-	}
-	c.noteRebind(0)
-	return l, nil
+	return t.BindInbound(ep, c.buf.WriteEnd())
 }
 
 // BindSink binds the conduit's consuming end to a transport: the exit
@@ -116,13 +91,9 @@ func (c *Conduit) BindSource(t Transport, ep Endpoint) (Link, error) {
 // Like BindSource's, the link reading the buffer is not counted blocked
 // when it parks on an empty one.
 func (c *Conduit) BindSink(t Transport, ep Endpoint, window int) (Link, error) {
+	c.rebinds[1].Add(1)
 	c.buf.Link(false)
-	l, err := t.BindOutbound(ep, c.buf.ReadEnd(), window)
-	if err != nil {
-		return nil, err
-	}
-	c.noteRebind(1)
-	return l, nil
+	return t.BindOutbound(ep, c.buf.ReadEnd(), window)
 }
 
 // SealAndDrain closes the buffer's write side and drains every byte

@@ -10,7 +10,6 @@ import (
 
 	"dpn/internal/faults"
 	"dpn/internal/netio"
-	"dpn/internal/obs"
 	"dpn/internal/stream"
 )
 
@@ -247,31 +246,19 @@ func TestSealAndDrainEmpty(t *testing.T) {
 	}
 }
 
-// Every transport rebind counts, and when instrumented it surfaces as
-// dpn_conduit_rebinds_total with a dir label.
+// Every transport rebind counts on the conduit, by dir; the network
+// exposes the counts as dpn_conduit_rebinds_total (core's
+// TestRebindSeries).
 func TestRebindAccounting(t *testing.T) {
-	s := obs.NewScope()
 	lb := NewLoopback()
 	c := New("r", 32)
-	c.Instrument(s, nil)
 	if _, err := c.BindSink(lb, Endpoint{Token: "t1"}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.BindSource(lb, Endpoint{Token: "t2"}); err != nil {
 		t.Fatal(err)
 	}
-	dirs := map[string]int64{}
-	for _, smp := range s.Registry().Samples() {
-		if smp.Name != "dpn_conduit_rebinds_total" {
-			continue
-		}
-		for _, l := range smp.Labels {
-			if l.Key == "dir" {
-				dirs[l.Value] = smp.Value
-			}
-		}
-	}
-	if dirs["sink"] != 1 || dirs["source"] != 1 {
-		t.Fatalf("rebind samples = %v", dirs)
+	if got := c.Rebinds(); got != [2]int64{1, 1} {
+		t.Fatalf("rebinds [source sink] = %v, want [1 1]", got)
 	}
 }

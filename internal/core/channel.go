@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"dpn/internal/conduit"
 	"dpn/internal/stream"
 )
@@ -27,10 +25,13 @@ type Channel struct {
 	ws wstate
 	rs rstate
 
-	// tokens counts typed elements (not bytes) moving through the
-	// channel, [0] read and [1] write; package token bumps them through
-	// the ports' NoteToken hooks. Nil unless the channel is registered.
-	tokens *[2]atomic.Int64
+	// rec is the exposition record of the channel's name, whose token
+	// counts package token bumps through the ports' NoteToken hooks. Nil
+	// unless the channel is registered and its name admitted.
+	rec *record
+	// held records the local processes holding the two ends (see
+	// cut.go). Guarded by net.mu.
+	held ends
 }
 
 // NewChannel creates a channel that is not registered with any network.
@@ -48,7 +49,7 @@ func newChannel(n *Network, name string, capacity int) *Channel {
 	ch.rs = rstate{name: name, p: cd.Buffer(), ch: ch}
 	ch.w.s, ch.r.s = &ch.ws, &ch.rs
 	if n != nil {
-		ch.tokens = cd.Instrument(n.Obs(), n)
+		cd.Buffer().SetHooks(n, &stream.Instruments{Tracer: n.scope.Tracer(), Name: name})
 		n.registerChannel(ch)
 	}
 	return ch
@@ -70,14 +71,6 @@ func (c *Channel) Pipe() *stream.Pipe { return c.cd.Buffer() }
 // Conduit exposes the channel's full data plane — buffer plus transport
 // binding surface — for the migration machinery (package wire).
 func (c *Channel) Conduit() *conduit.Conduit { return c.cd }
-
-// finished reports whether the channel's buffer can never deliver
-// another byte: its consuming end is closed, or its producing end is
-// closed and nothing is left in it.
-func (c *Channel) finished() bool {
-	p := c.cd.Buffer()
-	return p.ReadClosed() || p.WriteClosed() && p.Len() == 0
-}
 
 // Network returns the network the channel is registered with, or nil.
 func (c *Channel) Network() *Network { return c.net }

@@ -14,16 +14,19 @@ import "io"
 // again from each of them. A process cut this way gets ErrReadClosed
 // from its next port operation, which is already a termination.
 //
-// The runtime records which local process holds each end of a local
-// channel: at Spawn, and when InsertUpstream gives its caller a new
-// input. A process handed a port by Spawn takes it over from whoever
-// held it, Detach forgets an end, and a finishing process forgets all
-// of its own. A writer is cut only if it holds at least one output,
-// every port it holds is registered to it, every output has lost its
-// consumer, and it is neither suspended nor asked to suspend. So these
-// are never cut: sinks; a Duplicate with one live output; a process
-// holding a port the runtime did not register to it (a foreign or
-// detached port, a channel of another network, any channel it made
+// The runtime records on each local channel which local process holds
+// each of its ends: at Spawn, and when InsertUpstream gives its caller
+// a new input. A process handed a port by Spawn takes it over from
+// whoever held it, Detach forgets an end, and a finishing process
+// forgets all of its own. That the consuming end was closed is kept
+// after its holders are gone, and it stays true: the pipe stays
+// read-closed, so a writer that takes the producing end later has lost
+// its consumer too. A writer is cut only if it holds at least one
+// output, every port it holds is registered to it, every output has
+// lost its consumer, and it is neither suspended nor asked to suspend.
+// So these are never cut: sinks; a Duplicate with one live output; a
+// process holding a port the runtime did not register to it (a foreign
+// or detached port, a channel of another network, any channel it made
 // itself with Env.NewChannel); and a writer on another node — the cut
 // does not cross a link, so cross-node channels keep the lazy rule.
 //
@@ -31,7 +34,8 @@ import "io"
 // read stop sooner: every byte a live consumer reads was written by a
 // process with a live output, and such a process is never cut.
 
-// ends records the local processes holding a channel's two ends.
+// ends records the local processes holding a channel's two ends. It is
+// a field of the channel, guarded by its network's lock.
 type ends struct {
 	w, r *Proc
 	// rclosed is set when the consuming end was closed through a port
@@ -68,14 +72,10 @@ func (n *Network) hold(proc *Proc, ports []io.Closer) {
 func (n *Network) release(proc *Proc) {
 	n.mu.Lock()
 	for _, ch := range proc.ins {
-		e := n.held[ch]
-		e.r = nil
-		n.store(ch, e)
+		ch.held.r = nil
 	}
 	for _, ch := range proc.outs {
-		e := n.held[ch]
-		e.w = nil
-		n.store(ch, e)
+		ch.held.w = nil
 	}
 	proc.ins, proc.outs = nil, nil
 	n.mu.Unlock()
@@ -92,10 +92,9 @@ func (n *Network) forget(ch *Channel, write bool) {
 // setHolder makes proc (nil: nobody) the holder of one end of ch. With
 // n.mu held.
 func (n *Network) setHolder(ch *Channel, write bool, proc *Proc) {
-	e := n.held[ch]
-	slot := &e.r
+	slot := &ch.held.r
 	if write {
-		slot = &e.w
+		slot = &ch.held.w
 	}
 	if old := *slot; old != proc {
 		if old != nil {
@@ -106,20 +105,6 @@ func (n *Network) setHolder(ch *Channel, write bool, proc *Proc) {
 		}
 		*slot = proc
 	}
-	n.store(ch, e)
-}
-
-// store records e for ch, dropping the record once nobody holds either
-// end. With n.mu held.
-func (n *Network) store(ch *Channel, e ends) {
-	switch {
-	case e.w == nil && e.r == nil:
-		delete(n.held, ch)
-	case n.held == nil:
-		n.held = map[*Channel]ends{ch: e}
-	default:
-		n.held[ch] = e
-	}
 }
 
 // consumerClosed runs the cut from ch, whose consuming end a port bound
@@ -127,9 +112,8 @@ func (n *Network) store(ch *Channel, e ends) {
 func (n *Network) consumerClosed(ch *Channel) {
 	n.mu.Lock()
 	var closing []*Channel
-	if e, ok := n.held[ch]; ok && !e.rclosed {
+	if e := &ch.held; !e.rclosed {
 		e.rclosed = true
-		n.held[ch] = e
 		closing = n.walk(e.w)
 	}
 	n.mu.Unlock()
@@ -144,12 +128,11 @@ func (n *Network) walk(w *Proc) (closing []*Channel) {
 	for {
 		if n.cuttable(w) {
 			for _, ch := range w.ins {
-				e := n.held[ch]
+				e := &ch.held
 				if e.rclosed {
 					continue
 				}
 				e.rclosed = true
-				n.held[ch] = e
 				closing = append(closing, ch)
 				if e.w != nil {
 					todo = append(todo, e.w)
@@ -174,7 +157,7 @@ func (n *Network) cuttable(w *Proc) bool {
 		return false // parked, parking, or ejected and taking its ports elsewhere
 	}
 	for _, ch := range w.outs {
-		if !n.held[ch].rclosed {
+		if !ch.held.rclosed {
 			return false
 		}
 	}

@@ -64,9 +64,10 @@ func (p *Proc) Done() <-chan struct{} { return p.done }
 type Network struct {
 	mu       sync.Mutex
 	channels []*Channel
-	sweepAt  int // registerChannel drops finished channels at this length
+	sweepAt  int                // registerChannel sweeps the channel list at this length
+	names    map[string]*record // the channel names admitted to the exposition
+	order    []*record          // the records in names, first admitted first
 	errs     []error
-	held     map[*Channel]ends // who holds each end of a local channel; see cut.go
 
 	wg         sync.WaitGroup
 	generation atomic.Uint64
@@ -100,6 +101,7 @@ func NewNetwork(opts ...Option) *Network {
 		defaultCap: stream.DefaultCapacity,
 		scope:      obs.NewScope(),
 		quiet:      make(chan struct{}, 1),
+		names:      make(map[string]*record),
 	}
 	for _, o := range opts {
 		o(n)
@@ -113,6 +115,8 @@ func NewNetwork(opts ...Option) *Network {
 	n.gBlocked = reg.Gauge("dpn_net_procs_blocked")
 	n.cSpawned = reg.Counter("dpn_net_procs_spawned_total")
 	n.cFailures = reg.Counter("dpn_net_proc_failures_total")
+	helpConduit(reg)
+	reg.SetCollector(n)
 	return n
 }
 
@@ -132,26 +136,37 @@ func (n *Network) NewChannel(name string, capacity int) *Channel {
 	return newChannel(n, name, capacity)
 }
 
+// registerChannel lists c, and admits its name to the exposition while
+// fewer names than the registry's series cap are admitted: an admitted
+// name exposes all of its series, a refused one none.
 func (n *Network) registerChannel(c *Channel) {
+	// A scrape takes n.mu under the registry's lock, so the registry is
+	// not called with n.mu held: the cap is read before, and a refusal
+	// counted after.
+	reg := n.scope.Registry()
+	limit := reg.SeriesLimit()
 	n.mu.Lock()
+	rec := n.names[c.name]
+	if rec == nil && (limit == 0 || len(n.order) < limit) {
+		rec = &record{name: c.name, index: len(n.order)}
+		n.names[c.name] = rec
+		n.order = append(n.order, rec)
+	}
+	c.rec = rec
 	if len(n.channels) >= n.sweepAt {
 		// A long-lived network — a compute server's — would otherwise
 		// keep every channel it ever carried, buffer and instruments
 		// included. Sweeping when the list has doubled keeps
 		// registration amortised O(1).
-		live := n.channels[:0]
-		for _, ch := range n.channels {
-			if !ch.finished() {
-				live = append(live, ch)
-			}
-		}
-		clear(n.channels[len(live):])
-		n.channels = live
-		n.sweepAt = max(2*len(live), 64)
+		n.sweep(nil)
+		n.sweepAt = max(2*len(n.channels), 64)
 	}
 	n.channels = append(n.channels, c)
 	n.mu.Unlock()
 	n.generation.Add(1)
+	if rec == nil {
+		reg.Drop("dpn_conduit_*")
+	}
 }
 
 // Channels returns a snapshot of the registered channels. Channels

@@ -54,8 +54,8 @@ func (s *rstate) Buffered() int {
 func (s *rstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *rstate) NoteTokens(k int) {
-	if s.ch != nil && s.ch.tokens != nil {
-		s.ch.tokens[0].Add(int64(k))
+	if s.ch != nil && s.ch.rec != nil {
+		s.ch.rec.tokens[0].Add(int64(k))
 	}
 }
 
@@ -207,8 +207,8 @@ func (s *wstate) HintShape(shape uint32) {
 func (s *wstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *wstate) NoteTokens(k int) {
-	if s.ch != nil && s.ch.tokens != nil {
-		s.ch.tokens[1].Add(int64(k))
+	if s.ch != nil && s.ch.rec != nil {
+		s.ch.rec.tokens[1].Add(int64(k))
 	}
 }
 

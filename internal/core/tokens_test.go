@@ -71,7 +71,7 @@ func TestPortCodecIsLazyAndSmall(t *testing.T) {
 // TestRegisteredChannelCost pins what registering a channel with a
 // network costs: the sieve makes one per prime. A registered channel
 // looks no series up: its pipe gets one block of plain counts, and the
-// registry's conduit collector reads them at scrape.
+// network, its registry's collector, reads them at scrape.
 func TestRegisteredChannelCost(t *testing.T) {
 	const n = 500
 	net := NewNetwork()

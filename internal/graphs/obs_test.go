@@ -105,3 +105,50 @@ func TestSieveMetricsExposition(t *testing.T) {
 		t.Errorf("spawn/stop events unbalanced after termination: %d/%d", spawns, stops)
 	}
 }
+
+// TestSieveChannelSeriesWholeOrNothing: the sieve of 200 primes makes
+// a channel name per filter, about 200 to 330 of them as the cut stops
+// the run, against a default series cap of 256 per family, and a
+// channel name is exposed whole or not at all. Every exposed name has a
+// series in each of the nine families every channel emits
+// (dpn_conduit_rebinds_total appears only after a rebind), and names
+// are refused, counting as dropped series, only once the cap's worth
+// are exposed.
+func TestSieveChannelSeriesWholeOrNothing(t *testing.T) {
+	n := core.NewNetwork()
+	SieveFirstN(n, 200, SieveIterative)
+	if err := n.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	families := []string{
+		"dpn_conduit_block_seconds", "dpn_conduit_blocks_total", "dpn_conduit_bytes_total",
+		"dpn_conduit_capacity_bytes", "dpn_conduit_grows_total", "dpn_conduit_occupancy_bytes",
+		"dpn_conduit_occupancy_peak_bytes", "dpn_conduit_tokens_total", "dpn_conduit_wait_ns_total",
+	}
+	exposed := map[string]map[string]bool{} // channel name -> families with a series
+	var dropped int64
+	for _, s := range n.Obs().Registry().Samples() {
+		if s.Name == "dpn_obs_dropped_series_total" {
+			dropped = s.Value
+		}
+		if !strings.HasPrefix(s.Name, "dpn_conduit_") {
+			continue
+		}
+		ch := s.Label("channel")
+		if exposed[ch] == nil {
+			exposed[ch] = map[string]bool{}
+		}
+		exposed[ch][s.Name] = true
+	}
+	if len(exposed) > obs.DefaultSeriesLimit || dropped > 0 && len(exposed) < obs.DefaultSeriesLimit {
+		t.Fatalf("%d channel names exposed and %d series dropped; want at most the cap's %d names, and all of them before any is dropped",
+			len(exposed), dropped, obs.DefaultSeriesLimit)
+	}
+	for ch, has := range exposed {
+		for _, f := range families {
+			if !has[f] {
+				t.Errorf("channel %q has some dpn_conduit_* series but none in %s", ch, f)
+			}
+		}
+	}
+}

@@ -100,29 +100,3 @@ func TestCardinalityGuardDisabled(t *testing.T) {
 		t.Fatal("dropped count moved with the guard disabled")
 	}
 }
-
-// Collected series obey the same cap: the first label sets a collector
-// emits keep their places, and each one refused counts once however
-// often it is scraped again.
-func TestCardinalityGuardCollected(t *testing.T) {
-	r := NewRegistry()
-	r.SetSeriesLimit(2)
-	var col testCollector
-	for i := 0; i < 5; i++ {
-		col = append(col, Sample{Name: "collected_total", Kind: KindCounter, Labels: []Label{L("id", fmt.Sprint(i))}, Value: 1})
-	}
-	r.Collector("t", func() Collector { return col })
-	for range 3 {
-		if got := seriesOf(r, "collected_total"); got != 2 {
-			t.Fatalf("exported series = %d, want 2", got)
-		}
-	}
-	if got := dropped(r); got != 3 {
-		t.Fatalf("dropped = %d after three scrapes, want 3", got)
-	}
-	for _, s := range r.Samples() {
-		if s.Name == "collected_total" && s.Label("id") != "0" && s.Label("id") != "1" {
-			t.Fatalf("exported %v; the first two label sets emitted keep the places", s.Labels)
-		}
-	}
-}

@@ -18,7 +18,6 @@ package obs
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"os"
 	"slices"
@@ -250,14 +249,9 @@ type family struct {
 	typed  bool
 	bounds []float64 // histogram families share bounds
 	series map[string]*series
-	// collected marks a family a Collector emits: its label sets are
+	// collected marks a family the collector emits: its label sets are
 	// the collector's, so pushed lookups get a detached instrument.
-	// admitted holds the label keys of the collected series that took a
-	// place under the series cap; refused maps each one refused at the
-	// cap to the scrape that last emitted it (see admit).
 	collected bool
-	admitted  map[string]bool
-	refused   map[string]uint64
 }
 
 // Collector is a source of series the registry reads at scrape time
@@ -275,20 +269,17 @@ type Collector interface {
 // get-or-create and safe for concurrent use; hot paths should look an
 // instrument up once and keep the pointer.
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family
-	collectors map[string]Collector
+	mu        sync.Mutex
+	families  map[string]*family
+	collector Collector
 	// seriesLimit caps the distinct label sets per family (see
 	// SetSeriesLimit); dropped counts series refused at the cap, and
 	// warned remembers which families already logged the one-line
-	// warning. scrapes numbers the scrapes, scraped is the last one's
-	// series count, and key is admit's reused key buffer.
+	// warning. scraped is the last scrape's series count.
 	seriesLimit int
 	dropped     int64
 	warned      map[string]bool
-	scrapes     uint64
 	scraped     int
-	key         []byte
 }
 
 // DefaultSeriesLimit is the per-family label-set cap applied to new
@@ -300,7 +291,6 @@ const DefaultSeriesLimit = 256
 func NewRegistry() *Registry {
 	return &Registry{
 		families:    make(map[string]*family),
-		collectors:  make(map[string]Collector),
 		seriesLimit: DefaultSeriesLimit,
 		warned:      make(map[string]bool),
 	}
@@ -309,9 +299,9 @@ func NewRegistry() *Registry {
 // SetSeriesLimit changes the per-family cap on distinct label sets
 // (n <= 0 removes the cap). Lookups beyond the cap warn once per family
 // on stderr, count into dpn_obs_dropped_series_total, and hand the
-// caller a detached instrument; collected series beyond it are left out
-// of the exposition and count there once. So exposition memory stays
-// bounded and callers never fail.
+// caller a detached instrument. A collector's owner applies the cap
+// to what it collects itself (see SeriesLimit). So exposition memory
+// stays bounded and callers never fail.
 func (r *Registry) SetSeriesLimit(n int) {
 	if r == nil {
 		return
@@ -345,19 +335,15 @@ func (r *Registry) family(name string) *family {
 	return f
 }
 
-// room reports whether f has room under the cap for another label set.
-func (r *Registry) room(f *family) bool {
-	return r.seriesLimit <= 0 || len(f.series)+len(f.admitted) < r.seriesLimit
-}
-
-// refuse counts a label set refused at f's cap, warning once per family.
-func (r *Registry) refuse(f *family) {
+// refuse counts a label set refused at the cap of the family name,
+// warning once per family. With r.mu held.
+func (r *Registry) refuse(name string) {
 	r.dropped++
-	if !r.warned[f.name] {
-		r.warned[f.name] = true
+	if !r.warned[name] {
+		r.warned[name] = true
 		fmt.Fprintf(os.Stderr,
 			"obs: family %s hit the %d-series cardinality cap; further label sets are dropped\n",
-			f.name, r.seriesLimit)
+			name, r.seriesLimit)
 	}
 }
 
@@ -383,8 +369,8 @@ func (r *Registry) lookup(name string, kind Kind, bounds []float64, labels []Lab
 	}
 	s := f.series[key]
 	if s == nil {
-		if !r.room(f) {
-			r.refuse(f)
+		if r.seriesLimit > 0 && len(f.series) >= r.seriesLimit {
+			r.refuse(name)
 			return nil
 		}
 		s = &series{labels: labels}
@@ -442,50 +428,39 @@ func (r *Registry) Help(name, text string) {
 	r.family(name).help = text
 }
 
-// Collector returns the collector registered under name, registering
-// the one newC builds on first use, and the series cap in force (0:
-// none). newC runs under the registry's lock, so it must not call back
-// into the registry. A nil registry returns nil.
-func (r *Registry) Collector(name string, newC func() Collector) (c Collector, seriesLimit int) {
+// SetCollector makes c the registry's collector, whose series it reads
+// at every scrape. A registry has one, set by the network that owns it.
+func (r *Registry) SetCollector(c Collector) {
 	if r == nil {
-		return nil, 0
+		return
+	}
+	r.mu.Lock()
+	r.collector = c
+	r.mu.Unlock()
+}
+
+// SeriesLimit returns the series cap in force (0: none). The collector's
+// owner applies it to what it collects, and counts what it refuses
+// through Drop.
+func (r *Registry) SeriesLimit() int {
+	if r == nil {
+		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.collectors[name] == nil {
-		r.collectors[name] = newC()
-	}
-	return r.collectors[name], max(r.seriesLimit, 0)
+	return max(r.seriesLimit, 0)
 }
 
-// admit reports whether a collected series may be exposed. A label
-// set keeps the place under the family's cap it takes when first
-// emitted. One refused at the cap counts as dropped when the scrape
-// before did not emit it: once, for a series emitted at every scrape.
-// With r.mu held.
-func (r *Registry) admit(f *family, labels []Label) bool {
-	if r.seriesLimit <= 0 {
-		return true
+// Drop counts one series set of the family name that the collector's
+// owner refused at the cap into dpn_obs_dropped_series_total, warning
+// once per family, as a pushed lookup past the cap does.
+func (r *Registry) Drop(name string) {
+	if r == nil {
+		return
 	}
-	r.key = appendLabelKey(r.key[:0], labels)
-	if f.admitted[string(r.key)] {
-		return true
-	}
-	if r.room(f) {
-		if f.admitted == nil {
-			f.admitted = make(map[string]bool)
-		}
-		f.admitted[string(r.key)] = true
-		return true
-	}
-	if _, known := f.refused[string(r.key)]; !known {
-		r.refuse(f)
-	}
-	if f.refused == nil {
-		f.refused = make(map[string]uint64)
-	}
-	f.refused[string(r.key)] = r.scrapes
-	return false
+	r.mu.Lock()
+	r.refuse(name)
+	r.mu.Unlock()
 }
 
 // Samples returns a point-in-time snapshot of every series, pushed and
@@ -498,24 +473,19 @@ func (r *Registry) Samples() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Sample, 0, r.scraped)
-	r.scrapes++
-	for _, c := range r.collectors {
-		c.Collect(func(s Sample) {
+	if r.collector != nil {
+		r.collector.Collect(func(s Sample) {
 			f := r.family(s.Name)
 			if !f.typed {
 				f.kind, f.typed = s.Kind, true
 			}
-			if f.kind != s.Kind {
-				return
-			}
-			f.collected = true
-			if r.admit(f, s.Labels) {
+			if f.kind == s.Kind {
+				f.collected = true
 				out = append(out, s)
 			}
 		})
 	}
 	for _, f := range r.families {
-		maps.DeleteFunc(f.refused, func(_ string, at uint64) bool { return at != r.scrapes }) // no longer emitted
 		if f.collected {
 			continue // a pushed series made before the collector emitted would duplicate one
 		}

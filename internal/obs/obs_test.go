@@ -168,9 +168,9 @@ func (c testCollector) Collect(emit func(Sample)) {
 }
 
 // A collector's series are read at every scrape and sorted in among the
-// pushed ones by name and then label key; the registry keeps one
-// collector per name. A family a collector emits exposes only the
-// collector's series, so a pushed lookup in it cannot duplicate one.
+// pushed ones by name and then label key. A family the collector emits
+// exposes only the collector's series, so a pushed lookup in it cannot
+// duplicate one.
 func TestCollectedSeriesSortWithPushed(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bb_total", L("k", "2")).Add(2)
@@ -185,11 +185,9 @@ func TestCollectedSeriesSortWithPushed(t *testing.T) {
 		{Name: "b_total", Kind: KindGauge, Labels: []Label{L("k", "4")}, Value: 4}, // kind mismatch: left out
 		counts.Sample("c_seconds", 2*time.Second+5*time.Microsecond, nil),
 	}
-	if got, limit := r.Collector("t", func() Collector { return col }); got == nil || limit != DefaultSeriesLimit {
-		t.Fatalf("Collector returned %v, limit %d", got, limit)
-	}
-	if got, _ := r.Collector("t", func() Collector { return testCollector{} }); len(got.(testCollector)) != len(col) {
-		t.Fatal("Collector built a second collector under one name")
+	r.SetCollector(col)
+	if limit := r.SeriesLimit(); limit != DefaultSeriesLimit {
+		t.Fatalf("SeriesLimit = %d, want %d", limit, DefaultSeriesLimit)
 	}
 	var got []string
 	for _, s := range r.Samples() {

@@ -6,8 +6,9 @@ import (
 )
 
 // Sampler mints causal trace IDs for a fraction of the units passing a
-// tap point (a pool intake, an outbound link's DATA stream). Every Nth
-// call to Sample returns a fresh non-zero trace ID; the rest return 0,
+// tap point (a pool intake, an outbound link's DATA stream). The 1st,
+// (N+1)th, (2N+1)th, … call to Sample returns a fresh non-zero trace
+// ID, so a tap's first unit is always traced; the rest return 0,
 // which downstream code treats as "not sampled" and propagates for
 // free. All methods are nil-safe, so an unconfigured tap costs one nil
 // check.
@@ -37,7 +38,7 @@ func (s *Sampler) Sample() uint64 {
 	if s == nil {
 		return 0
 	}
-	if s.n.Add(1)%s.every != 0 {
+	if (s.n.Add(1)-1)%s.every != 0 {
 		return 0
 	}
 	return s.NewID()

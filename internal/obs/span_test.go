@@ -2,13 +2,15 @@ package obs
 
 import "testing"
 
+// TestSamplerEveryNth: a sampler of every third unit marks the 1st,
+// 4th, 7th and 10th of twelve.
 func TestSamplerEveryNth(t *testing.T) {
 	s := NewSampler(3)
 	ids := make(map[uint64]bool)
 	hits := 0
 	for i := 1; i <= 12; i++ {
 		id := s.Sample()
-		if i%3 == 0 {
+		if i%3 == 1 {
 			if id == 0 {
 				t.Fatalf("call %d: expected a trace ID, got 0", i)
 			}
@@ -23,6 +25,14 @@ func TestSamplerEveryNth(t *testing.T) {
 	}
 	if hits != 4 {
 		t.Fatalf("hits = %d, want 4", hits)
+	}
+}
+
+// TestSamplerMarksTheFirstUnit: a tap that sees fewer units than the
+// sampling interval still traces one, its first.
+func TestSamplerMarksTheFirstUnit(t *testing.T) {
+	if NewSampler(64).Sample() == 0 {
+		t.Fatal("the first unit of a 1-in-64 sampler was not traced")
 	}
 }
 

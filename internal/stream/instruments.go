@@ -11,8 +11,8 @@ import (
 // lock every park and growth already holds and a collector reads at
 // scrape (see Pipe.Counts). A pipe with nil Instruments pays a single
 // branch per operation and counts none of them. Whoever registers the
-// pipe creates the block (conduit.Conduit.Instrument), so this package
-// stays free of naming policy.
+// pipe creates the block (core.Network, for each channel it
+// registers), so this package stays free of naming policy.
 type Instruments struct {
 	Tracer *obs.Tracer
 	Name   string // trace subject, normally the channel name

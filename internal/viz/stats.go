@@ -31,22 +31,23 @@ func statsAgg(samples []obs.Sample) map[string]int64 {
 // StatsLine renders a one-line runtime summary of the registry,
 // suitable for periodic logging.
 func StatsLine(reg *obs.Registry) string {
-	a := statsAgg(reg.Samples())
+	samples := reg.Samples()
+	a := statsAgg(samples)
 	return fmt.Sprintf(
 		"procs live=%d blocked=%d spawned=%d | chan tokens=%d bytes=%d grows=%d | net in=%dB out=%dB | tasks=%d rpcs=%d | deadlock checks=%d resolved=%d",
 		a["dpn_net_procs_live"], a["dpn_net_procs_blocked"], a["dpn_net_procs_spawned_total"],
 		a["dpn_conduit_tokens_total"], a["dpn_conduit_bytes_total"], a["dpn_conduit_grows_total"],
-		aggLabel(reg, "dpn_conduit_link_logical_bytes_total", "dir", "in"),
-		aggLabel(reg, "dpn_conduit_link_logical_bytes_total", "dir", "out"),
+		aggLabel(samples, "dpn_conduit_link_logical_bytes_total", "dir", "in"),
+		aggLabel(samples, "dpn_conduit_link_logical_bytes_total", "dir", "out"),
 		a["dpn_meta_tasks_total"], a["dpn_server_rpcs_total"],
 		a["dpn_deadlock_checks_total"],
-		aggLabel(reg, "dpn_deadlock_events_total", "status", "resolved"))
+		aggLabel(samples, "dpn_deadlock_events_total", "status", "resolved"))
 }
 
 // aggLabel sums the series of a family whose label matches key=value.
-func aggLabel(reg *obs.Registry, name, key, value string) int64 {
+func aggLabel(samples []obs.Sample, name, key, value string) int64 {
 	var total int64
-	for _, s := range reg.Samples() {
+	for _, s := range samples {
 		if s.Name == name && s.Label(key) == value {
 			total += s.Value
 		}
@@ -160,8 +161,8 @@ func StatsTable(w io.Writer, reg *obs.Registry) {
 	fmt.Fprintf(w, "\nprocs: spawned=%d failures=%d reconfigs=%d | deadlock: checks=%d resolved=%d true=%d\n",
 		a["dpn_net_procs_spawned_total"], a["dpn_net_proc_failures_total"],
 		a["dpn_net_reconfig_total"], a["dpn_deadlock_checks_total"],
-		aggLabel(reg, "dpn_deadlock_events_total", "status", "resolved"),
-		aggLabel(reg, "dpn_deadlock_events_total", "status", "true-deadlock"))
+		aggLabel(samples, "dpn_deadlock_events_total", "status", "resolved"),
+		aggLabel(samples, "dpn_deadlock_events_total", "status", "true-deadlock"))
 }
 
 func fmtSeconds(s float64) string {

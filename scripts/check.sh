@@ -8,7 +8,8 @@
 #                    deadlock-resolution, wake-bookkeeping, cut,
 #                    task-farm, parked-link, link-wait, multi-node
 #                    monitor, scraped-tally, scrape-churn,
-#                    golden-exposition, link-core, Redirect-race,
+#                    golden-exposition, whole-or-nothing series,
+#                    link-core, Redirect-race,
 #                    shared-session, permanent-partition, splice
 #                    (stream, proclib, core, graphs), run-process
 #                    (graphs, proclib, workload) and client-cache
@@ -57,7 +58,10 @@
 #                    in _test.go files), a check that internal/meta
 #                    has no go statement, time.NewTicker or
 #                    time.AfterFunc (the farm has no second scheduler;
-#                    its timing decisions are its lanes' results), and
+#                    its timing decisions are its lanes' results), a
+#                    check that non-test internal/conduit names no
+#                    dpn_conduit_* series (the data plane owns no
+#                    telemetry; the network collects its channels), and
 #                    gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
@@ -190,6 +194,13 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: a go statement, time.NewTicker or time.AfterFunc in internal/meta (the farm's timing is its lanes' results)"
 		fail=1
 	fi
+	# One channel list, one series cap (DESIGN.md, "Observability"): the
+	# network collects its channels' dpn_conduit_* series, so the data
+	# plane names none. netio's dpn_conduit_link_* families live in netio.
+	if grep -n '"dpn_conduit_' $(ls internal/conduit/*.go | grep -v '_test\.go$'); then
+		echo "lint gate: a dpn_conduit_* series named in internal/conduit (the network collects its channels)"
+		fail=1
+	fi
 	# A server's codebase is the process types a graph can ship
 	# (DESIGN.md, "Dynamic code loading is not reproduced"): no binary
 	# spawns processes or carries the test framework.
@@ -272,14 +283,18 @@ go test -race -timeout 120s ./...
 # node's monitor nor one that watches its peers acts while a process
 # computes (LinkIsNotAProcess, CoordinatorIgnoresComputingConsumer), a
 # monitor that sees one node makes no verdict while a process waits on
-# a link (LocalMonitorLeavesLinkWaitUndecided), a
+# a link (LocalMonitorLeavesLinkWaitUndecided). The network collects
+# its own channels' series from the one channel list it keeps: a
 # channel's scraped byte and occupancy series equal the bytes moved
 # while two goroutines stream through it (ScrapedTallies), every
 # scraped counter stays monotone and ends equal to the bytes and tokens
-# moved while 1 000 conduits are created, streamed through, finished
+# moved while 1 000 channels are created, streamed through, finished
 # and folded (ScrapeWhileChannelsComeAndGo), a fixed graph's
 # dpn_conduit_* exposition matches its golden text, before and after
-# its finished channel is folded (ConduitExpositionGolden), the link
+# its finished channel is folded (ConduitExpositionGolden), and a
+# sieve that makes about as many channel names as the series cap
+# exposes each name whole or not at all
+# (SieveChannelSeriesWholeOrNothing). The link
 # core's transitions and bug scripts hold (LinkCore), Redirect reads
 # the peer a concurrent reader move rewrites under the handle's lock
 # (RedirectDuringReaderMove), a peer that overruns its window is cut off
@@ -309,7 +324,7 @@ go test -race -timeout 120s ./...
 # the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestBrokerAddrConcurrentCallers' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestBrokerAddrConcurrentCallers' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
