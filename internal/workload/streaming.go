@@ -37,9 +37,10 @@ const readChunk = 384
 
 // ShardByKey reads the pair stream in batches, assigns each record its
 // global index, and routes (idx, key, valbits) triples to
-// Outs[key mod shards]. Reads drain only buffered bytes past the first
-// element, so a batch may split a pair — the odd element is carried to
-// the next step.
+// Outs[key mod shards], the residue taken non-negative so a negative
+// key routes like any other. Reads drain only buffered bytes past the
+// first element, so a batch may split a pair — the odd element is
+// carried to the next step.
 //
 // Idx, Carry and Have are the process's position in the stream and ship
 // with it; buf and stage are scratch, empty at every step boundary.
@@ -78,7 +79,10 @@ func (s *ShardByKey) Step(env *core.Env) error {
 		if s.Float {
 			key = int64(math.Float64frombits(uint64(key)))
 		}
-		sh := int(key) % len(s.Outs)
+		sh := int(key % int64(len(s.Outs)))
+		if sh < 0 {
+			sh += len(s.Outs)
+		}
 		s.stage[sh] = append(s.stage[sh], s.Idx, key, val)
 		s.Idx++
 	}
@@ -98,30 +102,46 @@ func (s *ShardByKey) Step(env *core.Env) error {
 // sum) when a key's tumbling window fills. At end of stream it flushes
 // the partial windows, ordered by key under the shared flushTag.
 //
-// The open windows (Sums, Fsums, Counts) and the elements of a triple
-// split across two reads (Carry, at most two) ship with the process;
-// buf and stage are scratch.
+// Open holds one slot per key seen: a record costs one lookup, and a
+// key's first record is its only insert. A window that closes resets
+// its slot in place, so a slot with Count 0 has no open window. The
+// slots and the elements of a triple split across two reads (Carry, at
+// most two) ship with the process; buf and stage are scratch.
 type WindowReduce struct {
 	In     *core.ReadPort
 	Out    *core.WritePort
 	Window int64
 	Float  bool
 
-	Sums   map[int64]int64
-	Fsums  map[int64]float64
-	Counts map[int64]int64
-	Carry  []int64
+	Open  map[int64]*Window
+	Carry []int64
 
 	buf   [readChunk]int64
 	stage []int64
 }
 
+// Window is one key's open window: its record count and running sum,
+// integer or float as the stream is.
+type Window struct {
+	Count int64
+	Sum   int64
+	Fsum  float64
+}
+
+// take returns the window's sum encoding and resets the slot.
+func (w *Window) take(float bool) int64 {
+	enc := w.Sum
+	if float {
+		enc = int64(math.Float64bits(w.Fsum))
+	}
+	*w = Window{}
+	return enc
+}
+
 // Step implements core.Stepper.
 func (r *WindowReduce) Step(env *core.Env) error {
-	if r.Counts == nil {
-		r.Counts = make(map[int64]int64)
-		r.Sums = make(map[int64]int64)
-		r.Fsums = make(map[int64]float64)
+	if r.Open == nil {
+		r.Open = make(map[int64]*Window)
 	}
 	have := copy(r.buf[:], r.Carry)
 	n, err := r.In.Tokens().ReadInt64s(r.buf[have:])
@@ -135,14 +155,19 @@ func (r *WindowReduce) Step(env *core.Env) error {
 	r.stage = r.stage[:0]
 	for ; len(vals) >= 3; vals = vals[3:] {
 		idx, key, val := vals[0], vals[1], vals[2]
-		r.Counts[key]++
-		if r.Float {
-			r.Fsums[key] += math.Float64frombits(uint64(val))
-		} else {
-			r.Sums[key] += val
+		w := r.Open[key]
+		if w == nil {
+			w = &Window{}
+			r.Open[key] = w
 		}
-		if r.Counts[key] >= r.Window {
-			r.stage = append(r.stage, idx, key, r.take(key))
+		w.Count++
+		if r.Float {
+			w.Fsum += math.Float64frombits(uint64(val))
+		} else {
+			w.Sum += val
+		}
+		if w.Count >= r.Window {
+			r.stage = append(r.stage, idx, key, w.take(r.Float))
 		}
 	}
 	r.Carry = append(r.Carry[:0], vals...)
@@ -152,32 +177,18 @@ func (r *WindowReduce) Step(env *core.Env) error {
 	return nil
 }
 
-// take returns the key's accumulated sum encoding and resets it.
-func (r *WindowReduce) take(key int64) int64 {
-	var enc int64
-	if r.Float {
-		enc = int64(math.Float64bits(r.Fsums[key]))
-		delete(r.Fsums, key)
-	} else {
-		enc = r.Sums[key]
-		delete(r.Sums, key)
-	}
-	delete(r.Counts, key)
-	return enc
-}
-
 // flush emits every partial window sorted by key, then terminates.
 func (r *WindowReduce) flush() error {
-	keys := make([]int64, 0, len(r.Counts))
-	for k, c := range r.Counts {
-		if c > 0 {
+	keys := make([]int64, 0, len(r.Open))
+	for k, w := range r.Open {
+		if w.Count > 0 {
 			keys = append(keys, k)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]int64, 0, 3*len(keys))
 	for _, k := range keys {
-		out = append(out, flushTag, k, r.take(k))
+		out = append(out, flushTag, k, r.Open[k].take(r.Float))
 	}
 	if len(out) > 0 {
 		if err := r.Out.Tokens().WriteInt64s(out); err != nil {

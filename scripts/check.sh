@@ -12,7 +12,8 @@
 #                    link-core, Redirect-race,
 #                    shared-session, permanent-partition, splice
 #                    (stream, proclib, core, graphs), run-process
-#                    (graphs, proclib, workload) and client-cache
+#                    (graphs, proclib, workload), window-slot and
+#                    negative-key (workload) and client-cache
 #                    (server) tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
@@ -319,12 +320,18 @@ go test -race -timeout 120s ./...
 # OrderedMergeRunsMatchElementMerge), a limit moves exactly its count
 # of elements (RunProcessesHonourElementLimits), and a merge or a
 # bounded source moved mid-stream goes on where it stopped
-# (MigrateOrderedMergeMidStream, MigrateSequenceMidStream). Two callers
+# (MigrateOrderedMergeMidStream, MigrateSequenceMidStream). A window
+# reduce resets a closed window's slot in place: a key reopens from
+# zero, a flush skips the reset slots, and a reduce gob round-tripped
+# with one open and one just-reset slot ends as the oracle does
+# (WindowReduceSlotsResetOnClose, WindowReduceResumesAfterGobRoundTrip);
+# a shard routes a negative key by its non-negative residue
+# (ShardByKeyRoutesNegativeKeys). Two callers
 # of one compute-server client read its cached broker address under
 # the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestBrokerAddrConcurrentCallers' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestBrokerAddrConcurrentCallers' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
