@@ -121,22 +121,40 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-// durationBounds is the default bound set for block/latency histograms,
-// in seconds (1µs … 10s). It is an array so that DurationCounts has a
-// constant size: changing the table changes both.
-var durationBounds = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
+// durationBounds is the default bound set for block/latency histograms
+// (1µs … 10s). It is an array so that DurationCounts has a constant
+// size, and it is in nanoseconds so that DurationCounts.Observe
+// compares integers: changing the table changes both.
+var durationBounds = [...]time.Duration{
+	time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond,
+	time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
+	time.Second, 10 * time.Second,
+}
 
-// DurationBuckets is durationBounds as the bounds Histogram takes.
-var DurationBuckets = durationBounds[:]
+// DurationBuckets is durationBounds in seconds, the bounds Histogram
+// takes.
+var DurationBuckets = func() []float64 {
+	b := make([]float64, len(durationBounds))
+	for i, d := range durationBounds {
+		b[i] = d.Seconds()
+	}
+	return b
+}()
 
 // DurationCounts is a DurationBuckets histogram kept as plain counts,
 // for an owner that updates it under a lock it already holds and has a
 // Collector read it at scrape.
 type DurationCounts [len(durationBounds) + 1]int64
 
-// Observe counts one duration.
-func (c *DurationCounts) Observe(d time.Duration) {
-	c[sort.SearchFloat64s(DurationBuckets, d.Seconds())]++
+// Observe counts one duration into the first bucket whose bound it
+// does not exceed, and returns that bucket's index.
+func (c *DurationCounts) Observe(d time.Duration) int {
+	i := 0
+	for i < len(durationBounds) && d > durationBounds[i] {
+		i++
+	}
+	c[i]++
+	return i
 }
 
 // Sample renders c as the histogram series name{labels}, whose

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +157,27 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if !math.IsInf(s.Buckets[2].UpperBound, 1) {
 		t.Error("last bucket must be +Inf")
+	}
+}
+
+// DurationCounts.Observe compares nanoseconds, and counts every
+// duration into the bucket a search of the exposed seconds bounds
+// finds: on each bound, one nanosecond either side, and beyond both
+// ends. The exposed bounds stay 1 µs … 10 s.
+func TestDurationCountsObserveMatchesBounds(t *testing.T) {
+	if want := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}; !slices.Equal(DurationBuckets, want) {
+		t.Fatalf("DurationBuckets = %v, want %v", DurationBuckets, want)
+	}
+	ds := []time.Duration{-1, 0, 1, 999 * time.Second}
+	for _, b := range durationBounds {
+		ds = append(ds, b-1, b, b+1)
+	}
+	for _, d := range ds {
+		var c DurationCounts
+		i := c.Observe(d)
+		if want := sort.SearchFloat64s(DurationBuckets, d.Seconds()); i != want || c[i] != 1 {
+			t.Errorf("Observe(%v) counted into bucket %d (count %d), want %d", d, i, c[i], want)
+		}
 	}
 }
 

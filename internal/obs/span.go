@@ -38,10 +38,18 @@ func (s *Sampler) Sample() uint64 {
 	if s == nil {
 		return 0
 	}
-	if (s.n.Add(1)-1)%s.every != 0 {
+	if !Sampled(s.n.Add(1)-1, s.every) {
 		return 0
 	}
 	return s.NewID()
+}
+
+// Sampled is the one-in-every rule of a systematic sample: it reports
+// whether the unit with 0-based ordinal n is marked, so the 1st,
+// (every+1)th, (2·every+1)th, … units are. Sampler.Sample and the
+// pipe's park clock (which times one park in 16) both use it.
+func Sampled(n, every uint64) bool {
+	return n%every == 0
 }
 
 // NewID mints a non-zero trace ID without consuming a sampling slot.

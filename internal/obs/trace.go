@@ -20,7 +20,10 @@ const (
 	// "write").
 	EvBlock
 	// EvUnblock marks the blocked operation resuming (Arg = nanoseconds
-	// spent blocked).
+	// spent blocked: measured if the pipe timed this park, else the
+	// last measured park's, carried forward; a pipe times one park in
+	// 16 per op). A reader who wants every park's exact length
+	// subtracts the EvBlock event's timestamp from this one's.
 	EvUnblock
 	// EvGrow marks a channel capacity growth (Arg = new capacity).
 	EvGrow
@@ -172,11 +175,16 @@ func (t *Tracer) Disable() {
 }
 
 // Record appends one event if the tracer is enabled. It is safe for
-// concurrent use and on a nil tracer.
+// concurrent use and on a nil tracer. It is small enough to inline, so
+// a disabled tracer costs its caller a load and a branch, not a call.
 func (t *Tracer) Record(typ EventType, name, detail string, arg int64) {
-	if t == nil || !t.enabled.Load() {
-		return
+	if t != nil && t.enabled.Load() {
+		t.record(typ, name, detail, arg)
 	}
+}
+
+// record appends one event to an enabled tracer.
+func (t *Tracer) record(typ EventType, name, detail string, arg int64) {
 	ev := &Event{
 		TS:     time.Since(t.epoch).Nanoseconds(),
 		Type:   typ,

@@ -207,7 +207,7 @@ func (p *Pipe) Counts() (c Counts, settled bool) {
 	defer p.mu.Unlock()
 	c = Counts{Written: p.written, Read: p.read, Buffered: int64(p.n), Peak: int64(p.peak), Capacity: int64(len(p.buf))}
 	if p.ins != nil {
-		c.Parks = p.ins.parks
+		c.Parks = p.ins.counts()
 		c.Blocks = [2]int64{int64(p.blockedReaders), int64(p.blockedWriters)}
 		for op := range c.Blocks {
 			for _, n := range c.Durations[op] {

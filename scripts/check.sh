@@ -13,8 +13,8 @@
 #                    shared-session, permanent-partition, splice
 #                    (stream, proclib, core, graphs), run-process
 #                    (graphs, proclib, workload), window-slot and
-#                    negative-key (workload) and client-cache
-#                    (server) tests x20 at
+#                    negative-key (workload), client-cache (server)
+#                    and park-clock sampling (stream) tests x20 at
 #                    GOMAXPROCS 1, 2 and 4, the benchmark
 #                    harness's smoke test, then
 #                    every gate below. Every gate is a count or a
@@ -62,8 +62,11 @@
 #                    its timing decisions are its lanes' results), a
 #                    check that non-test internal/conduit names no
 #                    dpn_conduit_* series (the data plane owns no
-#                    telemetry; the network collects its channels), and
-#                    gofmt -l.
+#                    telemetry; the network collects its channels), a
+#                    check that non-test internal/stream calls time.Now
+#                    or time.Since only in the park clock of
+#                    instruments.go (a park reads no clock; one park in
+#                    16 is timed), and gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -202,6 +205,14 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: a dpn_conduit_* series named in internal/conduit (the network collects its channels)"
 		fail=1
 	fi
+	# A park reads no clock (DESIGN.md, "Observability"): the pipe's one
+	# clock is the park clock in instruments.go, which only a timed park
+	# reads, so a clock read on another path is a cost every park pays.
+	if grep -nE 'time\.(Now|Since)\(' $(ls internal/stream/*.go | grep -v '_test\.go$') |
+		grep -vE '^internal/stream/instruments\.go:[0-9]+:var (epoch = time\.Now\(\)|parkClock = func\(\) time\.Duration \{ return time\.Since\(epoch\) \})$'; then
+		echo "lint gate: time.Now or time.Since in internal/stream outside the park clock (instruments.go's parkClock and its epoch)"
+		fail=1
+	fi
 	# A server's codebase is the process types a graph can ship
 	# (DESIGN.md, "Dynamic code loading is not reproduced"): no binary
 	# spawns processes or carries the test framework.
@@ -326,12 +337,16 @@ go test -race -timeout 120s ./...
 # with one open and one just-reset slot ends as the oracle does
 # (WindowReduceSlotsResetOnClose, WindowReduceResumesAfterGobRoundTrip);
 # a shard routes a negative key by its non-negative residue
-# (ShardByKeyRoutesNegativeKeys). Two callers
+# (ShardByKeyRoutesNegativeKeys). The park clock times the 1st, 17th,
+# 33rd … park of a pipe and op and no other, each untimed park carrying
+# the last measurement forward (ParkClockTimesOneParkIn16), and on a
+# recorded Hamming run the sampled park histogram's p50 stays within a
+# bucket of every park's (SampledParkClockTracksEveryPark). Two callers
 # of one compute-server client read its cached broker address under
 # the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestBrokerAddrConcurrentCallers' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestParkClockTimesOneParkIn16|TestSampledParkClockTracksEveryPark|TestBrokerAddrConcurrentCallers' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
