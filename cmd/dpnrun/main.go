@@ -110,18 +110,12 @@ func instrument(net *core.Network) func() {
 	}
 	if obsCfg.metrics != "" {
 		var err error
-		endpoints := "/metrics, /trace"
-		if obsCfg.pprof {
-			hs, err = obs.ServeDebugScope(obsCfg.metrics, scope)
-			endpoints += ", /debug/pprof/"
-		} else {
-			hs, err = obs.ServeScope(obsCfg.metrics, scope)
-		}
+		hs, err = obs.ServeScope(obsCfg.metrics, scope, obsCfg.pprof)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dpnrun: metrics:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "observability on http://%s/ (%s)\n", hs.Addr(), endpoints)
+		fmt.Fprintf(os.Stderr, "observability on http://%s/\n", hs.Addr())
 	}
 	stopTop := make(chan struct{})
 	var topDone chan struct{}
@@ -251,7 +245,7 @@ func main() {
 		net := core.NewNetwork()
 		defer instrument(net)()
 		sink := graphs.Hamming(net, *n, 64)
-		mon := deadlock.New(net, time.Millisecond)
+		mon := deadlock.New(net, 0)
 		mon.DumpTo = os.Stderr
 		mon.Start()
 		wait(net)

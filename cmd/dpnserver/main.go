@@ -106,10 +106,11 @@ func main() {
 	}
 
 	// Parks' buffer management (§3.5) runs on every server: a graph
-	// shipped here may artificially deadlock on its own channels. On a
+	// shipped here may artificially deadlock on its own channels. The
+	// monitor has no peers: the network's quiescence wakes it. On a
 	// true-deadlock verdict the monitor dumps the channel watermarks and
 	// a goroutine profile to stderr, so a wedged server explains itself.
-	mon := deadlock.New(s.Node().Net, 5*time.Millisecond)
+	mon := deadlock.New(s.Node().Net, 0)
 	mon.DumpTo = os.Stderr
 	mon.Start()
 	defer mon.Stop()
@@ -117,20 +118,13 @@ func main() {
 	if *metrics != "" {
 		scope := s.Node().Obs()
 		scope.Tracer().Enable()
-		endpoints := "/metrics, /trace"
-		var hs *obs.HTTPServer
-		if *pprofF {
-			hs, err = obs.ServeDebugScope(*metrics, scope)
-			endpoints += ", /debug/pprof/"
-		} else {
-			hs, err = obs.ServeScope(*metrics, scope)
-		}
+		hs, err := obs.ServeScope(*metrics, scope, *pprofF)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dpnserver: metrics:", err)
 			os.Exit(1)
 		}
 		defer hs.Close()
-		fmt.Printf("observability on http://%s/ (%s)\n", hs.Addr(), endpoints)
+		fmt.Printf("observability on http://%s/\n", hs.Addr())
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {

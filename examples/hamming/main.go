@@ -3,7 +3,8 @@
 // emits fans out into three Scale processes, so demand for channel
 // storage grows without bound: with bounded buffers the graph
 // eventually write-blocks into an artificial deadlock. A deadlock
-// monitor (the bounded-scheduling procedure of §3.5/§6.2) detects the
+// monitor (the bounded-scheduling procedure of §3.5/§6.2), woken by the
+// network's quiescence when the last process blocks, detects the
 // condition and grows the smallest full channel, and the computation
 // proceeds.
 //
@@ -16,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"dpn/internal/core"
 	"dpn/internal/deadlock"
@@ -31,7 +31,7 @@ func main() {
 	net := core.NewNetwork()
 	sink := graphs.Hamming(net, *n, *capacity)
 
-	mon := deadlock.New(net, 200*time.Microsecond)
+	mon := deadlock.New(net, 0)
 	mon.OnEvent = func(e deadlock.Event) {
 		if e.Status == deadlock.StatusResolved {
 			fmt.Printf("-- artificial deadlock: grew channel %q to %d bytes\n", e.Channel, e.NewCap)

@@ -164,6 +164,7 @@ func (n *Network) registerChannel(c *Channel) {
 	n.channels = append(n.channels, c)
 	n.mu.Unlock()
 	n.generation.Add(1)
+	n.noteQuiescence() // the bump voids a pass in progress
 	if rec == nil {
 		reg.Drop("dpn_conduit_*")
 	}
@@ -289,9 +290,13 @@ func (n *Network) Blocked() int64 { return n.gBlocked.Value() }
 // only by signalling it, which bumps it too.
 func (n *Network) Generation() uint64 { return n.generation.Load() }
 
-// Quiescent returns a channel that receives a value whenever a blocking
-// transition or a process exit leaves Blocked() >= Live(): the only two
-// transitions after which the deadlock monitor's test can newly hold.
+// Quiescent returns a channel that receives a value whenever an event
+// after which the deadlock monitor's test can newly hold leaves
+// Blocked() >= Live(): a process parking or exiting, a channel
+// registering (its generation bump voids a pass in progress), and a
+// transport link parking on a side it drives or returning from that
+// park (see stream.Observer.PipeLinkWait). It is the only wake of a
+// monitor without peers, so an event missing from this list is a hang.
 // The channel has one slot, so signals raised while one is pending
 // merge into it; a consumer must drain it before it inspects the
 // network, and there must be one consumer per network (the monitor) —
@@ -320,6 +325,10 @@ func (n *Network) PipeBlocked(*stream.Pipe, bool) {
 	n.generation.Add(1)
 	n.noteQuiescence()
 }
+
+// PipeLinkWait implements stream.Observer. A link is not a process, so
+// neither its park nor its return moves a counter.
+func (n *Network) PipeLinkWait(*stream.Pipe, bool) { n.noteQuiescence() }
 
 // PipeUnblocked implements stream.Observer.
 func (n *Network) PipeUnblocked(*stream.Pipe, bool) {

@@ -116,12 +116,8 @@ type Monitor struct {
 	net   *core.Network
 	peers []Peer
 
-	// Poll is the backstop sampling interval. A started monitor checks
-	// when the network signals quiescence (core.Network.Quiescent) —
-	// the last process blocking or exiting — so Poll does not set how
-	// long an artificial deadlock stalls the graph. Peers signal
-	// nothing, so across nodes Poll does.
-	Poll time.Duration
+	// poll paces the surveys of peers, which signal nothing (see New).
+	poll time.Duration
 	// MaxCapacity bounds growth; 0 means unbounded. If growth is
 	// impossible because every full channel is at MaxCapacity, the
 	// deadlock is reported as true deadlock.
@@ -150,8 +146,11 @@ type Monitor struct {
 	cEvents [StatusPeerLost + 1]*obs.Counter
 }
 
-// New creates a monitor for n with the given poll interval. With peers,
-// every pass watches them too.
+// New creates a monitor for n. With peers, every pass watches them too,
+// and poll is the interval at which a started monitor surveys them
+// (non-positive: 1 ms). Without peers poll is ignored: the network's
+// quiescence wake (core.Network.Quiescent) is the monitor's one wake,
+// and it arms no timer.
 func New(n *core.Network, poll time.Duration, peers ...Peer) *Monitor {
 	if poll <= 0 {
 		poll = time.Millisecond
@@ -159,7 +158,7 @@ func New(n *core.Network, poll time.Duration, peers ...Peer) *Monitor {
 	m := &Monitor{
 		net:   n,
 		peers: peers,
-		Poll:  poll,
+		poll:  poll,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 		scope: n.Obs(),
@@ -194,10 +193,12 @@ func (m *Monitor) Resolutions() int {
 	return n
 }
 
-// Start launches the monitoring goroutine, which checks whenever the
-// network signals quiescence and every Poll as a backstop, until Stop.
-// It is the Quiescent channel's one consumer, so start one monitor per
-// network.
+// Start launches the monitoring goroutine, which checks as soon as it
+// runs — the network may have gone quiescent before, its wake already
+// taken — and then whenever the network signals quiescence, until
+// Stop. A monitor with peers also checks every poll interval, since
+// peers signal nothing. It is the Quiescent channel's one consumer, so
+// start one monitor per network.
 func (m *Monitor) Start() {
 	go m.loop()
 }
@@ -218,17 +219,21 @@ func (m *Monitor) Stop() {
 // next graph shipped to it.
 func (m *Monitor) loop() {
 	defer close(m.done)
-	t := time.NewTicker(m.Poll)
-	defer t.Stop()
+	var tick <-chan time.Time // nil, and never ready, without peers
+	if len(m.peers) > 0 {
+		t := time.NewTicker(m.poll)
+		defer t.Stop()
+		tick = t.C
+	}
 	quiet := m.net.Quiescent()
 	for {
+		m.Check()
 		select {
 		case <-m.stop:
 			return
 		case <-quiet:
-		case <-t.C:
+		case <-tick:
 		}
-		m.Check()
 	}
 }
 

@@ -85,6 +85,78 @@ func TestQuiescenceWakeResolvesWithoutPolling(t *testing.T) {
 	})
 }
 
+// A network can deadlock before its monitor starts, and the wake its
+// last park raised can be taken by then (here the test drains it). No
+// later event signals, so the monitor must check once as it starts; the
+// hour-long poll passed to New arms nothing.
+func TestMonitorStartedAfterQuiescenceChecks(t *testing.T) {
+	const deadline = 5 * time.Second
+	quiesce := func(t *testing.T, n *core.Network) {
+		t.Helper()
+		waitFor(t, "every process to block", func() bool { return n.Live() > 0 && n.Blocked() >= n.Live() })
+		select {
+		case <-n.Quiescent():
+		default:
+			t.Fatal("the last park raised no wake")
+		}
+	}
+
+	t.Run("artificial", func(t *testing.T) {
+		n := core.NewNetwork()
+		g := buildFigure13(n, 8)
+		quiesce(t, n)
+		m := New(n, time.Hour)
+		m.Start()
+		defer m.Stop()
+		done := make(chan error, 1)
+		go func() { done <- n.Wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(deadline):
+			t.Fatal("the deadlock that predates Start was never resolved")
+		}
+		if m.Resolutions() == 0 || len(g.got) != 64 {
+			t.Fatalf("%d resolutions, %d values merged; want some and 64", m.Resolutions(), len(g.got))
+		}
+	})
+
+	t.Run("true", func(t *testing.T) {
+		n := core.NewNetwork()
+		ab := n.NewChannel("ab", 64)
+		ba := n.NewChannel("ba", 64)
+		n.Spawn(&readFirst{In: ab.Reader(), Out: ba.Writer()})
+		n.Spawn(&readFirst{In: ba.Reader(), Out: ab.Writer()})
+		t.Cleanup(func() {
+			for _, ch := range []*core.Channel{ab, ba} {
+				ch.Writer().Close()
+				ch.Reader().Close()
+			}
+			n.Wait()
+		})
+		quiesce(t, n)
+		reported := make(chan struct{}, 1)
+		m := New(n, time.Hour)
+		m.OnEvent = func(e Event) {
+			if e.Status == StatusTrueDeadlock {
+				select {
+				case reported <- struct{}{}:
+				default:
+				}
+			}
+		}
+		m.Start()
+		defer m.Stop()
+		select {
+		case <-reported:
+		case <-time.After(deadline):
+			t.Fatal("the deadlock that predates Start was never reported")
+		}
+	})
+}
+
 // hammingOracle is the closed form of Figure 12's stream: the ascending
 // integers 2^i·3^j·5^k, by the classic three-pointer merge.
 func hammingOracle(count int) []int64 {

@@ -61,7 +61,7 @@ func TestNoGoroutineLeakWhenInstrumented(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n := core.NewNetwork()
 		n.Obs().Tracer().Enable()
-		hs, err := obs.ServeScope("127.0.0.1:0", n.Obs())
+		hs, err := obs.ServeScope("127.0.0.1:0", n.Obs(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestServeDebugScopeExposesPprof(t *testing.T) {
 	scope.SetNode("t1")
 	scope.Registry().Counter("dpn_test_total").Inc()
 
-	hs, err := ServeDebugScope("127.0.0.1:0", scope)
+	hs, err := ServeScope("127.0.0.1:0", scope, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestServeDebugScopeExposesPprof(t *testing.T) {
 		t.Fatalf("/metrics gone from debug endpoint: %d", code)
 	}
 
-	plain, err := ServeScope("127.0.0.1:0", scope)
+	plain, err := ServeScope("127.0.0.1:0", scope, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,9 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	httppprof "net/http/pprof"
 	"time"
 )
 
@@ -20,22 +19,13 @@ type HTTPServer struct {
 	done chan struct{}
 }
 
-// ServeHTTP starts the observability endpoint on addr (use
-// "127.0.0.1:0" to pick a free port). metrics writes the exposition;
-// trace writes the trace JSON; either may be nil to disable that path.
-func ServeHTTP(addr string, metrics, trace func(io.Writer) error) (*HTTPServer, error) {
-	return serve(addr, metrics, trace, false)
-}
-
-// ServeDebugHTTP is ServeHTTP with the net/http/pprof profiling
-// handlers mounted under /debug/pprof/, so a node's CPU, heap, mutex,
-// and goroutine profiles are reachable through the same mux as its
-// metrics.
-func ServeDebugHTTP(addr string, metrics, trace func(io.Writer) error) (*HTTPServer, error) {
-	return serve(addr, metrics, trace, true)
-}
-
-func serve(addr string, metrics, trace func(io.Writer) error, debug bool) (*HTTPServer, error) {
+// ServeScope starts the observability endpoint for scope on addr (use
+// "127.0.0.1:0" to pick a free port). With pprof set it also mounts the
+// net/http/pprof profiling handlers under /debug/pprof/, so a node's
+// CPU, heap, mutex and goroutine profiles are reachable through the
+// same mux as its metrics; profiles leak stack data, so they are
+// opt-in.
+func ServeScope(addr string, scope *Scope, pprof bool) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -50,34 +40,30 @@ func serve(addr string, metrics, trace func(io.Writer) error, debug bool) (*HTTP
 		fmt.Fprint(w, `<html><body><h1>dpn observability</h1>`+
 			`<p><a href="/metrics">/metrics</a> Prometheus text exposition</p>`+
 			`<p><a href="/trace">/trace</a> Chrome trace_event JSON (load in chrome://tracing or Perfetto)</p>`)
-		if debug {
+		if pprof {
 			fmt.Fprint(w, `<p><a href="/debug/pprof/">/debug/pprof/</a> Go runtime profiles</p>`)
 		}
 		fmt.Fprint(w, `</body></html>`)
 	})
-	if metrics != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := metrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
-	if trace != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Disposition", `attachment; filename="dpn-trace.json"`)
-			if err := trace(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-	}
-	if debug {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := scope.WriteProm(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Disposition", `attachment; filename="dpn-trace.json"`)
+		if err := scope.WriteTrace(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	if pprof {
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 	}
 	s := &HTTPServer{
 		ln:   ln,
@@ -89,17 +75,6 @@ func serve(addr string, metrics, trace func(io.Writer) error, debug bool) (*HTTP
 		s.srv.Serve(ln)
 	}()
 	return s, nil
-}
-
-// ServeScope starts the observability endpoint for one scope.
-func ServeScope(addr string, scope *Scope) (*HTTPServer, error) {
-	return ServeHTTP(addr, scope.WriteProm, scope.WriteTrace)
-}
-
-// ServeDebugScope starts the observability endpoint for one scope with
-// the pprof handlers mounted (see ServeDebugHTTP).
-func ServeDebugScope(addr string, scope *Scope) (*HTTPServer, error) {
-	return ServeDebugHTTP(addr, scope.WriteProm, scope.WriteTrace)
 }
 
 // Addr returns the endpoint's listen address.

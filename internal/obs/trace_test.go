@@ -134,7 +134,7 @@ func TestHTTPServerServesScopeAndCloses(t *testing.T) {
 	scope.Registry().Counter("dpn_test_total").Inc()
 	scope.Record(EvSpawn, "p", "", 0)
 
-	hs, err := ServeScope("127.0.0.1:0", scope)
+	hs, err := ServeScope("127.0.0.1:0", scope, false)
 	if err != nil {
 		t.Fatal(err)
 	}

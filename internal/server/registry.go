@@ -28,11 +28,10 @@ func setRegTimeout(d time.Duration) { regTimeoutNs.Store(int64(d)) }
 // server names to their RPC addresses, so client applications can
 // locate remote compute servers (§4.1).
 type Registry struct {
-	ln net.Listener
+	srv *listener
 
 	mu      sync.Mutex
 	entries map[string]string
-	closed  bool
 }
 
 type regRequest struct {
@@ -50,25 +49,21 @@ type regResponse struct {
 
 // NewRegistry starts a registry listening on addr.
 func NewRegistry(addr string) (*Registry, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	r := &Registry{entries: make(map[string]string)}
+	var err error
+	serve := func(c net.Conn) { serveGob(c, regTimeout, r.handle) }
+	if r.srv, err = listen(addr, serve); err != nil {
 		return nil, err
 	}
-	r := &Registry{ln: ln, entries: make(map[string]string)}
-	go r.acceptLoop()
 	return r, nil
 }
 
 // Addr returns the registry's listen address.
-func (r *Registry) Addr() string { return r.ln.Addr().String() }
+func (r *Registry) Addr() string { return r.srv.addr() }
 
-// Close stops the registry.
-func (r *Registry) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	return r.ln.Close()
-}
+// Close stops the registry: it accepts no connection and answers no
+// request after Close, on connections opened before it too.
+func (r *Registry) Close() error { return r.srv.close() }
 
 // Entries returns a snapshot of the registered servers.
 func (r *Registry) Entries() map[string]string {
@@ -81,64 +76,43 @@ func (r *Registry) Entries() map[string]string {
 	return out
 }
 
-func (r *Registry) acceptLoop() {
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
+// handle answers one request.
+func (r *Registry) handle(req *regRequest) *regResponse {
+	var resp regResponse
+	switch req.Kind {
+	case "register":
+		r.mu.Lock()
+		r.entries[req.Name] = req.Addr
+		r.mu.Unlock()
+	case "unregister":
+		r.mu.Lock()
+		delete(r.entries, req.Name)
+		r.mu.Unlock()
+	case "lookup":
+		r.mu.Lock()
+		addr, ok := r.entries[req.Name]
+		r.mu.Unlock()
+		if !ok {
+			resp.Err = "registry: unknown server " + req.Name
+		} else {
+			resp.Addr = addr
 		}
-		go r.serveConn(conn)
+	case "list":
+		// One lock hold for both slices: an unregister between
+		// reading a name and its address would pair it with "".
+		r.mu.Lock()
+		for name := range r.entries {
+			resp.Names = append(resp.Names, name)
+		}
+		sort.Strings(resp.Names)
+		for _, name := range resp.Names {
+			resp.Addrs = append(resp.Addrs, r.entries[name])
+		}
+		r.mu.Unlock()
+	default:
+		resp.Err = "registry: unknown request " + req.Kind
 	}
-}
-
-func (r *Registry) serveConn(conn net.Conn) {
-	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		conn.SetDeadline(time.Now().Add(regTimeout()))
-		var req regRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp regResponse
-		switch req.Kind {
-		case "register":
-			r.mu.Lock()
-			r.entries[req.Name] = req.Addr
-			r.mu.Unlock()
-		case "unregister":
-			r.mu.Lock()
-			delete(r.entries, req.Name)
-			r.mu.Unlock()
-		case "lookup":
-			r.mu.Lock()
-			addr, ok := r.entries[req.Name]
-			r.mu.Unlock()
-			if !ok {
-				resp.Err = "registry: unknown server " + req.Name
-			} else {
-				resp.Addr = addr
-			}
-		case "list":
-			// One lock hold for both slices: an unregister between
-			// reading a name and its address would pair it with "".
-			r.mu.Lock()
-			for name := range r.entries {
-				resp.Names = append(resp.Names, name)
-			}
-			sort.Strings(resp.Names)
-			for _, name := range resp.Names {
-				resp.Addrs = append(resp.Addrs, r.entries[name])
-			}
-			r.mu.Unlock()
-		default:
-			resp.Err = "registry: unknown request " + req.Kind
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
+	return &resp
 }
 
 func regRoundTrip(registryAddr string, req *regRequest) (*regResponse, error) {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"dpn/internal/core"
 	"dpn/internal/deadlock"
@@ -59,12 +60,9 @@ type Response struct {
 type Server struct {
 	name string
 	node *wire.Node
-	ln   net.Listener
+	rpc  *listener
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-
+	mu sync.Mutex
 	// keepSpawned makes "run" requests remember the process values they
 	// spawn, for in-process tests that read a remote result out of
 	// shared memory. A serving node leaves it off: it must not hold on
@@ -81,15 +79,14 @@ func New(name, rpcAddr, brokerAddr string) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", rpcAddr)
-	if err != nil {
+	node.Obs().Registry().Help("dpn_server_rpcs_total",
+		"Compute-server RPC requests handled, by kind.")
+	s := &Server{name: name, node: node}
+	serve := func(c net.Conn) { serveGob(c, nil, s.handle) }
+	if s.rpc, err = listen(rpcAddr, serve); err != nil {
 		node.Close()
 		return nil, err
 	}
-	node.Obs().Registry().Help("dpn_server_rpcs_total",
-		"Compute-server RPC requests handled, by kind.")
-	s := &Server{name: name, node: node, ln: ln, conns: make(map[net.Conn]struct{})}
-	go s.acceptLoop()
 	return s, nil
 }
 
@@ -97,7 +94,7 @@ func New(name, rpcAddr, brokerAddr string) (*Server, error) {
 func (s *Server) Name() string { return s.name }
 
 // Addr returns the RPC address clients dial.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.rpc.addr() }
 
 // BrokerAddr returns the channel broker's address.
 func (s *Server) BrokerAddr() string { return s.node.Broker.Addr() }
@@ -117,62 +114,94 @@ func (s *Server) spawnedBodies() []any {
 	return append([]any(nil), s.spawned...)
 }
 
-// Close stops the RPC listener and the broker. Running processes are
-// not interrupted (they stop through channel termination, §3.4).
+// Close stops the RPC listener, its connections and the broker.
+// Running processes are not interrupted (they stop through channel
+// termination, §3.4).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	err := s.rpc.close()
 	s.node.Close()
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
+// listener is an accept loop with the set of connections it serves:
+// after close, it accepts nothing and every connection is closed, so
+// no request is read or answered.
+type listener struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // nil once closed
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
+// listen starts a listener on addr that runs serve on each accepted
+// connection, and closes the connection when serve returns.
+func listen(addr string, serve func(net.Conn)) (*listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	l := &listener{ln: ln, conns: make(map[net.Conn]struct{})}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil || !l.hold(conn) {
+				return
+			}
+			go func() {
+				defer l.drop(conn)
+				serve(conn)
+			}()
 		}
-		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
+	}()
+	return l, nil
+}
+
+func (l *listener) addr() string { return l.ln.Addr().String() }
+
+// hold adds conn to the set, or closes it if the listener is closed.
+func (l *listener) hold(conn net.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conns == nil {
+		conn.Close()
+		return false
+	}
+	l.conns[conn] = struct{}{}
+	return true
+}
+
+func (l *listener) drop(conn net.Conn) {
+	conn.Close()
+	l.mu.Lock()
+	delete(l.conns, conn)
+	l.mu.Unlock()
+}
+
+// close stops accepting and closes every connection. Closing twice is
+// a no-op.
+func (l *listener) close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conns == nil {
+		return nil
+	}
+	for c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
+	return l.ln.Close()
+}
+
+// serveGob answers each gob-encoded request on conn with handle's
+// response until the connection fails. A non-nil timeout bounds each
+// wait for a request and its reply.
+func serveGob[Req, Resp any](conn net.Conn, timeout func() time.Duration, handle func(*Req) *Resp) {
+	dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+	for {
+		if timeout != nil {
+			conn.SetDeadline(time.Now().Add(timeout()))
+		}
+		var req Req
+		if dec.Decode(&req) != nil || enc.Encode(handle(&req)) != nil {
 			return
 		}
 	}

@@ -384,6 +384,39 @@ func TestRegistryRPCDeadline(t *testing.T) {
 	}
 }
 
+// A closed registry serves nothing, not even on a connection it
+// accepted before Close: a register sent there gets no reply and
+// records no name.
+func TestClosedRegistryServesNothing(t *testing.T) {
+	r, err := NewRegistry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
+	// One exchange first, so the registry has surely accepted c.
+	var resp regResponse
+	if err := enc.Encode(&regRequest{Kind: "list"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("list before Close: %v", err)
+	}
+	r.Close()
+	enc.Encode(&regRequest{Kind: "register", Name: "late", Addr: "10.0.0.9:99"}) // may fail: c is closed
+	if err := dec.Decode(&resp); err == nil {
+		t.Fatalf("a closed registry replied %+v", resp)
+	}
+	if e := r.Entries(); len(e) != 0 {
+		t.Fatalf("a closed registry recorded %v", e)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, "s")
 	c := newTestClient(t, s)

@@ -37,6 +37,12 @@ func (o *balanceObserver) PipeUnblocked(p *Pipe, write bool) {
 	o.check(p, write, "PipeUnblocked")
 }
 
+func (o *balanceObserver) PipeLinkWait(p *Pipe, write bool) {
+	if p.linked&sideOf(write) == 0 && o.bad == "" {
+		o.bad = "link wait reported on a side no link drives"
+	}
+}
+
 // check runs with p.mu held: the observer's count must be exactly the
 // parties the pipe has parked and not signalled. On a side a link
 // drives, Link un-reports them one by one, and outside it the count is

@@ -21,6 +21,7 @@ func swapParkClock(t *testing.T, clock func() time.Duration) {
 type parkSignal chan struct{}
 
 func (s parkSignal) PipeBlocked(*Pipe, bool) { s <- struct{}{} }
+func (parkSignal) PipeLinkWait(*Pipe, bool)  {}
 func (parkSignal) PipeUnblocked(*Pipe, bool) {}
 
 // The park clock times the 1st, 17th, 33rd … park of one op and reads

@@ -49,10 +49,16 @@ const DefaultCapacity = 1024
 // and nothing else: data moving between running parties is not a
 // transition and is not reported, so a hand-off writes nothing outside
 // the pipe. A party parked on a linked side (see Link) is a transport
-// link, not a process, and is not reported either.
+// link, not a process: it is not reported blocked, only as a link wait.
 type Observer interface {
 	// PipeBlocked is called whenever a reader or writer parks on the pipe.
 	PipeBlocked(p *Pipe, write bool)
+	// PipeLinkWait is called when a transport link parks on a side it
+	// drives, and again when it returns from that park. Neither moves a
+	// process, but either can change what a deadlock pass over the pipe
+	// sees: the park can leave a full channel, and the return ends a
+	// wake the pass counts as pending.
+	PipeLinkWait(p *Pipe, write bool)
 	// PipeUnblocked is called once for each PipeBlocked, when the pipe
 	// signals that party (data, space, growth or a close) — not when it
 	// resumes. A party that has been signalled but not yet scheduled is
@@ -155,10 +161,10 @@ func (p *Pipe) SetHooks(o Observer, ins *Instruments) {
 // Link marks one side of the pipe (the writing side if write is set) as
 // driven by a transport link instead of a process. The deadlock monitor
 // counts processes, so from now on a party parked on that side is not
-// reported to the observer; one already parked there is reported
-// unblocked at once, which keeps the observer's count balanced. The mark
-// is for good: a side bound to a transport is never handed back to a
-// local process.
+// reported blocked, only as a link wait; one already parked there is
+// reported unblocked at once, which keeps the observer's count
+// balanced. The mark is for good: a side bound to a transport is never
+// handed back to a local process.
 func (p *Pipe) Link(write bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -178,8 +184,8 @@ func (p *Pipe) Link(write bool) {
 	}
 }
 
-// watcher returns the observer a party on one side reports to: none if
-// a link drives that side.
+// watcher returns the observer a party on one side reports its wakes
+// to: none if a link drives that side.
 func (p *Pipe) watcher(write bool) Observer {
 	if p.linked&sideOf(write) != 0 {
 		return nil
@@ -433,15 +439,7 @@ func (p *Pipe) writeOne(b []byte) (int, error) {
 				p.growLocked(p.n + len(b))
 				break
 			}
-			p.blockedWriters++
-			p.waitW++
-			t0 := p.ins.noteBlock(true)
-			if o := p.watcher(true); o != nil {
-				o.PipeBlocked(p, true)
-			}
-			p.canWrit.Wait()
-			p.blockedWriters--
-			p.ins.noteUnblock(true, t0)
+			p.park(true)
 			if p.writeClosed {
 				return written, ErrWriteClosed
 			}
@@ -518,15 +516,7 @@ func (p *Pipe) Read(b []byte) (int, error) {
 			}
 			return 0, io.EOF
 		}
-		p.blockedReaders++
-		p.waitR++
-		t0 := p.ins.noteBlock(false)
-		if o := p.watcher(false); o != nil {
-			o.PipeBlocked(p, false)
-		}
-		p.canRead.Wait()
-		p.blockedReaders--
-		p.ins.noteUnblock(false, t0)
+		p.park(false)
 	}
 	n := p.n
 	if n > len(b) {
@@ -594,6 +584,33 @@ func (p *Pipe) CloseRead() error {
 		return next.CloseRead()
 	}
 	return nil
+}
+
+// park waits, with p.mu held, until the caller — a party on one side
+// (the writing side if write is set) — is signalled. A process's park is
+// reported blocked; wakeOne or wakeAll reports it unblocked. A link's
+// park, and its return from the park, are each reported as a link wait.
+func (p *Pipe) park(write bool) {
+	cond, blocked, waiting := &p.canRead, &p.blockedReaders, &p.waitR
+	if write {
+		cond, blocked, waiting = &p.canWrit, &p.blockedWriters, &p.waitW
+	}
+	*blocked++
+	*waiting++
+	t0 := p.ins.noteBlock(write)
+	if o := p.observer; o != nil {
+		if p.linked&sideOf(write) != 0 {
+			o.PipeLinkWait(p, write)
+		} else {
+			o.PipeBlocked(p, write)
+		}
+	}
+	cond.Wait()
+	*blocked--
+	p.ins.noteUnblock(write, t0)
+	if o := p.observer; o != nil && p.linked&sideOf(write) != 0 {
+		o.PipeLinkWait(p, write)
+	}
 }
 
 // wakeOne signals the longest-parked unsignalled party on one side

@@ -294,6 +294,7 @@ func (c *countObserver) PipeBlocked(*Pipe, bool) {
 	c.blocked++
 	c.mu.Unlock()
 }
+func (*countObserver) PipeLinkWait(*Pipe, bool) {}
 func (c *countObserver) PipeUnblocked(*Pipe, bool) {
 	c.mu.Lock()
 	c.unblocked++

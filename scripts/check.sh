@@ -5,7 +5,8 @@
 #
 #   check.sh         vet + build + race-enabled test suite (120 s per
 #                    package, so a hang fails fast), the
-#                    deadlock-resolution, wake-bookkeeping, cut,
+#                    deadlock-resolution, quiescence-wake (core,
+#                    deadlock), wake-bookkeeping, cut,
 #                    task-farm, parked-link, link-wait, multi-node
 #                    monitor, scraped-tally, scrape-churn,
 #                    golden-exposition, whole-or-nothing series,
@@ -280,10 +281,18 @@ fi
 set -x
 go build ./...
 go test -race -timeout 120s ./...
-# The deadlock monitor checks when the last process blocks or exits; a
-# lost wake is a hang that shows only under some core counts, so the
-# tests that need a resolution run again, 20 times at each of 1, 2, 4 —
-# with the scheduling facts they rest on: the pipe's blocked/unblocked
+# A deadlock monitor without peers has no timer: it checks once as it
+# starts, then only when the network signals quiescence (a process
+# parking or exiting, a channel registering, a transport link parking
+# or returning from a park, each while every process is blocked). A
+# lost wake is therefore a hang, not a delay, and may show only under
+# some core counts, so the tests that need a resolution run again, 20
+# times at each of 1, 2, 4 — a monitor started after its network went
+# quiescent (MonitorStartedAfterQuiescenceChecks, in the first list's
+# Quiescence), a registration and a link's park and return each raising
+# the wake (ChannelRegistrationSignalsQuiescence,
+# LinkWaitSignalsQuiescence, in the second) — with the scheduling facts
+# they rest on: the pipe's blocked/unblocked
 # bookkeeping balances (WakeBookkeeping), a Hamming job's monitor
 # passes stay within 3 x its resolutions + 10, the cut stops only
 # streams nobody reads (Cut), and the task farm — its fixed lane set
@@ -346,7 +355,7 @@ go test -race -timeout 120s ./...
 # the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestParkClockTimesOneParkIn16|TestSampledParkClockTracksEveryPark|TestBrokerAddrConcurrentCallers' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestParkClockTimesOneParkIn16|TestSampledParkClockTracksEveryPark|TestBrokerAddrConcurrentCallers|TestChannelRegistrationSignalsQuiescence|TestLinkWaitSignalsQuiescence' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
