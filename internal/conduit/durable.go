@@ -10,8 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dpn/internal/netio"
 	"dpn/internal/obs"
-	"dpn/internal/stream"
 	"dpn/internal/wal"
 )
 
@@ -28,8 +28,8 @@ import (
 //     deterministic producer re-runs from offset zero discards the
 //     re-produced prefix it already journaled, rewinds to the receiver's
 //     RESUME offset, and replays the gap [delivered, journal-end) from
-//     the journal — the netio link drives this through the
-//     rewindableSource/ackedSource taps. (The peer that survives must
+//     the journal — the netio link drives this through the source's
+//     Rewind and Acked taps. (The peer that survives must
 //     still be there to resume with: its broker needs a retry policy
 //     whose LinkDeadline covers the restart.)
 //   - The inbound half journals each delivered chunk before writing it
@@ -83,7 +83,7 @@ func journalDir(root, side, token string) string {
 	return filepath.Join(root, side, fmt.Sprintf("%s-%08x", san, h.Sum32()))
 }
 
-func (d Durable) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error) {
+func (d Durable) BindOutbound(ep Endpoint, src netio.Source, window int) (Link, error) {
 	log, err := wal.Open(journalDir(d.Dir, "out", ep.Token), d.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("conduit: durable outbound journal: %w", err)
@@ -97,7 +97,7 @@ func (d Durable) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link,
 	return l, nil
 }
 
-func (d Durable) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
+func (d Durable) BindInbound(ep Endpoint, dst netio.Sink) (Link, error) {
 	log, err := wal.Open(journalDir(d.Dir, "in", ep.Token), d.Opt)
 	if err != nil {
 		return nil, fmt.Errorf("conduit: durable inbound journal: %w", err)
@@ -170,23 +170,20 @@ func (w *walInstruments) append(log *wal.Log, p []byte) error {
 	return nil
 }
 
-// journalSource wraps a conduit exit (or any byte source) for an
-// outbound durable binding. The netio link discovers its durability
-// taps structurally: Rewind (restart resync), Acked (truncation),
-// TakeTraceMark/ShapeHint (forwarded from the wrapped source so
-// compression hints and causal marks survive the wrapping).
+// journalSource wraps a conduit exit (or any link source) for an
+// outbound durable binding. It is a netio.Source, so it carries the
+// wrapped source's trace marks and shape hints by the type's contract;
+// its Rewind (restart resync) and Acked (truncation) are the taps that
+// make it a journal, which the link looks for once, when it is built.
 //
 // Reader-goroutine state (pos, rd, srcSkip) is confined to the link's
 // reader goroutine; Rewind runs before that goroutine starts (the link
 // starts it only after the first resync) and Acked touches only the
 // lock-protected log.
 type journalSource struct {
-	src io.ReadCloser
+	src netio.Source
 	log *wal.Log
 	ins *walInstruments
-
-	tt stream.TraceTaker  // nil when src carries no trace marks
-	ss stream.ShapeSource // nil when src carries no shape hint
 
 	pos     uint64      // next logical offset to hand the link
 	rd      *wal.Reader // open while serving journal bytes
@@ -197,15 +194,11 @@ type journalSource struct {
 	closeErr  error
 }
 
-func newJournalSource(src io.ReadCloser, log *wal.Log, ins *walInstruments) *journalSource {
-	tt, _ := src.(stream.TraceTaker)
-	ss, _ := src.(stream.ShapeSource)
+func newJournalSource(src netio.Source, log *wal.Log, ins *walInstruments) *journalSource {
 	return &journalSource{
 		src: src,
 		log: log,
 		ins: ins,
-		tt:  tt,
-		ss:  ss,
 		// Start at the journal base: when the receiver announces
 		// delivered offset 0 the link never calls Rewind, and the whole
 		// retained journal must replay (base <= ackOff <= delivered = 0
@@ -305,19 +298,8 @@ func (j *journalSource) Acked(off uint64) {
 	}
 }
 
-func (j *journalSource) TakeTraceMark() uint64 {
-	if j.tt != nil {
-		return j.tt.TakeTraceMark()
-	}
-	return 0
-}
-
-func (j *journalSource) ShapeHint() uint32 {
-	if j.ss != nil {
-		return j.ss.ShapeHint()
-	}
-	return 0
-}
+func (j *journalSource) TakeTraceMark() uint64 { return j.src.TakeTraceMark() }
+func (j *journalSource) ShapeHint() uint32     { return j.src.ShapeHint() }
 
 func (j *journalSource) Close() error {
 	j.closeOnce.Do(func() {
@@ -336,14 +318,13 @@ func (j *journalSource) Close() error {
 // written to the local pipe — and the link ACKs only after the pipe
 // write returns — so an acknowledged byte is always durable here. On
 // construction the sink announces the journal end through Delivered()
-// (seeding the link's first RESUME) and replays the journal into the
-// fresh local pipe; live writes queue behind the replay.
+// (seeding the link's first RESUME: the tap that makes it a journal)
+// and replays the journal into the fresh local pipe; live writes queue
+// behind the replay. Trace marks and Unbound pass to the wrapped sink.
 type journalSink struct {
-	dst io.WriteCloser
+	dst netio.Sink
 	log *wal.Log
 	ins *walInstruments
-
-	tm stream.TraceMarker // nil when dst takes no trace marks
 
 	delivered  uint64 // journal end at open: the restart RESUME offset
 	replayDone chan struct{}
@@ -353,13 +334,11 @@ type journalSink struct {
 	closeErr  error
 }
 
-func newJournalSink(dst io.WriteCloser, log *wal.Log, ins *walInstruments) *journalSink {
-	tm, _ := dst.(stream.TraceMarker)
+func newJournalSink(dst netio.Sink, log *wal.Log, ins *walInstruments) *journalSink {
 	s := &journalSink{
 		dst:        dst,
 		log:        log,
 		ins:        ins,
-		tm:         tm,
 		delivered:  log.End(),
 		replayDone: make(chan struct{}),
 	}
@@ -410,11 +389,11 @@ func (s *journalSink) Write(p []byte) (int, error) {
 	return s.dst.Write(p)
 }
 
-func (s *journalSink) MarkTrace(id uint64) {
-	if s.tm != nil {
-		s.tm.MarkTrace(id)
-	}
-}
+func (s *journalSink) MarkTrace(id uint64) { s.dst.MarkTrace(id) }
+
+// Unbound lifts the local pipe's capacity bound, so a delivery — or the
+// replay — parked on a full buffer returns while the reader moves.
+func (s *journalSink) Unbound() { s.dst.Unbound() }
 
 func (s *journalSink) Close() error {
 	s.closeOnce.Do(func() {

@@ -395,3 +395,65 @@ func TestDurableJournalBoundedWithoutPolicy(t *testing.T) {
 			peak, segment>>20, total>>20, maxSegments)
 	}
 }
+
+// TestDurableMoveWithFullReaderBuffer is netio's
+// TestMoveWithFullReaderBuffer with the moving reader's inbound link
+// bound through a journal: the link's delivery is parked in the
+// journal sink's write into a full buffer that nobody reads, and Move
+// must still return. It does because the journal is a netio.Sink and
+// so passes Unbound to the buffer; a journal that dropped it left the
+// delivery, and Move, parked for good.
+func TestDurableMoveWithFullReaderBuffer(t *testing.T) {
+	a := durBroker(t, netio.Resilience{})
+	b := durBroker(t, netio.Resilience{})
+	c := durBroker(t, netio.Resilience{})
+
+	srcA := stream.NewPipe(1 << 16)
+	dstB := stream.NewPipe(256) // nobody reads it: full after the first frame
+	tok1 := a.NewToken()
+	if _, err := (Mux{Broker: a}).BindOutbound(Endpoint{Token: tok1}, srcA.ReadEnd(), 4096); err != nil {
+		t.Fatal(err)
+	}
+	dur := Durable{Inner: Mux{Broker: b}, Dir: t.TempDir(), Opt: wal.Options{NoSync: true}}
+	lB, err := dur.BindInbound(Endpoint{Addr: a.Addr(), Token: tok1}, dstB.WriteEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Far more than one frame plus the credit window, so the writer is
+	// still mid-stream when the move begins.
+	want := make([]byte, 1<<20)
+	for i := range want {
+		want[i] = byte(i * 13)
+	}
+	go func() {
+		srcA.Write(want)
+		srcA.CloseWrite()
+	}()
+	for dstB.Len() < dstB.Cap() { // the link is now (about to be) parked on a full buffer
+		time.Sleep(time.Millisecond)
+	}
+
+	tok2 := c.NewToken()
+	dstC := stream.NewPipe(1 << 16)
+	if _, err := (Mux{Broker: c}).BindInbound(Endpoint{Token: tok2}, dstC.WriteEnd()); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(chan error, 1)
+	go func() { moved <- lB.Move(c.Addr(), tok2) }()
+	select {
+	case err := <-moved:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Move never returned: the journaled delivery parked on the full buffer")
+	}
+	leftover := dstB.Drain()
+	late, err := io.ReadAll(dstC.ReadEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(leftover, late...); !bytes.Equal(got, want) {
+		t.Fatalf("stream damaged across the move: %d+%d bytes, want %d", len(leftover), len(late), len(want))
+	}
+}

@@ -45,15 +45,13 @@ type Link interface {
 	Redirect(token string) (string, error)
 	// Outbound reports whether this is the sending half.
 	Outbound() bool
-}
-
-// Rearmer is implemented by links that can replace themselves with a
-// fresh Link mid-stream — today the mux transport's redirect path,
-// where the reader host re-arms a new rendezvous for the writer's next
-// hop. Trackers install a hook so they always hold the live link of a
-// channel instead of a finished one; the hook must not block.
-type Rearmer interface {
-	OnRearm(func(Link))
+	// OnRearm installs fn, called with the fresh Link whenever this one
+	// replaces itself mid-stream — the mux transport's redirect path,
+	// where the reader host re-arms a new rendezvous for the writer's
+	// next hop — so a tracker always holds the live link of a channel
+	// instead of a finished one. fn must not block. A link that never
+	// re-arms ignores it.
+	OnRearm(fn func(Link))
 }
 
 // Transport binds one end of a conduit to a peer. Implementations:
@@ -63,14 +61,14 @@ type Rearmer interface {
 // operate directly on the bounded buffer.
 type Transport interface {
 	fmt.Stringer
-	// BindOutbound pumps src (the local byte source: a conduit exit or
-	// a detached port transport) to the peer's inbound half. window
-	// bounds unacknowledged bytes in flight where the transport supports
-	// credit (non-positive selects the transport default).
-	BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error)
+	// BindOutbound pumps src (the local byte source: a conduit buffer's
+	// read half, or a journal over one) to the peer's inbound half.
+	// window bounds unacknowledged bytes in flight where the transport
+	// supports credit (non-positive selects the transport default).
+	BindOutbound(ep Endpoint, src netio.Source, window int) (Link, error)
 	// BindInbound pumps bytes received from the peer's outbound half
-	// into dst (normally a conduit buffer's write end).
-	BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error)
+	// into dst (a conduit buffer's write half, or a journal over one).
+	BindInbound(ep Endpoint, dst netio.Sink) (Link, error)
 }
 
 // Mux is the network transport: every link between this node and a
@@ -94,7 +92,7 @@ func NewMux(b *netio.Broker, psk []byte) Mux {
 
 func (m Mux) String() string { return "mux" }
 
-func (m Mux) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error) {
+func (m Mux) BindOutbound(ep Endpoint, src netio.Source, window int) (Link, error) {
 	var h *netio.Handle
 	var err error
 	if ep.Serve() {
@@ -108,7 +106,7 @@ func (m Mux) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, err
 	return muxLink{h}, nil
 }
 
-func (m Mux) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
+func (m Mux) BindInbound(ep Endpoint, dst netio.Sink) (Link, error) {
 	var h *netio.Handle
 	var err error
 	if ep.Serve() {
@@ -122,7 +120,7 @@ func (m Mux) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
 	return muxLink{h}, nil
 }
 
-// muxLink adapts *netio.Handle to Link and Rearmer. It is a comparable
+// muxLink adapts *netio.Handle to Link. It is a comparable
 // value type so trackers can compare stored links by identity.
 type muxLink struct {
 	h *netio.Handle
@@ -158,15 +156,15 @@ func NewLoopback() *Loopback {
 
 func (l *Loopback) String() string { return "loopback" }
 
-func (l *Loopback) BindOutbound(ep Endpoint, src io.ReadCloser, window int) (Link, error) {
+func (l *Loopback) BindOutbound(ep Endpoint, src netio.Source, window int) (Link, error) {
 	return l.bind(ep.Token, src, nil)
 }
 
-func (l *Loopback) BindInbound(ep Endpoint, dst io.WriteCloser) (Link, error) {
+func (l *Loopback) BindInbound(ep Endpoint, dst netio.Sink) (Link, error) {
 	return l.bind(ep.Token, nil, dst)
 }
 
-func (l *Loopback) bind(token string, src io.ReadCloser, dst io.WriteCloser) (Link, error) {
+func (l *Loopback) bind(token string, src netio.Source, dst netio.Sink) (Link, error) {
 	l.mu.Lock()
 	p := l.parked[token]
 	if p == nil {
@@ -199,8 +197,8 @@ func (l *Loopback) bind(token string, src io.ReadCloser, dst io.WriteCloser) (Li
 // loopPipe is the shared pump state behind both Link views of one
 // loopback binding.
 type loopPipe struct {
-	src io.ReadCloser
-	dst io.WriteCloser
+	src netio.Source
+	dst netio.Sink
 
 	done chan struct{}
 	once sync.Once
@@ -254,6 +252,7 @@ func (l loopLink) Wait() error {
 func (l loopLink) Done() <-chan struct{}     { return l.p.done }
 func (l loopLink) PeerAddr() (string, error) { return "loopback", nil }
 func (l loopLink) Outbound() bool            { return l.outbound }
+func (l loopLink) OnRearm(func(Link))        {}
 
 func (l loopLink) Move(addr, token string) error {
 	return fmt.Errorf("conduit: loopback move: %w", errors.ErrUnsupported)

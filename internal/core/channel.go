@@ -26,7 +26,7 @@ type Channel struct {
 	rs rstate
 
 	// rec is the exposition record of the channel's name, whose token
-	// counts package token bumps through the ports' NoteToken hooks. Nil
+	// counts package token bumps through the ports' NoteTokens hooks. Nil
 	// unless the channel is registered and its name admitted.
 	rec *record
 	// held records the local processes holding the two ends (see

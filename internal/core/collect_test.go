@@ -165,7 +165,7 @@ func TestScrapeWhileChannelsComeAndGo(t *testing.T) {
 						if _, err := io.ReadFull(c.Reader(), buf[:]); err != nil {
 							return
 						}
-						c.Reader().NoteToken()
+						c.Reader().NoteTokens(1)
 					}
 				}()
 				for range k {
@@ -173,7 +173,7 @@ func TestScrapeWhileChannelsComeAndGo(t *testing.T) {
 						t.Error(err)
 						break
 					}
-					c.Writer().NoteToken()
+					c.Writer().NoteTokens(1)
 				}
 				c.Writer().Close()
 				<-done
@@ -245,10 +245,10 @@ func TestNamesPastTheCapAreNotTracked(t *testing.T) {
 			t.Fatal("c past the cap got token counts")
 		}
 		c.Writer().Write(make([]byte, 3))
-		c.Writer().NoteToken()
+		c.Writer().NoteTokens(1)
 	}
 	reg.SetSeriesLimit(0)
-	net.NewChannel("d", 8).Writer().NoteToken() // exposed, though the first names were admitted under the cap
+	net.NewChannel("d", 8).Writer().NoteTokens(1) // exposed, though the first names were admitted under the cap
 	names := map[string]int{}
 	var dropped int64
 	for _, smp := range reg.Samples() {

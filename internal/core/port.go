@@ -25,7 +25,7 @@ var ErrDetached = conduit.ErrDetached
 // freshly allocated port to reconstructed state without copying locks.
 //
 // The state is also the byte source the port's token codec reads (it
-// implements io.Reader plus the Buffered/NoteToken hooks package token
+// implements io.Reader plus the Buffered/NoteTokens hooks package token
 // looks for), so the codec belongs to the binding, not to a handle:
 // every operation that rebinds a port — Detach, SpliceOut,
 // InsertUpstream, gob decode, migration — installs fresh state and the
@@ -50,8 +50,6 @@ func (s *rstate) Buffered() int {
 	}
 	return s.p.Buffered()
 }
-
-func (s *rstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *rstate) NoteTokens(k int) {
 	if s.ch != nil && s.ch.rec != nil {
@@ -161,12 +159,10 @@ func (p *ReadPort) Buffered() int {
 	return p.s.Buffered()
 }
 
-// NoteToken records one typed element consumed through this port; it
-// feeds the dpn_conduit_tokens_total counter. Package token calls it
-// after each successfully decoded element.
-func (p *ReadPort) NoteToken() { p.NoteTokens(1) }
-
-// NoteTokens records k consumed elements in one counter operation.
+// NoteTokens records k typed elements consumed through this port in
+// one counter operation; it feeds the dpn_conduit_tokens_total counter.
+// Package token calls it after each successfully decoded element or
+// batch.
 func (p *ReadPort) NoteTokens(k int) {
 	if p.s != nil {
 		p.s.NoteTokens(k)
@@ -203,8 +199,6 @@ func (s *wstate) HintShape(shape uint32) {
 		s.p.HintShape(shape)
 	}
 }
-
-func (s *wstate) NoteToken() { s.NoteTokens(1) }
 
 func (s *wstate) NoteTokens(k int) {
 	if s.ch != nil && s.ch.rec != nil {
@@ -305,11 +299,8 @@ func (p *WritePort) HintShape(s uint32) {
 	}
 }
 
-// NoteToken records one typed element produced through this port; it
-// feeds the dpn_conduit_tokens_total counter.
-func (p *WritePort) NoteToken() { p.NoteTokens(1) }
-
-// NoteTokens records k produced elements in one counter operation.
+// NoteTokens records k typed elements produced through this port in
+// one counter operation; it feeds the dpn_conduit_tokens_total counter.
 func (p *WritePort) NoteTokens(k int) {
 	if p.s != nil {
 		p.s.NoteTokens(k)

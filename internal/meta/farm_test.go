@@ -10,9 +10,9 @@ import (
 
 // TestFarmUnderMonitorDoesNotGrowWhileALaneComputes runs the farm under a
 // deadlock monitor that checks only when the network reports quiescence
-// (its backstop poll is an hour away). Every 10th task computes for
-// 30 ms, so for long stretches one lane is busy while everything else
-// waits on it. A lane that computes is progress: the monitor must see no
+// (it has no peers, so no timer: its poll argument is ignored). Every
+// 10th task computes for 30 ms, so for long stretches one lane is busy
+// while everything else waits on it. A lane that computes is progress: the monitor must see no
 // deadlock, artificial or true, and must grow neither the producer's
 // channel nor the consumer's. Every party the farm parks in a pipe has
 // to be a process for that to hold — a bare goroutine parked on a lane

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,7 +44,7 @@ func TestRebaseMidChunkCompressedReplay(t *testing.T) {
 		LinkDeadline:   10 * time.Second,
 		Seed:           1,
 	})
-	h := b.newLink(io.NopCloser(strings.NewReader("")), nil, 0, true, "", "tok")
+	h := b.newLink(stream.NewPipe(1).ReadEnd(), nil, 0, true, "", "tok")
 	if !h.comp {
 		t.Fatal("compression should default on")
 	}
@@ -195,7 +194,7 @@ func TestBrokerCloseInterruptsReconnectBackoff(t *testing.T) {
 // ackTap is a byte source with the journaling source's Acked tap: it
 // records the highest offset the link reported confirmed.
 type ackTap struct {
-	io.ReadCloser
+	Source
 	acked atomic.Uint64
 }
 
@@ -212,7 +211,7 @@ func TestAckedOffsetsFlowWithoutPolicy(t *testing.T) {
 	b := newTestBroker(t)
 	src := stream.NewPipe(1 << 16)
 	dst := stream.NewPipe(1 << 16)
-	tap := &ackTap{ReadCloser: src.ReadEnd()}
+	tap := &ackTap{Source: src.ReadEnd()}
 	tok := a.NewToken()
 	hOut, err := a.ServeOutbound(tok, tap, 0)
 	if err != nil {

@@ -176,10 +176,10 @@ type Handle struct {
 	b        *Broker
 	outbound bool
 	res      Resilience
-	src      io.ReadCloser  // outbound
-	dst      io.WriteCloser // inbound
-	end      io.Closer      // src or dst: the local channel end
-	comp     bool           // outbound DATA payloads get a compression trial
+	src      Source    // outbound
+	dst      Sink      // inbound
+	end      io.Closer // src or dst: the local channel end
+	comp     bool      // outbound DATA payloads get a compression trial
 
 	// mu guards the core, the actions stepped but not yet carried out,
 	// and rearm. It is held only to step, never across an action, so
@@ -212,8 +212,12 @@ type Handle struct {
 }
 
 // newLink builds the writer end of a link over src, or the reader end
-// over dst.
-func (b *Broker) newLink(src io.ReadCloser, dst io.WriteCloser, window int, serve bool, addr, token string) *Handle {
+// over dst. A journal (conduit.Durable) is a Source or Sink with taps
+// no channel half has, and this is the one place they are looked for:
+// a source's Rewind (a restarted sender skips forward to the
+// receiver's offset) and Acked (the journal truncates behind the
+// receiver), a sink's Delivered (the journal's end seeds the RESUME).
+func (b *Broker) newLink(src Source, dst Sink, window int, serve bool, addr, token string) *Handle {
 	out, end := src != nil, io.Closer(dst)
 	if out {
 		end = src
@@ -221,10 +225,13 @@ func (b *Broker) newLink(src io.ReadCloser, dst io.WriteCloser, window int, serv
 	h := &Handle{b: b, outbound: out, res: b.resilience(), src: src, dst: dst, end: end, comp: b.compression(),
 		core:  linkCore{outbound: out, serve: serve, addr: addr, token: token, peer: addr},
 		ready: make(chan struct{}), done: make(chan struct{}), kick: make(chan struct{}, 1)}
-	if rw, ok := src.(rewindableSource); ok {
-		h.core.rewind = rw.Rewind
+	if j, ok := src.(interface{ Rewind(off uint64) error }); ok {
+		h.core.rewind = j.Rewind
 	}
-	if ds, ok := dst.(deliveredSink); ok {
+	if j, ok := src.(interface{ Acked(off uint64) }); ok {
+		h.core.confirmed = j.Acked
+	}
+	if ds, ok := dst.(interface{ Delivered() uint64 }); ok {
 		// A durable sink survived a restart with journaled bytes: the
 		// first RESUME announces the journal's end, or the sender would
 		// replay bytes the sink already holds.
@@ -309,34 +316,26 @@ func (h *Handle) finish(err error) {
 	})
 }
 
-// traceTaker and traceMarker mirror stream.TraceTaker/TraceMarker
-// structurally, so links stay decoupled from the stream package while
-// still propagating causal trace marks across the wire.
-type traceTaker interface{ TakeTraceMark() uint64 }
-type traceMarker interface{ MarkTrace(id uint64) }
+// Source is the local byte source a writer end pumps to the wire: a
+// channel's read half, or a wrapper around one. Beside the bytes it
+// carries the causal trace mark set upstream, taken once by the first
+// send of a chunk (0: none), and the advisory element-shape hint that
+// steers the compressor's trial encoding (0: none).
+type Source interface {
+	io.ReadCloser
+	TakeTraceMark() uint64
+	ShapeHint() uint32
+}
 
-// shapeSource mirrors stream.ShapeSource structurally: sources whose
-// advisory element-shape hint steers the wire compressor's trial
-// encoding. A source without one still compresses — the default int
-// trial catches monotone runs regardless.
-type shapeSource interface{ ShapeHint() uint32 }
-
-// rewindableSource marks a source that can reposition itself to an
-// absolute logical stream offset — the durable (WAL-journaling)
-// conduit binding. A receiver whose RESUME offset is ahead of what the
-// writer sent holds bytes of an earlier incarnation of a restarted
-// sender; rewinding the journal-backed source to that offset turns a
-// kill -9 into a plain partition.
-type rewindableSource interface{ Rewind(off uint64) error }
-
-// ackedSource receives the receiver-confirmed delivered offset as it
-// advances, so a journaling source can truncate acknowledged segments.
-type ackedSource interface{ Acked(off uint64) }
-
-// deliveredSink reports how many logical bytes a sink has already made
-// durable, seeding the inbound link's delivered offset after a restart
-// so its first RESUME announces the journal's end rather than zero.
-type deliveredSink interface{ Delivered() uint64 }
+// Sink is the local byte sink a reader end delivers into: a channel's
+// write half, or a wrapper around one. MarkTrace re-marks a trace that
+// arrived on the wire; Unbound lifts the sink's capacity bound, so a
+// delivery parked on a full buffer returns while the reader moves.
+type Sink interface {
+	io.WriteCloser
+	MarkTrace(id uint64)
+	Unbound()
+}
 
 // DialOutbound connects to a waiting reader host and pumps src (the
 // local byte source of the channel) to it. Used by the host that a
@@ -347,21 +346,21 @@ type deliveredSink interface{ Delivered() uint64 }
 // selects DefaultWindow; the migration machinery passes the channel's
 // buffer capacity). Under a retry policy a failed dial is retried with
 // backoff in the background instead of failing the call.
-func (b *Broker) DialOutbound(addr, token string, src io.ReadCloser, window int) (*Handle, error) {
+func (b *Broker) DialOutbound(addr, token string, src Source, window int) (*Handle, error) {
 	return b.newLink(src, nil, window, false, addr, token).dial()
 }
 
 // ServeOutbound waits for the reader host to connect (with the given
 // token) and then pumps src to it. Used by the origin host when a
 // reader process moves away (§4.2). See DialOutbound for window.
-func (b *Broker) ServeOutbound(token string, src io.ReadCloser, window int) (*Handle, error) {
+func (b *Broker) ServeOutbound(token string, src Source, window int) (*Handle, error) {
 	return b.newLink(src, nil, window, true, "", token).serve()
 }
 
 // DialInbound connects to a waiting writer host and pumps the received
 // bytes into dst (the write end of the local pipe behind the moved
 // reader port).
-func (b *Broker) DialInbound(addr, token string, dst io.WriteCloser) (*Handle, error) {
+func (b *Broker) DialInbound(addr, token string, dst Sink) (*Handle, error) {
 	return b.newLink(nil, dst, 0, false, addr, token).dial()
 }
 
@@ -369,7 +368,7 @@ func (b *Broker) DialInbound(addr, token string, dst io.WriteCloser) (*Handle, e
 // received bytes into dst. Used by the origin host when a writer
 // process moves away, and by any host receiving a redirected writer
 // (§4.3).
-func (b *Broker) ServeInbound(token string, dst io.WriteCloser) (*Handle, error) {
+func (b *Broker) ServeInbound(token string, dst Sink) (*Handle, error) {
 	return b.newLink(nil, dst, 0, true, "", token).serve()
 }
 
@@ -451,9 +450,7 @@ func (h *Handle) Move(addr, token string) error {
 	// The step's release is carried out at once: the frame reader may
 	// hold exec, parked in the very delivery into the full buffer that
 	// it releases. Whoever holds exec next carries out the MOVING.
-	if u, ok := h.dst.(interface{ Unbound() }); ok {
-		u.Unbound()
-	}
+	h.dst.Unbound()
 	h.exec.Lock()
 	h.drain()
 	h.exec.Unlock()
@@ -639,12 +636,10 @@ func (h *Handle) do(a *action) {
 		// The receiving half of the conduit edge the multi-node trace
 		// merge aligns on; the re-marked pipe carries it further.
 		h.b.noteSpan(a.f.token, "wire-in", a.f.off)
-		if m, ok := h.dst.(traceMarker); ok {
-			m.MarkTrace(a.f.off)
-		}
+		h.dst.MarkTrace(a.f.off)
 	case actAcked:
-		if s, ok := h.src.(ackedSource); ok {
-			s.Acked(a.f.off)
+		if h.core.confirmed != nil {
+			h.core.confirmed(a.f.off)
 		}
 	case actStall:
 		h.b.ins.Load().creditStalls.Inc()
@@ -813,10 +808,7 @@ func (h *Handle) ctrl(f frame) {
 // mark lost to a reconnect leaves that batch unsampled.
 func (h *Handle) send(c outChunk, first bool, token string) {
 	if first {
-		id := uint64(0)
-		if t, ok := h.src.(traceTaker); ok {
-			id = t.TakeTraceMark()
-		}
+		id := h.src.TakeTraceMark()
 		if id == 0 {
 			id = h.b.traceSampler().Sample()
 		}
@@ -841,10 +833,7 @@ func (h *Handle) send(c outChunk, first bool, token string) {
 // was: credit, offsets and replay count logical bytes, and a replay is
 // re-sealed.
 func (h *Handle) sendCompressed(c outChunk) bool {
-	shape := blocks.ShapeNone
-	if s, ok := h.src.(shapeSource); ok {
-		shape = blocks.Shape(s.ShapeHint())
-	}
+	shape := blocks.Shape(h.src.ShapeHint())
 	n := len(c.data)
 	bp := getChunkBuf()
 	defer putChunkBuf(bp)

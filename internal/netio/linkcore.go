@@ -106,6 +106,7 @@ type linkCore struct {
 	redirect         string // the final frame is REDIRECT(redirect), or EOF if empty
 	stalled          bool
 	rewind           func(off uint64) error // skips a journal-backed source forward; nil if it cannot
+	confirmed        func(off uint64)       // tells a journal-backed source the receiver confirmed off; nil if none
 
 	// Reader end.
 	delivered uint64 // bytes handed to the sink

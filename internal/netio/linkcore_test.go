@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dpn/internal/stream"
 )
 
 // These tests drive the link core alone: events in, actions out, no
@@ -214,7 +216,7 @@ func TestLinkCoreTransitions(t *testing.T) {
 		{"RESUME: the writer announces its credit window", writerAt(phaseResume), frameEv(frame{kind: frameResume}),
 			"acked:0 ctrl:resume", 1, func(a action) bool { return a.f.window == 100 }},
 		{"RESUME: a window past 32 bits is announced as the most its bound fits in them", func() *linkCore {
-			c := &newTestBroker(t).newLink(io.NopCloser(strings.NewReader("")), nil, math.MaxInt, false, "r:1", "t").core
+			c := &newTestBroker(t).newLink(stream.NewPipe(1).ReadEnd(), nil, math.MaxInt, false, "r:1", "t").core
 			c.phase = phaseResume
 			return c
 		}(), frameEv(frame{kind: frameResume}), "acked:0 ctrl:resume", 1, func(a action) bool {

@@ -196,7 +196,7 @@ func TestSpliceBuffered(t *testing.T) {
 	if got := p.Buffered(); got != 2 {
 		t.Fatalf("Buffered() once drained = %d, want the continuation's 2", got)
 	}
-	if got := p.ReadEnd().(BufferedReader).Buffered(); got != 2 {
+	if got := p.ReadEnd().Buffered(); got != 2 {
 		t.Fatalf("read end Buffered() = %d, want 2", got)
 	}
 }

@@ -713,69 +713,31 @@ func (p *Pipe) ShapeHint() uint32 {
 	return p.shape.Load()
 }
 
-// ShapeHinter is implemented by sinks that can carry an advisory
-// element-shape hint toward a transport binding.
-type ShapeHinter interface {
-	HintShape(s uint32)
-}
+// WriteHalf is the pipe's write half: an io.WriteCloser whose Close
+// maps to CloseWrite, carrying the pipe's sink-side hooks (vectored
+// writes, trace marks, shape hints, Unbound) as plain methods.
+type WriteHalf struct{ p *Pipe }
 
-// ShapeSource is implemented by sources that expose the pending
-// element-shape hint to a transport binding.
-type ShapeSource interface {
-	ShapeHint() uint32
-}
+func (w WriteHalf) Write(b []byte) (int, error)          { return w.p.Write(b) }
+func (w WriteHalf) WriteVec(bufs ...[]byte) (int, error) { return w.p.WriteVec(bufs...) }
+func (w WriteHalf) MarkTrace(id uint64)                  { w.p.MarkTrace(id) }
+func (w WriteHalf) HintShape(s uint32)                   { w.p.HintShape(s) }
+func (w WriteHalf) Unbound()                             { w.p.Unbound() }
+func (w WriteHalf) Close() error                         { return w.p.CloseWrite() }
 
-// TraceMarker is implemented by sinks that can carry a causal trace
-// mark alongside the data written to them.
-type TraceMarker interface {
-	MarkTrace(id uint64)
-}
+// ReadHalf is the pipe's read half: an io.ReadCloser whose Close maps
+// to CloseRead, carrying the pipe's source-side hooks (Buffered, trace
+// marks, shape hints) as plain methods.
+type ReadHalf struct{ p *Pipe }
 
-// TraceTaker is implemented by sources whose pending trace mark can be
-// claimed by a downstream tap (an outbound network link).
-type TraceTaker interface {
-	TakeTraceMark() uint64
-}
+func (r ReadHalf) Read(b []byte) (int, error) { return r.p.Read(b) }
+func (r ReadHalf) Buffered() int              { return r.p.Buffered() }
+func (r ReadHalf) TakeTraceMark() uint64      { return r.p.TakeTraceMark() }
+func (r ReadHalf) ShapeHint() uint32          { return r.p.ShapeHint() }
+func (r ReadHalf) Close() error               { return r.p.CloseRead() }
 
-// VecWriter is implemented by sinks that can accept a multi-part
-// element (e.g. length header + payload) atomically with respect to
-// interleaving and at the cost of a single sink operation. The token
-// codec uses it to keep large elements one-write-per-element without
-// staging them through an intermediate copy.
-type VecWriter interface {
-	WriteVec(bufs ...[]byte) (int, error)
-}
+// WriteEnd returns the pipe's write half.
+func (p *Pipe) WriteEnd() WriteHalf { return WriteHalf{p} }
 
-// BufferedReader is implemented by sources that can report how many
-// bytes are immediately readable without blocking. Batch decoders use
-// it to bound a non-blocking drain.
-type BufferedReader interface {
-	Buffered() int
-}
-
-// writerEnd adapts the pipe's write half to io.WriteCloser.
-type writerEnd struct{ p *Pipe }
-
-func (w writerEnd) Write(b []byte) (int, error)          { return w.p.Write(b) }
-func (w writerEnd) WriteVec(bufs ...[]byte) (int, error) { return w.p.WriteVec(bufs...) }
-func (w writerEnd) MarkTrace(id uint64)                  { w.p.MarkTrace(id) }
-func (w writerEnd) HintShape(s uint32)                   { w.p.HintShape(s) }
-func (w writerEnd) Unbound()                             { w.p.Unbound() }
-func (w writerEnd) Close() error                         { return w.p.CloseWrite() }
-
-// readerEnd adapts the pipe's read half to io.ReadCloser.
-type readerEnd struct{ p *Pipe }
-
-func (r readerEnd) Read(b []byte) (int, error) { return r.p.Read(b) }
-func (r readerEnd) Buffered() int              { return r.p.Buffered() }
-func (r readerEnd) TakeTraceMark() uint64      { return r.p.TakeTraceMark() }
-func (r readerEnd) ShapeHint() uint32          { return r.p.ShapeHint() }
-func (r readerEnd) Close() error               { return r.p.CloseRead() }
-
-// WriteEnd returns the pipe's write half as an io.WriteCloser whose Close
-// maps to CloseWrite.
-func (p *Pipe) WriteEnd() io.WriteCloser { return writerEnd{p} }
-
-// ReadEnd returns the pipe's read half as an io.ReadCloser whose Close
-// maps to CloseRead.
-func (p *Pipe) ReadEnd() io.ReadCloser { return readerEnd{p} }
+// ReadEnd returns the pipe's read half.
+func (p *Pipe) ReadEnd() ReadHalf { return ReadHalf{p} }

@@ -78,33 +78,30 @@ type Reader struct {
 	r       io.Reader
 	br      bufferedReader
 	noter   tokenNoter
-	batch   tokenBatchNoter
 	scratch [8]byte
 	stage   []byte
 }
 
 // tokenNoter is implemented by channel ports (core.ReadPort and
-// core.WritePort): each successfully transferred element bumps the
-// channel's token counter, giving the observability layer element
-// granularity on top of the byte counters.
-type tokenNoter interface{ NoteToken() }
+// core.WritePort): each call records k successfully transferred
+// elements on the channel's token counter, giving the observability
+// layer element granularity on top of the byte counters, and a batch
+// one counter operation instead of k.
+type tokenNoter interface{ NoteTokens(k int) }
 
-// tokenBatchNoter is the batched form: one call records k elements, so
-// a batch transfer costs one counter operation instead of k.
-type tokenBatchNoter interface{ NoteTokens(k int) }
-
-// vecWriter matches stream.VecWriter structurally: sinks that accept a
-// multi-part element as one operation.
+// vecWriter is a sink that accepts a multi-part element as one
+// operation (a pipe's write half, a write port).
 type vecWriter interface {
 	WriteVec(bufs ...[]byte) (int, error)
 }
 
-// bufferedReader matches stream.BufferedReader structurally: sources
-// that report how many bytes are readable without blocking.
+// bufferedReader is a source that reports how many bytes are readable
+// without blocking (a pipe's read half, a read port); batch decoders
+// use it to bound a non-blocking drain.
 type bufferedReader interface{ Buffered() int }
 
-// shapeHinter matches stream.ShapeHinter structurally: sinks that can
-// carry an advisory element-shape hint toward a transport binding.
+// shapeHinter is a sink that carries an advisory element-shape hint
+// toward a transport binding (a pipe's write half, a write port).
 type shapeHinter interface{ HintShape(s uint32) }
 
 // NewReader returns a typed reader over r.
@@ -112,30 +109,15 @@ func NewReader(r io.Reader) *Reader {
 	d := &Reader{r: r}
 	d.br, _ = r.(bufferedReader)
 	d.noter, _ = r.(tokenNoter)
-	d.batch, _ = r.(tokenBatchNoter)
 	return d
 }
 
-// note records one decoded element. Only the leaf element readers call
+// noteN records k decoded elements. Only the leaf element readers call
 // it, so composites (ReadObject over ReadBlock, ReadInt64 over
 // ReadUint64) count each element exactly once.
-func (d *Reader) note() {
-	if d.noter != nil {
-		d.noter.NoteToken()
-	}
-}
-
-// noteN records k decoded elements in one counter operation when the
-// source supports it.
 func (d *Reader) noteN(k int) {
-	if d.batch != nil {
-		d.batch.NoteTokens(k)
-		return
-	}
 	if d.noter != nil {
-		for i := 0; i < k; i++ {
-			d.noter.NoteToken()
-		}
+		d.noter.NoteTokens(k)
 	}
 }
 
@@ -181,7 +163,7 @@ func (d *Reader) ReadUint64() (uint64, error) {
 	if _, err := io.ReadFull(d.r, d.scratch[:8]); err != nil {
 		return 0, noUnexpected(err)
 	}
-	d.note()
+	d.noteN(1)
 	return binary.BigEndian.Uint64(d.scratch[:8]), nil
 }
 
@@ -190,7 +172,7 @@ func (d *Reader) ReadInt32() (int32, error) {
 	if _, err := io.ReadFull(d.r, d.scratch[:4]); err != nil {
 		return 0, noUnexpected(err)
 	}
-	d.note()
+	d.noteN(1)
 	return int32(binary.BigEndian.Uint32(d.scratch[:4])), nil
 }
 
@@ -261,7 +243,7 @@ func (d *Reader) ReadBool() (bool, error) {
 	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != nil {
 		return false, noUnexpected(err)
 	}
-	d.note()
+	d.noteN(1)
 	return d.scratch[0] != 0, nil
 }
 
@@ -270,7 +252,7 @@ func (d *Reader) ReadByte() (byte, error) {
 	if _, err := io.ReadFull(d.r, d.scratch[:1]); err != nil {
 		return 0, noUnexpected(err)
 	}
-	d.note()
+	d.noteN(1)
 	return d.scratch[0], nil
 }
 
@@ -306,7 +288,7 @@ func (d *Reader) ReadBlockBuf(dst []byte) ([]byte, error) {
 	if _, err := io.ReadFull(d.r, b); err != nil {
 		return nil, corrupt(err)
 	}
-	d.note()
+	d.noteN(1)
 	return b, nil
 }
 
@@ -341,7 +323,7 @@ func (d *Reader) ReadObject(v any) error {
 		objPool.Put(sc)
 		return corrupt(err)
 	}
-	d.note()
+	d.noteN(1)
 	sc.rd.Reset(b)
 	err := gob.NewDecoder(&sc.rd).Decode(v)
 	sc.rd.Reset(nil)
@@ -385,7 +367,6 @@ type Writer struct {
 	w       io.Writer
 	vw      vecWriter
 	noter   tokenNoter
-	batch   tokenBatchNoter
 	hinter  shapeHinter
 	hinted  blocks.Shape
 	scratch [8]byte
@@ -397,7 +378,6 @@ func NewWriter(w io.Writer) *Writer {
 	e := &Writer{w: w}
 	e.vw, _ = w.(vecWriter)
 	e.noter, _ = w.(tokenNoter)
-	e.batch, _ = w.(tokenBatchNoter)
 	e.hinter, _ = w.(shapeHinter)
 	return e
 }
@@ -415,26 +395,19 @@ func (e *Writer) hint(s blocks.Shape) {
 	e.hinter.HintShape(uint32(s))
 }
 
-// note records one encoded element (leaf writers only; see
-// Reader.note).
+// note records one encoded element if err is nil (leaf writers only;
+// see Reader.noteN).
 func (e *Writer) note(err error) error {
-	if err == nil && e.noter != nil {
-		e.noter.NoteToken()
+	if err == nil {
+		e.noteN(1)
 	}
 	return err
 }
 
-// noteN records k encoded elements in one counter operation when the
-// sink supports it.
+// noteN records k encoded elements.
 func (e *Writer) noteN(k int) {
-	if e.batch != nil {
-		e.batch.NoteTokens(k)
-		return
-	}
 	if e.noter != nil {
-		for i := 0; i < k; i++ {
-			e.noter.NoteToken()
-		}
+		e.noter.NoteTokens(k)
 	}
 }
 

@@ -138,14 +138,12 @@ func NewLocalNode(listenAddr string) (*Node, error) {
 func (n *Node) Close() error { return n.Broker.Close() }
 
 // trackLink records l as the live link carrying ch and watches it. If
-// the link can re-arm itself (the §4.3 redirect path replaces the
-// serving handle with a fresh one for the writer's next hop), the
-// replacement is re-tracked through the same path, so a third move of
-// the channel never consults a finished link.
+// the link re-arms itself (the §4.3 redirect path replaces the serving
+// handle with a fresh one for the writer's next hop), the replacement
+// is re-tracked through the same path, so a third move of the channel
+// never consults a finished link.
 func (n *Node) trackLink(ch *core.Channel, l conduit.Link) {
-	if r, ok := l.(conduit.Rearmer); ok {
-		r.OnRearm(func(nl conduit.Link) { n.trackLink(ch, nl) })
-	}
+	l.OnRearm(func(nl conduit.Link) { n.trackLink(ch, nl) })
 	n.mu.Lock()
 	n.links[ch] = l
 	n.mu.Unlock()

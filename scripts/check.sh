@@ -10,7 +10,7 @@
 #                    task-farm, parked-link, link-wait, multi-node
 #                    monitor, scraped-tally, scrape-churn,
 #                    golden-exposition, whole-or-nothing series,
-#                    link-core, Redirect-race,
+#                    link-core, Redirect-race, durable reader-move,
 #                    shared-session, permanent-partition, splice
 #                    (stream, proclib, core, graphs), run-process
 #                    (graphs, proclib, workload), window-slot and
@@ -67,7 +67,11 @@
 #                    check that non-test internal/stream calls time.Now
 #                    or time.Since only in the park clock of
 #                    instruments.go (a park reads no clock; one park in
-#                    16 is timed), and gofmt -l.
+#                    16 is timed), a check that non-test internal/netio
+#                    makes no type assertion on a link's source or sink
+#                    outside newLink (a link's ends are typed: what they
+#                    carry is checked at compile time, and newLink alone
+#                    looks for a journal's taps), and gofmt -l.
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
 #                    (oracle equality under loopback/tcp/chaos/
@@ -214,6 +218,15 @@ if [ "${1:-}" = "-lint" ]; then
 		echo "lint gate: time.Now or time.Since in internal/stream outside the park clock (instruments.go's parkClock and its epoch)"
 		fail=1
 	fi
+	# A link's ends are typed (DESIGN.md, "Conduit layering"): netio.Source
+	# and netio.Sink declare what every end carries, so a wrapper that
+	# drops a capability fails to compile. Only a journal's taps are
+	# optional, and newLink looks for them once, when it builds the link.
+	if awk '/^func /{fn=$0} /(^|[^[:alnum:]_])(src|dst)\)?\.\(/ && fn !~ /\) newLink\(/ {print FILENAME":"FNR": "$0; bad=1} END{exit !bad}' \
+		$(ls internal/netio/*.go | grep -v '_test\.go$'); then
+		echo "lint gate: a type assertion on a link's source or sink in internal/netio outside newLink (call the netio.Source/Sink method)"
+		fail=1
+	fi
 	# A server's codebase is the process types a graph can ship
 	# (DESIGN.md, "Dynamic code loading is not reproduced"): no binary
 	# spawns processes or carries the test framework.
@@ -318,7 +331,9 @@ go test -race -timeout 120s ./...
 # (SieveChannelSeriesWholeOrNothing). The link
 # core's transitions and bug scripts hold (LinkCore), Redirect reads
 # the peer a concurrent reader move rewrites under the handle's lock
-# (RedirectDuringReaderMove), a peer that overruns its window is cut off
+# (RedirectDuringReaderMove), a reader whose inbound link is journaled
+# moves while the link is parked on its full buffer
+# (DurableMoveWithFullReaderBuffer), a peer that overruns its window is cut off
 # within the inbox bound (OverrunningPeerIsCutOff), a stalled link
 # does not stall its session (StalledLinkDoesNotStallItsSession), an
 # accepted session is pooled before its read loop runs
@@ -355,7 +370,7 @@ go test -race -timeout 120s ./...
 # the client's lock (BrokerAddrConcurrentCallers).
 go test -race -count=20 -cpu 1,2,4 -run 'Deadlock|Quiescence|Artificial|Hamming|MaxCapacity|WakeBookkeeping|Cut|Farm|Pool|Dynamic|Turnstile|Select' \
 	./internal/deadlock ./internal/graphs ./internal/stream ./internal/proclib ./internal/meta
-go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestParkClockTimesOneParkIn16|TestSampledParkClockTracksEveryPark|TestBrokerAddrConcurrentCallers|TestChannelRegistrationSignalsQuiescence|TestLinkWaitSignalsQuiescence' \
+go test -race -count=20 -cpu 1,2,4 -run 'TestLinkIsNotAProcess|TestLocalMonitorLeavesLinkWaitUndecided|TestCoordinatorIgnoresComputingConsumer|TestScrapedTalliesMatchBytesMoved|TestScrapeWhileChannelsComeAndGo|TestConduitExpositionGolden|TestSieveChannelSeriesWholeOrNothing|TestLinkCore|TestRedirectDuringReaderMove|TestOverrunningPeerIsCutOff|TestStalledLinkDoesNotStallItsSession|TestMuxSessionSharedAcrossLinksBothDirections|TestChaosPrimesPermanentPartitionCascades|TestSpliceConcurrentStress|TestConsSelfRemove|TestSpliceOutPreservesEveryElement|TestFibonacciWithSelfRemovingCons|TestCutLeavesSplicedConsStreamIntact|TestHammingDeterminateUnderCapacityPerturbation|TestSieveDeterminateUnderCapacityPerturbation|TestOrderedMergeProperty|TestOrderedMergeRunsMatchElementMerge|TestRunProcessesHonourElementLimits|TestMigrateOrderedMergeMidStream|TestMigrateSequenceMidStream|TestWindowReduceSlotsResetOnClose|TestWindowReduceResumesAfterGobRoundTrip|TestShardByKeyRoutesNegativeKeys|TestParkClockTimesOneParkIn16|TestSampledParkClockTracksEveryPark|TestBrokerAddrConcurrentCallers|TestChannelRegistrationSignalsQuiescence|TestLinkWaitSignalsQuiescence|TestDurableMoveWithFullReaderBuffer' \
 	./internal/wire ./internal/server ./internal/conduit ./internal/netio ./internal/core ./internal/graphs ./internal/stream ./internal/proclib ./internal/workload
 # The benchmark harness is its own module, invisible to ./... above;
 # its smoke test is what catches a break of the API its adapter uses.
